@@ -5,20 +5,17 @@ computation, closed-form minimax bounds, and the worst-case families and
 Bayes-risk oracles needed to verify them at desk scale.
 """
 
-from .bounds import (BoundValue, ChernoffTails, EntropyBallParams, HighDimParams,
+from .bounds import (BoundValue, ChernoffTails, HighDimParams,
                      adell_jodra_tv_bound, chernoff_tails, classical_constant,
                      hoeffding_bound, minimax_entropy_lower, minimax_lower_hd,
                      mle_entropy_lower, mle_entropy_upper, mle_upper_simple,
                      mle_upper_tight, simplex_lower, threshold_upper)
 from .core import (ApproxSimplexTolerance, CompressedFamily, CountHistogram,
-                   EstimateVector, ProbabilityVector, entropy, in_approx_simplex,
-                   l1_distance)
+                   ProbabilityVector, entropy, in_approx_simplex, l1_distance)
 from .estimators import (DEFAULT_ETA, CoordinatewiseEstimator, ThresholdConfig,
-                         empirical, empirical_estimator, hard_threshold,
-                         threshold_estimator, threshold_level)
+                         empirical_estimator, threshold_estimator, threshold_level)
 from .exact import (BinomialSpec, PoissonPair, binomial_expectation,
-                    binomial_mad_exact, binomial_pmf, estimator_risk_exact,
-                    poisson_pmf, poisson_tv_exact)
+                    binomial_mad_exact, estimator_risk_exact, poisson_tv_exact)
 from .families import (CompositeDraw, CompositePrior, EntropyBallBayesRisk,
                        EntropyBallFamily, ExpectedDistinct, TwoPointPrior,
                        assembled_minimax_lower_hd, bayes_risk_entropy_ball,

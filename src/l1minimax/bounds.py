@@ -15,7 +15,6 @@ from typing import NamedTuple
 __all__ = [
     "BoundValue",
     "HighDimParams",
-    "EntropyBallParams",
     "ChernoffTails",
     "mle_upper_simple",
     "mle_upper_tight",
@@ -60,26 +59,6 @@ class HighDimParams:
             raise ValueError("n must be positive")
         if not (0.0 < self.zeta <= 1.0):
             raise ValueError("zeta must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
-class EntropyBallParams:
-    """Entropy budget H (nats) with sample size and tuning constants."""
-
-    H: float
-    n: int
-    c: float
-    eta: float
-
-    def __post_init__(self):
-        if not self.H > 0:
-            raise ValueError("H must be positive")
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if not (0.0 < self.c < 1.0):
-            raise ValueError("c must lie in (0, 1)")
-        if not self.eta > 1.0:
-            raise ValueError("eta must exceed 1")
 
 
 def mle_upper_simple(S: int, n: int) -> float:

@@ -12,6 +12,7 @@ wall-clock timing is therefore only recorded with --timing.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -128,24 +129,15 @@ def _cell_bounds(H=None, S=None, c=None, eta=None, n=None, zeta=None):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _grid(values, default=(None,)):
-    return list(values) if values else list(default)
-
-
-def cmd_bounds(args) -> int:
-    if not any([args.grid_H, args.grid_S, args.grid_c, args.grid_eta,
-                args.grid_n, args.grid_zeta]):
-        raise UsageError("bounds needs at least one --grid-* parameter")
+def _evaluate(cells, args) -> int:
+    """One report row per (params, fill) cell; a cell whose fill raises keeps
+    what it recorded so far plus the error text, and the sweep goes on."""
     rows = []
-    cells = itertools.product(_grid(args.grid_H), _grid(args.grid_S),
-                              _grid(args.grid_c), _grid(args.grid_eta),
-                              _grid(args.grid_n), _grid(args.grid_zeta))
-    for H, S, c, eta, n, zeta in cells:
-        row = ReportRow(params={"H": H, "S": S, "c": c, "eta": eta,
-                                "n": n, "zeta": zeta}, seed=args.seed)
+    for params, fill in cells:
+        row = ReportRow(params=params, seed=args.seed)
         started = time.perf_counter()
         try:
-            row.bounds, row.vacuous = _cell_bounds(H=H, S=S, c=c, eta=eta, n=n, zeta=zeta)
+            fill(row)
         except Exception as exc:  # keep the sweep going, record the cell
             row.error = str(exc)
         if args.timing:
@@ -153,6 +145,19 @@ def cmd_bounds(args) -> int:
         rows.append(row)
     write_report(rows, args.format, args.out)
     return 0
+
+
+def _fill_bounds(row) -> None:
+    row.bounds, row.vacuous = _cell_bounds(**row.params)
+
+
+def cmd_bounds(args) -> int:
+    names = ("H", "S", "c", "eta", "n", "zeta")
+    grids = [getattr(args, "grid_" + name) for name in names]
+    if not any(grids):
+        raise UsageError("bounds needs at least one --grid-* parameter")
+    cells = itertools.product(*(grid or [None] for grid in grids))
+    return _evaluate(((dict(zip(names, cell)), _fill_bounds) for cell in cells), args)
 
 
 def _family_cells(args):
@@ -184,67 +189,34 @@ def _family_cells(args):
     return cells
 
 
-def _estimator_eta_product(args):
+def cmd_risk(args) -> int:
+    """`exact-risk` and `mc`; mc adds a Monte-Carlo estimate seeded by the
+    cell index and checks the exact risk against its interval."""
+    with_mc = args.command == "mc"
+
+    def fill(row, build_family, index) -> None:
+        params = row.params
+        n, eta = params["n"], params["eta"]
+        fam = build_family()
+        estimator = _build_estimator(params["estimator"], n, eta)
+        if with_mc:
+            cfg = McConfig(args.replicates, derive_seed(args.seed, index))
+            est = mc_risk(fam, estimator, n, cfg)
+            row.mc_mean, row.mc_ci_lo, row.mc_ci_hi = est.mean, est.ci_lo, est.ci_hi
+        row.exact_risk = estimator_risk_exact(fam, estimator, n)
+        if with_mc:
+            row.mc_within_ci = bool(est.ci_lo <= row.exact_risk <= est.ci_hi)
+        row.bounds, row.vacuous = _cell_bounds(
+            H=params.get("H"), S=params.get("S"), c=params.get("c"), eta=eta, n=n)
+
     estimators = args.estimator or ["empirical"]
     etas = args.grid_eta or [DEFAULT_ETA if "threshold" in estimators else None]
-    return list(itertools.product(estimators, etas))
-
-
-def cmd_exact_risk(args) -> int:
-    rows = []
-    for params, build_family in _family_cells(args):
-        for est_name, eta in _estimator_eta_product(args):
-            n = params["n"]
-            row = ReportRow(params={**params, "estimator": est_name, "eta": eta},
-                            seed=args.seed)
-            started = time.perf_counter()
-            try:
-                fam = build_family()
-                estimator = _build_estimator(est_name, n, eta)
-                row.exact_risk = estimator_risk_exact(fam, estimator, n)
-                row.bounds, row.vacuous = _cell_bounds(
-                    H=params.get("H"), S=params.get("S"), c=params.get("c"),
-                    eta=eta, n=n)
-            except Exception as exc:
-                row.error = str(exc)
-            if args.timing:
-                row.runtime_ms = (time.perf_counter() - started) * 1e3
-            rows.append(row)
-    write_report(rows, args.format, args.out)
-    return 0
-
-
-def cmd_mc(args) -> int:
-    rows = []
-    index = 0
-    for params, build_family in _family_cells(args):
-        for est_name, eta in _estimator_eta_product(args):
-            n = params["n"]
-            row = ReportRow(params={**params, "estimator": est_name, "eta": eta},
-                            seed=args.seed)
-            started = time.perf_counter()
-            try:
-                fam = build_family()
-                estimator = _build_estimator(est_name, n, eta)
-                cfg = McConfig(replicates=args.replicates,
-                               master_seed=derive_seed(args.seed, index))
-                estimate = mc_risk(fam, estimator, n, cfg)
-                row.mc_mean = estimate.mean
-                row.mc_ci_lo = estimate.ci_lo
-                row.mc_ci_hi = estimate.ci_hi
-                row.exact_risk = estimator_risk_exact(fam, estimator, n)
-                row.mc_within_ci = bool(estimate.ci_lo <= row.exact_risk <= estimate.ci_hi)
-                row.bounds, row.vacuous = _cell_bounds(
-                    H=params.get("H"), S=params.get("S"), c=params.get("c"),
-                    eta=eta, n=n)
-            except Exception as exc:
-                row.error = str(exc)
-            if args.timing:
-                row.runtime_ms = (time.perf_counter() - started) * 1e3
-            rows.append(row)
-            index += 1
-    write_report(rows, args.format, args.out)
-    return 0
+    cells = []
+    for (params, build_family), est_name, eta in itertools.product(
+            _family_cells(args), estimators, etas):
+        cells.append(({**params, "estimator": est_name, "eta": eta},
+                      functools.partial(fill, build_family=build_family, index=len(cells))))
+    return _evaluate(cells, args)
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +224,6 @@ def cmd_mc(args) -> int:
 
 def _exact_uniform_mle_risk(S: int, n: int) -> float:
     return estimator_risk_exact(_uniform_family(S), empirical_estimator(), n)
-
-
-def _entropy_ball_risk(H: float, c: float, n: int, est_name: str, eta: float) -> float:
-    fam = entropy_ball_family(H, c * H / math.log(n)).family
-    return estimator_risk_exact(fam, _build_estimator(est_name, n, eta), n)
 
 
 def _verdicts_cor2(args, rows):
@@ -308,24 +275,28 @@ def _verdicts_cor34(args, rows):
     ]
 
 
-def _trend_ratios(args, est_name: str, eta: float):
-    H_values = args.grid_H or [1.0]
+def _trend(args, H: float, risk):
+    """The n grid, the max over c of risk(c, n) at each n, and the trend
+    ratios ln(n) * max / H that cor6, cor7 and cor9 check."""
     cs = args.grid_c or [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
     ns = sorted(args.grid_n or [10**3, 10**4, 10**5, 10**6, 10**7])
-    out = []
-    for H in H_values:
-        ratios = []
-        for n in ns:
-            best = max(_entropy_ball_risk(H, c, n, est_name, eta) for c in cs)
-            ratios.append(math.log(n) * best / H)
-        out.append((H, ns, ratios))
-    return out
+    bests = [max(risk(c, n) for c in cs) for n in ns]
+    return ns, bests, [math.log(n) * best / H for n, best in zip(ns, bests)]
+
+
+def _ball_trend(args, H: float, est_name: str, eta: float):
+    """`_trend` of the exact risk on the entropy-ball family at delta = cH / ln n."""
+    def risk(c, n):
+        fam = entropy_ball_family(H, c * H / math.log(n)).family
+        return estimator_risk_exact(fam, _build_estimator(est_name, n, eta), n)
+    return _trend(args, H, risk)
 
 
 def _verdicts_cor6(args, rows):
     eta = (args.grid_eta or [1.1])[0]
     verdicts = []
-    for H, ns, ratios in _trend_ratios(args, "empirical", eta):
+    for H in args.grid_H or [1.0]:
+        ns, _, ratios = _ball_trend(args, H, "empirical", eta)
         for n, ratio in zip(ns, ratios):
             rows.append(ReportRow(
                 params={"H": H, "n": n, "family": "entropy-ball", "estimator": "empirical"},
@@ -341,9 +312,9 @@ def _verdicts_cor6(args, rows):
 def _verdicts_cor7(args, rows):
     eta = (args.grid_eta or [1.1])[0]
     verdicts = []
-    mle = _trend_ratios(args, "empirical", eta)
-    thr = _trend_ratios(args, "threshold", eta)
-    for (H, ns, mle_ratios), (_, _, thr_ratios) in zip(mle, thr):
+    for H in args.grid_H or [1.0]:
+        ns, _, mle_ratios = _ball_trend(args, H, "empirical", eta)
+        _, _, thr_ratios = _ball_trend(args, H, "threshold", eta)
         below = True
         compared = []
         for n, mle_r, thr_r in zip(ns, mle_ratios, thr_ratios):
@@ -367,25 +338,20 @@ def _verdicts_cor7(args, rows):
 
 
 def _verdicts_cor9(args, rows):
-    H_values = args.grid_H or [1.0]
-    cs = args.grid_c or [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
-    ns = sorted(args.grid_n or [10**3, 10**4, 10**5, 10**6, 10**7])
     k = 10**6
     verdicts = []
-    for H in H_values:
-        ratios = []
-        dominated = True
-        for n in ns:
-            best = -math.inf
-            for c in cs:
-                fam = entropy_ball_family(H, c * H / math.log(n))
-                prior = CompositePrior.from_family(fam, k)
-                value = bayes_risk_entropy_ball_constrained(prior, n)
-                best = max(best, value)
-                floor = bnd.simplex_lower(H, n, c)
-                if not floor.vacuous:
-                    dominated &= value >= floor.value * (1.0 - 1.0 / k)
-            ratios.append(math.log(n) * best / H)
+    for H in args.grid_H or [1.0]:
+        dominated = []
+
+        def oracle(c, n, H=H, dominated=dominated):
+            fam = entropy_ball_family(H, c * H / math.log(n))
+            value = bayes_risk_entropy_ball_constrained(CompositePrior.from_family(fam, k), n)
+            floor = bnd.simplex_lower(H, n, c)
+            dominated.append(floor.vacuous or value >= floor.value * (1.0 - 1.0 / k))
+            return value
+
+        ns, bests, ratios = _trend(args, H, oracle)
+        for n, best in zip(ns, bests):
             rows.append(ReportRow(
                 params={"H": H, "n": n, "family": "entropy-ball", "estimator": "empirical"},
                 exact_risk=best, seed=args.seed))
@@ -394,7 +360,7 @@ def _verdicts_cor9(args, rows):
                          f"H={H}: ln(n) * simplex-constrained oracle / H increases over n={ns}"))
         verdicts.append((ratios[-1] > 1.0,
                          f"H={H}: final constrained ratio {ratios[-1]:.4f} exceeds 1.0"))
-        verdicts.append((dominated,
+        verdicts.append((all(dominated),
                          f"H={H}: constrained oracle dominates simplex floor * (1 - 1/k)"))
     return verdicts
 
@@ -469,8 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {"bounds": cmd_bounds, "exact-risk": cmd_exact_risk,
-                "mc": cmd_mc, "reproduce": cmd_reproduce}
+    handlers = {"bounds": cmd_bounds, "exact-risk": cmd_risk,
+                "mc": cmd_risk, "reproduce": cmd_reproduce}
     try:
         return handlers[args.command](args)
     except UsageError as exc:

@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "ProbabilityVector",
-    "EstimateVector",
     "CountHistogram",
     "CompressedFamily",
     "ApproxSimplexTolerance",
@@ -71,24 +70,6 @@ class ProbabilityVector:
 
     def __len__(self) -> int:
         return self.support_size
-
-
-@dataclass(frozen=True)
-class EstimateVector:
-    """Nonnegative vector produced by an estimator; need not sum to 1."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_float_array(self.values, "values")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    def total(self) -> float:
-        return math.fsum(self.values.tolist())
-
-    def __len__(self) -> int:
-        return int(self.values.size)
 
 
 @dataclass(frozen=True)
@@ -207,8 +188,6 @@ def entropy(p: Distribution) -> float:
 
 
 def _vector_values(v) -> np.ndarray:
-    if isinstance(v, EstimateVector):
-        return v.values
     if isinstance(v, ProbabilityVector):
         return v.probs
     return _as_float_array(v, "vector")

@@ -13,16 +13,12 @@ from typing import Callable
 
 import numpy as np
 
-from .core import CountHistogram, EstimateVector
-
 __all__ = [
     "ThresholdConfig",
     "CoordinatewiseEstimator",
     "empirical_estimator",
     "threshold_estimator",
-    "empirical",
     "threshold_level",
-    "hard_threshold",
     "DEFAULT_ETA",
 ]
 
@@ -80,7 +76,8 @@ def threshold_level(cfg: ThresholdConfig) -> float:
 
 
 def threshold_estimator(cfg: ThresholdConfig) -> CoordinatewiseEstimator:
-    """Rule k -> (k/n) if k/n strictly exceeds the cutoff, else 0."""
+    """Rule k -> (k/n) if k/n strictly exceeds the cutoff, else 0; the cutoff
+    depends on n, so calling the rule at any n other than cfg.n raises."""
     cut = threshold_level(cfg)
     if cut >= 1.0:
         # Degenerate small-n regime: every frequency is zeroed.  Permitted
@@ -91,19 +88,10 @@ def threshold_estimator(cfg: ThresholdConfig) -> CoordinatewiseEstimator:
         )
 
     def fn(counts: np.ndarray, n: int) -> np.ndarray:
+        if n != cfg.n:
+            raise ValueError(f"config n={cfg.n} does not match sample size n={n}")
         freq = counts / n
         return np.where(freq > cut, freq, 0.0)
 
     return CoordinatewiseEstimator(f"threshold(eta={cfg.eta:g})", fn)
 
-
-def empirical(h: CountHistogram) -> EstimateVector:
-    """Empirical distribution of a histogram; always lies on the simplex."""
-    return EstimateVector(h.counts / h.n)
-
-
-def hard_threshold(h: CountHistogram, cfg: ThresholdConfig) -> EstimateVector:
-    """Thresholded empirical distribution; may sum to less than 1."""
-    if cfg.n != h.n:
-        raise ValueError(f"config n={cfg.n} does not match histogram n={h.n}")
-    return EstimateVector(threshold_estimator(cfg)(h.counts, h.n))

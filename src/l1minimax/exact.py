@@ -7,8 +7,9 @@ variation distance.
 
 All probability mass is evaluated in log space; expectation sums run over
 a window around the Binomial mode and are only accepted once a geometric
-tail bound certifies that the truncated contribution is below 1e-14, so
-truncation is certified rather than heuristic.
+tail bound certifies the truncated contribution, so truncation is certified
+rather than heuristic.  The 1e-14 budget covers a whole risk sum: each of
+its k distinct atoms of multiplicity mult gets TAIL_TOL / (mult * k).
 """
 
 from __future__ import annotations
@@ -26,11 +27,9 @@ from .estimators import CoordinatewiseEstimator
 __all__ = [
     "BinomialSpec",
     "PoissonPair",
-    "binomial_pmf",
     "binomial_mad_exact",
     "binomial_expectation",
     "estimator_risk_exact",
-    "poisson_pmf",
     "poisson_tv_exact",
 ]
 
@@ -68,27 +67,6 @@ class PoissonPair:
             raise ValueError("rates must satisfy 0 <= lambda_lo <= lambda_hi")
         if not math.isfinite(self.lambda_hi):
             raise ValueError("rates must be finite")
-
-
-def binomial_pmf(spec: BinomialSpec, k: int) -> float:
-    """P(X = k) for X ~ Binomial(n, p), via log space.
-
-    The log binomial coefficient comes from log-gamma except on thin wings
-    (min(k, n-k) <= 64), where the exact integer coefficient avoids the
-    cancellation of two large log-gamma values.
-    """
-    n, p = spec.n, spec.p
-    if not (0 <= k <= n):
-        raise ValueError(f"k={k} outside 0..{n}")
-    if p == 0.0:
-        return 1.0 if k == 0 else 0.0
-    if p == 1.0:
-        return 1.0 if k == n else 0.0
-    if min(k, n - k) <= 64:
-        log_coef = math.log(math.comb(n, k))
-    else:
-        log_coef = gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
-    return math.exp(log_coef + k * math.log(p) + (n - k) * math.log1p(-p))
 
 
 def _window_pmf(n: int, p: float, lo: int, hi: int, anchor: int) -> np.ndarray:
@@ -201,25 +179,17 @@ def estimator_risk_exact(
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
+    atoms = _grouped_atoms(p)
     total = 0.0
-    for value, mult in _grouped_atoms(p):
+    for value, mult in atoms:
 
         def loss(ks: np.ndarray, v=value) -> np.ndarray:
             return np.abs(estimator(ks, n) - v)
 
-        total += float(mult) * binomial_expectation(n, value, loss)
+        # this atom's share of the budget: sum of mult * tail <= TAIL_TOL
+        tail_tol = TAIL_TOL / (mult * len(atoms))
+        total += float(mult) * binomial_expectation(n, value, loss, tail_tol=tail_tol)
     return total
-
-
-def poisson_pmf(lam: float, k: int) -> float:
-    """P(X = k) for X ~ Poisson(lam), via log space."""
-    if k < 0 or k != int(k):
-        raise ValueError("k must be a nonnegative integer")
-    if lam < 0 or not math.isfinite(lam):
-        raise ValueError("lam must be finite and nonnegative")
-    if lam == 0.0:
-        return 1.0 if k == 0 else 0.0
-    return math.exp(-lam + k * math.log(lam) - gammaln(k + 1.0))
 
 
 def _poisson_window(lam: float, kmax: int) -> np.ndarray:

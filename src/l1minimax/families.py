@@ -182,8 +182,12 @@ def expected_distinct(S_prime: int, delta: float, n: int) -> ExpectedDistinct:
     q = delta / S_prime
     if q > 1.0:
         raise ValueError("delta / S_prime must not exceed 1")
-    value = -S_prime * math.expm1(n * math.log1p(-q)) if q < 1.0 else float(S_prime)
-    return ExpectedDistinct(value, n * delta)
+    return ExpectedDistinct(S_prime * _occupied_fraction(q, n), n * delta)
+
+
+def _occupied_fraction(q: float, n: int) -> float:
+    """1 - (1 - q)^n: chance that a slot of mass q is hit in n draws."""
+    return -math.expm1(n * math.log1p(-q)) if q < 1.0 else 1.0
 
 
 @dataclass(frozen=True)
@@ -218,11 +222,6 @@ class CompositePrior:
         return cls(fam.achieved_entropy, fam.delta, fam.S_prime, k)
 
 
-def _occupied_fraction(cp: CompositePrior, n: int) -> float:
-    q = cp.delta / cp.S_prime
-    return -math.expm1(n * math.log1p(-q)) if q < 1.0 else 1.0
-
-
 class EntropyBallBayesRisk(NamedTuple):
     """Bayes risk (1 - E N / S') delta in exact and linearized forms.
 
@@ -238,7 +237,7 @@ def bayes_risk_entropy_ball(cp: CompositePrior, n: int) -> EntropyBallBayesRisk:
     """Exact Bayes risk of the composite prior under Multinomial sampling."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    exact = (1.0 - _occupied_fraction(cp, n)) * cp.delta
+    exact = (1.0 - _occupied_fraction(cp.delta / cp.S_prime, n)) * cp.delta
     linearized = (1.0 - n * cp.delta / cp.S_prime) * cp.delta
     return EntropyBallBayesRisk(exact, linearized)
 
@@ -248,7 +247,7 @@ def bayes_risk_entropy_ball_constrained(cp: CompositePrior, n: int) -> float:
     if n < 0:
         raise ValueError("n must be nonnegative")
     factor = 2.0 * (cp.k - 1) / cp.k
-    return factor * (1.0 - _occupied_fraction(cp, n)) * cp.delta
+    return factor * (1.0 - _occupied_fraction(cp.delta / cp.S_prime, n)) * cp.delta
 
 
 @dataclass(frozen=True)

@@ -50,15 +50,12 @@ class McConfig:
 
     replicates: int
     master_seed: int
-    confidence_z: float = 3.0
 
     def __post_init__(self):
         if self.replicates < 100:
             raise ValueError("replicates must be at least 100 for CI reporting")
         if not (0 <= self.master_seed < 1 << 64):
             raise ValueError("master_seed must be a 64-bit unsigned integer")
-        if not self.confidence_z > 0:
-            raise ValueError("confidence_z must be positive")
 
 
 @dataclass(frozen=True)
@@ -237,7 +234,7 @@ def mc_risk(
     mean = float(losses.sum() / reps)
     variance = float(np.square(losses - mean).sum() / (reps - 1))
     std_error = math.sqrt(variance / reps)
-    half = cfg.confidence_z * std_error
+    half = 3.0 * std_error  # interval half-width: three standard errors
     return McRiskEstimate(mean, std_error, mean - half, mean + half, reps, cfg.master_seed)
 
 
@@ -245,25 +242,10 @@ def sup_risk_scan(
     family_grid: Sequence[Distribution],
     estimator: CoordinatewiseEstimator,
     n: int,
-    mode: str = "exact",
-    cfg: McConfig | None = None,
 ) -> ScanResult:
-    """Risk of each candidate family; returns the first maximizer.
-
-    mode "exact" uses the enumeration-based risk, "mc" the Monte-Carlo mean
-    (requires cfg).  Ties break toward the lowest grid index.
-    """
+    """Exact risk of each candidate family; the first maximizer wins ties."""
     if len(family_grid) == 0:
         raise ValueError("family grid must be non-empty")
-    if mode not in ("exact", "mc"):
-        raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
-    if mode == "mc" and cfg is None:
-        raise ValueError("mc mode requires a McConfig")
-    risks = []
-    for fam in family_grid:
-        if mode == "exact":
-            risks.append(estimator_risk_exact(fam, estimator, n))
-        else:
-            risks.append(mc_risk(fam, estimator, n, cfg).mean)
+    risks = [estimator_risk_exact(fam, estimator, n) for fam in family_grid]
     best = int(np.argmax(risks))
     return ScanResult(best, risks[best])

@@ -72,14 +72,15 @@ class TestParamTypes:
             HighDimParams(10, 10, 1.5)
 
     def test_entropy_ball_params_validation(self):
-        from l1minimax import EntropyBallParams
-        EntropyBallParams(1.0, 100, 0.5, 1.1)
-        with pytest.raises(ValueError):
-            EntropyBallParams(0.0, 100, 0.5, 1.1)
-        with pytest.raises(ValueError):
-            EntropyBallParams(1.0, 100, 1.0, 1.1)
-        with pytest.raises(ValueError):
-            EntropyBallParams(1.0, 100, 0.5, 1.0)
+        # the entropy-ball bounds check H > 0, c in (0, 1) and eta > 1 themselves
+        mle_entropy_lower(1.0, 100, 0.5)
+        mle_entropy_upper(1.0, 100, 1.1)
+        with pytest.raises(ValueError, match="H"):
+            mle_entropy_lower(0.0, 100, 0.5)
+        with pytest.raises(ValueError, match="c must"):
+            minimax_entropy_lower(1.0, 100, 1.0)
+        with pytest.raises(ValueError, match="eta"):
+            mle_entropy_upper(1.0, 100, 1.0)
 
 
 class TestMinimaxLowerHd:

@@ -6,8 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from l1minimax import (ApproxSimplexTolerance, CompressedFamily, CountHistogram,
-                       EstimateVector, ProbabilityVector, entropy,
-                       in_approx_simplex, l1_distance)
+                       ProbabilityVector, entropy, in_approx_simplex, l1_distance)
 
 
 class TestEntropy:
@@ -40,25 +39,25 @@ class TestEntropy:
 
 class TestL1Distance:
     def test_disjoint_point_masses(self):
-        assert l1_distance(EstimateVector([1.0, 0.0]), EstimateVector([0.0, 1.0])) == 2.0
+        assert l1_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 2.0
 
     def test_identity(self):
-        v = EstimateVector([0.3, 0.2, 0.5])
+        v = np.array([0.3, 0.2, 0.5])
         assert l1_distance(v, v) == 0.0
 
     def test_direct_arithmetic(self):
-        assert l1_distance(EstimateVector([0.5, 0.5]),
-                           EstimateVector([0.75, 0.25])) == pytest.approx(0.5, abs=1e-15)
+        assert l1_distance(np.array([0.5, 0.5]),
+                           np.array([0.75, 0.25])) == pytest.approx(0.5, abs=1e-15)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
-            l1_distance(EstimateVector([1.0]), EstimateVector([0.5, 0.5]))
+            l1_distance(np.array([1.0]), np.array([0.5, 0.5]))
 
     @given(st.integers(1, 6).flatmap(
         lambda size: st.tuples(*[st.lists(st.floats(0, 10), min_size=size, max_size=size)
                                  for _ in range(3)])))
     def test_triangle_inequality(self, vectors):
-        a, b, c = (EstimateVector(np.asarray(v) + 0.0) for v in vectors)
+        a, b, c = (np.asarray(v) + 0.0 for v in vectors)
         assert l1_distance(a, c) <= l1_distance(a, b) + l1_distance(b, c) + 1e-12
 
     @given(st.integers(1, 8), st.integers(0, 2**32), st.integers(0, 2**32))
@@ -72,14 +71,14 @@ class TestL1Distance:
 
 class TestApproxSimplex:
     def test_on_simplex(self):
-        assert in_approx_simplex(EstimateVector([0.6, 0.4]), ApproxSimplexTolerance(0.01))
+        assert in_approx_simplex(np.array([0.6, 0.4]), ApproxSimplexTolerance(0.01))
 
     def test_above(self):
-        assert not in_approx_simplex(EstimateVector([0.6, 0.42]),
+        assert not in_approx_simplex(np.array([0.6, 0.42]),
                                      ApproxSimplexTolerance(0.01))
 
     def test_below_within(self):
-        assert in_approx_simplex(EstimateVector([0.6, 0.395]),
+        assert in_approx_simplex(np.array([0.6, 0.395]),
                                  ApproxSimplexTolerance(0.01))
 
     def test_bad_epsilon(self):

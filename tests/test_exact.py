@@ -2,48 +2,69 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom as sp_binom
+from scipy.stats import poisson as sp_poisson
 
 from l1minimax import (BinomialSpec, CoordinatewiseEstimator, CompressedFamily,
-                       PoissonPair, ProbabilityVector, binomial_mad_exact,
-                       binomial_pmf, empirical_estimator, estimator_risk_exact,
-                       poisson_pmf, poisson_tv_exact, threshold_estimator,
-                       ThresholdConfig)
+                       PoissonPair, ProbabilityVector, binomial_expectation,
+                       binomial_mad_exact, empirical_estimator, estimator_risk_exact,
+                       poisson_tv_exact, threshold_estimator, ThresholdConfig)
+from l1minimax.exact import _poisson_window, _window_pmf
 from conftest import brute_force_risk
+
+
+def full_window(n, p):
+    """Binomial pmf on 0..n, anchored where binomial_expectation anchors it:
+    at 0 or n while that mass is representable, else at the mode."""
+    if n * math.log1p(-p) > -700.0:
+        return _window_pmf(n, p, 0, n, 0)
+    if n * math.log(p) > -700.0:
+        return _window_pmf(n, p, 0, n, n)
+    return _window_pmf(n, p, 0, n, min(int((n + 1) * p), n))
 
 
 class TestBinomialPmf:
     def test_symmetric_case(self):
-        assert binomial_pmf(BinomialSpec(2, 0.5), 1) == pytest.approx(0.5, rel=1e-15)
+        assert full_window(2, 0.5)[1] == pytest.approx(0.5, rel=1e-15)
 
     def test_degenerate_p(self):
-        assert binomial_pmf(BinomialSpec(10, 0.0), 0) == 1.0
-        assert binomial_pmf(BinomialSpec(10, 1.0), 10) == 1.0
+        def at(k):
+            return lambda ks: (ks == k).astype(float)
+        assert binomial_expectation(10, 0.0, at(0)) == 1.0
+        assert binomial_expectation(10, 1.0, at(10)) == 1.0
 
     def test_frozen_power(self):
         # 0.95^10 at 40 digits
-        assert binomial_pmf(BinomialSpec(10, 0.05), 0) == pytest.approx(
+        assert _window_pmf(10, 0.05, 0, 10, 0)[0] == pytest.approx(
             0.598736939238378906, rel=1e-14)
 
     def test_k_out_of_range(self):
-        with pytest.raises(ValueError, match="outside"):
-            binomial_pmf(BinomialSpec(5, 0.5), 6)
-        with pytest.raises(ValueError, match="outside"):
-            binomial_pmf(BinomialSpec(5, 0.5), -1)
+        # the certified window never evaluates a term outside 0..n; the mass
+        # it covers is 1 up to the log-gamma anchor, whose rounding grows
+        # with n (about 1e-9 at n = 1e6)
+        for n, p in [(1, 0.5), (40, 0.3), (5000, 0.01), (10**6, 0.999)]:
+            seen = []
+
+            def term(ks, seen=seen):
+                seen.append(ks)
+                return np.ones(ks.shape)
+            assert binomial_expectation(n, p, term) == pytest.approx(1.0, rel=1e-8)
+            ks = np.concatenate(seen)
+            assert ks.min() >= 0 and ks.max() <= n
 
     @pytest.mark.parametrize("n", [1, 2, 5, 17, 100, 333, 1000, 2000])
     @pytest.mark.parametrize("p", [1e-7, 0.01, 0.3, 0.5, 0.731, 0.999])
     def test_sums_to_one(self, n, p):
-        total = math.fsum(binomial_pmf(BinomialSpec(n, p), k) for k in range(n + 1))
-        assert abs(total - 1.0) <= 1e-12
+        assert abs(math.fsum(full_window(n, p).tolist()) - 1.0) <= 1e-12
 
     def test_agrees_with_scipy_at_large_n(self):
         n, p = 10**6, 0.1
-        ks = [0, 99_000, 100_000, 101_000, 10**6]
-        for k in ks:
-            mine = binomial_pmf(BinomialSpec(n, p), k)
+        pmf = full_window(n, p)
+        for k in [0, 99_000, 100_000, 101_000, 10**6]:
             ref = float(sp_binom.pmf(k, n, p))
-            assert mine == pytest.approx(ref, rel=1e-8, abs=1e-300)
+            assert pmf[k] == pytest.approx(ref, rel=1e-8, abs=1e-300)
 
 
 class TestBinomialMad:
@@ -80,6 +101,19 @@ class TestBinomialMad:
             brute = math.fsum(abs(k / n - p) * float(binom.pmf(k, n, p))
                               for k in range(n + 1))
             assert binomial_mad_exact(BinomialSpec(n, p)) == pytest.approx(brute, rel=1e-12)
+
+    @given(st.integers(1, 200), st.floats(1e-9, 1.0 - 1e-9))
+    @example(10, 0.5)
+    @example(200, 0.25)
+    @example(7, 0.9)
+    @settings(max_examples=300, deadline=None)
+    def test_de_moivre_closed_form(self, n, p):
+        # E|X - np| = 2 nu C(n, nu) p^nu q^(n - nu + 1) with nu = floor(np) + 1
+        # (De Moivre; Diaconis & Zabell 1991), integer np included
+        nu = math.floor(n * p) + 1
+        q = 1.0 - p
+        closed = 2 * nu * float(math.comb(n, nu)) * p ** nu * q ** (n - nu + 1)
+        assert n * binomial_mad_exact(BinomialSpec(n, p)) == pytest.approx(closed, rel=1e-12)
 
 
 class TestEstimatorRiskExact:
@@ -136,14 +170,10 @@ class TestEstimatorRiskExact:
 
 class TestPoisson:
     def test_pmf_examples(self):
-        assert poisson_pmf(0.0, 0) == 1.0
-        assert poisson_pmf(0.0, 3) == 0.0
-        assert poisson_pmf(1.0, 0) == pytest.approx(math.exp(-1), rel=1e-14)
-        assert poisson_pmf(1.0, 1) == pytest.approx(math.exp(-1), rel=1e-14)
-
-    def test_pmf_rejects_negative_k(self):
-        with pytest.raises(ValueError):
-            poisson_pmf(1.0, -1)
+        assert _poisson_window(0.0, 3).tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert _poisson_window(1.0, 1) == pytest.approx([math.exp(-1)] * 2, rel=1e-14)
+        ks = np.arange(60)
+        assert _poisson_window(12.5, 59) == pytest.approx(sp_poisson.pmf(ks, 12.5), rel=1e-12)
 
     def test_tv_identical_rates(self):
         assert poisson_tv_exact(PoissonPair(3.7, 3.7)) == 0.0
@@ -161,8 +191,8 @@ class TestPoisson:
     @pytest.mark.parametrize("lo,hi", [(0.5, 2.0), (4.0, 4.5), (40.0, 90.0)])
     def test_half_abs_equals_one_minus_min(self, lo, hi):
         kmax = int(hi + 25 * math.sqrt(hi + 1)) + 50
-        pmf_lo = np.array([poisson_pmf(lo, k) for k in range(kmax)])
-        pmf_hi = np.array([poisson_pmf(hi, k) for k in range(kmax)])
+        pmf_lo = sp_poisson.pmf(np.arange(kmax), lo)
+        pmf_hi = sp_poisson.pmf(np.arange(kmax), hi)
         other_form = 1.0 - np.minimum(pmf_lo, pmf_hi).sum()
         assert poisson_tv_exact(PoissonPair(lo, hi)) == pytest.approx(
             other_form, abs=1e-12)
@@ -178,3 +208,29 @@ class TestPoisson:
             PoissonPair(2.0, 1.0)
         with pytest.raises(ValueError):
             PoissonPair(-1.0, 1.0)
+
+
+class TestTruncationBudget:
+    """The certified 1e-14 truncation budget covers the whole risk sum."""
+
+    @pytest.mark.parametrize("fam,n", [
+        (CompressedFamily(((1e-20, 10**19), (0.9, 1))), 1000),
+        (CompressedFamily(((0.3 / 7, 7), (0.2 / 11, 11), (0.5, 1))), 100),
+        (ProbabilityVector(np.random.default_rng(5).dirichlet(np.ones(40))), 10**5),
+    ])
+    def test_sum_of_scaled_tails_within_budget(self, monkeypatch, fam, n):
+        from l1minimax import exact
+        seen = []
+        original = exact.binomial_expectation
+
+        def recording(n, p, term, term_bound=1.0, tail_tol=exact.TAIL_TOL):
+            seen.append((p, tail_tol))
+            return original(n, p, term, term_bound, tail_tol)
+
+        monkeypatch.setattr(exact, "binomial_expectation", recording)
+        estimator_risk_exact(fam, empirical_estimator(), n)
+        mults = dict(exact._grouped_atoms(fam))
+        assert len(seen) == len(mults)
+        spent = math.fsum(mults[p] * tol for p, tol in seen)
+        # up to the rounding of the division that splits the budget
+        assert spent <= exact.TAIL_TOL * (1.0 + 1e-12)

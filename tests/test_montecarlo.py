@@ -154,6 +154,35 @@ class TestMcRisk:
         assert hits >= 99
 
 
+class TestGoldenBits:
+    """Fixed-seed outputs pinned bit for bit.
+
+    The determinism contract promises the same numbers across runs and
+    platforms; these values make a change of sampler (or of the library
+    behind the Binomial inversion) visible instead of silent.
+    """
+
+    def test_dense_mc_mean(self):
+        pv = ProbabilityVector([0.2, 0.3, 0.5])
+        out = mc_risk(pv, empirical_estimator(), 100, McConfig(1000, 11))
+        assert out.mean.hex() == "0x1.b97785729b283p-4"
+
+    def test_entropy_ball_mc_mean(self):
+        fam = entropy_ball_family(1.0, 0.5 / math.log(1000)).family
+        out = mc_risk(fam, empirical_estimator(), 1000, McConfig(200, 5))
+        assert out.mean.hex() == "0x1.3735e981139dap-3"
+
+    def test_dense_sample(self):
+        pv = ProbabilityVector([0.1, 0.15, 0.2, 0.25, 0.3])
+        h = sample_multinomial(pv, 50, seed=11)
+        assert h.counts.tolist() == [6, 7, 4, 21, 12]
+
+    def test_compressed_sample(self):
+        fam = CompressedFamily(((0.05, 10), (0.5, 1)))
+        h = sample_multinomial(fam, 40, seed=3)
+        assert h.counts.tolist() == [1, 1, 2, 1, 2, 1, 2, 1, 2, 1, 26]
+
+
 class TestSupRiskScan:
     def test_single_candidate(self):
         fam = ProbabilityVector([0.5, 0.5])
@@ -174,10 +203,6 @@ class TestSupRiskScan:
         assert risks[0] < risks[1] < risks[2]
         out = sup_risk_scan(grid, empirical_estimator(), n)
         assert out.argmax_index == 2
-
-    def test_mc_mode_requires_config(self):
-        with pytest.raises(ValueError, match="McConfig"):
-            sup_risk_scan([ProbabilityVector([1.0])], empirical_estimator(), 4, mode="mc")
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
