@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import logging
 import math
 import sys
 import time
@@ -414,6 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="output path (default stdout)")
     common.add_argument("--timing", action="store_true",
                         help="record wall-clock per cell (breaks byte-identical reruns)")
+    common.add_argument("-v", "--verbose", action="store_true",
+                        help="log diagnostics (entropy-ball rounding, degenerate "
+                             "threshold) to stderr; reports are unchanged")
 
     parser = argparse.ArgumentParser(
         prog="l1minimax",
@@ -437,11 +441,21 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"bounds": cmd_bounds, "exact-risk": cmd_risk,
                 "mc": cmd_risk, "reproduce": cmd_reproduce}
+    log = logging.getLogger("l1minimax")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    level = log.level
+    if args.verbose:
+        log.addHandler(handler)
+        log.setLevel(logging.DEBUG)
     try:
         return handlers[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

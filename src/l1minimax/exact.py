@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import CompressedFamily, Distribution, ProbabilityVector
 from .estimators import CoordinatewiseEstimator
@@ -39,6 +38,30 @@ TAIL_TOL = 1e-14
 POISSON_TAIL_TOL = 1e-15
 # exp() underflows near -745; anchors beyond this use the log-gamma form.
 _LOG_TINY = -700.0
+# log(sqrt(2 pi)) and the Stirling series coefficients of cephes `lgam`.
+_LS2PI = 0.91893853320467274178
+_LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
+           7.93650340457716943945E-4, -2.77777777730099687205E-3,
+           8.33333333333331927722E-2)
+
+
+def _lgamma_int(x: float) -> float:
+    """log Gamma(x) for integer-valued x >= 1, bit-identical to cephes
+    `lgam` (the kernel of scipy.special.gammaln), so exact risks keep their
+    bits without scipy.  math.log is libm's log, as in cephes; numpy's SIMD
+    log rounds some integers differently, and so does math.lgamma.
+    """
+    if x < 13.0:
+        return math.log(float(math.factorial(int(x) - 1)))
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    a0, a1, a2, a3, a4 = _LGAM_A
+    return q + ((((a0 * p + a1) * p + a2) * p + a3) * p + a4) / x
 
 
 @dataclass(frozen=True)
@@ -82,7 +105,8 @@ def _window_pmf(n: int, p: float, lo: int, hi: int, anchor: int) -> np.ndarray:
     elif anchor == n:
         log_a = n * math.log(p)
     else:
-        log_a = (gammaln(n + 1.0) - gammaln(anchor + 1.0) - gammaln(n - anchor + 1.0)
+        log_a = (_lgamma_int(n + 1.0) - _lgamma_int(anchor + 1.0)
+                 - _lgamma_int(n - anchor + 1.0)
                  + anchor * math.log(p) + (n - anchor) * math.log1p(-p))
     out = np.empty(hi - lo + 1)
     out[anchor - lo] = 1.0
@@ -198,7 +222,8 @@ def _poisson_window(lam: float, kmax: int) -> np.ndarray:
         out[0] = 1.0
         return out
     ks = np.arange(kmax + 1, dtype=float)
-    return np.exp(-lam + ks * math.log(lam) - gammaln(ks + 1.0))
+    log_fact = np.array([_lgamma_int(k + 1.0) for k in range(kmax + 1)])
+    return np.exp(-lam + ks * math.log(lam) - log_fact)
 
 
 def _poisson_tail_bound(lam: float, pmf_last: float, kmax: int) -> float:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.stats import binom as _sp_binom
 
 from .core import CompressedFamily, CountHistogram, Distribution, ProbabilityVector
 from .core import MAX_DENSE_SUPPORT
@@ -81,12 +80,21 @@ def derive_replicate_seed(master_seed: int, replicate: int) -> int:
 
 
 def _binomial_inverse(u: np.ndarray, budgets: np.ndarray, q: float) -> np.ndarray:
-    """Inverse-CDF Binomial draws, one per (uniform, budget) pair."""
+    """Inverse-CDF Binomial draws, one per (uniform, budget) pair.
+
+    Calls boost's quantile, the kernel that scipy.stats.binom.ppf dispatches
+    to, without the rv_discrete wrapper, whose argument handling costs more
+    than small draws; the clipped values are the same, bit for bit.  scipy
+    is imported here, at the first draw, so importing this package loads
+    numpy only.
+    """
     if q <= 0.0:
         return np.zeros(budgets.shape, dtype=np.int64)
     if q >= 1.0:
         return budgets.copy()
-    draws = _sp_binom.ppf(u, budgets, q)
+    from scipy.special._ufuncs import _binom_ppf
+
+    draws = _binom_ppf(u, budgets, q)
     return np.clip(draws, 0, budgets).astype(np.int64)
 
 

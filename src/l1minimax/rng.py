@@ -55,7 +55,8 @@ def uniforms(key: np.uint64 | np.ndarray, start: int, count: int) -> np.ndarray:
     """Uniform(0, 1) draws `start .. start+count-1` of the keyed stream.
 
     `key` may be a scalar (returns shape (count,)) or a (R,) array
-    (returns shape (R, count)).  Values lie strictly inside (0, 1).
+    (returns shape (R, count)).  Values lie in (0, 1]: the top draw,
+    (2^53 - 1/2) 2^-53, rounds to 1.0 (probability 2^-53 per draw).
     """
     with np.errstate(over="ignore"):
         js = (np.arange(start, start + count, dtype=np.uint64) + np.uint64(1)) * _GAMMA

@@ -1,8 +1,14 @@
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import l1minimax
 from l1minimax.cli import load_family_file, main
 from l1minimax.report import COLUMNS, PARAM_COLUMNS
 
@@ -199,6 +205,74 @@ class TestReproduceCommand:
         cols, rows = parse_csv(out)
         assert cols == COLUMNS
         assert len(rows) == 2
+
+
+class TestVerbose:
+    """-v routes the library's logging to stderr and changes nothing else."""
+
+    # threshold level >= 1 at n = 100 (estimators warning); entropy-ball
+    # rounding at every cell (families debug)
+    COMMANDS = [
+        ["exact-risk", "--family", "entropy-ball", "--grid-H", "1", "--grid-c", "0.5",
+         "--grid-n", "100", "1000", "--estimator", "empirical", "--estimator", "threshold"],
+        ["reproduce", "cor7", "--grid-c", "0.5", "--grid-n", "100", "1000"],
+    ]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", COMMANDS, ids=["exact-risk", "cor7"])
+    def test_reports_and_stdout_unchanged(self, tmp_path, capsys, fmt, command):
+        outputs = []
+        for flags in ([], ["-v"]):
+            out = tmp_path / f"out{len(outputs)}.{fmt}"
+            code = main(command + flags + ["--format", fmt, "--out", str(out)])
+            captured = capsys.readouterr()
+            outputs.append((code, out.read_bytes(), captured.out, captured.err))
+        (code, report, stdout, _), (v_code, v_report, v_stdout, v_err) = outputs
+        assert (v_code, v_report, v_stdout) == (code, report, stdout)
+        assert "DEBUG l1minimax.families: entropy ball H=1" in v_err
+        assert "WARNING l1minimax.estimators: threshold level" in v_err
+
+    def test_report_on_stdout_unchanged(self, capsys):
+        command = self.COMMANDS[0] + ["--format", "json"]
+        main(command)
+        plain = capsys.readouterr()
+        main(command + ["--verbose"])
+        verbose = capsys.readouterr()
+        assert verbose.out == plain.out
+        assert "DEBUG" not in plain.err and "DEBUG" in verbose.err
+
+
+class TestImportFootprint:
+    """Importing the package and running commands without a Binomial draw
+    load numpy only; scipy arrives with the first Monte-Carlo draw."""
+
+    SCRIPT = textwrap.dedent("""
+        import sys
+        from l1minimax import cli
+
+        out = sys.argv[1]
+        assert cli.main(["bounds", "--grid-H", "1", "--grid-S", "10", "--grid-n", "1000",
+                         "--grid-c", "0.5", "--grid-eta", "1.1", "--out", out]) == 0
+        assert cli.main(["reproduce", "cor3-4", "--out", out]) == 0
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        assert cli.main(["mc", "--family", "entropy-ball", "--grid-H", "1",
+                         "--grid-c", "0.5", "--grid-n", "1000", "--replicates", "200",
+                         "--out", out]) == 0
+        print("scipy.special" in sys.modules)
+    """)
+
+    def test_no_scipy_until_a_binomial_draw(self, tmp_path):
+        src = pathlib.Path(l1minimax.__file__).resolve().parents[1]
+        out = tmp_path / "mc.csv"
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(out)], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        # the two entropy-ball atoms make one Binomial draw per replicate
+        assert proc.stdout.splitlines()[-2:] == ["[]", "True"]
+        _, rows = parse_csv(out)
+        assert len(rows) == 1 and rows[0]["error"] == ""
+        assert rows[0]["mc_mean"] != "" and rows[0]["mc_within_ci"] == "true"
 
 
 class TestColumnOrder:

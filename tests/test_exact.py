@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 from scipy.stats import binom as sp_binom
 from scipy.stats import poisson as sp_poisson
 
@@ -11,7 +12,7 @@ from l1minimax import (BinomialSpec, CoordinatewiseEstimator, CompressedFamily,
                        PoissonPair, ProbabilityVector, binomial_expectation,
                        binomial_mad_exact, empirical_estimator, estimator_risk_exact,
                        poisson_tv_exact, threshold_estimator, ThresholdConfig)
-from l1minimax.exact import _poisson_window, _window_pmf
+from l1minimax.exact import _lgamma_int, _poisson_window, _window_pmf
 from conftest import brute_force_risk
 
 
@@ -23,6 +24,27 @@ def full_window(n, p):
     if n * math.log(p) > -700.0:
         return _window_pmf(n, p, 0, n, n)
     return _window_pmf(n, p, 0, n, min(int((n + 1) * p), n))
+
+
+class TestLgammaInt:
+    """The port of cephes `lgam` equals scipy.special.gammaln bit for bit on
+    integers, so exact risks keep their bits without scipy at run time."""
+
+    @staticmethod
+    def assert_bits_equal(xs):
+        got = np.array([_lgamma_int(x) for x in xs.tolist()])
+        bad = np.flatnonzero(got != gammaln(xs))
+        assert bad.size == 0, xs[bad[:5]]
+
+    def test_every_integer_to_2e5(self):
+        self.assert_bits_equal(np.arange(1, 200_001, dtype=float))
+
+    def test_seeded_sample_to_1e8(self):
+        rng = np.random.default_rng(20140606)
+        self.assert_bits_equal(rng.integers(200_001, 10**8 + 11, 200_000).astype(float))
+
+    def test_branch_edges(self):
+        self.assert_bits_equal(np.array([12.0, 13.0, 999.0, 1000.0, 1e8, 1e8 + 1]))
 
 
 class TestBinomialPmf:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom as sp_binom
 
 from l1minimax import (CompressedFamily, CoordinatewiseEstimator, McConfig,
                        ProbabilityVector, derive_replicate_seed,
@@ -181,6 +182,35 @@ class TestGoldenBits:
         fam = CompressedFamily(((0.05, 10), (0.5, 1)))
         h = sample_multinomial(fam, 40, seed=3)
         assert h.counts.tolist() == [1, 1, 2, 1, 2, 1, 2, 1, 2, 1, 26]
+
+
+class TestBinomialKernel:
+    """`_binomial_inverse` calls boost's quantile directly; the public
+    scipy.stats.binom.ppf (clipped and cast as the sampler did before) is
+    its oracle, bit for bit, so a scipy release that moves the private
+    kernel fails here before it moves any MC number."""
+
+    def test_matches_public_ppf(self):
+        budgets = np.unique(np.concatenate(
+            [[0, 1], np.rint(np.logspace(0.3, 7.0, 36))])).astype(np.int64)
+        # boost's cost grows with the budget: fewer draws at the large ones
+        per_budget = np.where(budgets < 10_000, 1000, 100)
+        b = np.repeat(budgets, per_budget)
+        starts = np.cumsum(per_budget) - per_budget
+        key = stream_key(2024)
+        qs = [1e-12, 1e-3, 0.02, 0.3, 0.5, 0.97, 1.0 - 1e-12] + uniforms(key, 0, 3).tolist()
+        draws = 0
+        for i, q in enumerate(qs):
+            u = uniforms(key, 3 + i * b.size, b.size)
+            # extremes of `uniforms` at every budget: 0.5 * 2^-53, and
+            # 1 - 2^-54, which rounds to 1.0
+            u[starts] = 2.0 ** -54
+            u[starts + 1] = 1.0 - 2.0 ** -54
+            want = np.clip(sp_binom.ppf(u, b, q), 0, b).astype(np.int64)
+            got = montecarlo._binomial_inverse(u, b, q)
+            assert np.array_equal(got, want), q
+            draws += u.size
+        assert draws >= 200_000
 
 
 class TestSupRiskScan:
