@@ -10,7 +10,9 @@ Sampling uses the sequential conditional-Binomial method: coordinate i is
 an inverse-CDF Binomial of the remaining budget with renormalized
 probability.  Compressed families are sampled per (value, multiplicity)
 block, and block counts are split across the block's symbols by uniform
-allocation from the same stream.
+allocation from the same stream.  `mc_risk` evaluates compressed losses
+for a batch of replicates at once; every replicate's draws and loss are
+those it has when sampled alone.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ __all__ = [
 
 # Rows processed per batch in the dense path; keeps peak memory flat.
 _CHUNK_CELLS = 2_000_000
+# Padded draws per batch of replicates in the compressed path; keeps the
+# batch's temporaries within a few hundred KB.
+_CHUNK_DRAWS = 1 << 13
 # floor(u * multiplicity) is an exact uniform cell index only below 2^53.
 _MAX_BLOCK_MULT = 1 << 53
 
@@ -185,36 +190,85 @@ def _dense_losses(
     return losses
 
 
+def _block_losses(
+    keys: np.ndarray, starts: np.ndarray, totals: np.ndarray, mult: int, loss: np.ndarray
+) -> tuple:
+    """Occupied cells and the summed `loss[count]` over them, per replicate,
+    for the draws of one block atom.
+
+    Row r allocates `totals[r]` draws from stream `keys[r]`, starting at
+    `starts[r]`, over `mult` cells.  Rows are batched up to _CHUNK_DRAWS
+    padded draws (a row wider than that is a batch of its own).  Within a
+    batch each row is sorted on its own, and its sum runs over its
+    occupied cells in ascending order, as a replicate evaluated alone
+    would sum them.
+    """
+    rows = keys.shape[0]
+    occupied = np.zeros(rows, dtype=np.int64)
+    sums = np.zeros(rows)
+    step = max(1, _CHUNK_DRAWS // max(1, int(totals.max())))
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        total = totals[lo:hi]
+        width = int(total.max())
+        if width == 0:
+            continue
+        # Cell ids min(floor(u * mult), mult - 1), held exactly as floats.
+        cells = uniforms(keys[lo:hi], starts[lo:hi], width)
+        cells *= mult
+        np.floor(cells, out=cells)
+        np.minimum(cells, mult - 1, out=cells)
+        # Pad each row to `width` with the sentinel `mult`, which sorts last
+        # and so forms the row's final run, left out of its sum.
+        padded = total < width
+        if padded.any():
+            cells[np.arange(width) >= total[:, None]] = mult
+        cells.sort(axis=1)
+        run_start = np.empty(cells.shape, dtype=bool)
+        run_start[:, 0] = True
+        np.not_equal(cells[:, 1:], cells[:, :-1], out=run_start[:, 1:])
+        first = np.flatnonzero(run_start)
+        counts = np.empty_like(first)
+        np.subtract(first[1:], first[:-1], out=counts[:-1])
+        counts[-1] = cells.size - first[-1]
+        run_loss = loss[counts]
+        # each row's runs start at the first run at or past its column 0
+        row_runs = np.searchsorted(first, np.arange(0, cells.size + 1, width))
+        occ = row_runs[1:] - row_runs[:-1] - padded
+        occupied[lo:hi] = occ
+        for r, a, k in zip(range(lo, hi), row_runs.tolist(), occ.tolist()):
+            sums[r] = run_loss[a:a + k].sum()
+    return occupied, sums
+
+
 def _compressed_losses(
     keys: np.ndarray, fam: CompressedFamily, estimator: CoordinatewiseEstimator, n: int
 ) -> np.ndarray:
     """Per-replicate l1 losses without materializing per-symbol counts.
 
     Unoccupied symbols inside a block all contribute |f(0) - value|, so only
-    the occupied cells of each block are ever touched.
+    the occupied cells of each block are ever touched.  All replicates are
+    evaluated at once, atom by atom; each one's draws, and the order and
+    grouping of the sums that make its loss, are those of evaluating it on
+    its own, so losses do not depend on the batching.
     """
     _check_block_mults(fam)
     atoms = fam.atoms
     masses = [v * m for v, m in atoms]
     totals = _conditional_chain(keys, masses, n)
-    at_zero = float(estimator(np.zeros(1, dtype=np.int64), n)[0])
-    losses = np.empty(keys.shape[0])
-    for r in range(keys.shape[0]):
-        pos = len(atoms) - 1
-        acc = 0.0
-        for a, (value, mult) in enumerate(atoms):
-            total = int(totals[r, a])
-            if mult == 1:
-                est = float(estimator(np.array([total], dtype=np.int64), n)[0])
-                acc += abs(est - value)
-            elif total == 0:
-                acc += mult * abs(at_zero - value)
-            else:
-                _, cell_counts, pos = _block_cells(keys[r], pos, total, mult)
-                estimates = estimator(cell_counts, n)
-                acc += (mult - cell_counts.size) * abs(at_zero - value)
-                acc += float(np.abs(estimates - value).sum())
-        losses[r] = acc
+    losses = np.zeros(keys.shape[0])
+    pos = np.full(keys.shape[0], len(atoms) - 1, dtype=np.int64)
+    for a, (value, mult) in enumerate(atoms):
+        total = totals[:, a]
+        if mult == 1:
+            losses += np.abs(estimator(total, n) - value)
+            continue
+        # |f(k) - value| for every count k a cell of this block can hold
+        loss = np.abs(estimator(np.arange(int(total.max()) + 1), n) - value)
+        occupied, sums = _block_losses(keys, pos, total, mult, loss)
+        losses += (mult - occupied) * loss[0]
+        losses += sums
+        pos += total
     return losses
 
 

@@ -8,6 +8,8 @@ be recomputed in isolation (no generator state to replay).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -21,9 +23,14 @@ def mix64(x: np.uint64 | np.ndarray) -> np.uint64 | np.ndarray:
     """splitmix64 finalizer, vectorized over uint64 arrays (mod 2^64)."""
     with np.errstate(over="ignore"):
         x = np.uint64(x) if np.isscalar(x) or np.ndim(x) == 0 else x
-        z = (x ^ (x >> np.uint64(30))) * _M1
-        z = (z ^ (z >> np.uint64(27))) * _M2
-        return z ^ (z >> np.uint64(31))
+        # in place after the first step: three temporaries, not nine
+        z = x >> np.uint64(30)
+        z ^= x
+        z *= _M1
+        z ^= z >> np.uint64(27)
+        z *= _M2
+        z ^= z >> np.uint64(31)
+        return z
 
 
 def stream_key(seed: int) -> np.uint64:
@@ -51,18 +58,58 @@ def derive_seed(master_seed: int, index: int) -> int:
         return int(mix64(base + (np.uint64(index) + np.uint64(1)) * _GAMMA))
 
 
-def uniforms(key: np.uint64 | np.ndarray, start: int, count: int) -> np.ndarray:
+# Every stream hashes the same counters (draw indices), so their hashes are
+# shared: computed a page at a time, with the recent pages kept read-only.
+# Replicates drawing at the same offsets, batch after batch, then hash each
+# offset once.  Ranges wider than half the cache are hashed directly.
+_PAGE = 1 << 13
+_CACHED_PAGES = 32
+
+
+def _counter_hashes(start: int, count: int) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        return mix64((np.arange(start, start + count, dtype=np.uint64) + np.uint64(1)) * _GAMMA)
+
+
+@functools.lru_cache(maxsize=_CACHED_PAGES)
+def _counter_page(page: int) -> np.ndarray:
+    hashes = _counter_hashes(page * _PAGE, _PAGE)
+    hashes.flags.writeable = False
+    return hashes
+
+
+def _hashed_offsets(start: int, count: int) -> np.ndarray:
+    """mix64 of the counters of draws `start .. start+count-1`."""
+    first, stop = start // _PAGE, -(-(start + count) // _PAGE)
+    if count <= 0 or stop - first > _CACHED_PAGES // 2:
+        return _counter_hashes(start, count)
+    pages = [_counter_page(p) for p in range(first, stop)]
+    table = pages[0] if len(pages) == 1 else np.concatenate(pages)
+    return table[start - first * _PAGE:][:count]
+
+
+def uniforms(key: np.uint64 | np.ndarray, start: int | np.ndarray, count: int) -> np.ndarray:
     """Uniform(0, 1) draws `start .. start+count-1` of the keyed stream.
 
     `key` may be a scalar (returns shape (count,)) or a (R,) array
-    (returns shape (R, count)).  Values lie in (0, 1]: the top draw,
+    (returns shape (R, count)).  With a (R,) key array, `start` may also be
+    a (R,) array: row r then holds draws `start[r] .. start[r]+count-1` of
+    stream `key[r]`.  Values lie in (0, 1]: the top draw,
     (2^53 - 1/2) 2^-53, rounds to 1.0 (probability 2^-53 per draw).
     """
-    with np.errstate(over="ignore"):
-        js = (np.arange(start, start + count, dtype=np.uint64) + np.uint64(1)) * _GAMMA
-        k = np.asarray(key, dtype=np.uint64)
-        if k.ndim == 0:
-            h = mix64(k ^ mix64(js))
-        else:
-            h = mix64(k[:, None] ^ mix64(js)[None, :])
-        return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
+    k = np.asarray(key, dtype=np.uint64)
+    if np.ndim(start) == 0:
+        js = _hashed_offsets(int(start), count)
+    else:
+        starts = np.asarray(start, dtype=np.int64)
+        lo, hi = int(starts.min()), int(starts.max())
+        table = _hashed_offsets(lo, hi - lo + count)
+        js = table if lo == hi else table[(starts - lo)[:, None] + np.arange(count)]
+    if k.ndim == 1:
+        k = k[:, None]
+    h = mix64(k ^ js)
+    h >>= np.uint64(11)
+    u = h.astype(np.float64)
+    u += 0.5
+    u *= _INV_2_53
+    return u

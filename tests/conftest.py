@@ -10,6 +10,8 @@ import math
 import numpy as np
 import pytest
 
+from l1minimax import montecarlo
+
 
 def compositions(n, parts):
     """All nonnegative integer vectors of length `parts` summing to n."""
@@ -69,6 +71,35 @@ def exact_poisson_tail_lower(lam, threshold):
     """P(X <= threshold) for X ~ Poisson(lam), threshold real."""
     from scipy.stats import poisson
     return float(poisson.cdf(math.floor(threshold), lam))
+
+
+def per_replicate_compressed_losses(keys, fam, estimator, n):
+    """Compressed-family losses one replicate at a time: the loop the
+    batched kernel replaced.  Each replicate allocates every block's draws
+    with `_block_cells` (as `sample_multinomial` does) and evaluates the
+    estimator on that block's occupied cells only."""
+    atoms = fam.atoms
+    masses = [v * m for v, m in atoms]
+    totals = montecarlo._conditional_chain(keys, masses, n)
+    at_zero = float(estimator(np.zeros(1, dtype=np.int64), n)[0])
+    losses = np.empty(keys.shape[0])
+    for r in range(keys.shape[0]):
+        pos = len(atoms) - 1
+        acc = 0.0
+        for a, (value, mult) in enumerate(atoms):
+            total = int(totals[r, a])
+            if mult == 1:
+                est = float(estimator(np.array([total], dtype=np.int64), n)[0])
+                acc += abs(est - value)
+            elif total == 0:
+                acc += mult * abs(at_zero - value)
+            else:
+                _, cell_counts, pos = montecarlo._block_cells(keys[r], pos, total, mult)
+                estimates = estimator(cell_counts, n)
+                acc += (mult - cell_counts.size) * abs(at_zero - value)
+                acc += float(np.abs(estimates - value).sum())
+        losses[r] = acc
+    return losses
 
 
 @pytest.fixture

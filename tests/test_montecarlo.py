@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +8,14 @@ from hypothesis import strategies as st
 from scipy.stats import binom as sp_binom
 
 from l1minimax import (CompressedFamily, CoordinatewiseEstimator, McConfig,
-                       ProbabilityVector, derive_replicate_seed,
+                       ProbabilityVector, ThresholdConfig, derive_replicate_seed,
                        empirical_estimator, entropy_ball_family,
                        estimator_risk_exact, mc_risk, sample_multinomial,
-                       sup_risk_scan)
-from l1minimax import montecarlo
+                       sup_risk_scan, threshold_estimator)
+from l1minimax import montecarlo, rng
 from l1minimax.rng import derive_key, stream_key, uniforms
+
+from conftest import per_replicate_compressed_losses
 
 
 class TestRngStream:
@@ -32,6 +35,33 @@ class TestRngStream:
         keys = derive_key(99, np.arange(8))
         for r in range(8):
             assert keys[r] == stream_key(derive_replicate_seed(99, r))
+
+    def test_per_row_starts(self):
+        keys = derive_key(5, np.arange(9))
+        count = 40
+        # equal starts, a spread crossing counter-hash pages, and a spread
+        # wider than the page cache
+        for starts in ([3] * 9, [0, 1, 7, 8150, 8191, 8192, 8200, 20000, 3],
+                       [0, 5, 300_000, 17, 40, 99, 1, 2, 3]):
+            starts = np.array(starts, dtype=np.int64)
+            got = uniforms(keys, starts, count)
+            assert got.shape == (9, count)
+            for r in range(9):
+                assert np.array_equal(got[r], uniforms(keys[r], int(starts[r]), count))
+
+    def test_counter_pages_match_direct_hashing(self):
+        key = stream_key(11)
+        page = rng._PAGE
+        cases = [(0, 1), (page - 3, 7), (page, page), (5, 3 * page + 1),
+                 (2 * page - 1, 20 * page)]
+        for cold in (True, False):
+            if cold:
+                rng._counter_page.cache_clear()
+            for start, count in cases:
+                assert np.array_equal(rng._hashed_offsets(start, count),
+                                      rng._counter_hashes(start, count))
+                assert np.array_equal(uniforms(key, start, count),
+                                      uniforms(key, 0, start + count)[start:])
 
     def test_uniform_moments(self):
         u = uniforms(stream_key(3), 0, 200_000)
@@ -153,6 +183,87 @@ class TestMcRisk:
             if (lambda e: e.ci_lo <= exact <= e.ci_hi)(
                 mc_risk(pv, empirical_estimator(), 10, McConfig(1000, seed))))
         assert hits >= 99
+
+
+def _compressed_families(draw):
+    """1-4 atoms; multiplicities 1, small, up to 2^53; masses spanning four
+    decades (so some blocks draw nothing) and zero-valued atoms."""
+    count = draw(st.integers(1, 4))
+    mults = draw(st.lists(st.one_of(st.just(1), st.integers(2, 60), st.integers(2, 2**53),
+                                    st.just(2**53)), min_size=count, max_size=count))
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-4, 1.0)),
+                            min_size=count, max_size=count).filter(lambda w: sum(w) > 0))
+    total = sum(weights)
+    return CompressedFamily(tuple((w / total / m, m) for w, m in zip(weights, mults)))
+
+
+class TestBatchedCompressedLosses:
+    """The batched kernel against the per-replicate loop it replaced
+    (`conftest.per_replicate_compressed_losses`), bit for bit."""
+
+    @given(st.composite(_compressed_families)(), st.integers(1, 3000),
+           st.integers(100, 160), st.integers(0, 2**64 - 1), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_replicate_loop(self, fam, n, reps, master, threshold):
+        if threshold and n >= 2:
+            estimator = threshold_estimator(ThresholdConfig(n, 1.1))
+        else:
+            estimator = empirical_estimator()
+        keys = derive_key(master, np.arange(reps, dtype=np.uint64))
+        want = per_replicate_compressed_losses(keys, fam, estimator, n)
+        assert np.array_equal(montecarlo._compressed_losses(keys, fam, estimator, n), want)
+        for chunk in (1, 7):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(montecarlo, "_CHUNK_DRAWS", chunk)
+                got = montecarlo._compressed_losses(keys, fam, estimator, n)
+            assert np.array_equal(got, want), chunk
+
+    def test_chunking_does_not_change_results(self, monkeypatch):
+        fam = CompressedFamily(((0.004, 100), (0.1, 3), (0.3, 1)))
+        baseline = mc_risk(fam, empirical_estimator(), 300, McConfig(400, 9))
+        for chunk in (1, 7):
+            monkeypatch.setattr(montecarlo, "_CHUNK_DRAWS", chunk)
+            assert mc_risk(fam, empirical_estimator(), 300, McConfig(400, 9)) == baseline
+
+    @pytest.mark.parametrize("mult", [2, 30, 2**53])
+    def test_top_draw_is_counted_not_padding(self, monkeypatch, mult):
+        # Every block draw is 1.0, the stream's top value: it must land in
+        # cell mult - 1, next to the padding sentinel `mult`, and be counted.
+        fam = CompressedFamily(((0.4 / mult, mult), (0.3, 1), (0.3 / 7, 7)))
+        n, keys = 40, derive_key(21, np.arange(300, dtype=np.uint64))
+        stream = montecarlo.uniforms
+
+        def top(key, start, count):
+            if np.all(np.asarray(start) == 0):  # the conditional chain
+                return stream(key, start, count)
+            return np.ones(np.shape(key) + (count,))
+
+        monkeypatch.setattr(montecarlo, "uniforms", top)
+        totals = montecarlo._conditional_chain(keys, [v * m for v, m in fam.atoms], n)[:, 0]
+        assert totals.min() < totals.max()  # rows of one batch are padded
+        loss = np.arange(totals.max() + 1) / n
+        for chunk in (montecarlo._CHUNK_DRAWS, 1, 7):
+            monkeypatch.setattr(montecarlo, "_CHUNK_DRAWS", chunk)
+            occupied, sums = montecarlo._block_losses(
+                keys, np.full(keys.size, 2), totals, mult, loss)
+            assert np.array_equal(occupied, (totals > 0).astype(np.int64))
+            assert np.array_equal(sums, np.where(totals > 0, loss[totals], 0.0))
+        estimator = empirical_estimator()
+        assert np.array_equal(montecarlo._compressed_losses(keys, fam, estimator, n),
+                              per_replicate_compressed_losses(keys, fam, estimator, n))
+
+    def test_memory_stays_bounded(self):
+        # One batch holds at most _CHUNK_DRAWS padded draws; holding every
+        # replicate's draws at once would need about 20 MB here.
+        fam = entropy_ball_family(1.0, 0.7 / math.log(100_000)).family
+        mc_risk(fam, empirical_estimator(), 100_000, McConfig(100, 0))  # imports, pages
+        tracemalloc.start()
+        try:
+            mc_risk(fam, empirical_estimator(), 100_000, McConfig(400, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, peak
 
 
 class TestGoldenBits:
