@@ -89,6 +89,13 @@ def _uniform_family(S: int) -> CompressedFamily:
     return CompressedFamily(((1.0 / S, S),))
 
 
+def _entropy_ball(H: float, c: float, n: int):
+    """The entropy-ball family of the sweeps, at delta = c H / ln n."""
+    if n < 2:
+        raise ValueError("entropy-ball needs n >= 2")
+    return entropy_ball_family(H, c * H / math.log(n))
+
+
 # ---------------------------------------------------------------------------
 # bound evaluation per cell
 
@@ -177,9 +184,8 @@ def _family_cells(args):
         if not (args.grid_H and args.grid_c):
             raise UsageError("--family entropy-ball requires --grid-H and --grid-c")
         for H, c, n in itertools.product(args.grid_H, args.grid_c, args.grid_n):
-            def build(H=H, c=c, n=n):
-                return entropy_ball_family(H, c * H / math.log(n)).family
-            cells.append(({"H": H, "c": c, "n": n, "family": family}, build))
+            cells.append(({"H": H, "c": c, "n": n, "family": family},
+                          lambda H=H, c=c, n=n: _entropy_ball(H, c, n).family))
     elif family.startswith("file:"):
         fam = load_family_file(family[len("file:"):])
         for n in args.grid_n:
@@ -288,7 +294,7 @@ def _trend(args, H: float, risk):
 def _ball_trend(args, H: float, est_name: str, eta: float):
     """`_trend` of the exact risk on the entropy-ball family at delta = cH / ln n."""
     def risk(c, n):
-        fam = entropy_ball_family(H, c * H / math.log(n)).family
+        fam = _entropy_ball(H, c, n).family
         return estimator_risk_exact(fam, _build_estimator(est_name, n, eta), n)
     return _trend(args, H, risk)
 
@@ -345,7 +351,7 @@ def _verdicts_cor9(args, rows):
         dominated = []
 
         def oracle(c, n, H=H, dominated=dominated):
-            fam = entropy_ball_family(H, c * H / math.log(n))
+            fam = _entropy_ball(H, c, n)
             value = bayes_risk_entropy_ball_constrained(CompositePrior.from_family(fam, k), n)
             floor = bnd.simplex_lower(H, n, c)
             dominated.append(floor.vacuous or value >= floor.value * (1.0 - 1.0 / k))
@@ -377,7 +383,10 @@ _REPRODUCE_TARGETS = {
 
 def cmd_reproduce(args) -> int:
     rows: list = []
-    verdicts = _REPRODUCE_TARGETS[args.target](args, rows)
+    try:
+        verdicts = _REPRODUCE_TARGETS[args.target](args, rows)
+    except (ValueError, ArithmeticError) as exc:  # a grid value outside its domain
+        raise UsageError(f"{args.target}: {exc}") from exc
     if args.out is not None:
         write_report(rows, args.format, args.out)
     failed = False

@@ -164,11 +164,16 @@ class ApproxSimplexTolerance:
 Distribution = Union[ProbabilityVector, CompressedFamily]
 
 
-def _atom_items(p: Distribution) -> Iterable[tuple]:
+def _atom_items(p: Distribution) -> tuple:
+    """The (value, multiplicity) atoms of p, in support order.
+
+    A ProbabilityVector is the atoms (p_i, 1), one per coordinate, so every
+    consumer (sampler, loss kernel, exact grouping) reads both types here.
+    """
     if isinstance(p, CompressedFamily):
         return p.atoms
     if isinstance(p, ProbabilityVector):
-        return [(float(v), 1) for v in p.probs]
+        return tuple((v, 1) for v in p.probs.tolist())
     raise TypeError(f"expected ProbabilityVector or CompressedFamily, got {type(p).__name__}")
 
 

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import CompressedFamily, Distribution, ProbabilityVector
+from .core import Distribution, _atom_items
 from .estimators import CoordinatewiseEstimator
 
 __all__ = [
@@ -180,15 +180,10 @@ def _grouped_atoms(p: Distribution) -> list:
     The fixed ordering makes the risk sum bit-stable however the per-atom
     terms are later scheduled.
     """
-    if isinstance(p, CompressedFamily):
-        merged: dict = {}
-        for value, mult in p.atoms:
-            merged[value] = merged.get(value, 0) + mult
-        return sorted(merged.items())
-    if isinstance(p, ProbabilityVector):
-        values, counts = np.unique(p.probs, return_counts=True)
-        return [(float(v), int(c)) for v, c in zip(values, counts)]
-    raise TypeError(f"expected ProbabilityVector or CompressedFamily, got {type(p).__name__}")
+    merged: dict = {}
+    for value, mult in _atom_items(p):
+        merged[value] = merged.get(value, 0) + mult
+    return sorted(merged.items())
 
 
 def estimator_risk_exact(

@@ -8,11 +8,11 @@ any single replicate can be regenerated in isolation via
 
 Sampling uses the sequential conditional-Binomial method: coordinate i is
 an inverse-CDF Binomial of the remaining budget with renormalized
-probability.  Compressed families are sampled per (value, multiplicity)
-block, and block counts are split across the block's symbols by uniform
-allocation from the same stream.  `mc_risk` evaluates compressed losses
-for a batch of replicates at once; every replicate's draws and loss are
-those it has when sampled alone.
+probability.  Both distribution types are sampled per (value,
+multiplicity) atom, a dense vector being the atoms (p_i, 1), and block
+counts are split across the block's symbols by uniform allocation from the
+same stream.  `mc_risk` evaluates losses for a batch of replicates at
+once; every replicate's draws and loss are those it has when sampled alone.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import CompressedFamily, CountHistogram, Distribution, ProbabilityVector
-from .core import MAX_DENSE_SUPPORT
+from .core import MAX_DENSE_SUPPORT, CountHistogram, Distribution, _atom_items
 from .estimators import CoordinatewiseEstimator
 from .exact import estimator_risk_exact
 from .rng import derive_key, derive_seed, stream_key, uniforms
@@ -39,10 +38,11 @@ __all__ = [
     "derive_replicate_seed",
 ]
 
-# Rows processed per batch in the dense path; keeps peak memory flat.
+# Conditional-chain counts (replicates x atoms) per batch; keeps peak
+# memory flat for vectors with many atoms.
 _CHUNK_CELLS = 2_000_000
-# Padded draws per batch of replicates in the compressed path; keeps the
-# batch's temporaries within a few hundred KB.
+# Padded draws per batch of replicates in a block atom; keeps the batch's
+# temporaries within a few hundred KB.
 _CHUNK_DRAWS = 1 << 13
 # floor(u * multiplicity) is an exact uniform cell index only below 2^53.
 _MAX_BLOCK_MULT = 1 << 53
@@ -137,8 +137,8 @@ def _block_cells(key: np.uint64, start: int, total: int, mult: int) -> tuple:
     return occupied, counts, start + total
 
 
-def _check_block_mults(fam: CompressedFamily) -> None:
-    for _, mult in fam.atoms:
+def _check_block_mults(atoms) -> None:
+    for _, mult in atoms:
         if mult > _MAX_BLOCK_MULT:
             raise ValueError("atom multiplicity too large to allocate symbols exactly")
 
@@ -147,25 +147,21 @@ def sample_multinomial(p: Distribution, n: int, seed: int) -> CountHistogram:
     """One Multinomial(n, p) draw, deterministic in the seed."""
     if n < 1:
         raise ValueError("n must be positive")
-    key = stream_key(seed)
-    keys = np.array([key], dtype=np.uint64)
-    if isinstance(p, ProbabilityVector):
-        counts = _conditional_chain(keys, p.probs.tolist(), n)[0]
-        return CountHistogram(counts, n)
-    if not isinstance(p, CompressedFamily):
-        raise TypeError(f"expected ProbabilityVector or CompressedFamily, got {type(p).__name__}")
-    support = p.support_size
-    if support > MAX_DENSE_SUPPORT:
+    atoms = _atom_items(p)
+    support = sum(m for _, m in atoms)
+    # A vector with that many atoms already holds one float per symbol.
+    if support > MAX_DENSE_SUPPORT and support > len(atoms):
         raise ValueError(
             f"support size {support} too large for a dense histogram; "
             "use mc_risk, which never materializes per-symbol counts")
-    _check_block_mults(p)
-    masses = [v * m for v, m in p.atoms]
-    totals = _conditional_chain(keys, masses, n)[0]
+    _check_block_mults(atoms)
+    key = stream_key(seed)
+    masses = [v * m for v, m in atoms]
+    totals = _conditional_chain(np.array([key], dtype=np.uint64), masses, n)[0]
     dense = np.zeros(support, dtype=np.int64)
-    pos = len(p.atoms) - 1
+    pos = len(atoms) - 1
     offset = 0
-    for (value, mult), total in zip(p.atoms, totals):
+    for (value, mult), total in zip(atoms, totals):
         if mult == 1:
             dense[offset] = total
         elif total > 0:
@@ -173,21 +169,6 @@ def sample_multinomial(p: Distribution, n: int, seed: int) -> CountHistogram:
             dense[offset + occupied] += counts
         offset += mult
     return CountHistogram(dense, n)
-
-
-def _dense_losses(
-    keys: np.ndarray, p: ProbabilityVector, estimator: CoordinatewiseEstimator, n: int
-) -> np.ndarray:
-    probs = p.probs
-    masses = probs.tolist()
-    chunk = max(1, _CHUNK_CELLS // max(1, probs.size))
-    losses = np.empty(keys.shape[0])
-    for start in range(0, keys.shape[0], chunk):
-        block = keys[start:start + chunk]
-        counts = _conditional_chain(block, masses, n)
-        estimates = estimator(counts, n)
-        losses[start:start + chunk] = np.abs(estimates - probs).sum(axis=1)
-    return losses
 
 
 def _block_losses(
@@ -242,33 +223,41 @@ def _block_losses(
 
 
 def _compressed_losses(
-    keys: np.ndarray, fam: CompressedFamily, estimator: CoordinatewiseEstimator, n: int
+    keys: np.ndarray, p: Distribution, estimator: CoordinatewiseEstimator, n: int
 ) -> np.ndarray:
     """Per-replicate l1 losses without materializing per-symbol counts.
 
     Unoccupied symbols inside a block all contribute |f(0) - value|, so only
-    the occupied cells of each block are ever touched.  All replicates are
-    evaluated at once, atom by atom; each one's draws, and the order and
-    grouping of the sums that make its loss, are those of evaluating it on
-    its own, so losses do not depend on the batching.
+    the occupied cells of each block are ever touched.  Replicates are
+    evaluated in batches of at most _CHUNK_CELLS chain counts, atom by atom;
+    each one's draws, and the order and grouping of the sums that make its
+    loss, are those of evaluating it on its own, so losses do not depend on
+    the batching.
     """
-    _check_block_mults(fam)
-    atoms = fam.atoms
+    atoms = _atom_items(p)
+    _check_block_mults(atoms)
     masses = [v * m for v, m in atoms]
-    totals = _conditional_chain(keys, masses, n)
+    values = np.array([v for v, _ in atoms])
     losses = np.zeros(keys.shape[0])
-    pos = np.full(keys.shape[0], len(atoms) - 1, dtype=np.int64)
-    for a, (value, mult) in enumerate(atoms):
-        total = totals[:, a]
-        if mult == 1:
-            losses += np.abs(estimator(total, n) - value)
-            continue
-        # |f(k) - value| for every count k a cell of this block can hold
-        loss = np.abs(estimator(np.arange(int(total.max()) + 1), n) - value)
-        occupied, sums = _block_losses(keys, pos, total, mult, loss)
-        losses += (mult - occupied) * loss[0]
-        losses += sums
-        pos += total
+    step = max(1, _CHUNK_CELLS // len(atoms))
+    for lo in range(0, keys.shape[0], step):
+        batch = keys[lo:lo + step]
+        out = losses[lo:lo + step]
+        totals = _conditional_chain(batch, masses, n)
+        # |f(total) - value| of every atom, the loss of those with mult 1
+        singles = np.abs(estimator(totals, n) - values)
+        pos = np.full(batch.shape[0], len(atoms) - 1, dtype=np.int64)
+        for a, (value, mult) in enumerate(atoms):
+            if mult == 1:
+                out += singles[:, a]
+                continue
+            total = totals[:, a]
+            # |f(k) - value| for every count k a cell of this block can hold
+            loss = np.abs(estimator(np.arange(int(total.max()) + 1), n) - value)
+            occupied, sums = _block_losses(batch, pos, total, mult, loss)
+            out += (mult - occupied) * loss[0]
+            out += sums
+            pos += total
     return losses
 
 
@@ -286,12 +275,7 @@ def mc_risk(
     if n < 1:
         raise ValueError("n must be positive")
     keys = derive_key(cfg.master_seed, np.arange(cfg.replicates, dtype=np.uint64))
-    if isinstance(p, ProbabilityVector):
-        losses = _dense_losses(keys, p, estimator, n)
-    elif isinstance(p, CompressedFamily):
-        losses = _compressed_losses(keys, p, estimator, n)
-    else:
-        raise TypeError(f"expected ProbabilityVector or CompressedFamily, got {type(p).__name__}")
+    losses = _compressed_losses(keys, p, estimator, n)
     reps = cfg.replicates
     mean = float(losses.sum() / reps)
     variance = float(np.square(losses - mean).sum() / (reps - 1))

@@ -115,6 +115,18 @@ class TestExactRiskCommand:
         assert rows[1]["error"] == ""
         assert float(rows[1]["exact_risk"]) > 0
 
+    @pytest.mark.parametrize("command", ["exact-risk", "mc"])
+    def test_entropy_ball_at_n_one_is_a_cell_error(self, tmp_path, command):
+        # delta = c H / ln n has no value at n = 1
+        code, out = run(tmp_path, command, "--family", "entropy-ball", "--grid-H", "1",
+                        "--grid-c", "0.5", "--grid-n", "1", "1000", "--replicates", "200")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows[0]["error"] == "entropy-ball needs n >= 2"
+        assert rows[0]["exact_risk"] == ""
+        assert rows[1]["error"] == ""
+        assert float(rows[1]["exact_risk"]) > 0
+
     def test_unknown_family(self, tmp_path, capsys):
         code = main(["exact-risk", "--family", "prawns", "--grid-n", "4",
                      "--out", str(tmp_path / "x.csv")])
@@ -196,6 +208,25 @@ class TestReproduceCommand:
     def test_unknown_target_rejected(self):
         with pytest.raises(SystemExit):
             main(["reproduce", "cor99"])
+
+    @pytest.mark.parametrize("argv", [
+        ["cor2", "--grid-S", "1"],
+        ["cor6", "--grid-n", "1"],
+        ["cor3-4", "--grid-c", "0"],
+        ["cor7", "--grid-eta", "0.5"],
+        ["cor9", "--grid-H", "-1"],
+    ], ids=lambda argv: argv[0])
+    def test_out_of_domain_grid_is_a_usage_error(self, argv):
+        # exit code 1 is a FAIL verdict; a bad grid value is a bad invocation
+        src = pathlib.Path(l1minimax.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "l1minimax", "reproduce", *argv],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {argv[0]}: ")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     def test_cor2_writes_rows(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from l1minimax import (ApproxSimplexTolerance, CompressedFamily, CountHistogram,
-                       ProbabilityVector, entropy, in_approx_simplex, l1_distance)
+from l1minimax import (ApproxSimplexTolerance, CompressedFamily, CountHistogram, McConfig,
+                       ProbabilityVector, empirical_estimator, entropy, estimator_risk_exact,
+                       in_approx_simplex, l1_distance, mc_risk, sample_multinomial)
 
 
 class TestEntropy:
@@ -129,3 +130,18 @@ class TestConstruction:
         fam = CompressedFamily(((1e-8, 10**8),))
         with pytest.raises(ValueError, match="too large"):
             fam.expand()
+
+
+class TestAtomView:
+    """core._atom_items is the one place that knows the distribution types;
+    every consumer rejects anything else with its TypeError."""
+
+    @pytest.mark.parametrize("consume", [
+        entropy,
+        lambda p: sample_multinomial(p, 5, seed=0),
+        lambda p: mc_risk(p, empirical_estimator(), 5, McConfig(100, 0)),
+        lambda p: estimator_risk_exact(p, empirical_estimator(), 5),
+    ], ids=["entropy", "sample_multinomial", "mc_risk", "estimator_risk_exact"])
+    def test_foreign_type_rejected(self, consume):
+        with pytest.raises(TypeError, match="expected ProbabilityVector or CompressedFamily"):
+            consume([0.5, 0.5])

@@ -266,6 +266,42 @@ class TestBatchedCompressedLosses:
         assert peak < 2_000_000, peak
 
 
+class TestDenseVectorsAsAtoms:
+    """A ProbabilityVector is the atoms (p_i, 1): it draws what the matching
+    all-multiplicity-1 family draws, and its loss is accumulated coordinate
+    by coordinate in index order."""
+
+    # numpy's row sum and index-order accumulation part from 8 terms on;
+    # n = 1e3 zeroes most thresholded estimates, n = 1e5 keeps most of them
+    @pytest.mark.parametrize("threshold", [False, True], ids=["empirical", "threshold"])
+    @pytest.mark.parametrize("kind", ["uniform", "dirichlet"])
+    @pytest.mark.parametrize("S", [10, 50])
+    @pytest.mark.parametrize("n", [1000, 100_000])
+    def test_matches_independent_recomputation(self, n, S, kind, threshold):
+        if kind == "uniform":
+            pv = ProbabilityVector.uniform(S)
+        else:
+            pv = ProbabilityVector(np.random.default_rng(S).dirichlet(np.ones(S)))
+        master, reps = 4242 + S, 120
+        estimator = (threshold_estimator(ThresholdConfig(n, 1.1)) if threshold
+                     else empirical_estimator())
+        atoms = CompressedFamily(tuple((v, 1) for v in pv.probs.tolist()))
+        out = mc_risk(pv, estimator, n, McConfig(reps, master))
+        losses = []
+        for r in range(reps):
+            seed = derive_replicate_seed(master, r)
+            h = sample_multinomial(pv, n, seed)
+            assert h.counts.tolist() == sample_multinomial(atoms, n, seed).counts.tolist()
+            est = estimator(h.counts, n)
+            loss = 0.0
+            for i in range(S):
+                loss += abs(float(est[i]) - float(pv.probs[i]))
+            losses.append(loss)
+        assert float(np.asarray(losses).sum() / reps) == out.mean
+        keys = derive_key(master, np.arange(reps, dtype=np.uint64))
+        assert montecarlo._compressed_losses(keys, pv, estimator, n).tolist() == losses
+
+
 class TestGoldenBits:
     """Fixed-seed outputs pinned bit for bit.
 
