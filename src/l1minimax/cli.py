@@ -229,13 +229,21 @@ def cmd_risk(args) -> int:
 # ---------------------------------------------------------------------------
 # scripted trend sweeps
 
+def _grid(args, flag: str, default: list, ok, domain: str) -> list:
+    """A sweep's --grid-<flag> values; one outside `domain` is a usage error."""
+    values = getattr(args, "grid_" + flag) or default
+    if not all(map(ok, values)):
+        raise UsageError(f"{args.target}: --grid-{flag} values must satisfy {domain}")
+    return values
+
+
 def _exact_uniform_mle_risk(S: int, n: int) -> float:
     return estimator_risk_exact(_uniform_family(S), empirical_estimator(), n)
 
 
 def _verdicts_cor2(args, rows):
-    S_values = args.grid_S or [2]
-    ns = sorted(args.grid_n or [100, 1_000, 10_000])
+    S_values = _grid(args, "S", [2], lambda S: S >= 2, "S >= 2")
+    ns = sorted(_grid(args, "n", [100, 1_000, 10_000], lambda n: n >= 1, "n >= 1"))
     verdicts = []
     for S in S_values:
         target = bnd.classical_constant(S)
@@ -258,8 +266,8 @@ def _verdicts_cor2(args, rows):
 
 
 def _verdicts_cor34(args, rows):
-    cs = args.grid_c or [1.0, 2.0, 4.0, 8.0]
-    ns = sorted(args.grid_n or [1_000, 10_000])
+    cs = _grid(args, "c", [1.0, 2.0, 4.0, 8.0], lambda c: c > 0, "c > 0")
+    ns = sorted(_grid(args, "n", [1_000, 10_000], lambda n: n >= 1, "n >= 1"))
     floor_constant = math.sqrt(_E) / 8.0
     upper_ok, lower_ok = True, True
     for c, n in itertools.product(cs, ns):
@@ -283,19 +291,25 @@ def _verdicts_cor34(args, rows):
 
 
 def _trend(args, H: float, risk):
-    """The n grid, the max over c of risk(c, n) at each n, and the trend
-    ratios ln(n) * max / H that cor6, cor7 and cor9 check."""
+    """The n grid, the max over c of risk(ball, c, n) at each n (ball: the entropy
+    ball at delta = cH / ln n), and the ratios ln(n) * max / H cor6/7/9 check."""
     cs = args.grid_c or [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
     ns = sorted(args.grid_n or [10**3, 10**4, 10**5, 10**6, 10**7])
-    bests = [max(risk(c, n) for c in cs) for n in ns]
+
+    def ball(c, n):
+        try:
+            return _entropy_ball(H, c, n)
+        except ValueError as exc:  # no entropy ball at this grid point
+            raise UsageError(f"{args.target}: H={H:g}, c={c:g}, n={n}: {exc}") from exc
+
+    bests = [max(risk(ball(c, n), c, n) for c in cs) for n in ns]
     return ns, bests, [math.log(n) * best / H for n, best in zip(ns, bests)]
 
 
 def _ball_trend(args, H: float, est_name: str, eta: float):
     """`_trend` of the exact risk on the entropy-ball family at delta = cH / ln n."""
-    def risk(c, n):
-        fam = _entropy_ball(H, c, n).family
-        return estimator_risk_exact(fam, _build_estimator(est_name, n, eta), n)
+    def risk(ball, c, n):
+        return estimator_risk_exact(ball.family, _build_estimator(est_name, n, eta), n)
     return _trend(args, H, risk)
 
 
@@ -317,7 +331,7 @@ def _verdicts_cor6(args, rows):
 
 
 def _verdicts_cor7(args, rows):
-    eta = (args.grid_eta or [1.1])[0]
+    eta = _grid(args, "eta", [1.1], lambda eta: eta > 1, "eta > 1")[0]
     verdicts = []
     for H in args.grid_H or [1.0]:
         ns, _, mle_ratios = _ball_trend(args, H, "empirical", eta)
@@ -350,9 +364,8 @@ def _verdicts_cor9(args, rows):
     for H in args.grid_H or [1.0]:
         dominated = []
 
-        def oracle(c, n, H=H, dominated=dominated):
-            fam = _entropy_ball(H, c, n)
-            value = bayes_risk_entropy_ball_constrained(CompositePrior.from_family(fam, k), n)
+        def oracle(ball, c, n, H=H, dominated=dominated):
+            value = bayes_risk_entropy_ball_constrained(CompositePrior.from_family(ball, k), n)
             floor = bnd.simplex_lower(H, n, c)
             dominated.append(floor.vacuous or value >= floor.value * (1.0 - 1.0 / k))
             return value
@@ -383,10 +396,7 @@ _REPRODUCE_TARGETS = {
 
 def cmd_reproduce(args) -> int:
     rows: list = []
-    try:
-        verdicts = _REPRODUCE_TARGETS[args.target](args, rows)
-    except (ValueError, ArithmeticError) as exc:  # a grid value outside its domain
-        raise UsageError(f"{args.target}: {exc}") from exc
+    verdicts = _REPRODUCE_TARGETS[args.target](args, rows)
     if args.out is not None:
         write_report(rows, args.format, args.out)
     failed = False

@@ -165,11 +165,7 @@ Distribution = Union[ProbabilityVector, CompressedFamily]
 
 
 def _atom_items(p: Distribution) -> tuple:
-    """The (value, multiplicity) atoms of p, in support order.
-
-    A ProbabilityVector is the atoms (p_i, 1), one per coordinate, so every
-    consumer (sampler, loss kernel, exact grouping) reads both types here.
-    """
+    """(value, multiplicity) atoms of p in support order; a vector is the atoms (p_i, 1)."""
     if isinstance(p, CompressedFamily):
         return p.atoms
     if isinstance(p, ProbabilityVector):

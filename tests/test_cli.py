@@ -209,14 +209,17 @@ class TestReproduceCommand:
         with pytest.raises(SystemExit):
             main(["reproduce", "cor99"])
 
-    @pytest.mark.parametrize("argv", [
-        ["cor2", "--grid-S", "1"],
-        ["cor6", "--grid-n", "1"],
-        ["cor3-4", "--grid-c", "0"],
-        ["cor7", "--grid-eta", "0.5"],
-        ["cor9", "--grid-H", "-1"],
-    ], ids=lambda argv: argv[0])
-    def test_out_of_domain_grid_is_a_usage_error(self, argv):
+    @pytest.mark.parametrize("argv, message", [
+        (["cor2", "--grid-S", "1"], "--grid-S values must satisfy S >= 2"),
+        (["cor6", "--grid-n", "1"], "H=1, c=0.3, n=1: entropy-ball needs n >= 2"),
+        (["cor3-4", "--grid-c", "0"], "--grid-c values must satisfy c > 0"),
+        (["cor7", "--grid-eta", "0.5"], "--grid-eta values must satisfy eta > 1"),
+        (["cor9", "--grid-H", "-1"], "H=-1, c=0.3, n=1000: H must be positive"),
+        # c and n each in range, but delta = cH / ln n = 1.45 is not
+        (["cor6", "--grid-c", "10", "--grid-n", "1000"],
+         "H=1, c=10, n=1000: delta must lie in (0, 1)"),
+    ], ids=["cor2", "cor6", "cor3-4", "cor7", "cor9", "cor6-infeasible"])
+    def test_out_of_domain_grid_is_a_usage_error(self, argv, message):
         # exit code 1 is a FAIL verdict; a bad grid value is a bad invocation
         src = pathlib.Path(l1minimax.__file__).resolve().parents[1]
         proc = subprocess.run(
@@ -224,9 +227,22 @@ class TestReproduceCommand:
             capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
         assert proc.returncode == 2
-        assert proc.stderr.startswith(f"error: {argv[0]}: ")
-        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"error: {argv[0]}: {message}\n"
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("target, error", [
+        ("cor2", ZeroDivisionError), ("cor6", ValueError)])
+    def test_internal_error_is_not_a_usage_error(self, monkeypatch, target, error):
+        # only grid values outside their domain are bad invocations; a
+        # failure inside a computation keeps its traceback
+        from l1minimax import cli
+
+        def broken(*args):
+            raise error("inside the computation")
+
+        monkeypatch.setattr(cli, "estimator_risk_exact", broken)
+        with pytest.raises(error, match="inside the computation"):
+            main(["reproduce", target, "--grid-n", "1000"])
 
     def test_cor2_writes_rows(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"

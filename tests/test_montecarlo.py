@@ -225,6 +225,20 @@ class TestBatchedCompressedLosses:
             monkeypatch.setattr(montecarlo, "_CHUNK_DRAWS", chunk)
             assert mc_risk(fam, empirical_estimator(), 300, McConfig(400, 9)) == baseline
 
+    def test_row_batching_does_not_change_results(self, monkeypatch):
+        # _CHUNK_CELLS // 3 atoms = 0 and 2 rows per batch split block atoms
+        # across row batches, each with its own stream positions
+        fam = CompressedFamily(((0.004, 100), (0.1, 3), (0.3, 1)))
+        estimator = empirical_estimator()
+        keys = derive_key(9, np.arange(400, dtype=np.uint64))
+        want = per_replicate_compressed_losses(keys, fam, estimator, 300)
+        baseline = mc_risk(fam, estimator, 300, McConfig(400, 9))
+        for cells in (1, 7):
+            monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", cells)
+            assert np.array_equal(montecarlo._compressed_losses(keys, fam, estimator, 300),
+                                  want), cells
+            assert mc_risk(fam, estimator, 300, McConfig(400, 9)) == baseline
+
     @pytest.mark.parametrize("mult", [2, 30, 2**53])
     def test_top_draw_is_counted_not_padding(self, monkeypatch, mult):
         # Every block draw is 1.0, the stream's top value: it must land in
