@@ -23,8 +23,7 @@ from .families import (CompositeDraw, CompositePrior, EntropyBallBayesRisk,
                        bayes_risk_two_point_piecewise, entropy_ball_family,
                        expected_distinct, sample_from_composite_prior,
                        two_point_prior)
-from .montecarlo import (McConfig, McRiskEstimate, ScanResult,
-                         derive_replicate_seed, mc_risk, sample_multinomial,
-                         sup_risk_scan)
+from .montecarlo import (McConfig, McRiskEstimate, derive_replicate_seed,
+                         mc_risk, sample_multinomial)
 
 __version__ = "0.1.0"

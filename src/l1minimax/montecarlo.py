@@ -17,26 +17,27 @@ once; every replicate's draws and loss are those it has when sampled alone.
 
 from __future__ import annotations
 
+import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import MAX_DENSE_SUPPORT, CountHistogram, Distribution, _atom_items
 from .estimators import CoordinatewiseEstimator
-from .exact import estimator_risk_exact
 from .rng import derive_key, derive_seed, stream_key, uniforms
 
 __all__ = [
     "McConfig",
     "McRiskEstimate",
-    "ScanResult",
     "sample_multinomial",
     "mc_risk",
-    "sup_risk_scan",
     "derive_replicate_seed",
 ]
+
+logger = logging.getLogger(__name__)
 
 # Conditional-chain counts (replicates x atoms) per batch; keeps peak
 # memory flat for vectors with many atoms.
@@ -46,6 +47,27 @@ _CHUNK_CELLS = 2_000_000
 _CHUNK_DRAWS = 1 << 13
 # floor(u * multiplicity) is an exact uniform cell index only below 2^53.
 _MAX_BLOCK_MULT = 1 << 53
+# Binomial walk (`_walk`): a draw whose uniform lies within this relative
+# distance of one of boost's CDF steps, plus the walk's tracked rounding
+# error, goes to boost's quantile.
+_GUARD = 1e-9
+_UNIT = 2.0 ** -53  # unit roundoff of a double
+_TINY = float(np.finfo(float).tiny)  # smallest normal double
+# Steps from the guess after which a draw goes to boost.
+_WALK_STEPS = 8
+# A step costs ~60 us whatever its size, boost ~1-2 us a draw: when fewer
+# draws than this still move, they go to boost.
+_MIN_STEP_DRAWS = 16
+# Anchors are evaluated per distinct (budget, guess) pair when the pairs'
+# box has at most this many cells per draw.
+_ANCHOR_BOX = 4
+# `rng.uniforms` never draws below this; smaller uniforms go to boost.
+_MIN_WALK_U = 2.0 ** -54
+# Calls with fewer draws, or whose largest budget times min(q, 1 - q) is
+# smaller, stay on boost, whose search costs less there than the walk's
+# fixed cost per call.
+_MIN_WALK_DRAWS = 100
+_MIN_WALK_MEAN = 6.0
 
 
 @dataclass(frozen=True)
@@ -74,24 +96,138 @@ class McRiskEstimate:
     master_seed: int
 
 
-class ScanResult(NamedTuple):
-    argmax_index: int
-    max_risk: float
-
-
 def derive_replicate_seed(master_seed: int, replicate: int) -> int:
     """Seed reproducing one replicate of `mc_risk` via `sample_multinomial`."""
     return derive_seed(master_seed, replicate)
 
 
-def _binomial_inverse(u: np.ndarray, budgets: np.ndarray, q: float) -> np.ndarray:
+def _binomial_guess(u: np.ndarray, budgets: np.ndarray, q: float) -> np.ndarray:
+    """Cornish-Fisher guess at the Binomial(budgets, q) quantile of u.
+
+    Only where the walk starts: it moves the cost of a draw, never its
+    value.  u must lie in (0, 1).
+    """
+    from scipy.special._ufuncs import ndtri
+
+    z = ndtri(u)
+    mean = budgets * q
+    sd = np.sqrt(mean * (1.0 - q))
+    # the skewness term (1 - 2q) / sd, times sd; -0.5 for the continuity
+    # correction, rounded up: the smallest k whose CDF reaches u
+    return np.ceil(mean + sd * z + (1.0 - 2.0 * q) * (z * z - 1.0) / 6.0 - 0.5)
+
+
+def _anchors(budgets: np.ndarray, k: np.ndarray, q: float) -> tuple:
+    """Boost's CDF and pmf at each (budget, k).
+
+    Where the box of (budget, k) pairs the draws span is small next to the
+    draw count, pairs repeat (the first chain step, where every budget is
+    n, always qualifies), and boost is called once per distinct pair;
+    otherwise once per draw.
+    """
+    from scipy.special._ufuncs import _binom_cdf, _binom_pmf
+
+    bmin, kmin = int(budgets.min()), int(k.min())
+    width = int(k.max()) - kmin + 1
+    cells = (int(budgets.max()) - bmin + 1) * width
+    if cells > _ANCHOR_BOX * budgets.size:
+        return _binom_cdf(k, budgets, q), _binom_pmf(k, budgets, q)
+    cell = (budgets - bmin) * width + (k - kmin)
+    seen = np.zeros(cells, dtype=bool)
+    seen[cell] = True
+    pairs = np.flatnonzero(seen)
+    slot = np.cumsum(seen) - 1
+    bp, kp = np.divmod(pairs, width)
+    bp += bmin
+    kp += kmin
+    at = slot[cell]
+    return _binom_cdf(kp, bp, q)[at], _binom_pmf(kp, bp, q)[at]
+
+
+def _walk(u: np.ndarray, budgets: np.ndarray, q: float) -> tuple:
+    """Draws for (u, budgets) by a guarded walk over boost's CDF steps.
+
+    Returns the draws and a mask of those the walk left unresolved, whose
+    values in the draws are placeholders.  Each draw starts at its guess k,
+    where boost gives C(k) and pmf(k), so C(k - 1) = C(k) - pmf(k), and
+    moves one step at a time towards the k with C(k - 1) < u <= C(k), each
+    next pmf from the exact ratio pmf(k + 1) / pmf(k) =
+    (b - k) q / ((k + 1) (1 - q)).  `err` bounds the absolute error of the
+    running C(k - 1) and C(k): the anchors' relative error, taken as
+    _GUARD, and every rounding since.  A draw resolves only when u clears
+    both steps by _GUARD of C(k) plus `err`, so that boost's own CDF, which
+    its quantile search compares u with, puts u on the same side of each.
+    Draws with u = 1, u below every uniform `rng.uniforms` draws, or budget
+    0 are left to boost, and so are those still moving after _WALK_STEPS.
+    """
+    unresolved = (u >= 1.0) | (u < _MIN_WALK_U) | (budgets <= 0)
+    if unresolved.any():
+        u = np.where(unresolved, 0.5, u)
+    guess = _binomial_guess(u, budgets, q)
+    bad = ~np.isfinite(guess)
+    if bad.any():
+        unresolved |= bad
+        guess[bad] = 0.0
+    b = budgets
+    k = np.clip(guess, 0, b).astype(np.int64)
+    draws = k
+    try:
+        hi, pmf = _anchors(b, k, q)
+    except OverflowError:  # boost's pmf, for q below about 1e-303
+        return draws, np.ones(u.shape, dtype=bool)
+    lo = hi - pmf
+    err = _GUARD * (hi + pmf) + _UNIT * hi
+    rel = _GUARD  # relative error bound of pmf
+    up_ratio, down_ratio = q / (1.0 - q), (1.0 - q) / q
+    idx = None
+    for step in range(_WALK_STEPS + 1):
+        # hi >= |lo|, so `tol` covers both steps.  A walk that steps past
+        # 0 or b finds pmf 0 there and never resolves.
+        tol = _GUARD * hi + err
+        above, down = u - lo > tol, u - lo <= -tol
+        below, up = u - hi <= -tol, u - hi > tol
+        done = above & below
+        low = done & (k <= 1)
+        if low.any():
+            # boost answers 0 outright when u <= (1 - q)^b by pow, which
+            # can stand ~b ulps off its CDF(0)
+            zero = (1.0 - q) ** b[low]
+            done[low] = np.abs(u[low] - zero) > (_GUARD + 2.0 * _UNIT * b[low]) * zero
+        # a subnormal pmf has lost its relative precision: no step from it
+        move = (up | down) & (pmf >= _TINY)
+        last = step == _WALK_STEPS or np.count_nonzero(move) < _MIN_STEP_DRAWS
+        stuck = ~done if last else ~(done | move)
+        if idx is None:
+            unresolved |= stuck
+        else:
+            draws[idx] = k
+            unresolved[idx[stuck]] = True
+        if last:
+            return draws, unresolved
+        idx = np.flatnonzero(move) if idx is None else idx[move]
+        b, u, k, lo, hi, pmf, err, up = (a[move] for a in (b, u, k, lo, hi, pmf, err, up))
+        # in this order no product exceeds b + 1
+        pmf = pmf * np.where(up, up_ratio, down_ratio) * np.where(up, b - k, k)
+        pmf /= np.where(up, k + 1, b - k + 1)
+        rel += 5.0 * _UNIT
+        lo, hi = np.where(up, hi, lo - pmf), np.where(up, hi + pmf, lo)
+        k = np.where(up, k + 1, k - 1)
+        err = err + rel * pmf + _UNIT * hi
+
+
+def _binomial_inverse(u: np.ndarray, budgets: np.ndarray, q: float, tally=None) -> np.ndarray:
     """Inverse-CDF Binomial draws, one per (uniform, budget) pair.
 
-    Calls boost's quantile, the kernel that scipy.stats.binom.ppf dispatches
-    to, without the rv_discrete wrapper, whose argument handling costs more
-    than small draws; the clipped values are the same, bit for bit.  scipy
-    is imported here, at the first draw, so importing this package loads
-    numpy only.
+    Boost's quantile (`_binom_ppf`, the kernel that scipy.stats.binom.ppf
+    dispatches to), clipped to [0, budget], defines every draw.  `_walk`
+    finds most draws from boost's own CDF and pmf at one anchor per
+    distinct (budget, guess) pair, equal to the quantile bit for bit; the
+    draws it leaves unresolved go to `_binom_ppf`, draw by draw, and so do
+    whole calls too small for the walk to pay off.  `tally`, a Counter if
+    given, adds up the draws that were walked ("walked"), that the walk
+    left to boost ("fallback"), and that came in small calls ("small").
+    scipy is imported here, at the first draw, so importing this package
+    loads numpy only.
     """
     if q <= 0.0:
         return np.zeros(budgets.shape, dtype=np.int64)
@@ -99,15 +235,29 @@ def _binomial_inverse(u: np.ndarray, budgets: np.ndarray, q: float) -> np.ndarra
         return budgets.copy()
     from scipy.special._ufuncs import _binom_ppf
 
-    draws = _binom_ppf(u, budgets, q)
-    return np.clip(draws, 0, budgets).astype(np.int64)
+    if u.size < _MIN_WALK_DRAWS or budgets.max() < _MIN_WALK_MEAN / min(q, 1.0 - q):
+        if tally is not None:
+            tally["small"] += u.size
+        return np.clip(_binom_ppf(u, budgets, q), 0, budgets).astype(np.int64)
+    draws, unresolved = _walk(u, budgets, q)
+    rest = np.flatnonzero(unresolved)
+    if rest.size:
+        b = budgets[rest]
+        draws[rest] = np.clip(_binom_ppf(u[rest], b, q), 0, b).astype(np.int64)
+    if tally is not None:
+        tally["walked"] += u.size - rest.size
+        tally["fallback"] += rest.size
+    return draws
 
 
-def _conditional_chain(keys: np.ndarray, masses: Sequence[float], n: int) -> np.ndarray:
+def _conditional_chain(
+    keys: np.ndarray, masses: Sequence[float], n: int, tally=None
+) -> np.ndarray:
     """Counts for each mass bucket by sequential conditional Binomials.
 
     keys has shape (R,); the result has shape (R, len(masses)) with rows
     summing to n.  Consumes uniforms 0 .. len(masses)-2 of each stream.
+    `tally` is passed on to `_binomial_inverse`.
     """
     count = len(masses)
     rows = keys.shape[0]
@@ -120,7 +270,7 @@ def _conditional_chain(keys: np.ndarray, masses: Sequence[float], n: int) -> np.
     mass_left = 1.0
     for i in range(count - 1):
         q = masses[i] / mass_left if mass_left > 0 else 1.0
-        x = _binomial_inverse(draws[:, i], remaining, q)
+        x = _binomial_inverse(draws[:, i], remaining, q, tally)
         out[:, i] = x
         remaining -= x
         mass_left -= masses[i]
@@ -223,7 +373,8 @@ def _block_losses(
 
 
 def _compressed_losses(
-    keys: np.ndarray, p: Distribution, estimator: CoordinatewiseEstimator, n: int
+    keys: np.ndarray, p: Distribution, estimator: CoordinatewiseEstimator, n: int,
+    tally=None,
 ) -> np.ndarray:
     """Per-replicate l1 losses without materializing per-symbol counts.
 
@@ -243,7 +394,7 @@ def _compressed_losses(
     for lo in range(0, keys.shape[0], step):
         batch = keys[lo:lo + step]
         out = losses[lo:lo + step]
-        totals = _conditional_chain(batch, masses, n)
+        totals = _conditional_chain(batch, masses, n, tally)
         # |f(total) - value| of every atom, the loss of those with mult 1
         singles = np.abs(estimator(totals, n) - values)
         pos = np.full(batch.shape[0], len(atoms) - 1, dtype=np.int64)
@@ -275,23 +426,14 @@ def mc_risk(
     if n < 1:
         raise ValueError("n must be positive")
     keys = derive_key(cfg.master_seed, np.arange(cfg.replicates, dtype=np.uint64))
-    losses = _compressed_losses(keys, p, estimator, n)
+    tally = Counter()
+    losses = _compressed_losses(keys, p, estimator, n, tally)
+    logger.debug("mc_risk: Binomial draws walked %d, sent to boost by the walk %d, "
+                 "in calls too small to walk %d", tally["walked"], tally["fallback"],
+                 tally["small"])
     reps = cfg.replicates
     mean = float(losses.sum() / reps)
     variance = float(np.square(losses - mean).sum() / (reps - 1))
     std_error = math.sqrt(variance / reps)
     half = 3.0 * std_error  # interval half-width: three standard errors
     return McRiskEstimate(mean, std_error, mean - half, mean + half, reps, cfg.master_seed)
-
-
-def sup_risk_scan(
-    family_grid: Sequence[Distribution],
-    estimator: CoordinatewiseEstimator,
-    n: int,
-) -> ScanResult:
-    """Exact risk of each candidate family; the first maximizer wins ties."""
-    if len(family_grid) == 0:
-        raise ValueError("family grid must be non-empty")
-    risks = [estimator_risk_exact(fam, estimator, n) for fam in family_grid]
-    best = int(np.argmax(risks))
-    return ScanResult(best, risks[best])

@@ -279,6 +279,24 @@ class TestVerbose:
         assert "DEBUG l1minimax.families: entropy ball H=1" in v_err
         assert "WARNING l1minimax.estimators: threshold level" in v_err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_mc_reports_and_stdout_unchanged(self, tmp_path, capsys, fmt):
+        # 2000 replicates: one walked Binomial call per cell; the few draws
+        # a step from their guess go to boost
+        command = ["mc", "--family", "entropy-ball", "--grid-H", "1", "--grid-c", "0.5",
+                   "--grid-n", "1000", "--replicates", "2000", "--seed", "7"]
+        outputs = []
+        for flags in ([], ["-v"]):
+            out = tmp_path / f"out{len(outputs)}.{fmt}"
+            code = main(command + flags + ["--format", fmt, "--out", str(out)])
+            captured = capsys.readouterr()
+            outputs.append((code, out.read_bytes(), captured.out, captured.err))
+        (code, report, stdout, err), (v_code, v_report, v_stdout, v_err) = outputs
+        assert code == 0 and (v_code, v_report, v_stdout) == (code, report, stdout)
+        assert "DEBUG" not in err
+        assert ("DEBUG l1minimax.montecarlo: mc_risk: Binomial draws walked 1993, "
+                "sent to boost by the walk 7, in calls too small to walk 0") in v_err
+
     def test_report_on_stdout_unchanged(self, capsys):
         command = self.COMMANDS[0] + ["--format", "json"]
         main(command)

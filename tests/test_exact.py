@@ -10,8 +10,9 @@ from scipy.stats import poisson as sp_poisson
 
 from l1minimax import (BinomialSpec, CoordinatewiseEstimator, CompressedFamily,
                        PoissonPair, ProbabilityVector, binomial_expectation,
-                       binomial_mad_exact, empirical_estimator, estimator_risk_exact,
-                       poisson_tv_exact, threshold_estimator, ThresholdConfig)
+                       binomial_mad_exact, empirical_estimator, entropy_ball_family,
+                       estimator_risk_exact, poisson_tv_exact, threshold_estimator,
+                       ThresholdConfig)
 from l1minimax.exact import _lgamma_int, _poisson_window, _window_pmf
 from conftest import brute_force_risk
 
@@ -179,6 +180,13 @@ class TestEstimatorRiskExact:
         compressed = estimator_risk_exact(fam, empirical_estimator(), n)
         expanded = estimator_risk_exact(fam.expand(), empirical_estimator(), n)
         assert compressed == pytest.approx(expanded, rel=1e-10)
+
+    def test_risk_increases_with_c_at_small_n(self):
+        H, n = 1.0, 1000
+        grid = [entropy_ball_family(H, c * H / math.log(n)).family
+                for c in (0.3, 0.5, 0.7)]
+        risks = [estimator_risk_exact(f, empirical_estimator(), n) for f in grid]
+        assert risks[0] < risks[1] < risks[2]
 
     def test_flat_family_floor(self):
         # S' tiny atoms below 1/n: their total contribution is exactly

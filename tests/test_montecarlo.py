@@ -1,5 +1,8 @@
+import logging
 import math
 import tracemalloc
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from l1minimax import (CompressedFamily, CoordinatewiseEstimator, McConfig,
                        ProbabilityVector, ThresholdConfig, derive_replicate_seed,
                        empirical_estimator, entropy_ball_family,
                        estimator_risk_exact, mc_risk, sample_multinomial,
-                       sup_risk_scan, threshold_estimator)
+                       threshold_estimator)
 from l1minimax import montecarlo, rng
 from l1minimax.rng import derive_key, stream_key, uniforms
 
@@ -374,32 +377,115 @@ class TestBinomialKernel:
         assert draws >= 200_000
 
 
-class TestSupRiskScan:
-    def test_single_candidate(self):
-        fam = ProbabilityVector([0.5, 0.5])
-        out = sup_risk_scan([fam], empirical_estimator(), 4)
-        assert out.argmax_index == 0
-        assert out.max_risk == pytest.approx(0.375, rel=1e-13)
+def _boost_quantile(u, budgets, q):
+    """Boost's quantile, clipped as `_binomial_inverse` clips it: the
+    definition of a draw."""
+    from scipy.special._ufuncs import _binom_ppf
+    return np.clip(_binom_ppf(u, budgets, q), 0, budgets).astype(np.int64)
 
-    def test_uniform_beats_point_mass(self):
-        grid = [ProbabilityVector([0.5, 0.5]), ProbabilityVector([1.0, 0.0])]
-        out = sup_risk_scan(grid, empirical_estimator(), 4)
-        assert out.argmax_index == 0
 
-    def test_risk_increases_with_c_at_small_n(self):
-        H, n = 1.0, 1000
-        grid = [entropy_ball_family(H, c * H / math.log(n)).family
-                for c in (0.3, 0.5, 0.7)]
-        risks = [estimator_risk_exact(f, empirical_estimator(), n) for f in grid]
-        assert risks[0] < risks[1] < risks[2]
-        out = sup_risk_scan(grid, empirical_estimator(), n)
-        assert out.argmax_index == 2
+@st.composite
+def _uniforms_on_cdf_steps(draw):
+    """q across (0, 1), one to three budgets up to 1e7, and u exactly on
+    boost's CDF steps C(k) and 1 ulp to either side, within [2^-54, 1]:
+    every k of a small budget, a window of k anywhere from the far lower
+    to the far upper tail of a large one."""
+    from scipy.special._ufuncs import _binom_cdf
+    q = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    budgets = draw(st.lists(st.one_of(st.integers(0, 60), st.integers(0, 10**4),
+                                      st.integers(0, 10**7)), min_size=1, max_size=3))
+    b_all, k_all = [], []
+    for b in budgets:
+        if b <= 60:
+            ks = np.arange(b + 1)
+        else:
+            z = draw(st.floats(-9.0, 9.0))
+            centre = round(b * q + z * math.sqrt(b * q * (1.0 - q)))
+            ks = np.clip(np.arange(centre - 10, centre + 11), 0, b)
+        b_all.append(np.full(ks.size, b))
+        k_all.append(ks)
+    b_all, k_all = np.concatenate(b_all), np.concatenate(k_all)
+    steps = _binom_cdf(k_all, b_all, q)
+    u = np.concatenate([steps, np.nextafter(steps, 0.0), np.nextafter(steps, 2.0)])
+    budgets = np.tile(b_all, 3)
+    keep = (u >= 2.0 ** -54) & (u <= 1.0)
+    return u[keep], budgets[keep].astype(np.int64), q
 
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            sup_risk_scan([], empirical_estimator(), 4)
 
-    def test_tie_breaks_to_lowest_index(self):
-        fam = ProbabilityVector([0.5, 0.5])
-        out = sup_risk_scan([fam, fam], empirical_estimator(), 4)
-        assert out.argmax_index == 0
+class TestBinomialWalk:
+    """The guarded walk of `_binomial_inverse` against boost's quantile, bit
+    for bit, with the walk taken for every call and every moving draw."""
+
+    WALK_ALWAYS = {"_MIN_WALK_DRAWS": 1, "_MIN_WALK_MEAN": 0.0, "_MIN_STEP_DRAWS": 1}
+
+    # offset 50: guesses 50 steps off and walks up to 120 steps long, so the
+    # running error bound, not the guard alone, has to keep the bits
+    @given(_uniforms_on_cdf_steps(), st.sampled_from([0, 50]))
+    @settings(max_examples=150, deadline=None)
+    def test_uniforms_on_cdf_steps_match_boost(self, case, offset):
+        u, budgets, q = case
+        guess = montecarlo._binomial_guess
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            # boost's search warns of itself at some extreme q; nothing else may
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", "Error in function boost::", RuntimeWarning)
+            want = _boost_quantile(u, budgets, q)
+            for name, value in self.WALK_ALWAYS.items():
+                mp.setattr(montecarlo, name, value)
+            if offset:
+                mp.setattr(montecarlo, "_WALK_STEPS", 120)
+                mp.setattr(montecarlo, "_binomial_guess", lambda x, b, p: guess(x, b, p)
+                           + np.resize([-offset, offset, 3 - offset, offset - 7], x.shape))
+            got = montecarlo._binomial_inverse(u, budgets, q)
+        assert np.array_equal(got, want)
+
+    def test_unresolved_draws_alone_reach_boost(self, monkeypatch):
+        # Guesses 50 steps off and a walk of one step: only draws within a
+        # step of the guess resolve; the rest, u = 1 and budget 0 go to boost,
+        # draw by draw, without a warning.
+        from scipy.special import _ufuncs
+        m, q = 3000, 0.3
+        u = uniforms(stream_key(77), 0, m)
+        u[7] = 1.0
+        budgets = np.resize(np.arange(0, 20, dtype=np.int64), m)
+        want = _boost_quantile(u, budgets, q)
+        offsets = np.resize([-50, 50], m)
+        start = np.clip(montecarlo._binomial_guess(np.where(u < 1.0, u, 0.5), budgets, q)
+                        + offsets, 0, budgets)
+        unresolved = (np.abs(want - start) > 1) | (budgets == 0) | (u == 1.0)
+        assert 100 < unresolved.sum() < m - 100
+        guess = montecarlo._binomial_guess
+        for name, value in self.WALK_ALWAYS.items():
+            monkeypatch.setattr(montecarlo, name, value)
+        monkeypatch.setattr(montecarlo, "_WALK_STEPS", 1)
+        monkeypatch.setattr(montecarlo, "_binomial_guess",
+                            lambda x, b, p: guess(x, b, p) + offsets)
+        sent = []
+        ppf = _ufuncs._binom_ppf
+
+        def counting_ppf(x, b, p):
+            sent.append(np.array(x))
+            return ppf(x, b, p)
+
+        monkeypatch.setattr(_ufuncs, "_binom_ppf", counting_ppf)
+        tally = Counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = montecarlo._binomial_inverse(u, budgets, q, tally)
+        assert np.array_equal(got, want)
+        assert len(sent) == 1 and np.array_equal(sent[0], u[unresolved])
+        assert tally == {"walked": m - unresolved.sum(), "fallback": unresolved.sum()}
+
+    def test_mc_risk_logs_draw_routes(self, caplog):
+        # two chain steps of 300 draws each: one walked call at n = 1000, and
+        # calls too small to walk at n = 5
+        pv = ProbabilityVector([0.2, 0.3, 0.5])
+        for n, walked in ((1000, True), (5, False)):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="l1minimax"):
+                mc_risk(pv, empirical_estimator(), n, McConfig(300, 4))
+            records = [r for r in caplog.records if r.name == "l1minimax.montecarlo"]
+            assert len(records) == 1
+            counts = records[0].args
+            assert sum(counts) == 600
+            assert (counts[0] > 0) == walked and (counts[2] > 0) != walked
