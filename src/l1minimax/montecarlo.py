@@ -55,17 +55,15 @@ _UNIT = 2.0 ** -53  # unit roundoff of a double
 _TINY = float(np.finfo(float).tiny)  # smallest normal double
 # Steps from the guess after which a draw goes to boost.
 _WALK_STEPS = 8
-# A step costs ~60 us whatever its size, boost ~1-2 us a draw: when fewer
+# A step costs ~50 us whatever its size, boost ~1-2 us a draw: when fewer
 # draws than this still move, they go to boost.
 _MIN_STEP_DRAWS = 16
-# Anchors are evaluated per distinct (budget, guess) pair when the pairs'
-# box has at most this many cells per draw.
-_ANCHOR_BOX = 4
 # `rng.uniforms` never draws below this; smaller uniforms go to boost.
 _MIN_WALK_U = 2.0 ** -54
 # Calls with fewer draws, or whose largest budget times min(q, 1 - q) is
-# smaller, stay on boost, whose search costs less there than the walk's
-# fixed cost per call.
+# smaller, stay on boost: its search costs less there than the walk's
+# fixed ~70 us per call.  Walking every call of a dense S = 50 vector at
+# n = 25 with 250 replicates took 5.7 ms per cell against boost's 2.5 ms.
 _MIN_WALK_DRAWS = 100
 _MIN_WALK_MEAN = 6.0
 
@@ -120,17 +118,17 @@ def _binomial_guess(u: np.ndarray, budgets: np.ndarray, q: float) -> np.ndarray:
 def _anchors(budgets: np.ndarray, k: np.ndarray, q: float) -> tuple:
     """Boost's CDF and pmf at each (budget, k).
 
-    Where the box of (budget, k) pairs the draws span is small next to the
-    draw count, pairs repeat (the first chain step, where every budget is
-    n, always qualifies), and boost is called once per distinct pair;
-    otherwise once per draw.
+    When the box of (budget, k) pairs the draws span has no more cells than
+    there are draws, pairs repeat (as in a chain's first step, where every
+    budget is n) and boost is called once per distinct pair; otherwise once
+    per draw.
     """
     from scipy.special._ufuncs import _binom_cdf, _binom_pmf
 
     bmin, kmin = int(budgets.min()), int(k.min())
     width = int(k.max()) - kmin + 1
     cells = (int(budgets.max()) - bmin + 1) * width
-    if cells > _ANCHOR_BOX * budgets.size:
+    if cells > budgets.size:
         return _binom_cdf(k, budgets, q), _binom_pmf(k, budgets, q)
     cell = (budgets - bmin) * width + (k - kmin)
     seen = np.zeros(cells, dtype=bool)
@@ -157,8 +155,12 @@ def _walk(u: np.ndarray, budgets: np.ndarray, q: float) -> tuple:
     _GUARD, and every rounding since.  A draw resolves only when u clears
     both steps by _GUARD of C(k) plus `err`, so that boost's own CDF, which
     its quantile search compares u with, puts u on the same side of each.
-    Draws with u = 1, u below every uniform `rng.uniforms` draws, or budget
-    0 are left to boost, and so are those still moving after _WALK_STEPS.
+
+    Left unresolved, for boost: draws with u = 1, u below every uniform
+    `rng.uniforms` draws, budget 0 or a non-finite guess; draws in a guard
+    band; draws that would step from a subnormal pmf; draws still moving
+    after _WALK_STEPS steps, or when fewer than _MIN_STEP_DRAWS move; and
+    every draw of a call whose anchors overflow.
     """
     unresolved = (u >= 1.0) | (u < _MIN_WALK_U) | (budgets <= 0)
     if unresolved.any():
@@ -169,7 +171,7 @@ def _walk(u: np.ndarray, budgets: np.ndarray, q: float) -> tuple:
         unresolved |= bad
         guess[bad] = 0.0
     b = budgets
-    k = np.clip(guess, 0, b).astype(np.int64)
+    k = guess.clip(0, b).astype(np.int64)
     draws = k
     try:
         hi, pmf = _anchors(b, k, q)
@@ -181,8 +183,8 @@ def _walk(u: np.ndarray, budgets: np.ndarray, q: float) -> tuple:
     up_ratio, down_ratio = q / (1.0 - q), (1.0 - q) / q
     idx = None
     for step in range(_WALK_STEPS + 1):
-        # hi >= |lo|, so `tol` covers both steps.  A walk that steps past
-        # 0 or b finds pmf 0 there and never resolves.
+        # hi >= |lo|, so `tol` covers both steps.  A step past 0 or b has
+        # pmf 0, which resolves nothing and moves no further.
         tol = _GUARD * hi + err
         above, down = u - lo > tol, u - lo <= -tol
         below, up = u - hi <= -tol, u - hi > tol
@@ -220,14 +222,15 @@ def _binomial_inverse(u: np.ndarray, budgets: np.ndarray, q: float, tally=None) 
 
     Boost's quantile (`_binom_ppf`, the kernel that scipy.stats.binom.ppf
     dispatches to), clipped to [0, budget], defines every draw.  `_walk`
-    finds most draws from boost's own CDF and pmf at one anchor per
-    distinct (budget, guess) pair, equal to the quantile bit for bit; the
-    draws it leaves unresolved go to `_binom_ppf`, draw by draw, and so do
-    whole calls too small for the walk to pay off.  `tally`, a Counter if
-    given, adds up the draws that were walked ("walked"), that the walk
-    left to boost ("fallback"), and that came in small calls ("small").
-    scipy is imported here, at the first draw, so importing this package
-    loads numpy only.
+    finds most draws from boost's own CDF and pmf at each draw's (budget,
+    guess) anchor, evaluated once per distinct pair where pairs repeat, and
+    its guard makes them equal the quantile bit for bit.  The draws it leaves unresolved go to
+    `_binom_ppf` draw by draw, not call by call.  Calls too small for the
+    walk's fixed cost to pay off (_MIN_WALK_DRAWS, _MIN_WALK_MEAN) go to
+    `_binom_ppf` whole.  `tally`, a Counter if given, adds up the draws
+    that were walked ("walked"), that the walk left to boost ("fallback"),
+    and that came in small calls ("small").  scipy is imported here, at the
+    first draw, so importing this package loads numpy only.
     """
     if q <= 0.0:
         return np.zeros(budgets.shape, dtype=np.int64)
@@ -238,12 +241,12 @@ def _binomial_inverse(u: np.ndarray, budgets: np.ndarray, q: float, tally=None) 
     if u.size < _MIN_WALK_DRAWS or budgets.max() < _MIN_WALK_MEAN / min(q, 1.0 - q):
         if tally is not None:
             tally["small"] += u.size
-        return np.clip(_binom_ppf(u, budgets, q), 0, budgets).astype(np.int64)
+        return _binom_ppf(u, budgets, q).clip(0, budgets).astype(np.int64)
     draws, unresolved = _walk(u, budgets, q)
     rest = np.flatnonzero(unresolved)
     if rest.size:
         b = budgets[rest]
-        draws[rest] = np.clip(_binom_ppf(u[rest], b, q), 0, b).astype(np.int64)
+        draws[rest] = _binom_ppf(u[rest], b, q).clip(0, b).astype(np.int64)
     if tally is not None:
         tally["walked"] += u.size - rest.size
         tally["fallback"] += rest.size
