@@ -60,12 +60,15 @@ _WALK_STEPS = 8
 _MIN_STEP_DRAWS = 16
 # `rng.uniforms` never draws below this; smaller uniforms go to boost.
 _MIN_WALK_U = 2.0 ** -54
-# Calls with fewer draws, or whose largest budget times min(q, 1 - q) is
-# smaller, stay on boost: its search costs less there than the walk's
-# fixed ~70 us per call.  Walking every call of a dense S = 50 vector at
-# n = 25 with 250 replicates took 5.7 ms per cell against boost's 2.5 ms.
-_MIN_WALK_DRAWS = 100
-_MIN_WALK_MEAN = 6.0
+# A call walks when draws * log1p(mean) reaches _MIN_WALK_WORK, the mean
+# being its largest budget times min(q, 1 - q).  Boost's search costs
+# about 0.25 us * log1p(mean) a draw; the walk ~100 us a call plus ~0.1 us
+# a draw.  Walking every call of a dense S = 50 vector at n = 25 with 250
+# replicates took 5.7 ms per cell against boost's 2.5 ms.  Below
+# _MIN_WALK_DRAWS draws the product cannot reach _MIN_WALK_WORK (a mean
+# below 2^62 has log1p below 43), so the budgets go unread.
+_MIN_WALK_WORK = 500.0
+_MIN_WALK_DRAWS = 10
 
 
 @dataclass(frozen=True)
@@ -226,7 +229,7 @@ def _binomial_inverse(u: np.ndarray, budgets: np.ndarray, q: float, tally=None) 
     guess) anchor, evaluated once per distinct pair where pairs repeat, and
     its guard makes them equal the quantile bit for bit.  The draws it leaves unresolved go to
     `_binom_ppf` draw by draw, not call by call.  Calls too small for the
-    walk's fixed cost to pay off (_MIN_WALK_DRAWS, _MIN_WALK_MEAN) go to
+    walk's fixed cost to pay off (_MIN_WALK_WORK) go to
     `_binom_ppf` whole.  `tally`, a Counter if given, adds up the draws
     that were walked ("walked"), that the walk left to boost ("fallback"),
     and that came in small calls ("small").  scipy is imported here, at the
@@ -238,7 +241,8 @@ def _binomial_inverse(u: np.ndarray, budgets: np.ndarray, q: float, tally=None) 
         return budgets.copy()
     from scipy.special._ufuncs import _binom_ppf
 
-    if u.size < _MIN_WALK_DRAWS or budgets.max() < _MIN_WALK_MEAN / min(q, 1.0 - q):
+    if (u.size < _MIN_WALK_DRAWS
+            or u.size * math.log1p(int(budgets.max()) * min(q, 1.0 - q)) < _MIN_WALK_WORK):
         if tally is not None:
             tally["small"] += u.size
         return _binom_ppf(u, budgets, q).clip(0, budgets).astype(np.int64)

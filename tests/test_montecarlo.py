@@ -416,7 +416,7 @@ class TestBinomialWalk:
     """The guarded walk of `_binomial_inverse` against boost's quantile, bit
     for bit, with the walk taken for every call and every moving draw."""
 
-    WALK_ALWAYS = {"_MIN_WALK_DRAWS": 1, "_MIN_WALK_MEAN": 0.0, "_MIN_STEP_DRAWS": 1}
+    WALK_ALWAYS = {"_MIN_WALK_DRAWS": 1, "_MIN_WALK_WORK": 0.0, "_MIN_STEP_DRAWS": 1}
 
     # offset 50: guesses 50 steps off and walks up to 120 steps long, so the
     # running error bound, not the guard alone, has to keep the bits
