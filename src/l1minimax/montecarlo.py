@@ -184,7 +184,7 @@ def _walk(u: np.ndarray, budgets: np.ndarray, q: float) -> tuple:
     err = _GUARD * (hi + pmf) + _UNIT * hi
     rel = _GUARD  # relative error bound of pmf
     up_ratio, down_ratio = q / (1.0 - q), (1.0 - q) / q
-    idx = None
+    idx = np.arange(u.size)
     for step in range(_WALK_STEPS + 1):
         # hi >= |lo|, so `tol` covers both steps.  A step past 0 or b has
         # pmf 0, which resolves nothing and moves no further.
@@ -202,14 +202,11 @@ def _walk(u: np.ndarray, budgets: np.ndarray, q: float) -> tuple:
         move = (up | down) & (pmf >= _TINY)
         last = step == _WALK_STEPS or np.count_nonzero(move) < _MIN_STEP_DRAWS
         stuck = ~done if last else ~(done | move)
-        if idx is None:
-            unresolved |= stuck
-        else:
-            draws[idx] = k
-            unresolved[idx[stuck]] = True
+        draws[idx] = k
+        unresolved[idx[stuck]] = True
         if last:
             return draws, unresolved
-        idx = np.flatnonzero(move) if idx is None else idx[move]
+        idx = idx[move]
         b, u, k, lo, hi, pmf, err, up = (a[move] for a in (b, u, k, lo, hi, pmf, err, up))
         # in this order no product exceeds b + 1
         pmf = pmf * np.where(up, up_ratio, down_ratio) * np.where(up, b - k, k)
@@ -227,13 +224,14 @@ def _binomial_inverse(u: np.ndarray, budgets: np.ndarray, q: float, tally=None) 
     dispatches to), clipped to [0, budget], defines every draw.  `_walk`
     finds most draws from boost's own CDF and pmf at each draw's (budget,
     guess) anchor, evaluated once per distinct pair where pairs repeat, and
-    its guard makes them equal the quantile bit for bit.  The draws it leaves unresolved go to
-    `_binom_ppf` draw by draw, not call by call.  Calls too small for the
-    walk's fixed cost to pay off (_MIN_WALK_WORK) go to
-    `_binom_ppf` whole.  `tally`, a Counter if given, adds up the draws
-    that were walked ("walked"), that the walk left to boost ("fallback"),
-    and that came in small calls ("small").  scipy is imported here, at the
-    first draw, so importing this package loads numpy only.
+    its guard makes them equal the quantile bit for bit.  The draws it
+    leaves unresolved go to `_binom_ppf` draw by draw, not call by call.
+    Calls too small for the walk's fixed cost to pay off (_MIN_WALK_WORK)
+    go to `_binom_ppf` whole.  `tally`, a Counter if given, adds up the
+    draws that were walked ("walked"), that the walk left to boost
+    ("fallback"), and that came in small calls ("small").  scipy is
+    imported here, at the first draw, so importing this package loads
+    numpy only.
     """
     if q <= 0.0:
         return np.zeros(budgets.shape, dtype=np.int64)
