@@ -477,8 +477,8 @@ class TestBinomialWalk:
         assert tally == {"walked": m - unresolved.sum(), "fallback": unresolved.sum()}
 
     def test_mc_risk_logs_draw_routes(self, caplog):
-        # two chain steps of 300 draws each: one walked call at n = 1000, and
-        # calls too small to walk at n = 5
+        # two chain steps of 300 draws each: walked at n = 1000, too small
+        # to walk at n = 5
         pv = ProbabilityVector([0.2, 0.3, 0.5])
         for n, walked in ((1000, True), (5, False)):
             caplog.clear()
