@@ -359,6 +359,8 @@ def _verdicts_cor7(args, rows):
 
 
 def _verdicts_cor9(args, rows):
+    # simplex_lower's domain; `_trend` supplies the default c grid
+    _grid(args, "c", [], lambda c: 0 < c < 1, "0 < c < 1")
     k = 10**6
     verdicts = []
     for H in args.grid_H or [1.0]:

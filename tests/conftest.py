@@ -76,8 +76,11 @@ def exact_poisson_tail_lower(lam, threshold):
 def per_replicate_compressed_losses(keys, fam, estimator, n):
     """Compressed-family losses one replicate at a time: the loop the
     batched kernel replaced.  Each replicate allocates every block's draws
-    with `_block_cells` (as `sample_multinomial` does) and evaluates the
-    estimator on that block's occupied cells only."""
+    on its own, not through the library's allocation kernel: the block's
+    uniforms (read through `montecarlo.uniforms`, so a test that patches
+    the stream patches them too), then cell min(floor(u * mult), mult - 1),
+    then `np.unique` for the occupied cells and their counts.  The
+    estimator is evaluated on those cells only."""
     atoms = fam.atoms
     masses = [v * m for v, m in atoms]
     totals = montecarlo._conditional_chain(keys, masses, n)
@@ -94,7 +97,10 @@ def per_replicate_compressed_losses(keys, fam, estimator, n):
             elif total == 0:
                 acc += mult * abs(at_zero - value)
             else:
-                _, cell_counts, pos = montecarlo._block_cells(keys[r], pos, total, mult)
+                us = montecarlo.uniforms(keys[r], pos, total)
+                cells = np.minimum(np.floor(us * mult), mult - 1)
+                _, cell_counts = np.unique(cells, return_counts=True)
+                pos += total
                 estimates = estimator(cell_counts, n)
                 acc += (mult - cell_counts.size) * abs(at_zero - value)
                 acc += float(np.abs(estimates - value).sum())

@@ -218,7 +218,10 @@ class TestReproduceCommand:
         # c and n each in range, but delta = cH / ln n = 1.45 is not
         (["cor6", "--grid-c", "10", "--grid-n", "1000"],
          "H=1, c=10, n=1000: delta must lie in (0, 1)"),
-    ], ids=["cor2", "cor6", "cor3-4", "cor7", "cor9", "cor6-infeasible"])
+        # the simplex floor cor9 checks against is defined for c in (0, 1) only
+        (["cor9", "--grid-c", "1.5", "--grid-n", "1000"],
+         "--grid-c values must satisfy 0 < c < 1"),
+    ], ids=["cor2", "cor6", "cor3-4", "cor7", "cor9", "cor6-infeasible", "cor9-c"])
     def test_out_of_domain_grid_is_a_usage_error(self, argv, message):
         # exit code 1 is a FAIL verdict; a bad grid value is a bad invocation
         src = pathlib.Path(l1minimax.__file__).resolve().parents[1]

@@ -268,6 +268,10 @@ class TestBatchedCompressedLosses:
         estimator = empirical_estimator()
         assert np.array_equal(montecarlo._compressed_losses(keys, fam, estimator, n),
                               per_replicate_compressed_losses(keys, fam, estimator, n))
+        if mult < 2**53:  # a 2^53-cell block has no dense histogram to sample into
+            blocks = np.array([sample_multinomial(fam, n, derive_replicate_seed(21, r))
+                               .counts[:mult] for r in range(keys.size)])
+            assert np.array_equal(blocks, np.eye(mult, dtype=np.int64)[-1] * totals[:, None])
 
     def test_memory_stays_bounded(self):
         # One batch holds at most _CHUNK_DRAWS padded draws; holding every
@@ -349,10 +353,13 @@ class TestGoldenBits:
 
 
 class TestBinomialKernel:
-    """`_binomial_inverse` calls boost's quantile directly; the public
-    scipy.stats.binom.ppf (clipped and cast as the sampler did before) is
-    its oracle, bit for bit, so a scipy release that moves the private
-    kernel fails here before it moves any MC number."""
+    """`_binomial_inverse` against the public scipy.stats.binom.ppf (clipped
+    and cast as the sampler did before), bit for bit, so a scipy release
+    that moves the private kernel fails here before it moves any MC number.
+    The q = 1e-12 and 1 - 1e-12 rows are calls too small to walk (draws x
+    log1p(mean) < _MIN_WALK_WORK) and go to boost's quantile whole; only
+    the moderate-q rows reach the walk, which `TestBinomialWalk` forces on
+    at every q."""
 
     def test_matches_public_ppf(self):
         budgets = np.unique(np.concatenate(
@@ -416,7 +423,7 @@ class TestBinomialWalk:
     """The guarded walk of `_binomial_inverse` against boost's quantile, bit
     for bit, with the walk taken for every call and every moving draw."""
 
-    WALK_ALWAYS = {"_MIN_WALK_DRAWS": 1, "_MIN_WALK_WORK": 0.0, "_MIN_STEP_DRAWS": 1}
+    WALK_ALWAYS = {"_MIN_WALK_WORK": 0.0, "_MIN_STEP_DRAWS": 1}
 
     # offset 50: guesses 50 steps off and walks up to 120 steps long, so the
     # running error bound, not the guard alone, has to keep the bits
