@@ -290,10 +290,9 @@ def _verdicts_cor34(args, rows):
     ]
 
 
-def _trend(args, H: float, risk):
-    """The n grid, the max over c of risk(ball, c, n) at each n (ball: the entropy
-    ball at delta = cH / ln n), and the ratios ln(n) * max / H cor6/7/9 check."""
-    cs = args.grid_c or [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+def _trend(args, H: float, cs: list, risk):
+    """The n grid, the max over c in `cs` of risk(ball, c, n) at each n (ball: the
+    entropy ball at delta = cH / ln n), and the ratios ln(n) * max / H cor6/7/9 check."""
     ns = sorted(args.grid_n or [10**3, 10**4, 10**5, 10**6, 10**7])
 
     def ball(c, n):
@@ -310,7 +309,7 @@ def _ball_trend(args, H: float, est_name: str, eta: float):
     """`_trend` of the exact risk on the entropy-ball family at delta = cH / ln n."""
     def risk(ball, c, n):
         return estimator_risk_exact(ball.family, _build_estimator(est_name, n, eta), n)
-    return _trend(args, H, risk)
+    return _trend(args, H, args.grid_c or [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9], risk)
 
 
 def _verdicts_cor6(args, rows):
@@ -359,8 +358,8 @@ def _verdicts_cor7(args, rows):
 
 
 def _verdicts_cor9(args, rows):
-    # simplex_lower's domain; `_trend` supplies the default c grid
-    _grid(args, "c", [], lambda c: 0 < c < 1, "0 < c < 1")
+    cs = _grid(args, "c", [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9], lambda c: 0 < c < 1,
+               "0 < c < 1")
     k = 10**6
     verdicts = []
     for H in args.grid_H or [1.0]:
@@ -372,7 +371,7 @@ def _verdicts_cor9(args, rows):
             dominated.append(floor.vacuous or value >= floor.value * (1.0 - 1.0 / k))
             return value
 
-        ns, bests, ratios = _trend(args, H, oracle)
+        ns, bests, ratios = _trend(args, H, cs, oracle)
         for n, best in zip(ns, bests):
             rows.append(ReportRow(
                 params={"H": H, "n": n, "family": "entropy-ball", "estimator": "empirical"},

@@ -60,7 +60,7 @@ _WALK_STEPS = 8
 _MIN_STEP_DRAWS = 16
 # `rng.uniforms` never draws below this; smaller uniforms go to boost.
 _MIN_WALK_U = 2.0 ** -54
-# A call walks when draws * log1p(mean) reaches _MIN_WALK_WORK, the mean
+# A call walks when draws * log1p(mean) exceeds _MIN_WALK_WORK, the mean
 # being its largest budget times min(q, 1 - q).  Boost's search costs
 # about 0.25 us * log1p(mean) a draw; the walk ~100 us a call plus ~0.1 us
 # a draw.  Walking every call of a dense S = 50 vector at n = 25 with 250
@@ -115,20 +115,46 @@ def _binomial_guess(u: np.ndarray, budgets: np.ndarray, q: float) -> np.ndarray:
     return np.ceil(mean + sd * z + (1.0 - 2.0 * q) * (z * z - 1.0) / 6.0 - 0.5)
 
 
+def _anchors(budgets: np.ndarray, k: np.ndarray, q: float) -> tuple:
+    """Boost's CDF and pmf at each (budget, k).
+
+    When the box of (budget, k) pairs the draws span has no more cells than
+    there are draws, pairs repeat (as in a chain's first step, where every
+    budget is n) and boost is called once per distinct pair; otherwise once
+    per draw.
+    """
+    from scipy.special._ufuncs import _binom_cdf, _binom_pmf
+
+    bmin, kmin = int(budgets.min()), int(k.min())
+    width = int(k.max()) - kmin + 1
+    cells = (int(budgets.max()) - bmin + 1) * width
+    if cells > budgets.size:
+        return _binom_cdf(k, budgets, q), _binom_pmf(k, budgets, q)
+    cell = (budgets - bmin) * width + (k - kmin)
+    seen = np.zeros(cells, dtype=bool)
+    seen[cell] = True
+    pairs = np.flatnonzero(seen)
+    slot = np.cumsum(seen) - 1
+    bp, kp = np.divmod(pairs, width)
+    bp += bmin
+    kp += kmin
+    at = slot[cell]
+    return _binom_cdf(kp, bp, q)[at], _binom_pmf(kp, bp, q)[at]
+
+
 def _walk(u: np.ndarray, budgets: np.ndarray, q: float) -> tuple:
     """Draws for (u, budgets) by a guarded walk over boost's CDF steps.
 
     Returns the draws and a mask of those the walk left unresolved, whose
     values in the draws are placeholders.  Each draw starts at its guess k,
-    where boost's CDF and pmf at the draw's own (budget, k) give C(k) and
-    pmf(k), so C(k - 1) = C(k) - pmf(k), and moves one step at a time
-    towards the k with C(k - 1) < u <= C(k), each next pmf from the exact
-    ratio pmf(k + 1) / pmf(k) = (b - k) q / ((k + 1) (1 - q)).  `err`
-    bounds the absolute error of the running C(k - 1) and C(k): the
-    anchors' relative error, taken as _GUARD, and every rounding since.  A
-    draw resolves only when u clears both steps by _GUARD of C(k) plus
-    `err`, so that boost's own CDF, which its quantile search compares u
-    with, puts u on the same side of each.
+    where boost gives C(k) and pmf(k), so C(k - 1) = C(k) - pmf(k), and
+    moves one step at a time towards the k with C(k - 1) < u <= C(k), each
+    next pmf from the exact ratio pmf(k + 1) / pmf(k) =
+    (b - k) q / ((k + 1) (1 - q)).  `err` bounds the absolute error of the
+    running C(k - 1) and C(k): the anchors' relative error, taken as
+    _GUARD, and every rounding since.  A draw resolves only when u clears
+    both steps by _GUARD of C(k) plus `err`, so that boost's own CDF, which
+    its quantile search compares u with, puts u on the same side of each.
 
     Left unresolved, for boost: draws with u = 1, u below every uniform
     `rng.uniforms` draws, budget 0 or a non-finite guess; draws in a guard
@@ -136,8 +162,6 @@ def _walk(u: np.ndarray, budgets: np.ndarray, q: float) -> tuple:
     after _WALK_STEPS steps, or when fewer than _MIN_STEP_DRAWS move; and
     every draw of a call whose anchors overflow.
     """
-    from scipy.special._ufuncs import _binom_cdf, _binom_pmf
-
     unresolved = (u >= 1.0) | (u < _MIN_WALK_U) | (budgets <= 0)
     if unresolved.any():
         u = np.where(unresolved, 0.5, u)
@@ -150,7 +174,7 @@ def _walk(u: np.ndarray, budgets: np.ndarray, q: float) -> tuple:
     k = guess.clip(0, b).astype(np.int64)
     draws = k
     try:
-        hi, pmf = _binom_cdf(k, b, q), _binom_pmf(k, b, q)
+        hi, pmf = _anchors(b, k, q)
     except OverflowError:  # boost's pmf, for q below about 1e-303
         return draws, np.ones(u.shape, dtype=bool)
     lo = hi - pmf
@@ -196,14 +220,15 @@ def _binomial_inverse(u: np.ndarray, budgets: np.ndarray, q: float, tally=None) 
     Boost's quantile (`_binom_ppf`, the kernel that scipy.stats.binom.ppf
     dispatches to), clipped to [0, budget], defines every draw.  `_walk`
     finds most draws from boost's own CDF and pmf at each draw's (budget,
-    guess) anchor, and its guard makes them equal the quantile bit for bit.
-    The draws it leaves unresolved go to `_binom_ppf` draw by draw, not
-    call by call.  Calls too small for the walk's fixed cost to pay off
-    (_MIN_WALK_WORK) go to `_binom_ppf` whole.  `tally`, a Counter if
-    given, adds up the draws that were walked ("walked"), that the walk
-    left to boost ("fallback"), and that came in small calls ("small").
-    scipy is imported here, at the first draw, so importing this package
-    loads numpy only.
+    guess) anchor, evaluated once per distinct pair where pairs repeat, and
+    its guard makes them equal the quantile bit for bit.  The draws it
+    leaves unresolved go to `_binom_ppf` draw by draw, not call by call.
+    Calls too small for the walk's fixed cost to pay off (_MIN_WALK_WORK)
+    go to `_binom_ppf` whole.  `tally`, a Counter if given, adds up the
+    draws that were walked ("walked"), that the walk left to boost
+    ("fallback"), and that came in small calls ("small").  scipy is
+    imported here, at the first draw, so importing this package loads
+    numpy only.
     """
     if q <= 0.0:
         return np.zeros(budgets.shape, dtype=np.int64)
@@ -211,7 +236,7 @@ def _binomial_inverse(u: np.ndarray, budgets: np.ndarray, q: float, tally=None) 
         return budgets.copy()
     from scipy.special._ufuncs import _binom_ppf
 
-    if u.size * math.log1p(int(budgets.max(initial=0)) * min(q, 1.0 - q)) < _MIN_WALK_WORK:
+    if u.size * math.log1p(int(budgets.max(initial=0)) * min(q, 1.0 - q)) <= _MIN_WALK_WORK:
         if tally is not None:
             tally["small"] += u.size
         return _binom_ppf(u, budgets, q).clip(0, budgets).astype(np.int64)
@@ -257,21 +282,21 @@ def _conditional_chain(
 def _block_runs(keys: np.ndarray, starts: np.ndarray, totals: np.ndarray, mult: int) -> tuple:
     """Uniform allocation of each row's block draws over `mult` cells.
 
-    Row r allocates `totals[r]` draws from stream `keys[r]`, starting at
-    `starts[r]`; a draw u lands in cell min(floor(u * mult), mult - 1), held
-    exactly as a float.  Each row is sorted on its own, padded past its
-    draws to one column beyond the widest row with the sentinel cell
-    `mult`, which sorts last.  Returns the cell ids and counts of every
-    run, and per row the index of its first run and its number of occupied
-    cells: row r's cells, in ascending order, are the runs
-    `first[r]:first[r] + occupied[r]`, and its sentinel run follows them.
-    """
-    width = int(totals.max()) + 1
+    Row r allocates `totals[r]` draws from stream `keys[r]` at `starts[r]`;
+    a draw u lands in cell min(floor(u * mult), mult - 1), held exactly as
+    a float.  Rows are sorted on their own, shorter ones padded with the
+    sentinel `mult`, which sorts last.  Returns the sorted cells, each
+    run's flat start in them and its count, and per row its first run and
+    occupied cells: row r's cells ascend through runs first[r]:first[r] +
+    occupied[r]."""
+    width = int(totals.max())
     cells = uniforms(keys, starts, width)
     cells *= mult
     np.floor(cells, out=cells)
     np.minimum(cells, mult - 1, out=cells)
-    cells[np.arange(width) >= totals[:, None]] = mult
+    padded = totals < width
+    if padded.any():
+        cells[np.arange(width) >= totals[:, None]] = mult
     cells.sort(axis=1)
     run_start = np.empty(cells.shape, dtype=bool)
     run_start[:, 0] = True
@@ -282,7 +307,14 @@ def _block_runs(keys: np.ndarray, starts: np.ndarray, totals: np.ndarray, mult: 
     counts[-1] = cells.size - run[-1]
     # each row's runs start at the first run at or past its column 0
     first = np.searchsorted(run, np.arange(0, cells.size + 1, width))
-    return cells.ravel()[run], counts, first[:-1], first[1:] - first[:-1] - 1
+    return cells, run, counts, first[:-1], first[1:] - first[:-1] - padded
+
+
+def _block_cells(key: np.uint64, start: int, total: int, mult: int) -> tuple:
+    """One block's occupied cell ids, their counts, and the next stream position."""
+    cells, run, counts, _, _ = _block_runs(
+        np.array([key]), np.array([start]), np.array([total]), mult)
+    return cells.ravel()[run].astype(np.int64), counts, start + total
 
 
 def _check_block_mults(atoms) -> None:
@@ -313,10 +345,8 @@ def sample_multinomial(p: Distribution, n: int, seed: int) -> CountHistogram:
         if mult == 1:
             dense[offset] = total
         elif total > 0:
-            cells, counts, _, (occupied,) = _block_runs(
-                np.array([key]), np.array([pos]), np.array([total]), mult)
-            dense[offset + cells[:occupied].astype(np.int64)] = counts[:occupied]
-            pos += total
+            cells, counts, pos = _block_cells(key, pos, int(total), mult)
+            dense[offset + cells] = counts
         offset += mult
     return CountHistogram(dense, n)
 
@@ -335,14 +365,13 @@ def _block_losses(
     rows = keys.shape[0]
     occupied = np.zeros(rows, dtype=np.int64)
     sums = np.zeros(rows)
-    step = max(1, _CHUNK_DRAWS // (int(totals.max()) + 1))
+    step = max(1, _CHUNK_DRAWS // max(1, int(totals.max())))
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
         if not totals[lo:hi].any():
             continue
-        _, counts, first, occ = _block_runs(keys[lo:hi], starts[lo:hi], totals[lo:hi], mult)
-        # a sentinel run can be one longer than `loss`; no row sums it
-        run_loss = loss.take(counts, mode="clip")
+        _, _, counts, first, occ = _block_runs(keys[lo:hi], starts[lo:hi], totals[lo:hi], mult)
+        run_loss = loss[counts]
         occupied[lo:hi] = occ
         for r, a, k in zip(range(lo, hi), first.tolist(), occ.tolist()):
             sums[r] = run_loss[a:a + k].sum()

@@ -357,7 +357,7 @@ class TestBinomialKernel:
     and cast as the sampler did before), bit for bit, so a scipy release
     that moves the private kernel fails here before it moves any MC number.
     The q = 1e-12 and 1 - 1e-12 rows are calls too small to walk (draws x
-    log1p(mean) < _MIN_WALK_WORK) and go to boost's quantile whole; only
+    log1p(mean) <= _MIN_WALK_WORK) and go to boost's quantile whole; only
     the moderate-q rows reach the walk, which `TestBinomialWalk` forces on
     at every q."""
 
@@ -421,7 +421,8 @@ def _uniforms_on_cdf_steps(draw):
 
 class TestBinomialWalk:
     """The guarded walk of `_binomial_inverse` against boost's quantile, bit
-    for bit, with the walk taken for every call and every moving draw."""
+    for bit, with the walk taken for every call with a positive budget and
+    every moving draw."""
 
     WALK_ALWAYS = {"_MIN_WALK_WORK": 0.0, "_MIN_STEP_DRAWS": 1}
 
