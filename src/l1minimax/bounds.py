@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 __all__ = [
     "BoundValue",
@@ -19,6 +19,7 @@ __all__ = [
     "mle_upper_simple",
     "mle_upper_tight",
     "classical_constant",
+    "bayes_risk_two_point_piecewise",
     "minimax_lower_hd",
     "mle_entropy_upper",
     "mle_entropy_lower",
@@ -83,20 +84,24 @@ def classical_constant(S: int) -> float:
     return math.sqrt(2.0 * (S - 1) / math.pi)
 
 
+def bayes_risk_two_point_piecewise(S: int, n: float) -> float:
+    """Closed-form floor for the two-point Bayes risk at the tuned eta."""
+    if S < 2 or n < 1:
+        raise ValueError("need S >= 2 and n >= 1")
+    if n / S <= _E / 16.0:
+        return math.exp(-2.0 * n / S)
+    return 0.125 * math.sqrt(_E * S / n)
+
+
 def minimax_lower_hd(params: HighDimParams) -> BoundValue:
     """Non-asymptotic high-dimensional minimax lower bound.
 
-    Leading Bayes term switches branch at (1+zeta) n / S = e/16; two
-    penalty terms subtract the Poissonization and concentration losses.
-    May be negative (vacuous) at small S; returned as-is with the flag.
+    The two-point Bayes floor at (1+zeta) n, less two penalty terms for the
+    Poissonization and concentration losses.  May be negative (vacuous) at
+    small S; returned as-is with the flag.
     """
     S, n, zeta = params.S, params.n, params.zeta
-    ratio = (1.0 + zeta) * n / S
-    if ratio > _E / 16.0:
-        lead = 0.125 * math.sqrt(_E * S / ((1.0 + zeta) * n))
-    else:
-        lead = math.exp(-2.0 * ratio)
-    value = (lead
+    value = (bayes_risk_two_point_piecewise(S, (1.0 + zeta) * n)
              - math.exp(-zeta * zeta * n / 24.0)
              - 12.0 * math.exp(-zeta * zeta * S / (32.0 * math.log(S) ** 2)))
     return BoundValue(value, vacuous=value <= 0.0)
@@ -221,3 +226,34 @@ def hoeffding_bound(n: int, range_width: float, t: float) -> float:
     if n < 1 or range_width <= 0 or t <= 0:
         raise ValueError("n, range_width and t must be positive")
     return min(1.0, 2.0 * math.exp(-2.0 * t * t / (n * range_width * range_width)))
+
+
+class ReportedBound(NamedTuple):
+    """A bound the reports carry: its grid parameters in call order, whether
+    it returns a `BoundValue` (and so has a vacuous column), and its value."""
+
+    params: tuple
+    flagged: bool
+    evaluate: Callable
+
+
+# Every bound a report row carries, by column.  Entries call their function by
+# its module-level name, so a patched attribute (a profiler's wrapper) runs.
+REPORTED_BOUNDS = {
+    "classical_constant": ReportedBound(("S",), False, lambda S: classical_constant(S)),
+    "minimax_entropy_lower": ReportedBound(
+        ("H", "n", "c"), True, lambda H, n, c: minimax_entropy_lower(H, n, c)),
+    "minimax_lower_hd": ReportedBound(
+        ("S", "n", "zeta"), True,
+        lambda S, n, zeta: minimax_lower_hd(HighDimParams(S, n, zeta))),
+    "mle_entropy_lower": ReportedBound(
+        ("H", "n", "c"), False, lambda H, n, c: mle_entropy_lower(H, n, c)),
+    "mle_entropy_upper": ReportedBound(
+        ("H", "n", "eta"), True, lambda H, n, eta: mle_entropy_upper(H, n, eta)),
+    "mle_upper_simple": ReportedBound(("S", "n"), False, lambda S, n: mle_upper_simple(S, n)),
+    "mle_upper_tight": ReportedBound(("S", "n"), False, lambda S, n: mle_upper_tight(S, n)),
+    "simplex_lower": ReportedBound(
+        ("H", "n", "c"), True, lambda H, n, c: simplex_lower(H, n, c)),
+    "threshold_upper": ReportedBound(
+        ("H", "n", "eta"), True, lambda H, n, eta: threshold_upper(H, n, eta)),
+}

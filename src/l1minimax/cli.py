@@ -38,10 +38,6 @@ class UsageError(Exception):
     """Bad invocation or unreadable input; aborts the whole run."""
 
 
-class FamilyFileError(UsageError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # input handling
 
@@ -51,7 +47,7 @@ def load_family_file(path: str) -> CompressedFamily:
     try:
         fh = open(path, encoding="utf-8")
     except OSError as exc:
-        raise FamilyFileError(f"{path}: {exc.strerror}") from exc
+        raise UsageError(f"{path}: {exc.strerror}") from exc
     with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -59,20 +55,20 @@ def load_family_file(path: str) -> CompressedFamily:
                 continue
             parts = line.split()
             if len(parts) != 2:
-                raise FamilyFileError(
+                raise UsageError(
                     f"{path}:{lineno}: expected 'value multiplicity', got {line!r}")
             try:
                 value = float(parts[0])
                 mult = int(parts[1])
             except ValueError as exc:
-                raise FamilyFileError(f"{path}:{lineno}: {exc}") from exc
+                raise UsageError(f"{path}:{lineno}: {exc}") from exc
             atoms.append((value, mult))
     if not atoms:
-        raise FamilyFileError(f"{path}: no atoms found")
+        raise UsageError(f"{path}: no atoms found")
     try:
         return CompressedFamily(tuple(atoms))
     except ValueError as exc:
-        raise FamilyFileError(f"{path}: {exc}") from exc
+        raise UsageError(f"{path}: {exc}") from exc
 
 
 def _build_estimator(name: str, n: int, eta: Optional[float]) -> CoordinatewiseEstimator:
@@ -99,38 +95,21 @@ def _entropy_ball(H: float, c: float, n: int):
 # ---------------------------------------------------------------------------
 # bound evaluation per cell
 
-def _cell_bounds(H=None, S=None, c=None, eta=None, n=None, zeta=None):
-    """All bounds whose parameters are present and inside their domains."""
-    values: dict = {}
-    flags: dict = {}
-
-    def put(name, compute):
+def _cell_bounds(**grid):
+    """Every reported bound whose parameters are in `grid` and inside their domains."""
+    values, flags = {}, {}
+    for name, bound in bnd.REPORTED_BOUNDS.items():
+        args = [grid.get(param) for param in bound.params]
+        if any(arg is None for arg in args):
+            continue
         try:
-            result = compute()
+            result = bound.evaluate(*args)
         except ValueError:
-            return
-        if isinstance(result, bnd.BoundValue):
-            values[name] = result.value
-            flags[name] = result.vacuous
+            continue
+        if bound.flagged:
+            values[name], flags[name] = result.value, result.vacuous
         else:
             values[name] = result
-
-    if S is not None:
-        put("classical_constant", lambda: bnd.classical_constant(S))
-    if S is not None and n is not None:
-        put("mle_upper_simple", lambda: bnd.mle_upper_simple(S, n))
-        put("mle_upper_tight", lambda: bnd.mle_upper_tight(S, n))
-        if zeta is not None:
-            put("minimax_lower_hd",
-                lambda: bnd.minimax_lower_hd(bnd.HighDimParams(S, n, zeta)))
-    if H is not None and n is not None:
-        if c is not None:
-            put("mle_entropy_lower", lambda: bnd.mle_entropy_lower(H, n, c))
-            put("minimax_entropy_lower", lambda: bnd.minimax_entropy_lower(H, n, c))
-            put("simplex_lower", lambda: bnd.simplex_lower(H, n, c))
-        if eta is not None:
-            put("mle_entropy_upper", lambda: bnd.mle_entropy_upper(H, n, eta))
-            put("threshold_upper", lambda: bnd.threshold_upper(H, n, eta))
     return values, flags
 
 
@@ -160,7 +139,7 @@ def _fill_bounds(row) -> None:
 
 
 def cmd_bounds(args) -> int:
-    names = ("H", "S", "c", "eta", "n", "zeta")
+    names = tuple(_GRIDS)
     grids = [getattr(args, "grid_" + name) for name in names]
     if not any(grids):
         raise UsageError("bounds needs at least one --grid-* parameter")
@@ -213,8 +192,7 @@ def cmd_risk(args) -> int:
         row.exact_risk = estimator_risk_exact(fam, estimator, n)
         if with_mc:
             row.mc_within_ci = bool(est.ci_lo <= row.exact_risk <= est.ci_hi)
-        row.bounds, row.vacuous = _cell_bounds(
-            H=params.get("H"), S=params.get("S"), c=params.get("c"), eta=eta, n=n)
+        row.bounds, row.vacuous = _cell_bounds(**params)
 
     estimators = args.estimator or ["empirical"]
     etas = args.grid_eta or [DEFAULT_ETA if "threshold" in estimators else None]
@@ -229,9 +207,9 @@ def cmd_risk(args) -> int:
 # ---------------------------------------------------------------------------
 # scripted trend sweeps
 
-def _grid(args, flag: str, default: list, ok, domain: str) -> list:
+def _grid(args, flag: str, ok, domain: str) -> list:
     """A sweep's --grid-<flag> values; one outside `domain` is a usage error."""
-    values = getattr(args, "grid_" + flag) or default
+    values = getattr(args, "grid_" + flag)
     if not all(map(ok, values)):
         raise UsageError(f"{args.target}: --grid-{flag} values must satisfy {domain}")
     return values
@@ -242,8 +220,8 @@ def _exact_uniform_mle_risk(S: int, n: int) -> float:
 
 
 def _verdicts_cor2(args, rows):
-    S_values = _grid(args, "S", [2], lambda S: S >= 2, "S >= 2")
-    ns = sorted(_grid(args, "n", [100, 1_000, 10_000], lambda n: n >= 1, "n >= 1"))
+    S_values = _grid(args, "S", lambda S: S >= 2, "S >= 2")
+    ns = sorted(_grid(args, "n", lambda n: n >= 1, "n >= 1"))
     verdicts = []
     for S in S_values:
         target = bnd.classical_constant(S)
@@ -253,11 +231,7 @@ def _verdicts_cor2(args, rows):
             gaps.append(abs(math.sqrt(n) * risk - target))
             rows.append(ReportRow(
                 params={"S": S, "n": n, "family": "uniform", "estimator": "empirical"},
-                exact_risk=risk,
-                bounds={"classical_constant": target,
-                        "mle_upper_simple": bnd.mle_upper_simple(S, n),
-                        "mle_upper_tight": bnd.mle_upper_tight(S, n)},
-                seed=args.seed))
+                exact_risk=risk, bounds=_cell_bounds(S=S, n=n)[0], seed=args.seed))
         verdicts.append((gaps[-1] <= 0.01,
                          f"S={S}: final |sqrt(n) risk - constant| = {gaps[-1]:.3e} <= 0.01"))
         decreasing = all(a > b for a, b in zip(gaps, gaps[1:]))
@@ -266,8 +240,8 @@ def _verdicts_cor2(args, rows):
 
 
 def _verdicts_cor34(args, rows):
-    cs = _grid(args, "c", [1.0, 2.0, 4.0, 8.0], lambda c: c > 0, "c > 0")
-    ns = sorted(_grid(args, "n", [1_000, 10_000], lambda n: n >= 1, "n >= 1"))
+    cs = _grid(args, "c", lambda c: c > 0, "c > 0")
+    ns = sorted(_grid(args, "n", lambda n: n >= 1, "n >= 1"))
     floor_constant = math.sqrt(_E) / 8.0
     upper_ok, lower_ok = True, True
     for c, n in itertools.product(cs, ns):
@@ -293,7 +267,7 @@ def _verdicts_cor34(args, rows):
 def _trend(args, H: float, cs: list, risk):
     """The n grid, the max over c in `cs` of risk(ball, c, n) at each n (ball: the
     entropy ball at delta = cH / ln n), and the ratios ln(n) * max / H cor6/7/9 check."""
-    ns = sorted(args.grid_n or [10**3, 10**4, 10**5, 10**6, 10**7])
+    ns = sorted(args.grid_n)
 
     def ball(c, n):
         try:
@@ -305,22 +279,21 @@ def _trend(args, H: float, cs: list, risk):
     return ns, bests, [math.log(n) * best / H for n, best in zip(ns, bests)]
 
 
-def _ball_trend(args, H: float, est_name: str, eta: float):
+def _ball_trend(args, H: float, est_name: str, eta: Optional[float] = None):
     """`_trend` of the exact risk on the entropy-ball family at delta = cH / ln n."""
     def risk(ball, c, n):
         return estimator_risk_exact(ball.family, _build_estimator(est_name, n, eta), n)
-    return _trend(args, H, args.grid_c or [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9], risk)
+    return _trend(args, H, args.grid_c, risk)
 
 
 def _verdicts_cor6(args, rows):
-    eta = (args.grid_eta or [1.1])[0]
     verdicts = []
-    for H in args.grid_H or [1.0]:
-        ns, _, ratios = _ball_trend(args, H, "empirical", eta)
-        for n, ratio in zip(ns, ratios):
+    for H in args.grid_H:
+        ns, bests, ratios = _ball_trend(args, H, "empirical")
+        for n, best in zip(ns, bests):
             rows.append(ReportRow(
                 params={"H": H, "n": n, "family": "entropy-ball", "estimator": "empirical"},
-                exact_risk=ratio * H / math.log(n), seed=args.seed))
+                exact_risk=best, seed=args.seed))
         increasing = all(a < b for a, b in zip(ratios, ratios[1:]))
         verdicts.append((increasing,
                          f"H={H}: ln(n) * max-c MLE risk / H increases over n={ns}"))
@@ -330,21 +303,23 @@ def _verdicts_cor6(args, rows):
 
 
 def _verdicts_cor7(args, rows):
-    eta = _grid(args, "eta", [1.1], lambda eta: eta > 1, "eta > 1")[0]
+    eta, *more = _grid(args, "eta", lambda eta: eta > 1, "eta > 1")
+    if more:
+        raise UsageError(f"{args.target}: --grid-eta takes one value")
     verdicts = []
-    for H in args.grid_H or [1.0]:
-        ns, _, mle_ratios = _ball_trend(args, H, "empirical", eta)
-        _, _, thr_ratios = _ball_trend(args, H, "threshold", eta)
+    for H in args.grid_H:
+        ns, _, mle_ratios = _ball_trend(args, H, "empirical")
+        _, thr_bests, thr_ratios = _ball_trend(args, H, "threshold", eta)
         below = True
         compared = []
-        for n, mle_r, thr_r in zip(ns, mle_ratios, thr_ratios):
+        for n, mle_r, thr_best, thr_r in zip(ns, mle_ratios, thr_bests, thr_ratios):
             upper = bnd.threshold_upper(H, n, eta)
             both_valid = (not upper.vacuous
                           and not bnd.mle_entropy_upper(H, n, eta).vacuous)
             rows.append(ReportRow(
                 params={"H": H, "eta": eta, "n": n, "family": "entropy-ball",
                         "estimator": "threshold"},
-                exact_risk=thr_r * H / math.log(n),
+                exact_risk=thr_best,
                 bounds={"threshold_upper": upper.value},
                 vacuous={"threshold_upper": upper.vacuous},
                 seed=args.seed))
@@ -358,11 +333,10 @@ def _verdicts_cor7(args, rows):
 
 
 def _verdicts_cor9(args, rows):
-    cs = _grid(args, "c", [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9], lambda c: 0 < c < 1,
-               "0 < c < 1")
+    cs = _grid(args, "c", lambda c: 0 < c < 1, "0 < c < 1")
     k = 10**6
     verdicts = []
-    for H in args.grid_H or [1.0]:
+    for H in args.grid_H:
         dominated = []
 
         def oracle(ball, c, n, H=H, dominated=dominated):
@@ -386,18 +360,27 @@ def _verdicts_cor9(args, rows):
     return verdicts
 
 
+_BALL_C = [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+_BALL_N = [10**3, 10**4, 10**5, 10**6, 10**7]
+
+# target: (verdicts, help, the grids it reads with their defaults)
 _REPRODUCE_TARGETS = {
-    "cor2": _verdicts_cor2,
-    "cor3-4": _verdicts_cor34,
-    "cor6": _verdicts_cor6,
-    "cor7": _verdicts_cor7,
-    "cor9": _verdicts_cor9,
+    "cor2": (_verdicts_cor2, "sqrt(n) * uniform MLE risk -> sqrt(2(S-1)/pi)",
+             {"S": [2], "n": [100, 1_000, 10_000]}),
+    "cor3-4": (_verdicts_cor34, "linear scaling n = cS: MLE risk and two-point oracle",
+               {"c": [1.0, 2.0, 4.0, 8.0], "n": [1_000, 10_000]}),
+    "cor6": (_verdicts_cor6, "entropy ball: ln(n) * max MLE risk / H rises past 1",
+             {"H": [1.0], "c": _BALL_C, "n": _BALL_N}),
+    "cor7": (_verdicts_cor7, "entropy ball: thresholding below the MLE",
+             {"H": [1.0], "c": _BALL_C, "n": _BALL_N, "eta": [1.1]}),
+    "cor9": (_verdicts_cor9, "entropy ball: simplex-constrained oracle rises past 1",
+             {"H": [1.0], "c": _BALL_C, "n": _BALL_N}),
 }
 
 
 def cmd_reproduce(args) -> int:
     rows: list = []
-    verdicts = _REPRODUCE_TARGETS[args.target](args, rows)
+    verdicts = _REPRODUCE_TARGETS[args.target][0](args, rows)
     if args.out is not None:
         write_report(rows, args.format, args.out)
     failed = False
@@ -409,51 +392,63 @@ def cmd_reproduce(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+# flag: (type, help) of every --grid-<flag>, in the order `bounds` crosses them
+_GRIDS = {
+    "H": (float, "entropy budget values (nats)"),
+    "S": (int, "support sizes"),
+    "c": (float, "constants c (entropy ball: delta = cH / ln n; cor3-4: n / S)"),
+    "eta": (float, "threshold exponents (> 1)"),
+    "n": (int, "sample sizes"),
+    "zeta": (float, "high-dimensional slack values in (0, 1]"),
+}
+
+
+def _add_grids(parser, defaults: dict) -> None:
+    for name, default in defaults.items():
+        kind, text = _GRIDS[name]
+        parser.add_argument("--grid-" + name, dest="grid_" + name, type=kind, nargs="+",
+                            default=default,
+                            help=text if default is None else text + " (default: %(default)s)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--grid-H", dest="grid_H", type=float, nargs="+",
-                        help="entropy budget values (nats)")
-    common.add_argument("--grid-n", dest="grid_n", type=int, nargs="+",
-                        help="sample sizes")
-    common.add_argument("--grid-S", dest="grid_S", type=int, nargs="+",
-                        help="support sizes")
-    common.add_argument("--grid-c", dest="grid_c", type=float, nargs="+",
-                        help="lower-bound tuning constants in (0, 1)")
-    common.add_argument("--grid-zeta", dest="grid_zeta", type=float, nargs="+",
-                        help="high-dimensional slack values in (0, 1]")
-    common.add_argument("--grid-eta", dest="grid_eta", type=float, nargs="+",
-                        help="threshold exponents (> 1)")
-    common.add_argument("--estimator", action="append",
-                        choices=["empirical", "threshold"],
-                        help="estimator(s) to evaluate; repeatable")
-    common.add_argument("--family", default=None,
-                        help="uniform | entropy-ball | file:PATH")
     common.add_argument("--seed", type=int, default=0, help="master seed")
-    common.add_argument("--replicates", type=int, default=10_000,
-                        help="Monte-Carlo replicates per cell")
     common.add_argument("--format", choices=["csv", "json"], default="csv")
     common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--timing", action="store_true",
-                        help="record wall-clock per cell (breaks byte-identical reruns)")
     common.add_argument("-v", "--verbose", action="store_true",
                         help="log diagnostics (entropy-ball rounding, degenerate "
                              "threshold) to stderr; reports are unchanged")
+    timed = argparse.ArgumentParser(add_help=False)
+    timed.add_argument("--timing", action="store_true",
+                       help="record wall-clock per cell (breaks byte-identical reruns)")
+    cells = argparse.ArgumentParser(add_help=False)
+    cells.add_argument("--estimator", action="append", choices=["empirical", "threshold"],
+                       help="estimator(s) to evaluate; repeatable")
+    cells.add_argument("--family", default=None,
+                       help="uniform | entropy-ball | file:PATH")
+    _add_grids(cells, dict.fromkeys(["H", "S", "c", "eta", "n"]))
 
     parser = argparse.ArgumentParser(
         prog="l1minimax",
         description="Estimators, exact risks and minimax bounds for discrete "
                     "distribution estimation under l1 loss.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("bounds", parents=[common],
-                   help="evaluate closed-form bounds on a parameter grid")
-    sub.add_parser("exact-risk", parents=[common],
+    bounds = sub.add_parser("bounds", parents=[common, timed],
+                            help="evaluate closed-form bounds on a parameter grid")
+    _add_grids(bounds, dict.fromkeys(_GRIDS))
+    sub.add_parser("exact-risk", parents=[common, timed, cells],
                    help="exact estimator risk on named families")
-    sub.add_parser("mc", parents=[common],
-                   help="Monte-Carlo risk with exact cross-check")
-    repro = sub.add_parser("reproduce", parents=[common],
-                           help="scripted trend sweeps with PASS/FAIL verdicts")
-    repro.add_argument("target", choices=sorted(_REPRODUCE_TARGETS),
-                       help="which scripted sweep to run")
+    mc = sub.add_parser("mc", parents=[common, timed, cells],
+                        help="Monte-Carlo risk with exact cross-check")
+    mc.add_argument("--replicates", type=int, default=10_000,
+                    help="Monte-Carlo replicates per cell")
+    repro = sub.add_parser("reproduce", help="scripted trend sweeps with PASS/FAIL verdicts")
+    targets = repro.add_subparsers(dest="target", required=True, metavar="target",
+                                   help="which scripted sweep to run; options follow it")
+    for name, (_, text, grids) in _REPRODUCE_TARGETS.items():
+        _add_grids(targets.add_parser(name, parents=[common], help=text, description=text),
+                   grids)
     return parser
 
 

@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import BoundValue, HighDimParams, hoeffding_bound
+from .bounds import (BoundValue, HighDimParams, bayes_risk_two_point_piecewise,
+                     hoeffding_bound)
 from .core import CompressedFamily, ProbabilityVector
 from .exact import PoissonPair, poisson_tv_exact
 from .rng import stream_key, uniforms
@@ -135,15 +136,6 @@ def bayes_risk_two_point(prior: TwoPointPrior) -> float:
     S, n, eta = prior.S, prior.n, prior.eta_prior
     tv = poisson_tv_exact(PoissonPair(n * (1.0 - eta) / S, n * (1.0 + eta) / S))
     return eta * (1.0 - tv)
-
-
-def bayes_risk_two_point_piecewise(S: int, n: float) -> float:
-    """Closed-form floor for the two-point Bayes risk at the tuned eta."""
-    if S < 2 or n < 1:
-        raise ValueError("need S >= 2 and n >= 1")
-    if n / S <= _E / 16.0:
-        return math.exp(-2.0 * n / S)
-    return 0.125 * math.sqrt(_E * S / n)
 
 
 def assembled_minimax_lower_hd(params: HighDimParams) -> BoundValue:

@@ -15,35 +15,21 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .bounds import REPORTED_BOUNDS
+
 PARAM_COLUMNS = ["H", "S", "c", "estimator", "eta", "family", "n", "zeta"]
 
 RESULT_COLUMNS = ["exact_risk", "mc_mean", "mc_ci_lo", "mc_ci_hi", "mc_within_ci"]
 
-BOUND_COLUMNS = [
-    "classical_constant",
-    "minimax_entropy_lower",
-    "minimax_lower_hd",
-    "mle_entropy_lower",
-    "mle_entropy_upper",
-    "mle_upper_simple",
-    "mle_upper_tight",
-    "simplex_lower",
-    "threshold_upper",
-]
+BOUND_COLUMNS = sorted(REPORTED_BOUNDS)
 
-FLAGGED_BOUNDS = [
-    "minimax_entropy_lower",
-    "minimax_lower_hd",
-    "mle_entropy_upper",
-    "simplex_lower",
-    "threshold_upper",
-]
+FLAGGED_BOUNDS = [name for name in BOUND_COLUMNS if REPORTED_BOUNDS[name].flagged]
 
 VACUOUS_COLUMNS = [name + "_vacuous" for name in FLAGGED_BOUNDS]
 
-COLUMNS = PARAM_COLUMNS + RESULT_COLUMNS + BOUND_COLUMNS + VACUOUS_COLUMNS + [
-    "error", "seed", "runtime_ms",
-]
+META_COLUMNS = ["error", "seed", "runtime_ms"]
+
+COLUMNS = PARAM_COLUMNS + RESULT_COLUMNS + BOUND_COLUMNS + VACUOUS_COLUMNS + META_COLUMNS
 
 
 @dataclass
@@ -63,21 +49,11 @@ class ReportRow:
     runtime_ms: Optional[float] = None
 
     def record(self) -> dict:
-        rec = {}
-        for name in PARAM_COLUMNS:
-            rec[name] = self.params.get(name)
-        rec["exact_risk"] = self.exact_risk
-        rec["mc_mean"] = self.mc_mean
-        rec["mc_ci_lo"] = self.mc_ci_lo
-        rec["mc_ci_hi"] = self.mc_ci_hi
-        rec["mc_within_ci"] = self.mc_within_ci
-        for name in BOUND_COLUMNS:
-            rec[name] = self.bounds.get(name)
-        for name, col in zip(FLAGGED_BOUNDS, VACUOUS_COLUMNS):
-            rec[col] = self.vacuous.get(name)
-        rec["error"] = self.error
-        rec["seed"] = self.seed
-        rec["runtime_ms"] = self.runtime_ms
+        rec = {name: self.params.get(name) for name in PARAM_COLUMNS}
+        rec.update((name, getattr(self, name)) for name in RESULT_COLUMNS)
+        rec.update((name, self.bounds.get(name)) for name in BOUND_COLUMNS)
+        rec.update(zip(VACUOUS_COLUMNS, map(self.vacuous.get, FLAGGED_BOUNDS)))
+        rec.update((name, getattr(self, name)) for name in META_COLUMNS)
         return rec
 
 

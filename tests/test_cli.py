@@ -118,8 +118,9 @@ class TestExactRiskCommand:
     @pytest.mark.parametrize("command", ["exact-risk", "mc"])
     def test_entropy_ball_at_n_one_is_a_cell_error(self, tmp_path, command):
         # delta = c H / ln n has no value at n = 1
+        replicates = ["--replicates", "200"] if command == "mc" else []
         code, out = run(tmp_path, command, "--family", "entropy-ball", "--grid-H", "1",
-                        "--grid-c", "0.5", "--grid-n", "1", "1000", "--replicates", "200")
+                        "--grid-c", "0.5", "--grid-n", "1", "1000", *replicates)
         assert code == 0
         _, rows = parse_csv(out)
         assert rows[0]["error"] == "entropy-ball needs n >= 2"
@@ -221,7 +222,10 @@ class TestReproduceCommand:
         # the simplex floor cor9 checks against is defined for c in (0, 1) only
         (["cor9", "--grid-c", "1.5", "--grid-n", "1000"],
          "--grid-c values must satisfy 0 < c < 1"),
-    ], ids=["cor2", "cor6", "cor3-4", "cor7", "cor9", "cor6-infeasible", "cor9-c"])
+        # cor7 compares both estimators at one threshold exponent
+        (["cor7", "--grid-eta", "1.1", "1.5"], "--grid-eta takes one value"),
+    ], ids=["cor2", "cor6", "cor3-4", "cor7", "cor9", "cor6-infeasible", "cor9-c",
+            "cor7-eta"])
     def test_out_of_domain_grid_is_a_usage_error(self, argv, message):
         # exit code 1 is a FAIL verdict; a bad grid value is a bad invocation
         src = pathlib.Path(l1minimax.__file__).resolve().parents[1]
@@ -255,6 +259,26 @@ class TestReproduceCommand:
         cols, rows = parse_csv(out)
         assert cols == COLUMNS
         assert len(rows) == 2
+
+
+class TestUnreadFlags:
+    """Each command accepts only the flags it reads."""
+
+    @pytest.mark.parametrize("argv, unread", [
+        (["bounds", "--grid-S", "10", "--grid-n", "100"], ["--replicates", "5"]),
+        (["exact-risk", "--grid-S", "2", "--grid-n", "10"], ["--grid-zeta", "0.5"]),
+        (["mc", "--grid-S", "2", "--grid-n", "10", "--replicates", "200"],
+         ["--grid-zeta", "0.5"]),
+        (["reproduce", "cor2", "--grid-n", "100"], ["--grid-H", "1"]),
+        (["reproduce", "cor6", "--grid-n", "1000"], ["--timing"]),
+    ], ids=["bounds-replicates", "exact-risk-zeta", "mc-zeta", "cor2-H", "cor6-timing"])
+    def test_unread_flag_is_a_usage_error(self, capsys, argv, unread):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + unread)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: " + " ".join(unread) in captured.err
 
 
 class TestVerbose:
