@@ -92,29 +92,56 @@ def _entropy_ball(H: float, c: float, n: int):
     return entropy_ball_family(H, c * H / math.log(n))
 
 
-# ---------------------------------------------------------------------------
-# bound evaluation per cell
+def _file_family(path: str):
+    family = load_family_file(path)
+    return lambda n: family
 
-def _cell_bounds(**grid):
-    """Every reported bound whose parameters are in `grid` and inside their domains."""
-    values, flags = {}, {}
+
+# --family name: (the grids it reads, its source).  The source is called once
+# with the text after the name's colon (the PATH of file:PATH) and returns
+# the family's distribution at a grid point.
+_FAMILIES = {
+    "uniform": (("S", "n"), lambda _: lambda S, n: _uniform_family(S)),
+    "entropy-ball": (("H", "c", "n"),
+                     lambda _: lambda H, c, n: _entropy_ball(H, c, n).family),
+    "file:PATH": (("n",), _file_family),
+}
+
+
+# ---------------------------------------------------------------------------
+# grid points and the bounds at each
+
+def _grid_points(args, names) -> list:
+    """One {name: value} dict per point of the product of the --grid-<name> lists."""
+    grids = [getattr(args, "grid_" + name) for name in names]
+    return [dict(zip(names, point)) for point in itertools.product(*grids)]
+
+
+def _cell_bounds(**grid) -> dict:
+    """Every reported bound whose parameters are in `grid` and inside their
+    domains, as its function returns it."""
+    values = {}
     for name, bound in bnd.REPORTED_BOUNDS.items():
         args = [grid.get(param) for param in bound.params]
         if any(arg is None for arg in args):
             continue
         try:
-            result = bound.evaluate(*args)
+            values[name] = bound.evaluate(*args)
         except ValueError:
             continue
-        if bound.flagged:
-            values[name], flags[name] = result.value, result.vacuous
-        else:
-            values[name] = result
-    return values, flags
+    return values
 
 
 # ---------------------------------------------------------------------------
 # subcommands
+
+def _write_report(rows, args) -> None:
+    """Write `rows` as --format to --out; an unwritable --out is a usage error."""
+    try:
+        write_report(rows, args.format, args.out)
+    except OSError as exc:
+        raise UsageError(f"{args.out}: {exc.strerror}") from exc
+
 
 def _evaluate(cells, args) -> int:
     """One report row per (params, fill) cell; a cell whose fill raises keeps
@@ -130,49 +157,41 @@ def _evaluate(cells, args) -> int:
         if args.timing:
             row.runtime_ms = (time.perf_counter() - started) * 1e3
         rows.append(row)
-    write_report(rows, args.format, args.out)
+    _write_report(rows, args)
     return 0
 
 
 def _fill_bounds(row) -> None:
-    row.bounds, row.vacuous = _cell_bounds(**row.params)
+    row.bounds = _cell_bounds(**row.params)
 
 
 def cmd_bounds(args) -> int:
-    names = tuple(_GRIDS)
-    grids = [getattr(args, "grid_" + name) for name in names]
-    if not any(grids):
+    names = [name for name in _GRIDS if getattr(args, "grid_" + name)]
+    if not names:
         raise UsageError("bounds needs at least one --grid-* parameter")
-    cells = itertools.product(*(grid or [None] for grid in grids))
-    return _evaluate(((dict(zip(names, cell)), _fill_bounds) for cell in cells), args)
+    return _evaluate([(point, _fill_bounds) for point in _grid_points(args, names)], args)
 
 
 def _family_cells(args):
-    """Cells (params dict, family builder) for the requested family kind."""
-    family = args.family or "uniform"
-    if not args.grid_n:
-        raise UsageError("--grid-n is required")
-    cells = []
-    if family == "uniform":
-        if not args.grid_S:
-            raise UsageError("--family uniform requires --grid-S")
-        for S, n in itertools.product(args.grid_S, args.grid_n):
-            cells.append(({"S": S, "n": n, "family": family},
-                          lambda S=S: _uniform_family(S)))
-    elif family == "entropy-ball":
-        if not (args.grid_H and args.grid_c):
-            raise UsageError("--family entropy-ball requires --grid-H and --grid-c")
-        for H, c, n in itertools.product(args.grid_H, args.grid_c, args.grid_n):
-            cells.append(({"H": H, "c": c, "n": n, "family": family},
-                          lambda H=H, c=c, n=n: _entropy_ball(H, c, n).family))
-    elif family.startswith("file:"):
-        fam = load_family_file(family[len("file:"):])
-        for n in args.grid_n:
-            cells.append(({"n": n, "family": family}, lambda fam=fam: fam))
-    else:
-        raise UsageError(f"unknown family {family!r} "
-                         "(expected uniform, entropy-ball or file:PATH)")
-    return cells
+    """The grids --family reads, and its cells (params dict, family builder)."""
+    family = args.family
+    name, colon, arg = family.partition(":")
+    entry = _FAMILIES.get(name + ":PATH" if colon else name)
+    if entry is None:
+        raise UsageError(f"unknown family {family!r} (expected {' | '.join(_FAMILIES)})")
+    grids, source = entry
+    others = {g for other, _ in _FAMILIES.values() for g in other} - set(grids)
+    unread = [g for g in sorted(others) if getattr(args, "grid_" + g)]
+    if unread:
+        raise UsageError(f"--family {family} does not read "
+                         + " and ".join("--grid-" + g for g in unread))
+    missing = [g for g in grids if not getattr(args, "grid_" + g)]
+    if missing:
+        raise UsageError(f"--family {family} requires "
+                         + " and ".join("--grid-" + g for g in missing))
+    at = source(arg)
+    return grids, [({**point, "family": family}, functools.partial(at, **point))
+                   for point in _grid_points(args, grids)]
 
 
 def cmd_risk(args) -> int:
@@ -192,15 +211,24 @@ def cmd_risk(args) -> int:
         row.exact_risk = estimator_risk_exact(fam, estimator, n)
         if with_mc:
             row.mc_within_ci = bool(est.ci_lo <= row.exact_risk <= est.ci_hi)
-        row.bounds, row.vacuous = _cell_bounds(**params)
+        row.bounds = _cell_bounds(**params)
 
     estimators = args.estimator or ["empirical"]
+    grids, family_cells = _family_cells(args)
+    # eta is read by the threshold estimator, and by the bounds whose other
+    # parameters the family's grids supply (those that need H)
+    bounds_read_eta = any("eta" in bound.params and set(bound.params) <= {"eta", *grids}
+                          for bound in bnd.REPORTED_BOUNDS.values())
+    if args.grid_eta and not (bounds_read_eta or "threshold" in estimators):
+        raise UsageError(f"--family {args.family} does not read --grid-eta "
+                         "without --estimator threshold")
     etas = args.grid_eta or [DEFAULT_ETA if "threshold" in estimators else None]
     cells = []
-    for (params, build_family), est_name, eta in itertools.product(
-            _family_cells(args), estimators, etas):
-        cells.append(({**params, "estimator": est_name, "eta": eta},
-                      functools.partial(fill, build_family=build_family, index=len(cells))))
+    for (params, build_family), est_name in itertools.product(family_cells, estimators):
+        for eta in etas if bounds_read_eta or est_name == "threshold" else [None]:
+            cells.append(({**params, "estimator": est_name, "eta": eta},
+                          functools.partial(fill, build_family=build_family,
+                                            index=len(cells))))
     return _evaluate(cells, args)
 
 
@@ -231,7 +259,7 @@ def _verdicts_cor2(args, rows):
             gaps.append(abs(math.sqrt(n) * risk - target))
             rows.append(ReportRow(
                 params={"S": S, "n": n, "family": "uniform", "estimator": "empirical"},
-                exact_risk=risk, bounds=_cell_bounds(S=S, n=n)[0], seed=args.seed))
+                exact_risk=risk, bounds=_cell_bounds(S=S, n=n), seed=args.seed))
         verdicts.append((gaps[-1] <= 0.01,
                          f"S={S}: final |sqrt(n) risk - constant| = {gaps[-1]:.3e} <= 0.01"))
         decreasing = all(a > b for a, b in zip(gaps, gaps[1:]))
@@ -320,8 +348,7 @@ def _verdicts_cor7(args, rows):
                 params={"H": H, "eta": eta, "n": n, "family": "entropy-ball",
                         "estimator": "threshold"},
                 exact_risk=thr_best,
-                bounds={"threshold_upper": upper.value},
-                vacuous={"threshold_upper": upper.vacuous},
+                bounds={"threshold_upper": upper},
                 seed=args.seed))
             if both_valid:
                 compared.append(n)
@@ -382,7 +409,7 @@ def cmd_reproduce(args) -> int:
     rows: list = []
     verdicts = _REPRODUCE_TARGETS[args.target][0](args, rows)
     if args.out is not None:
-        write_report(rows, args.format, args.out)
+        _write_report(rows, args)
     failed = False
     for ok, description in verdicts:
         print(("PASS" if ok else "FAIL") + f" [{args.target}] {description}")
@@ -425,8 +452,11 @@ def build_parser() -> argparse.ArgumentParser:
     cells = argparse.ArgumentParser(add_help=False)
     cells.add_argument("--estimator", action="append", choices=["empirical", "threshold"],
                        help="estimator(s) to evaluate; repeatable")
-    cells.add_argument("--family", default=None,
-                       help="uniform | entropy-ball | file:PATH")
+    cells.add_argument("--family", default="uniform",
+                       help="family, with the grids it reads: " + "; ".join(
+                           f"{name} ({', '.join(grids)})"
+                           for name, (grids, _) in _FAMILIES.items())
+                       + " (default: %(default)s)")
     _add_grids(cells, dict.fromkeys(["H", "S", "c", "eta", "n"]))
 
     parser = argparse.ArgumentParser(

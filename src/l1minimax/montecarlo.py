@@ -263,9 +263,6 @@ def _conditional_chain(
     count = len(masses)
     rows = keys.shape[0]
     out = np.zeros((rows, count), dtype=np.int64)
-    if count == 1:
-        out[:, 0] = n
-        return out
     draws = uniforms(keys, 0, count - 1)
     remaining = np.full(rows, n, dtype=np.int64)
     mass_left = 1.0

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .bounds import REPORTED_BOUNDS
+from .bounds import REPORTED_BOUNDS, BoundValue
 
 PARAM_COLUMNS = ["H", "S", "c", "estimator", "eta", "family", "n", "zeta"]
 
@@ -34,7 +34,10 @@ COLUMNS = PARAM_COLUMNS + RESULT_COLUMNS + BOUND_COLUMNS + VACUOUS_COLUMNS + MET
 
 @dataclass
 class ReportRow:
-    """One experiment cell: its parameters, results, bounds and metadata."""
+    """One experiment cell: its parameters, results, bounds and metadata.
+
+    `bounds` holds each bound as its function returns it; a `BoundValue`
+    fills both its value column and its vacuous column."""
 
     params: dict = field(default_factory=dict)
     exact_risk: Optional[float] = None
@@ -43,7 +46,6 @@ class ReportRow:
     mc_ci_hi: Optional[float] = None
     mc_within_ci: Optional[bool] = None
     bounds: dict = field(default_factory=dict)
-    vacuous: dict = field(default_factory=dict)
     error: Optional[str] = None
     seed: Optional[int] = None
     runtime_ms: Optional[float] = None
@@ -51,8 +53,11 @@ class ReportRow:
     def record(self) -> dict:
         rec = {name: self.params.get(name) for name in PARAM_COLUMNS}
         rec.update((name, getattr(self, name)) for name in RESULT_COLUMNS)
-        rec.update((name, self.bounds.get(name)) for name in BOUND_COLUMNS)
-        rec.update(zip(VACUOUS_COLUMNS, map(self.vacuous.get, FLAGGED_BOUNDS)))
+        for name in BOUND_COLUMNS:
+            bound = self.bounds.get(name)
+            rec[name] = bound.value if isinstance(bound, BoundValue) else bound
+        for name, column in zip(FLAGGED_BOUNDS, VACUOUS_COLUMNS):
+            rec[column] = getattr(self.bounds.get(name), "vacuous", None)
         rec.update((name, getattr(self, name)) for name in META_COLUMNS)
         return rec
 

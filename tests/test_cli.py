@@ -1,5 +1,7 @@
 import csv
+import errno
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -281,6 +283,59 @@ class TestUnreadFlags:
         assert "unrecognized arguments: " + " ".join(unread) in captured.err
 
 
+class TestFamilyGrids:
+    """--family reads only its own grids, and --grid-eta only where a cell reads it."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--family", "entropy-ball", "--grid-S", "5", "7", "--grid-H", "1",
+          "--grid-c", "0.5", "--grid-n", "1000"],
+         "--family entropy-ball does not read --grid-S"),
+        (["--family", "uniform", "--grid-S", "2", "--grid-H", "1", "--grid-n", "10"],
+         "--family uniform does not read --grid-H"),
+        (["--grid-S", "2", "--grid-c", "0.5", "--grid-n", "10"],
+         "--family uniform does not read --grid-c"),
+        (["--family", "file:{path}", "--grid-S", "2", "--grid-n", "10"],
+         "--family file:{path} does not read --grid-S"),
+        (["--family", "uniform", "--grid-S", "2", "--grid-n", "10",
+          "--estimator", "empirical", "--grid-eta", "1.1", "1.5"],
+         "--family uniform does not read --grid-eta without --estimator threshold"),
+    ], ids=["entropy-ball-S", "uniform-H", "uniform-c", "file-S", "uniform-empirical-eta"])
+    def test_unread_family_grid_is_a_usage_error(self, tmp_path, capsys, argv, message):
+        path = tmp_path / "fam.txt"
+        path.write_text("0.5 2\n", encoding="utf-8")
+        out = tmp_path / "x.csv"
+        code = main(["exact-risk", *(a.format(path=path) for a in argv), "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: " + message.format(path=path) + "\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_eta_crosses_only_the_cells_that_read_it(self, tmp_path):
+        # on a uniform family only the threshold estimator reads eta
+        code, out = run(tmp_path, "exact-risk", "--family", "uniform", "--grid-S", "2",
+                        "--grid-n", "10", "--estimator", "empirical",
+                        "--estimator", "threshold", "--grid-eta", "1.1", "1.5")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [(r["estimator"], r["eta"]) for r in rows] == [
+            ("empirical", ""), ("threshold", "1.1"), ("threshold", "1.5")]
+        assert rows[0]["exact_risk"] == "0.24609375"
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--grid-S", "2", "--grid-n", "10"],
+        ["reproduce", "cor2", "--grid-n", "100", "1000"],
+    ], ids=["bounds", "cor2"])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "missing" / "x.csv"
+        code = main(argv + ["--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {out}: {os.strerror(errno.ENOENT)}\n"
+        assert captured.out == ""
+
+
 class TestVerbose:
     """-v routes the library's logging to stderr and changes nothing else."""
 
@@ -372,6 +427,15 @@ class TestColumnOrder:
         assert COLUMNS[:len(PARAM_COLUMNS)] == sorted(PARAM_COLUMNS)
         assert COLUMNS.index("exact_risk") == len(PARAM_COLUMNS)
         assert COLUMNS[-3:] == ["error", "seed", "runtime_ms"]
+
+    def test_bound_value_fills_value_and_vacuous_columns(self):
+        from l1minimax.bounds import BoundValue
+        from l1minimax.report import ReportRow
+        rec = ReportRow(bounds={"threshold_upper": BoundValue(math.inf, vacuous=True),
+                                "mle_upper_simple": 0.5}).record()
+        assert rec["threshold_upper"] == math.inf and rec["threshold_upper_vacuous"] is True
+        assert rec["mle_upper_simple"] == 0.5
+        assert rec["simplex_lower"] is None and rec["simplex_lower_vacuous"] is None
 
     def test_error_text_with_commas_stays_in_one_cell(self, tmp_path):
         import io
