@@ -10,8 +10,7 @@ from .bounds import (BoundValue, ChernoffTails, HighDimParams,
                      hoeffding_bound, minimax_entropy_lower, minimax_lower_hd,
                      mle_entropy_lower, mle_entropy_upper, mle_upper_simple,
                      mle_upper_tight, simplex_lower, threshold_upper)
-from .core import (ApproxSimplexTolerance, CompressedFamily, CountHistogram,
-                   ProbabilityVector, entropy, in_approx_simplex, l1_distance)
+from .core import CompressedFamily, CountHistogram, ProbabilityVector, entropy
 from .estimators import (DEFAULT_ETA, CoordinatewiseEstimator, ThresholdConfig,
                          empirical_estimator, threshold_estimator, threshold_level)
 from .exact import (BinomialSpec, PoissonPair, binomial_expectation,

@@ -214,6 +214,9 @@ def cmd_risk(args) -> int:
         row.bounds = _cell_bounds(**params)
 
     estimators = args.estimator or ["empirical"]
+    repeated = sorted({name for name in estimators if estimators.count(name) > 1})
+    if repeated:
+        raise UsageError("--estimator " + " and ".join(repeated) + " given more than once")
     grids, family_cells = _family_cells(args)
     # eta is read by the threshold estimator, and by the bounds whose other
     # parameters the family's grids supply (those that need H)

@@ -16,10 +16,7 @@ __all__ = [
     "ProbabilityVector",
     "CountHistogram",
     "CompressedFamily",
-    "ApproxSimplexTolerance",
     "entropy",
-    "l1_distance",
-    "in_approx_simplex",
 ]
 
 # Construction absorbs float noise up to this deviation from sum 1 by
@@ -150,17 +147,6 @@ class CompressedFamily:
                                            [m for _, m in self.atoms]))
 
 
-@dataclass(frozen=True)
-class ApproxSimplexTolerance:
-    """Slack epsilon for membership in the approximate simplex."""
-
-    epsilon: float
-
-    def __post_init__(self):
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError("epsilon must lie in (0, 1)")
-
-
 Distribution = Union[ProbabilityVector, CompressedFamily]
 
 
@@ -187,22 +173,3 @@ def entropy(p: Distribution) -> float:
     # fsum noise can leave a -1e-17 residue for point masses
     return max(result, 0.0)
 
-
-def _vector_values(v) -> np.ndarray:
-    if isinstance(v, ProbabilityVector):
-        return v.probs
-    return _as_float_array(v, "vector")
-
-
-def l1_distance(a, b) -> float:
-    """Sum of absolute coordinate differences; rejects length mismatches."""
-    av, bv = _vector_values(a), _vector_values(b)
-    if av.size != bv.size:
-        raise ValueError(f"dimension mismatch: {av.size} vs {bv.size}")
-    return float(np.abs(av - bv).sum())
-
-
-def in_approx_simplex(v, tol: ApproxSimplexTolerance) -> bool:
-    """True iff the entries sum to within epsilon of 1 (strict inequality)."""
-    total = math.fsum(_vector_values(v).tolist())
-    return abs(total - 1.0) < tol.epsilon

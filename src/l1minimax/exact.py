@@ -121,24 +121,15 @@ def _window_pmf(n: int, p: float, lo: int, hi: int, anchor: int) -> np.ndarray:
     return out
 
 
-def binomial_expectation(
-    n: int,
-    p: float,
-    term: Callable[[np.ndarray], np.ndarray],
-    term_bound: float = 1.0,
-    tail_tol: float = TAIL_TOL,
-) -> float:
-    """Sum of term(k) * pmf(k) over k = 0..n with certified truncation.
+def _binomial_window(n: int, p: float, tail_tol: float, term_bound: float = 1.0) -> tuple:
+    """Binomial(n, p) pmf on a window lo..hi with a certified tail.
 
-    `term` maps an int64 array of counts to values bounded by `term_bound`
-    in absolute value.  The window starts at mode +- (12 sigma + 40) and
-    doubles until the geometric tail bound times `term_bound` drops below
-    `tail_tol`; windows touching 0 and n have no truncation at all.
+    Returns lo, the pmf on lo..hi (`_window_pmf`, not normalized) and a
+    bound on the mass outside the window, which times `term_bound` is at
+    most `tail_tol`.  The window starts at mode +- (12 sigma + 40) and
+    doubles until it is; windows touching 0 and n have no truncation at
+    all.  0 < p < 1.
     """
-    if p <= 0.0:
-        return float(term(np.array([0], dtype=np.int64))[0])
-    if p >= 1.0:
-        return float(term(np.array([n], dtype=np.int64))[0])
     mode = min(int((n + 1) * p), n)
     sigma = math.sqrt(n * p * (1.0 - p))
     width = int(12.0 * sigma + 40.0)
@@ -162,9 +153,30 @@ def binomial_expectation(
             r = (n - hi) * p / ((hi + 1.0) * (1.0 - p))
             tail += math.inf if r >= 1.0 else pmf[-1] * r / (1.0 - r)
         if tail * term_bound <= tail_tol:
-            ks = np.arange(lo, hi + 1, dtype=np.int64)
-            return float(np.dot(term(ks), pmf))
+            return lo, pmf, tail
         width *= 2
+
+
+def binomial_expectation(
+    n: int,
+    p: float,
+    term: Callable[[np.ndarray], np.ndarray],
+    term_bound: float = 1.0,
+    tail_tol: float = TAIL_TOL,
+) -> float:
+    """Sum of term(k) * pmf(k) over k = 0..n with certified truncation.
+
+    `term` maps an int64 array of counts to values bounded by `term_bound`
+    in absolute value.  The sum runs over a `_binomial_window` whose tail
+    bound times `term_bound` is at most `tail_tol`.
+    """
+    if p <= 0.0:
+        return float(term(np.array([0], dtype=np.int64))[0])
+    if p >= 1.0:
+        return float(term(np.array([n], dtype=np.int64))[0])
+    lo, pmf, _ = _binomial_window(n, p, tail_tol, term_bound)
+    ks = np.arange(lo, lo + pmf.size, dtype=np.int64)
+    return float(np.dot(term(ks), pmf))
 
 
 def binomial_mad_exact(spec: BinomialSpec) -> float:

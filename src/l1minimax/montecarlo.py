@@ -8,7 +8,12 @@ any single replicate can be regenerated in isolation via
 
 Sampling uses the sequential conditional-Binomial method: coordinate i is
 an inverse-CDF Binomial of the remaining budget with renormalized
-probability.  Both distribution types are sampled per (value,
+probability, equal to boost's quantile bit for bit.  In `mc_risk` the
+first step, whose budget is n in every replicate, inverts one CDF table;
+other steps walk from boost's CDF or, when small, call boost's quantile.
+scipy is imported at the first draw that needs boost, so `mc_risk` on a
+two-atom family, whose chain has one step, loads it only for a draw in a
+guard band.  Both distribution types are sampled per (value,
 multiplicity) atom, a dense vector being the atoms (p_i, 1), and block
 counts are split across the block's symbols by uniform allocation from the
 same stream.  `mc_risk` evaluates losses for a batch of replicates at
@@ -27,6 +32,7 @@ import numpy as np
 
 from .core import MAX_DENSE_SUPPORT, CountHistogram, Distribution, _atom_items
 from .estimators import CoordinatewiseEstimator
+from .exact import _binomial_window
 from .rng import derive_key, derive_seed, stream_key, uniforms
 
 __all__ = [
@@ -47,9 +53,9 @@ _CHUNK_CELLS = 2_000_000
 _CHUNK_DRAWS = 1 << 13
 # floor(u * multiplicity) is an exact uniform cell index only below 2^53.
 _MAX_BLOCK_MULT = 1 << 53
-# Binomial walk (`_walk`): a draw whose uniform lies within this relative
-# distance of one of boost's CDF steps, plus the walk's tracked rounding
-# error, goes to boost's quantile.
+# Binomial table and walk (`_table`, `_walk`): a draw whose uniform lies
+# within this relative distance of one of boost's CDF steps, plus the
+# tracked error of the CDF it was compared with, goes to boost's quantile.
 _GUARD = 1e-9
 _UNIT = 2.0 ** -53  # unit roundoff of a double
 _TINY = float(np.finfo(float).tiny)  # smallest normal double
@@ -60,6 +66,13 @@ _WALK_STEPS = 8
 _MIN_STEP_DRAWS = 16
 # `rng.uniforms` never draws below this; smaller uniforms go to boost.
 _MIN_WALK_U = 2.0 ** -54
+# Mass a Binomial table (`_table`) may leave outside its window; far below
+# _GUARD times the smallest uniform.
+_TABLE_TAIL = 1e-30
+# A table costs ~60 us plus ~25 ns an entry, boost ~1-3 us a draw: calls
+# with fewer draws than this (`sample_multinomial` makes one a step) take
+# the other routes.
+_MIN_TABLE_DRAWS = 32
 # A call walks when draws * log1p(mean) exceeds _MIN_WALK_WORK, the mean
 # being its largest budget times min(q, 1 - q).  Boost's search costs
 # about 0.25 us * log1p(mean) a draw; the walk ~100 us a call plus ~0.1 us
@@ -119,9 +132,8 @@ def _anchors(budgets: np.ndarray, k: np.ndarray, q: float) -> tuple:
     """Boost's CDF and pmf at each (budget, k).
 
     When the box of (budget, k) pairs the draws span has no more cells than
-    there are draws, pairs repeat (as in a chain's first step, where every
-    budget is n) and boost is called once per distinct pair; otherwise once
-    per draw.
+    there are draws, pairs repeat (as in a chain's later steps at small n)
+    and boost is called once per distinct pair; otherwise once per draw.
     """
     from scipy.special._ufuncs import _binom_cdf, _binom_pmf
 
@@ -140,6 +152,49 @@ def _anchors(budgets: np.ndarray, k: np.ndarray, q: float) -> tuple:
     kp += kmin
     at = slot[cell]
     return _binom_cdf(kp, bp, q)[at], _binom_pmf(kp, bp, q)[at]
+
+
+def _clear_of_pow(done: np.ndarray, u: np.ndarray, b: np.ndarray, k: np.ndarray,
+                  q: float) -> None:
+    """Unsets `done` for draws at k <= 1 whose u is within _GUARD, plus b
+    roundings, of (1 - q)^b: boost answers 0 outright when u <= (1 - q)^b
+    by pow, which can stand ~b ulps off its CDF(0)."""
+    low = done & (k <= 1)
+    if low.any():
+        zero = (1.0 - q) ** b[low]
+        done[low] = np.abs(u[low] - zero) > (_GUARD + 2.0 * _UNIT * b[low]) * zero
+
+
+def _table(u: np.ndarray, budgets: np.ndarray, q: float) -> tuple:
+    """Draws for (u, budgets), all budgets equal, by inversion of a CDF table.
+
+    Returns the draws and a mask of those left unresolved, as `_walk` does.
+    The table is the Binomial pmf on a `_binomial_window` of m terms and
+    mass at least 1 - tail, normalized by its sum, which cancels the error
+    of the window's log-gamma anchor, then summed from the low end; draw u
+    takes the k with C(k - 1) < u <= C(k).  Against the true pmf over the
+    window's mass, a normalized term is off by at most 11m + 1 roundings
+    (5 a step from the anchor, the sum's, the division's), and the
+    cumulative sum adds m.  `err`, the bound on C's absolute error, is
+    that relative bound doubled for its higher-order terms, plus three
+    tails for the mass outside the window, plus _TINY for roundings among
+    subnormals.  A draw resolves when u clears both steps as in `_walk`.
+    Left unresolved, for boost: draws with u = 1 or u below every uniform
+    `rng.uniforms` draws, and draws in a guard band.
+    """
+    lo, pmf, tail = _binomial_window(int(budgets[0]), q, _TABLE_TAIL)
+    m = pmf.size
+    cdf = np.empty(m + 1)
+    cdf[0] = 0.0
+    np.cumsum(pmf / pmf.sum(), out=cdf[1:])
+    i = np.searchsorted(cdf, u).clip(1, m)
+    below, above = cdf[i - 1], cdf[i]
+    err = 2.0 * (12 * m + 1) * _UNIT * above + 3.0 * tail + _TINY
+    tol = _GUARD * above + err
+    done = (u - below > tol) & (u - above <= -tol) & (u < 1.0) & (u >= _MIN_WALK_U)
+    draws = lo + i - 1
+    _clear_of_pow(done, u, budgets, draws, q)
+    return draws, ~done
 
 
 def _walk(u: np.ndarray, budgets: np.ndarray, q: float) -> tuple:
@@ -189,12 +244,7 @@ def _walk(u: np.ndarray, budgets: np.ndarray, q: float) -> tuple:
         above, down = u - lo > tol, u - lo <= -tol
         below, up = u - hi <= -tol, u - hi > tol
         done = above & below
-        low = done & (k <= 1)
-        if low.any():
-            # boost answers 0 outright when u <= (1 - q)^b by pow, which
-            # can stand ~b ulps off its CDF(0)
-            zero = (1.0 - q) ** b[low]
-            done[low] = np.abs(u[low] - zero) > (_GUARD + 2.0 * _UNIT * b[low]) * zero
+        _clear_of_pow(done, u, b, k, q)
         # a subnormal pmf has lost its relative precision: no step from it
         move = (up | down) & (pmf >= _TINY)
         last = step == _WALK_STEPS or np.count_nonzero(move) < _MIN_STEP_DRAWS
@@ -214,39 +264,50 @@ def _walk(u: np.ndarray, budgets: np.ndarray, q: float) -> tuple:
         err = err + rel * pmf + _UNIT * hi
 
 
+def _boost_draws(u: np.ndarray, budgets: np.ndarray, q: float) -> np.ndarray:
+    """Boost's quantile, clipped to [0, budget]: the definition of a draw."""
+    from scipy.special._ufuncs import _binom_ppf
+
+    return _binom_ppf(u, budgets, q).clip(0, budgets).astype(np.int64)
+
+
 def _binomial_inverse(u: np.ndarray, budgets: np.ndarray, q: float, tally=None) -> np.ndarray:
     """Inverse-CDF Binomial draws, one per (uniform, budget) pair.
 
     Boost's quantile (`_binom_ppf`, the kernel that scipy.stats.binom.ppf
-    dispatches to), clipped to [0, budget], defines every draw.  `_walk`
-    finds most draws from boost's own CDF and pmf at each draw's (budget,
-    guess) anchor, evaluated once per distinct pair where pairs repeat, and
-    its guard makes them equal the quantile bit for bit.  The draws it
-    leaves unresolved go to `_binom_ppf` draw by draw, not call by call.
-    Calls too small for the walk's fixed cost to pay off (_MIN_WALK_WORK)
-    go to `_binom_ppf` whole.  `tally`, a Counter if given, adds up the
-    draws that were walked ("walked"), that the walk left to boost
-    ("fallback"), and that came in small calls ("small").  scipy is
-    imported here, at the first draw, so importing this package loads
-    numpy only.
+    dispatches to), clipped to [0, budget], defines every draw.  A call of
+    _MIN_TABLE_DRAWS or more draws whose budgets are all equal (in
+    `mc_risk`, a chain's first step and so the only step of a two-atom
+    family) inverts one CDF table (`_table`).  Other calls too small for
+    the walk's fixed cost to pay off (_MIN_WALK_WORK) go to `_binom_ppf`
+    whole; the rest are walked (`_walk`) from boost's own CDF and pmf at
+    each draw's (budget, guess) anchor, evaluated once per distinct pair
+    where pairs repeat.  The guards of the table and the walk make their
+    draws equal the quantile bit for bit, and the draws they leave
+    unresolved go to `_binom_ppf` draw by draw, not call by call.
+    `tally`, a Counter if given, adds up the draws resolved from tables
+    ("table"), walked ("walked"), left to boost by either ("fallback"),
+    and in small calls ("small").  scipy is imported at the first draw
+    that needs boost, so importing this package loads numpy only, and a
+    run whose draws all come from tables never loads scipy.
     """
     if q <= 0.0:
         return np.zeros(budgets.shape, dtype=np.int64)
     if q >= 1.0:
         return budgets.copy()
-    from scipy.special._ufuncs import _binom_ppf
-
-    if u.size * math.log1p(int(budgets.max(initial=0)) * min(q, 1.0 - q)) <= _MIN_WALK_WORK:
+    if u.size >= _MIN_TABLE_DRAWS and budgets.min() == budgets.max():
+        route, (draws, unresolved) = "table", _table(u, budgets, q)
+    elif u.size * math.log1p(int(budgets.max(initial=0)) * min(q, 1.0 - q)) <= _MIN_WALK_WORK:
         if tally is not None:
             tally["small"] += u.size
-        return _binom_ppf(u, budgets, q).clip(0, budgets).astype(np.int64)
-    draws, unresolved = _walk(u, budgets, q)
+        return _boost_draws(u, budgets, q)
+    else:
+        route, (draws, unresolved) = "walked", _walk(u, budgets, q)
     rest = np.flatnonzero(unresolved)
     if rest.size:
-        b = budgets[rest]
-        draws[rest] = _binom_ppf(u[rest], b, q).clip(0, b).astype(np.int64)
+        draws[rest] = _boost_draws(u[rest], budgets[rest], q)
     if tally is not None:
-        tally["walked"] += u.size - rest.size
+        tally[route] += u.size - rest.size
         tally["fallback"] += rest.size
     return draws
 
@@ -431,9 +492,9 @@ def mc_risk(
     keys = derive_key(cfg.master_seed, np.arange(cfg.replicates, dtype=np.uint64))
     tally = Counter()
     losses = _compressed_losses(keys, p, estimator, n, tally)
-    logger.debug("mc_risk: Binomial draws walked %d, sent to boost by the walk %d, "
-                 "in calls too small to walk %d", tally["walked"], tally["fallback"],
-                 tally["small"])
+    logger.debug("mc_risk: Binomial draws from tables %d, walked %d, sent to boost by "
+                 "a table or the walk %d, in calls too small to walk %d", tally["table"],
+                 tally["walked"], tally["fallback"], tally["small"])
     reps = cfg.replicates
     mean = float(losses.sum() / reps)
     variance = float(np.square(losses - mean).sum() / (reps - 1))

@@ -284,7 +284,8 @@ class TestUnreadFlags:
 
 
 class TestFamilyGrids:
-    """--family reads only its own grids, and --grid-eta only where a cell reads it."""
+    """--family reads only its own grids, --grid-eta only where a cell reads
+    it, and each --estimator is given once."""
 
     @pytest.mark.parametrize("argv, message", [
         (["--family", "entropy-ball", "--grid-S", "5", "7", "--grid-H", "1",
@@ -308,6 +309,17 @@ class TestFamilyGrids:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err == "error: " + message.format(path=path) + "\n"
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("command", ["exact-risk", "mc"])
+    def test_repeated_estimator_is_a_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "x.csv"
+        code = main([command, "--grid-S", "2", "--grid-n", "10", "--estimator", "empirical",
+                     "--estimator", "threshold", "--estimator", "empirical",
+                     "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --estimator empirical given more than once\n"
         assert captured.out == "" and not out.exists()
 
     def test_eta_crosses_only_the_cells_that_read_it(self, tmp_path):
@@ -363,8 +375,8 @@ class TestVerbose:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_mc_reports_and_stdout_unchanged(self, tmp_path, capsys, fmt):
-        # 2000 replicates: one walked Binomial call per cell; the few draws
-        # a step from their guess go to boost
+        # 2000 replicates: the two atoms make one Binomial call per cell, all
+        # its draws at budget n, resolved from one table
         command = ["mc", "--family", "entropy-ball", "--grid-H", "1", "--grid-c", "0.5",
                    "--grid-n", "1000", "--replicates", "2000", "--seed", "7"]
         outputs = []
@@ -376,8 +388,9 @@ class TestVerbose:
         (code, report, stdout, err), (v_code, v_report, v_stdout, v_err) = outputs
         assert code == 0 and (v_code, v_report, v_stdout) == (code, report, stdout)
         assert "DEBUG" not in err
-        assert ("DEBUG l1minimax.montecarlo: mc_risk: Binomial draws walked 1993, "
-                "sent to boost by the walk 7, in calls too small to walk 0") in v_err
+        assert ("DEBUG l1minimax.montecarlo: mc_risk: Binomial draws from tables 2000, "
+                "walked 0, sent to boost by a table or the walk 0, in calls too small "
+                "to walk 0") in v_err
 
     def test_report_on_stdout_unchanged(self, capsys):
         command = self.COMMANDS[0] + ["--format", "json"]
@@ -390,32 +403,38 @@ class TestVerbose:
 
 
 class TestImportFootprint:
-    """Importing the package and running commands without a Binomial draw
-    load numpy only; scipy arrives with the first Monte-Carlo draw."""
+    """Importing the package and running commands whose draws all come from
+    Binomial tables load numpy only; scipy arrives with the first draw that
+    needs boost."""
 
     SCRIPT = textwrap.dedent("""
         import sys
         from l1minimax import cli
 
-        out = sys.argv[1]
+        out, family = sys.argv[1:]
         assert cli.main(["bounds", "--grid-H", "1", "--grid-S", "10", "--grid-n", "1000",
                          "--grid-c", "0.5", "--grid-eta", "1.1", "--out", out]) == 0
         assert cli.main(["reproduce", "cor3-4", "--out", out]) == 0
-        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
         assert cli.main(["mc", "--family", "entropy-ball", "--grid-H", "1",
                          "--grid-c", "0.5", "--grid-n", "1000", "--replicates", "200",
                          "--out", out]) == 0
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        assert cli.main(["mc", "--family", "file:" + family, "--grid-n", "1000",
+                         "--replicates", "200", "--out", out]) == 0
         print("scipy.special" in sys.modules)
     """)
 
-    def test_no_scipy_until_a_binomial_draw(self, tmp_path):
+    def test_no_scipy_until_a_draw_needs_boost(self, tmp_path):
         src = pathlib.Path(l1minimax.__file__).resolve().parents[1]
-        out = tmp_path / "mc.csv"
+        out, family = tmp_path / "mc.csv", tmp_path / "fam.txt"
+        family.write_text("0.2 1\n0.3 1\n0.5 1\n", encoding="utf-8")
         proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, str(out)], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+            [sys.executable, "-c", self.SCRIPT, str(out), str(family)], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        # the two entropy-ball atoms make one Binomial draw per replicate
+        # the two entropy-ball atoms make one Binomial call, all its draws at
+        # budget n, resolved from a table; the three atoms' second chain step
+        # has a budget per replicate and goes to the walk
         assert proc.stdout.splitlines()[-2:] == ["[]", "True"]
         _, rows = parse_csv(out)
         assert len(rows) == 1 and rows[0]["error"] == ""

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from l1minimax import (ApproxSimplexTolerance, CompressedFamily, CountHistogram, McConfig,
-                       ProbabilityVector, empirical_estimator, entropy, estimator_risk_exact,
-                       in_approx_simplex, l1_distance, mc_risk, sample_multinomial)
+from l1minimax import (CompressedFamily, CountHistogram, McConfig, ProbabilityVector,
+                       empirical_estimator, entropy, estimator_risk_exact, mc_risk,
+                       sample_multinomial)
 
 
 class TestEntropy:
@@ -36,57 +36,6 @@ class TestEntropy:
         mass = math.fsum(v * m for v, m in raw)
         fam = CompressedFamily(tuple((v / mass, m) for v, m in raw))
         assert abs(entropy(fam) - entropy(fam.expand())) <= 1e-12
-
-
-class TestL1Distance:
-    def test_disjoint_point_masses(self):
-        assert l1_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 2.0
-
-    def test_identity(self):
-        v = np.array([0.3, 0.2, 0.5])
-        assert l1_distance(v, v) == 0.0
-
-    def test_direct_arithmetic(self):
-        assert l1_distance(np.array([0.5, 0.5]),
-                           np.array([0.75, 0.25])) == pytest.approx(0.5, abs=1e-15)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="dimension"):
-            l1_distance(np.array([1.0]), np.array([0.5, 0.5]))
-
-    @given(st.integers(1, 6).flatmap(
-        lambda size: st.tuples(*[st.lists(st.floats(0, 10), min_size=size, max_size=size)
-                                 for _ in range(3)])))
-    def test_triangle_inequality(self, vectors):
-        a, b, c = (np.asarray(v) + 0.0 for v in vectors)
-        assert l1_distance(a, c) <= l1_distance(a, b) + l1_distance(b, c) + 1e-12
-
-    @given(st.integers(1, 8), st.integers(0, 2**32), st.integers(0, 2**32))
-    def test_probability_vectors_within_two(self, size, seed_a, seed_b):
-        def pv(seed):
-            raw = np.random.default_rng(seed).random(size) + 1e-9
-            return ProbabilityVector(raw / raw.sum())
-        d = l1_distance(pv(seed_a), pv(seed_b))
-        assert 0.0 <= d <= 2.0 + 1e-12
-
-
-class TestApproxSimplex:
-    def test_on_simplex(self):
-        assert in_approx_simplex(np.array([0.6, 0.4]), ApproxSimplexTolerance(0.01))
-
-    def test_above(self):
-        assert not in_approx_simplex(np.array([0.6, 0.42]),
-                                     ApproxSimplexTolerance(0.01))
-
-    def test_below_within(self):
-        assert in_approx_simplex(np.array([0.6, 0.395]),
-                                 ApproxSimplexTolerance(0.01))
-
-    def test_bad_epsilon(self):
-        with pytest.raises(ValueError):
-            ApproxSimplexTolerance(0.0)
-        with pytest.raises(ValueError):
-            ApproxSimplexTolerance(1.0)
 
 
 class TestConstruction:

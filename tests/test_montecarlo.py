@@ -391,16 +391,19 @@ def _boost_quantile(u, budgets, q):
     return np.clip(_binom_ppf(u, budgets, q), 0, budgets).astype(np.int64)
 
 
+_BUDGETS = st.one_of(st.integers(0, 60), st.integers(0, 10**4), st.integers(0, 10**7))
+_QS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
 @st.composite
-def _uniforms_on_cdf_steps(draw):
+def _uniforms_on_cdf_steps(draw, budgets=st.lists(_BUDGETS, min_size=1, max_size=3), qs=_QS):
     """q across (0, 1), one to three budgets up to 1e7, and u exactly on
     boost's CDF steps C(k) and 1 ulp to either side, within [2^-54, 1]:
     every k of a small budget, a window of k anywhere from the far lower
     to the far upper tail of a large one."""
     from scipy.special._ufuncs import _binom_cdf
-    q = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-    budgets = draw(st.lists(st.one_of(st.integers(0, 60), st.integers(0, 10**4),
-                                      st.integers(0, 10**7)), min_size=1, max_size=3))
+    q = draw(qs)
+    budgets = draw(budgets)
     b_all, k_all = [], []
     for b in budgets:
         if b <= 60:
@@ -422,7 +425,7 @@ def _uniforms_on_cdf_steps(draw):
 class TestBinomialWalk:
     """The guarded walk of `_binomial_inverse` against boost's quantile, bit
     for bit, with the walk taken for every call with a positive budget and
-    every moving draw."""
+    unequal budgets, and every moving draw."""
 
     WALK_ALWAYS = {"_MIN_WALK_WORK": 0.0, "_MIN_STEP_DRAWS": 1}
 
@@ -432,6 +435,9 @@ class TestBinomialWalk:
     @settings(max_examples=150, deadline=None)
     def test_uniforms_on_cdf_steps_match_boost(self, case, offset):
         u, budgets, q = case
+        # draws at two more budgets keep the call off the table route
+        u = np.append(u, [0.5, 0.5])
+        budgets = np.append(budgets, [0, budgets.max(initial=0) + 1])
         guess = montecarlo._binomial_guess
         with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
             # boost's search warns of itself at some extreme q; nothing else may
@@ -485,15 +491,52 @@ class TestBinomialWalk:
         assert tally == {"walked": m - unresolved.sum(), "fallback": unresolved.sum()}
 
     def test_mc_risk_logs_draw_routes(self, caplog):
-        # two chain steps of 300 draws each: walked at n = 1000, too small
+        # two chain steps of 300 draws each: the first, at budget n in every
+        # replicate, from a table; the second walked at n = 1000, too small
         # to walk at n = 5
         pv = ProbabilityVector([0.2, 0.3, 0.5])
-        for n, walked in ((1000, True), (5, False)):
+        for n, walk in ((1000, True), (5, False)):
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="l1minimax"):
                 mc_risk(pv, empirical_estimator(), n, McConfig(300, 4))
             records = [r for r in caplog.records if r.name == "l1minimax.montecarlo"]
             assert len(records) == 1
-            counts = records[0].args
-            assert sum(counts) == 600
-            assert (counts[0] > 0) == walked and (counts[2] > 0) != walked
+            table, walked, fallback, small = records[0].args
+            assert table + walked + fallback + small == 600
+            assert table > 0 and (walked > 0) == walk and small == (0 if walk else 300)
+
+
+@st.composite
+def _single_budget_cases(draw):
+    """One budget up to 1e7, q across (0, 1) with its extremes, and u on
+    boost's CDF steps and 1 ulp to either side (`_uniforms_on_cdf_steps`)."""
+    n = draw(_BUDGETS)
+    qs = st.one_of(_QS, st.sampled_from([1e-300, 1.0 - 2.0**-53]))
+    u, _, q = draw(_uniforms_on_cdf_steps(st.just([n]), qs))
+    return u, n, q
+
+
+class TestBinomialTable:
+    """The table route of `_binomial_inverse`, taken by every call of
+    _MIN_TABLE_DRAWS or more draws whose budgets are all equal, against
+    boost's quantile, bit for bit."""
+
+    @given(_single_budget_cases(), st.integers(0, 2**64 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_uniforms_on_cdf_steps_match_boost(self, case, seed):
+        u, n, q = case
+        # boost's shortcut to 0 at (1 - q)^n and 1 ulp to either side, the
+        # extremes of `uniforms`, 2^-54 and 1.0, and draws off the steps
+        zero = (1.0 - q) ** n
+        u = np.concatenate([u, [zero, np.nextafter(zero, 0.0), np.nextafter(zero, 2.0)]])
+        u = np.concatenate([u[(u >= 2.0**-54) & (u <= 1.0)], [2.0**-54, 1.0],
+                            uniforms(stream_key(seed), 0, 200)])
+        budgets = np.full(u.size, n, dtype=np.int64)
+        tally = Counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", "Error in function boost::", RuntimeWarning)
+            want = _boost_quantile(u, budgets, q)
+            got = montecarlo._binomial_inverse(u, budgets, q, tally)
+        assert np.array_equal(got, want)
+        assert tally["table"] + tally["fallback"] == u.size
