@@ -24,7 +24,7 @@ __all__ = [
 NORMALIZE_TOL = 1e-9
 SUM_TOL = 1e-12
 
-# Largest support a CompressedFamily may be expanded to as a dense vector.
+# Largest support `sample_multinomial` returns a dense histogram for.
 MAX_DENSE_SUPPORT = 10_000_000
 
 
@@ -137,14 +137,6 @@ class CompressedFamily:
     @property
     def support_size(self) -> int:
         return sum(m for _, m in self.atoms)
-
-    def expand(self) -> ProbabilityVector:
-        """Dense vector form, for cross-checking only. Guarded against huge S."""
-        size = self.support_size
-        if size > MAX_DENSE_SUPPORT:
-            raise ValueError(f"support size {size} too large to expand densely")
-        return ProbabilityVector(np.repeat([v for v, _ in self.atoms],
-                                           [m for _, m in self.atoms]))
 
 
 Distribution = Union[ProbabilityVector, CompressedFamily]

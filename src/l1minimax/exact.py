@@ -5,11 +5,14 @@ estimator under the Multinomial model (marginals are Binomial, so the risk
 decomposes into per-coordinate expectations), and exact Poisson total
 variation distance.
 
-All probability mass is evaluated in log space; expectation sums run over
-a window around the Binomial mode and are only accepted once a geometric
-tail bound certifies the truncated contribution, so truncation is certified
-rather than heuristic.  The 1e-14 budget covers a whole risk sum: each of
-its k distinct atoms of multiplicity mult gets TAIL_TOL / (mult * k).
+Only one term of a Binomial window's pmf, its anchor, is evaluated in log
+space; the rest come from exact pmf ratios outward from it.  Poisson pmfs
+are evaluated term by term in log space.  Expectation sums run over a
+window around the Binomial mode and are only accepted once a geometric
+tail bound certifies the truncated contribution, so truncation is
+certified rather than heuristic.  The 1e-14 budget covers a whole risk
+sum: each of its k distinct atoms of multiplicity mult gets
+TAIL_TOL / (mult * k).
 """
 
 from __future__ import annotations

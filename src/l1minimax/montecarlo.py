@@ -9,8 +9,9 @@ any single replicate can be regenerated in isolation via
 Sampling uses the sequential conditional-Binomial method: coordinate i is
 an inverse-CDF Binomial of the remaining budget with renormalized
 probability, equal to boost's quantile bit for bit.  In `mc_risk` the
-first step, whose budget is n in every replicate, inverts one CDF table;
-other steps walk from boost's CDF or, when small, call boost's quantile.
+first step, whose budget is n in every replicate, inverts one CDF table
+for n up to 1e7; other steps accept or reject each draw at its guess from
+boost's CDF or, when small, call boost's quantile.
 scipy is imported at the first draw that needs boost, so `mc_risk` on a
 two-atom family, whose chain has one step, loads it only for a draw in a
 guard band.  Both distribution types are sampled per (value,
@@ -54,16 +55,12 @@ _CHUNK_DRAWS = 1 << 13
 # floor(u * multiplicity) is an exact uniform cell index only below 2^53.
 _MAX_BLOCK_MULT = 1 << 53
 # Binomial table and walk (`_table`, `_walk`): a draw whose uniform lies
-# within this relative distance of one of boost's CDF steps, plus the
-# tracked error of the CDF it was compared with, goes to boost's quantile.
+# within this relative distance of one of boost's CDF steps, plus a share
+# that grows with the budget and the error of the CDF it was compared
+# with (`_unresolved`), goes to boost's quantile.
 _GUARD = 1e-9
 _UNIT = 2.0 ** -53  # unit roundoff of a double
 _TINY = float(np.finfo(float).tiny)  # smallest normal double
-# Steps from the guess after which a draw goes to boost.
-_WALK_STEPS = 8
-# A step costs ~50 us whatever its size, boost ~1-2 us a draw: when fewer
-# draws than this still move, they go to boost.
-_MIN_STEP_DRAWS = 16
 # `rng.uniforms` never draws below this; smaller uniforms go to boost.
 _MIN_WALK_U = 2.0 ** -54
 # Mass a Binomial table (`_table`) may leave outside its window; far below
@@ -73,11 +70,17 @@ _TABLE_TAIL = 1e-30
 # with fewer draws than this (`sample_multinomial` makes one a step) take
 # the other routes.
 _MIN_TABLE_DRAWS = 32
+# Largest budget a table inverts (tables stay under ~40,000 entries, ~1 ms).
+# Up to it boost's CDF stands within _GUARD of the true CDF a table holds:
+# without the band's budget share (`_unresolved`), 1M draws on boost's steps
+# +-1 ulp at budgets 1e6-1e7 all matched its quantile, 63 of 20,000 at 1e7-1e8 not.
+_MAX_TABLE_BUDGET = 10 ** 7
 # A call walks when draws * log1p(mean) exceeds _MIN_WALK_WORK, the mean
 # being its largest budget times min(q, 1 - q).  Boost's search costs
-# about 0.25 us * log1p(mean) a draw; the walk ~100 us a call plus ~0.1 us
-# a draw.  Walking every call of a dense S = 50 vector at n = 25 with 250
-# replicates took 5.7 ms per cell against boost's 2.5 ms.
+# about 0.25 us * log1p(mean) a draw; the walk ~50 us a call plus ~0.1 us
+# a draw where (budget, guess) pairs repeat.  Walking every call of a
+# dense S = 50 vector at n = 25 with 250 replicates took 5.4 ms per cell
+# against boost's 2.9 ms.
 _MIN_WALK_WORK = 500.0
 
 
@@ -115,8 +118,8 @@ def derive_replicate_seed(master_seed: int, replicate: int) -> int:
 def _binomial_guess(u: np.ndarray, budgets: np.ndarray, q: float) -> np.ndarray:
     """Cornish-Fisher guess at the Binomial(budgets, q) quantile of u.
 
-    Only where the walk starts: it moves the cost of a draw, never its
-    value.  u must lie in (0, 1).
+    Only where the walk tests a draw: it moves which draws go to boost,
+    never a draw's value.  u must lie in (0, 1).
     """
     from scipy.special._ufuncs import ndtri
 
@@ -154,15 +157,21 @@ def _anchors(budgets: np.ndarray, k: np.ndarray, q: float) -> tuple:
     return _binom_cdf(kp, bp, q)[at], _binom_pmf(kp, bp, q)[at]
 
 
-def _clear_of_pow(done: np.ndarray, u: np.ndarray, b: np.ndarray, k: np.ndarray,
-                  q: float) -> None:
-    """Unsets `done` for draws at k <= 1 whose u is within _GUARD, plus b
-    roundings, of (1 - q)^b: boost answers 0 outright when u <= (1 - q)^b
-    by pow, which can stand ~b ulps off its CDF(0)."""
-    low = done & (k <= 1)
-    if low.any():
-        zero = (1.0 - q) ** b[low]
-        done[low] = np.abs(u[low] - zero) > (_GUARD + 2.0 * _UNIT * b[low]) * zero
+def _unresolved(u: np.ndarray, below: np.ndarray, above: np.ndarray, err,
+                budgets: np.ndarray) -> np.ndarray:
+    """Mask of the draws that below < u <= above may not settle as boost's
+    quantile does, `below` and `above` being C(k - 1) and C(k) to `err`.
+
+    Boost's quantile compares u with its own CDF, which at budget b stands
+    up to about b/2 roundings of C(k) off the true CDF, as it raises the
+    rounded 1 - q to a power near b (measured for budgets 1e2 to 1e10:
+    0.49 b, as for its C(k - 1) against C(k) - pmf(k)); its shortcut to 0
+    for u <= (1 - q)^b by pow stands as far off its C(0).  So u must clear
+    both steps by (_GUARD + 2 b _UNIT) C(k) plus `err`, lie below 1 and
+    reach every uniform `rng.uniforms` draws.
+    """
+    tol = (_GUARD + 2.0 * _UNIT * budgets) * above + err
+    return ~((u - below > tol) & (u - above <= -tol) & (u < 1.0) & (u >= _MIN_WALK_U))
 
 
 def _table(u: np.ndarray, budgets: np.ndarray, q: float) -> tuple:
@@ -178,9 +187,7 @@ def _table(u: np.ndarray, budgets: np.ndarray, q: float) -> tuple:
     cumulative sum adds m.  `err`, the bound on C's absolute error, is
     that relative bound doubled for its higher-order terms, plus three
     tails for the mass outside the window, plus _TINY for roundings among
-    subnormals.  A draw resolves when u clears both steps as in `_walk`.
-    Left unresolved, for boost: draws with u = 1 or u below every uniform
-    `rng.uniforms` draws, and draws in a guard band.
+    subnormals.  `_unresolved` decides which draws go to boost.
     """
     lo, pmf, tail = _binomial_window(int(budgets[0]), q, _TABLE_TAIL)
     m = pmf.size
@@ -188,80 +195,31 @@ def _table(u: np.ndarray, budgets: np.ndarray, q: float) -> tuple:
     cdf[0] = 0.0
     np.cumsum(pmf / pmf.sum(), out=cdf[1:])
     i = np.searchsorted(cdf, u).clip(1, m)
-    below, above = cdf[i - 1], cdf[i]
+    above = cdf[i]
     err = 2.0 * (12 * m + 1) * _UNIT * above + 3.0 * tail + _TINY
-    tol = _GUARD * above + err
-    done = (u - below > tol) & (u - above <= -tol) & (u < 1.0) & (u >= _MIN_WALK_U)
     draws = lo + i - 1
-    _clear_of_pow(done, u, budgets, draws, q)
-    return draws, ~done
+    return draws, _unresolved(u, cdf[i - 1], above, err, budgets)
 
 
 def _walk(u: np.ndarray, budgets: np.ndarray, q: float) -> tuple:
-    """Draws for (u, budgets) by a guarded walk over boost's CDF steps.
+    """Draws for (u, budgets), each accepted or left to boost at its guess.
 
-    Returns the draws and a mask of those the walk left unresolved, whose
-    values in the draws are placeholders.  Each draw starts at its guess k,
-    where boost gives C(k) and pmf(k), so C(k - 1) = C(k) - pmf(k), and
-    moves one step at a time towards the k with C(k - 1) < u <= C(k), each
-    next pmf from the exact ratio pmf(k + 1) / pmf(k) =
-    (b - k) q / ((k + 1) (1 - q)).  `err` bounds the absolute error of the
-    running C(k - 1) and C(k): the anchors' relative error, taken as
-    _GUARD, and every rounding since.  A draw resolves only when u clears
-    both steps by _GUARD of C(k) plus `err`, so that boost's own CDF, which
-    its quantile search compares u with, puts u on the same side of each.
-
-    Left unresolved, for boost: draws with u = 1, u below every uniform
-    `rng.uniforms` draws, budget 0 or a non-finite guess; draws in a guard
-    band; draws that would step from a subnormal pmf; draws still moving
-    after _WALK_STEPS steps, or when fewer than _MIN_STEP_DRAWS move; and
-    every draw of a call whose anchors overflow.
+    Returns the draws and a mask of those left unresolved, whose values in
+    the draws are placeholders.  At a draw's guess k boost gives C(k) and
+    pmf(k), so C(k - 1) = C(k) - pmf(k), and the draw is k unless
+    `_unresolved` says otherwise.  `err` covers what the band does not of
+    the error of C(k - 1) and C(k): the anchors' relative error, taken as
+    _GUARD, and the subtraction's rounding.  Draws with budget 0 are
+    unresolved too, and every draw of a call whose anchors overflow.
     """
-    unresolved = (u >= 1.0) | (u < _MIN_WALK_U) | (budgets <= 0)
-    if unresolved.any():
-        u = np.where(unresolved, 0.5, u)
-    guess = _binomial_guess(u, budgets, q)
-    bad = ~np.isfinite(guess)
-    if bad.any():
-        unresolved |= bad
-        guess[bad] = 0.0
-    b = budgets
-    k = guess.clip(0, b).astype(np.int64)
-    draws = k
+    bad = (budgets <= 0) | (u >= 1.0) | (u < _MIN_WALK_U)
+    k = _binomial_guess(np.where(bad, 0.5, u), budgets, q).clip(0, budgets).astype(np.int64)
     try:
-        hi, pmf = _anchors(b, k, q)
+        above, pmf = _anchors(budgets, k, q)
     except OverflowError:  # boost's pmf, for q below about 1e-303
-        return draws, np.ones(u.shape, dtype=bool)
-    lo = hi - pmf
-    err = _GUARD * (hi + pmf) + _UNIT * hi
-    rel = _GUARD  # relative error bound of pmf
-    up_ratio, down_ratio = q / (1.0 - q), (1.0 - q) / q
-    idx = np.arange(u.size)
-    for step in range(_WALK_STEPS + 1):
-        # hi >= |lo|, so `tol` covers both steps.  A step past 0 or b has
-        # pmf 0, which resolves nothing and moves no further.
-        tol = _GUARD * hi + err
-        above, down = u - lo > tol, u - lo <= -tol
-        below, up = u - hi <= -tol, u - hi > tol
-        done = above & below
-        _clear_of_pow(done, u, b, k, q)
-        # a subnormal pmf has lost its relative precision: no step from it
-        move = (up | down) & (pmf >= _TINY)
-        last = step == _WALK_STEPS or np.count_nonzero(move) < _MIN_STEP_DRAWS
-        stuck = ~done if last else ~(done | move)
-        draws[idx] = k
-        unresolved[idx[stuck]] = True
-        if last:
-            return draws, unresolved
-        idx = idx[move]
-        b, u, k, lo, hi, pmf, err, up = (a[move] for a in (b, u, k, lo, hi, pmf, err, up))
-        # in this order no product exceeds b + 1
-        pmf = pmf * np.where(up, up_ratio, down_ratio) * np.where(up, b - k, k)
-        pmf /= np.where(up, k + 1, b - k + 1)
-        rel += 5.0 * _UNIT
-        lo, hi = np.where(up, hi, lo - pmf), np.where(up, hi + pmf, lo)
-        k = np.where(up, k + 1, k - 1)
-        err = err + rel * pmf + _UNIT * hi
+        return k, np.ones(u.shape, dtype=bool)
+    err = _GUARD * (above + pmf) + _UNIT * above
+    return k, bad | _unresolved(u, above - pmf, above, err, budgets)
 
 
 def _boost_draws(u: np.ndarray, budgets: np.ndarray, q: float) -> np.ndarray:
@@ -276,26 +234,28 @@ def _binomial_inverse(u: np.ndarray, budgets: np.ndarray, q: float, tally=None) 
 
     Boost's quantile (`_binom_ppf`, the kernel that scipy.stats.binom.ppf
     dispatches to), clipped to [0, budget], defines every draw.  A call of
-    _MIN_TABLE_DRAWS or more draws whose budgets are all equal (in
-    `mc_risk`, a chain's first step and so the only step of a two-atom
-    family) inverts one CDF table (`_table`).  Other calls too small for
-    the walk's fixed cost to pay off (_MIN_WALK_WORK) go to `_binom_ppf`
-    whole; the rest are walked (`_walk`) from boost's own CDF and pmf at
-    each draw's (budget, guess) anchor, evaluated once per distinct pair
-    where pairs repeat.  The guards of the table and the walk make their
-    draws equal the quantile bit for bit, and the draws they leave
-    unresolved go to `_binom_ppf` draw by draw, not call by call.
-    `tally`, a Counter if given, adds up the draws resolved from tables
-    ("table"), walked ("walked"), left to boost by either ("fallback"),
-    and in small calls ("small").  scipy is imported at the first draw
-    that needs boost, so importing this package loads numpy only, and a
-    run whose draws all come from tables never loads scipy.
+    _MIN_TABLE_DRAWS or more draws whose budgets are all equal and at most
+    _MAX_TABLE_BUDGET (in `mc_risk`, a chain's first step and so the only
+    step of a two-atom family) inverts one CDF table (`_table`).  Other
+    calls too small for the walk's fixed cost to pay off (_MIN_WALK_WORK)
+    go to `_binom_ppf` whole; in the rest each draw is accepted or
+    rejected at its guess (`_walk`) from boost's own CDF and pmf there,
+    evaluated once per distinct (budget, guess) pair where pairs repeat.
+    One acceptance test (`_unresolved`) makes the draws of both routes
+    equal the quantile bit for bit, and the draws it leaves unresolved go
+    to `_binom_ppf` draw by draw, not call by call.  `tally`, a Counter if
+    given, adds up the draws resolved from tables ("table"), accepted at
+    their guess ("walked"), left to boost by either ("fallback"), and in
+    small calls ("small").  scipy is imported at the first draw that
+    needs boost, so importing this package loads numpy only, and a run
+    whose draws all come from tables never loads scipy.
     """
     if q <= 0.0:
         return np.zeros(budgets.shape, dtype=np.int64)
     if q >= 1.0:
         return budgets.copy()
-    if u.size >= _MIN_TABLE_DRAWS and budgets.min() == budgets.max():
+    if (u.size >= _MIN_TABLE_DRAWS and budgets.min() == budgets.max()
+            and budgets[0] <= _MAX_TABLE_BUDGET):
         route, (draws, unresolved) = "table", _table(u, budgets, q)
     elif u.size * math.log1p(int(budgets.max(initial=0)) * min(q, 1.0 - q)) <= _MIN_WALK_WORK:
         if tally is not None:

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from l1minimax import montecarlo
+from l1minimax import ProbabilityVector, montecarlo
 
 
 def compositions(n, parts):
@@ -49,6 +49,12 @@ def brute_force_risk(probs, estimator, n):
         estimates = estimator(np.array(counts, dtype=np.int64), n)
         total += pmf * float(np.abs(estimates - probs).sum())
     return total
+
+
+def expand(fam):
+    """Dense vector form of a CompressedFamily (small supports only): each
+    atom's value repeated multiplicity times, in support order."""
+    return ProbabilityVector(np.repeat([v for v, _ in fam.atoms], [m for _, m in fam.atoms]))
 
 
 def exact_binomial_tail_upper(n, p, threshold):

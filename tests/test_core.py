@@ -9,6 +9,8 @@ from l1minimax import (CompressedFamily, CountHistogram, McConfig, ProbabilityVe
                        empirical_estimator, entropy, estimator_risk_exact, mc_risk,
                        sample_multinomial)
 
+from conftest import expand
+
 
 class TestEntropy:
     @pytest.mark.parametrize("S", [1, 2, 3, 4, 7, 64, 100, 1234, 9999, 10_000])
@@ -27,7 +29,7 @@ class TestEntropy:
         fam = CompressedFamily(((0.2, 5),))
         assert abs(entropy(fam) - math.log(5)) <= 1e-12
         # expansion cross-check, summed by brute force
-        brute = math.fsum(-p * math.log(p) for p in fam.expand().probs)
+        brute = math.fsum(-p * math.log(p) for p in expand(fam).probs)
         assert abs(entropy(fam) - brute) <= 1e-12
 
     @given(st.lists(st.tuples(st.floats(1e-6, 1.0), st.integers(1, 50)),
@@ -35,7 +37,7 @@ class TestEntropy:
     def test_compressed_matches_expansion(self, raw):
         mass = math.fsum(v * m for v, m in raw)
         fam = CompressedFamily(tuple((v / mass, m) for v, m in raw))
-        assert abs(entropy(fam) - entropy(fam.expand())) <= 1e-12
+        assert abs(entropy(fam) - entropy(expand(fam))) <= 1e-12
 
 
 class TestConstruction:
@@ -74,11 +76,6 @@ class TestConstruction:
         mult = 10**15
         fam = CompressedFamily(((0.5 / mult, mult), (0.5, 1)))
         assert fam.support_size == mult + 1
-
-    def test_family_expand_guard(self):
-        fam = CompressedFamily(((1e-8, 10**8),))
-        with pytest.raises(ValueError, match="too large"):
-            fam.expand()
 
 
 class TestAtomView:

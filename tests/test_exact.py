@@ -14,7 +14,7 @@ from l1minimax import (BinomialSpec, CoordinatewiseEstimator, CompressedFamily,
                        estimator_risk_exact, poisson_tv_exact, threshold_estimator,
                        ThresholdConfig)
 from l1minimax.exact import _lgamma_int, _poisson_window, _window_pmf
-from conftest import brute_force_risk
+from conftest import brute_force_risk, expand
 
 
 def full_window(n, p):
@@ -178,7 +178,7 @@ class TestEstimatorRiskExact:
         fam = CompressedFamily(((0.001, 100), (0.9, 1)))
         n = 50
         compressed = estimator_risk_exact(fam, empirical_estimator(), n)
-        expanded = estimator_risk_exact(fam.expand(), empirical_estimator(), n)
+        expanded = estimator_risk_exact(expand(fam), empirical_estimator(), n)
         assert compressed == pytest.approx(expanded, rel=1e-10)
 
     def test_risk_increases_with_c_at_small_n(self):

@@ -18,7 +18,7 @@ from l1minimax import (CompressedFamily, CoordinatewiseEstimator, McConfig,
 from l1minimax import montecarlo, rng
 from l1minimax.rng import derive_key, stream_key, uniforms
 
-from conftest import per_replicate_compressed_losses
+from conftest import expand, per_replicate_compressed_losses
 
 
 class TestRngStream:
@@ -164,7 +164,7 @@ class TestMcRisk:
         fam = CompressedFamily(((0.02, 20), (0.6, 1)))
         n, master, reps = 30, 555, 120
         out = mc_risk(fam, empirical_estimator(), n, McConfig(reps, master))
-        expanded = fam.expand()
+        expanded = expand(fam)
         losses = []
         for r in range(reps):
             h = sample_multinomial(fam, n, derive_replicate_seed(master, r))
@@ -391,13 +391,14 @@ def _boost_quantile(u, budgets, q):
     return np.clip(_binom_ppf(u, budgets, q), 0, budgets).astype(np.int64)
 
 
-_BUDGETS = st.one_of(st.integers(0, 60), st.integers(0, 10**4), st.integers(0, 10**7))
+_BUDGETS = st.one_of(st.integers(0, 60), st.integers(0, 10**4), st.integers(0, 10**7),
+                     st.integers(0, 10**12))
 _QS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 
 @st.composite
 def _uniforms_on_cdf_steps(draw, budgets=st.lists(_BUDGETS, min_size=1, max_size=3), qs=_QS):
-    """q across (0, 1), one to three budgets up to 1e7, and u exactly on
+    """q across (0, 1), one to three budgets up to 1e12, and u exactly on
     boost's CDF steps C(k) and 1 ulp to either side, within [2^-54, 1]:
     every k of a small budget, a window of k anywhere from the far lower
     to the far upper tail of a large one."""
@@ -423,14 +424,12 @@ def _uniforms_on_cdf_steps(draw, budgets=st.lists(_BUDGETS, min_size=1, max_size
 
 
 class TestBinomialWalk:
-    """The guarded walk of `_binomial_inverse` against boost's quantile, bit
-    for bit, with the walk taken for every call with a positive budget and
-    unequal budgets, and every moving draw."""
+    """The walk of `_binomial_inverse`, which accepts or rejects each draw at
+    its guess, against boost's quantile, bit for bit, with the walk taken
+    for every call with a positive budget and unequal budgets."""
 
-    WALK_ALWAYS = {"_MIN_WALK_WORK": 0.0, "_MIN_STEP_DRAWS": 1}
-
-    # offset 50: guesses 50 steps off and walks up to 120 steps long, so the
-    # running error bound, not the guard alone, has to keep the bits
+    # offset 50: guesses 50 steps off, so that nearly every draw the walk
+    # sees is off its guess and must reach boost
     @given(_uniforms_on_cdf_steps(), st.sampled_from([0, 50]))
     @settings(max_examples=150, deadline=None)
     def test_uniforms_on_cdf_steps_match_boost(self, case, offset):
@@ -438,25 +437,27 @@ class TestBinomialWalk:
         # draws at two more budgets keep the call off the table route
         u = np.append(u, [0.5, 0.5])
         budgets = np.append(budgets, [0, budgets.max(initial=0) + 1])
-        guess = montecarlo._binomial_guess
+        guess, walk = montecarlo._binomial_guess, montecarlo._walk
+        walked = []
         with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
             # boost's search warns of itself at some extreme q; nothing else may
             warnings.simplefilter("error")
             warnings.filterwarnings("ignore", "Error in function boost::", RuntimeWarning)
             want = _boost_quantile(u, budgets, q)
-            for name, value in self.WALK_ALWAYS.items():
-                mp.setattr(montecarlo, name, value)
+            mp.setattr(montecarlo, "_MIN_WALK_WORK", 0.0)
+            mp.setattr(montecarlo, "_walk", lambda *a: walked.append(walk(*a)) or walked[0])
             if offset:
-                mp.setattr(montecarlo, "_WALK_STEPS", 120)
                 mp.setattr(montecarlo, "_binomial_guess", lambda x, b, p: guess(x, b, p)
                            + np.resize([-offset, offset, 3 - offset, offset - 7], x.shape))
             got = montecarlo._binomial_inverse(u, budgets, q)
         assert np.array_equal(got, want)
+        [(draws, unresolved)] = walked
+        assert unresolved[draws != want].all()
 
     def test_unresolved_draws_alone_reach_boost(self, monkeypatch):
-        # Guesses 50 steps off and a walk of one step: only draws within a
-        # step of the guess resolve; the rest, u = 1 and budget 0 go to boost,
-        # draw by draw, without a warning.
+        # Guesses 50 steps off: only draws whose clipped guess is boost's
+        # draw resolve; the rest, u = 1 and budget 0 go to boost, draw by
+        # draw, without a warning.
         from scipy.special import _ufuncs
         m, q = 3000, 0.3
         u = uniforms(stream_key(77), 0, m)
@@ -466,12 +467,10 @@ class TestBinomialWalk:
         offsets = np.resize([-50, 50], m)
         start = np.clip(montecarlo._binomial_guess(np.where(u < 1.0, u, 0.5), budgets, q)
                         + offsets, 0, budgets)
-        unresolved = (np.abs(want - start) > 1) | (budgets == 0) | (u == 1.0)
+        unresolved = (want != start) | (budgets == 0) | (u == 1.0)
         assert 100 < unresolved.sum() < m - 100
         guess = montecarlo._binomial_guess
-        for name, value in self.WALK_ALWAYS.items():
-            monkeypatch.setattr(montecarlo, name, value)
-        monkeypatch.setattr(montecarlo, "_WALK_STEPS", 1)
+        monkeypatch.setattr(montecarlo, "_MIN_WALK_WORK", 0.0)
         monkeypatch.setattr(montecarlo, "_binomial_guess",
                             lambda x, b, p: guess(x, b, p) + offsets)
         sent = []
@@ -508,7 +507,7 @@ class TestBinomialWalk:
 
 @st.composite
 def _single_budget_cases(draw):
-    """One budget up to 1e7, q across (0, 1) with its extremes, and u on
+    """One budget up to 1e12, q across (0, 1) with its extremes, and u on
     boost's CDF steps and 1 ulp to either side (`_uniforms_on_cdf_steps`)."""
     n = draw(_BUDGETS)
     qs = st.one_of(_QS, st.sampled_from([1e-300, 1.0 - 2.0**-53]))
@@ -518,8 +517,9 @@ def _single_budget_cases(draw):
 
 class TestBinomialTable:
     """The table route of `_binomial_inverse`, taken by every call of
-    _MIN_TABLE_DRAWS or more draws whose budgets are all equal, against
-    boost's quantile, bit for bit."""
+    _MIN_TABLE_DRAWS or more draws whose budgets are all equal and at most
+    _MAX_TABLE_BUDGET, against boost's quantile, bit for bit; such calls
+    at larger budgets take the other routes."""
 
     @given(_single_budget_cases(), st.integers(0, 2**64 - 1))
     @settings(max_examples=150, deadline=None)
@@ -539,4 +539,40 @@ class TestBinomialTable:
             want = _boost_quantile(u, budgets, q)
             got = montecarlo._binomial_inverse(u, budgets, q, tally)
         assert np.array_equal(got, want)
-        assert tally["table"] + tally["fallback"] == u.size
+        assert sum(tally.values()) == u.size
+        assert (set(tally) - {"fallback"} == {"table"}) == (n <= montecarlo._MAX_TABLE_BUDGET)
+
+
+@pytest.mark.parametrize("route", ["_table", "_walk"])
+class TestLargeBudgets:
+    """Each route, called directly, against boost's quantile at budgets
+    where boost's CDF stands up to b/2 roundings off the true one."""
+
+    @staticmethod
+    def _draws(route, u, b, q):
+        budgets = np.full(u.size, b, dtype=np.int64)
+        want = _boost_quantile(u, budgets, q)
+        got, unresolved = getattr(montecarlo, route)(u, budgets, q)
+        return np.where(unresolved, want, got), want
+
+    @pytest.mark.parametrize("b, q", [(10**9, 1e-9), (10**12, 1e-12)])
+    def test_uniforms_between_pow_and_cdf0_match_boost(self, route, b, q):
+        # boost answers 0 outright for u <= (1 - q)^b by pow, which stands
+        # ~b/4 roundings off its C(0) here
+        from scipy.special._ufuncs import _binom_cdf
+        zero, c0 = (1.0 - q) ** b, _binom_cdf(0, b, q)
+        assert abs(zero - c0) > 1e-8 * c0
+        got, want = self._draws(route, np.linspace(min(zero, c0), max(zero, c0), 64), b, q)
+        assert np.array_equal(got, want)
+
+    # boost's C(1) at (1e9, 3e-9) is 2.6e-8 relative below the true C(1);
+    # at (1739006029, 9.235479502160027e-9) its C(15) is 1.7e-8 relative
+    # above its C(16) - pmf(16)
+    @pytest.mark.parametrize("b, q", [(10**9, 3e-9), (1739006029, 9.235479502160027e-9)])
+    def test_uniforms_on_cdf_steps_match_boost(self, route, b, q):
+        from scipy.special._ufuncs import _binom_cdf
+        ks = np.arange(max(0, round(b * q) - 40), round(b * q) + 41)
+        steps = _binom_cdf(ks, np.full(ks.size, b), q)
+        u = np.concatenate([steps, np.nextafter(steps, 0.0), np.nextafter(steps, 2.0)])
+        got, want = self._draws(route, u[(u >= 2.0**-54) & (u <= 1.0)], b, q)
+        assert np.array_equal(got, want)
