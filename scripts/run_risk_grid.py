@@ -18,19 +18,21 @@ GRID = [
     "--grid-n", "1000", "10000", "100000",
 ]
 
+# (CLI arguments, output file under results/)
+STEPS = [
+    (["bounds"] + GRID + ["--grid-eta", "1.1"], "bounds_grid.csv"),
+    (["exact-risk", "--family", "entropy-ball"] + GRID
+     + ["--estimator", "empirical", "--estimator", "threshold",
+        "--grid-eta", "1.1"], "exact_risk_grid.csv"),
+    (["mc", "--family", "entropy-ball"] + GRID
+     + ["--replicates", "2000", "--seed", "7"], "mc_risk_grid.csv"),
+]
+
 
 def run() -> int:
     out_dir = pathlib.Path(__file__).resolve().parent.parent / "results"
     out_dir.mkdir(exist_ok=True)
-    steps = [
-        (["bounds"] + GRID + ["--grid-eta", "1.1"], "bounds_grid.csv"),
-        (["exact-risk", "--family", "entropy-ball"] + GRID
-         + ["--estimator", "empirical", "--estimator", "threshold",
-            "--grid-eta", "1.1"], "exact_risk_grid.csv"),
-        (["mc", "--family", "entropy-ball"] + GRID
-         + ["--replicates", "2000", "--seed", "7"], "mc_risk_grid.csv"),
-    ]
-    for args, name in steps:
+    for args, name in STEPS:
         out = out_dir / name
         print(f"== {' '.join(args[:2])} -> {out}")
         code = main(args + ["--out", str(out)])

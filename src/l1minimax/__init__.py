@@ -6,10 +6,11 @@ Bayes-risk oracles needed to verify them at desk scale.
 """
 
 from .bounds import (BoundValue, ChernoffTails, HighDimParams,
-                     adell_jodra_tv_bound, chernoff_tails, classical_constant,
-                     hoeffding_bound, minimax_entropy_lower, minimax_lower_hd,
-                     mle_entropy_lower, mle_entropy_upper, mle_upper_simple,
-                     mle_upper_tight, simplex_lower, threshold_upper)
+                     adell_jodra_tv_bound, bayes_risk_two_point_piecewise,
+                     chernoff_tails, classical_constant, hoeffding_bound,
+                     minimax_entropy_lower, minimax_lower_hd, mle_entropy_lower,
+                     mle_entropy_upper, mle_upper_simple, mle_upper_tight,
+                     simplex_lower, threshold_upper)
 from .core import CompressedFamily, CountHistogram, ProbabilityVector, entropy
 from .estimators import (DEFAULT_ETA, CoordinatewiseEstimator, ThresholdConfig,
                          empirical_estimator, threshold_estimator, threshold_level)
@@ -19,9 +20,8 @@ from .families import (CompositeDraw, CompositePrior, EntropyBallBayesRisk,
                        EntropyBallFamily, ExpectedDistinct, TwoPointPrior,
                        assembled_minimax_lower_hd, bayes_risk_entropy_ball,
                        bayes_risk_entropy_ball_constrained, bayes_risk_two_point,
-                       bayes_risk_two_point_piecewise, entropy_ball_family,
-                       expected_distinct, sample_from_composite_prior,
-                       two_point_prior)
+                       entropy_ball_family, expected_distinct,
+                       sample_from_composite_prior, two_point_prior)
 from .montecarlo import (McConfig, McRiskEstimate, derive_replicate_seed,
                          mc_risk, sample_multinomial)
 

@@ -75,7 +75,7 @@ def _build_estimator(name: str, n: int, eta: Optional[float]) -> CoordinatewiseE
     if name == "empirical":
         return empirical_estimator()
     if name == "threshold":
-        return threshold_estimator(ThresholdConfig(n, eta if eta is not None else DEFAULT_ETA))
+        return threshold_estimator(ThresholdConfig(n, eta))
     raise UsageError(f"unknown estimator {name!r}")
 
 
@@ -317,20 +317,23 @@ def _ball_trend(args, H: float, est_name: str, eta: Optional[float] = None):
     return _trend(args, H, args.grid_c, risk)
 
 
+def _rising_trend(args, rows, H: float, trend, quantity: str, ratio: str) -> list:
+    """cor6's and cor9's rows at one H, the max risk per n of a `_trend`, and
+    their verdicts: ln(n) * `quantity` / H increases over n and ends above 1."""
+    ns, bests, ratios = trend
+    for n, best in zip(ns, bests):
+        rows.append(ReportRow(
+            params={"H": H, "n": n, "family": "entropy-ball", "estimator": "empirical"},
+            exact_risk=best, seed=args.seed))
+    increasing = all(a < b for a, b in zip(ratios, ratios[1:]))
+    return [(increasing, f"H={H}: ln(n) * {quantity} / H increases over n={ns}"),
+            (ratios[-1] > 1.0, f"H={H}: final {ratio} {ratios[-1]:.4f} exceeds 1.0")]
+
+
 def _verdicts_cor6(args, rows):
-    verdicts = []
-    for H in args.grid_H:
-        ns, bests, ratios = _ball_trend(args, H, "empirical")
-        for n, best in zip(ns, bests):
-            rows.append(ReportRow(
-                params={"H": H, "n": n, "family": "entropy-ball", "estimator": "empirical"},
-                exact_risk=best, seed=args.seed))
-        increasing = all(a < b for a, b in zip(ratios, ratios[1:]))
-        verdicts.append((increasing,
-                         f"H={H}: ln(n) * max-c MLE risk / H increases over n={ns}"))
-        verdicts.append((ratios[-1] > 1.0,
-                         f"H={H}: final ratio {ratios[-1]:.4f} exceeds 1.0"))
-    return verdicts
+    return [verdict for H in args.grid_H
+            for verdict in _rising_trend(args, rows, H, _ball_trend(args, H, "empirical"),
+                                         "max-c MLE risk", "ratio")]
 
 
 def _verdicts_cor7(args, rows):
@@ -375,16 +378,8 @@ def _verdicts_cor9(args, rows):
             dominated.append(floor.vacuous or value >= floor.value * (1.0 - 1.0 / k))
             return value
 
-        ns, bests, ratios = _trend(args, H, cs, oracle)
-        for n, best in zip(ns, bests):
-            rows.append(ReportRow(
-                params={"H": H, "n": n, "family": "entropy-ball", "estimator": "empirical"},
-                exact_risk=best, seed=args.seed))
-        increasing = all(a < b for a, b in zip(ratios, ratios[1:]))
-        verdicts.append((increasing,
-                         f"H={H}: ln(n) * simplex-constrained oracle / H increases over n={ns}"))
-        verdicts.append((ratios[-1] > 1.0,
-                         f"H={H}: final constrained ratio {ratios[-1]:.4f} exceeds 1.0"))
+        verdicts += _rising_trend(args, rows, H, _trend(args, H, cs, oracle),
+                                  "simplex-constrained oracle", "constrained ratio")
         verdicts.append((all(dominated),
                          f"H={H}: constrained oracle dominates simplex floor * (1 - 1/k)"))
     return verdicts

@@ -5,12 +5,13 @@ estimator under the Multinomial model (marginals are Binomial, so the risk
 decomposes into per-coordinate expectations), and exact Poisson total
 variation distance.
 
-Only one term of a Binomial window's pmf, its anchor, is evaluated in log
-space; the rest come from exact pmf ratios outward from it.  Poisson pmfs
-are evaluated term by term in log space.  Expectation sums run over a
-window around the Binomial mode and are only accepted once a geometric
-tail bound certifies the truncated contribution, so truncation is
-certified rather than heuristic.  The 1e-14 budget covers a whole risk
+Every pmf window, Binomial and Poisson, is built from exact pmf ratios
+outward from one anchor term (`_outward`).  A Binomial window's anchor is
+evaluated in log space; a Poisson window is anchored at its mode and
+normalized by its sum.  Sums run over a window around the mode and are
+only accepted once a geometric tail bound (`_geometric_tail`) certifies
+the truncated contribution, so truncation is certified rather than
+heuristic.  The 1e-14 budget covers a whole risk
 sum: each of its k distinct atoms of multiplicity mult gets
 TAIL_TOL / (mult * k).
 """
@@ -95,9 +96,28 @@ class PoissonPair:
             raise ValueError("rates must be finite")
 
 
+def _outward(lo: int, hi: int, anchor: int, up, down) -> np.ndarray:
+    """pmf(k) / pmf(anchor) on lo..hi, anchor in [lo, hi], by cumulative
+    products of exact ratios outward: up(ks) is pmf(k + 1) / pmf(k) at
+    ks = anchor..hi-1, down(ks) is pmf(k - 1) / pmf(k) at ks = anchor..lo+1."""
+    out = np.empty(hi - lo + 1)
+    out[anchor - lo] = 1.0
+    if anchor < hi:
+        out[anchor - lo + 1:] = np.cumprod(up(np.arange(anchor, hi, dtype=float)))
+    if anchor > lo:
+        out[anchor - lo - 1::-1] = np.cumprod(down(np.arange(anchor, lo, -1, dtype=float)))
+    return out
+
+
+def _geometric_tail(edge: float, r: float) -> float:
+    """Bound on the mass beyond a window edge whose pmf is `edge`, when the
+    pmf ratios outward from it start at r and keep shrinking."""
+    return math.inf if r >= 1.0 else edge * r / (1.0 - r)
+
+
 def _window_pmf(n: int, p: float, lo: int, hi: int, anchor: int) -> np.ndarray:
     """Binomial pmf on lo..hi from a log-space anchor and the exact
-    multiplicative recurrence, vectorized with cumulative products.
+    multiplicative recurrence (`_outward`).
 
     The anchor must lie inside [lo, hi].  When it sits at 0 or n its log
     mass is a single log1p/log product, which keeps small-np windows at
@@ -111,15 +131,9 @@ def _window_pmf(n: int, p: float, lo: int, hi: int, anchor: int) -> np.ndarray:
         log_a = (_lgamma_int(n + 1.0) - _lgamma_int(anchor + 1.0)
                  - _lgamma_int(n - anchor + 1.0)
                  + anchor * math.log(p) + (n - anchor) * math.log1p(-p))
-    out = np.empty(hi - lo + 1)
-    out[anchor - lo] = 1.0
     odds = p / (1.0 - p)
-    if anchor < hi:
-        ks = np.arange(anchor, hi, dtype=float)
-        out[anchor - lo + 1:] = np.cumprod((n - ks) / (ks + 1.0) * odds)
-    if anchor > lo:
-        ks = np.arange(anchor, lo, -1, dtype=float)
-        out[anchor - lo - 1::-1] = np.cumprod(ks / ((n - ks + 1.0) * odds))
+    out = _outward(lo, hi, anchor, lambda ks: (n - ks) / (ks + 1.0) * odds,
+                   lambda ks: ks / ((n - ks + 1.0) * odds))
     out *= math.exp(log_a)
     return out
 
@@ -148,13 +162,9 @@ def _binomial_window(n: int, p: float, tail_tol: float, term_bound: float = 1.0)
         pmf = _window_pmf(n, p, lo, hi, anchor)
         tail = 0.0
         if lo > 0:
-            # Below the window the pmf ratios keep shrinking, so the tail
-            # is dominated by a geometric series at the edge ratio.
-            r = lo * (1.0 - p) / ((n - lo + 1.0) * p)
-            tail += math.inf if r >= 1.0 else pmf[0] * r / (1.0 - r)
+            tail += _geometric_tail(pmf[0], lo * (1.0 - p) / ((n - lo + 1.0) * p))
         if hi < n:
-            r = (n - hi) * p / ((hi + 1.0) * (1.0 - p))
-            tail += math.inf if r >= 1.0 else pmf[-1] * r / (1.0 - r)
+            tail += _geometric_tail(pmf[-1], (n - hi) * p / ((hi + 1.0) * (1.0 - p)))
         if tail * term_bound <= tail_tol:
             return lo, pmf, tail
         width *= 2
@@ -227,20 +237,10 @@ def estimator_risk_exact(
 
 
 def _poisson_window(lam: float, kmax: int) -> np.ndarray:
-    if lam == 0.0:
-        out = np.zeros(kmax + 1)
-        out[0] = 1.0
-        return out
-    ks = np.arange(kmax + 1, dtype=float)
-    log_fact = np.array([_lgamma_int(k + 1.0) for k in range(kmax + 1)])
-    return np.exp(-lam + ks * math.log(lam) - log_fact)
-
-
-def _poisson_tail_bound(lam: float, pmf_last: float, kmax: int) -> float:
-    if lam == 0.0:
-        return 0.0
-    r = lam / (kmax + 1.0)
-    return math.inf if r >= 1.0 else pmf_last * r / (1.0 - r)
+    """Poisson(lam) pmf on 0..kmax, kmax >= lam, by exact ratios outward
+    from the mode (`_outward`), normalized by its sum on the window."""
+    pmf = _outward(0, kmax, int(lam), lambda ks: lam / (ks + 1.0), lambda ks: ks / lam)
+    return pmf / pmf.sum()
 
 
 def poisson_tv_exact(pair: PoissonPair) -> float:
@@ -256,8 +256,8 @@ def poisson_tv_exact(pair: PoissonPair) -> float:
     while True:
         pmf_lo = _poisson_window(lam_lo, kmax)
         pmf_hi = _poisson_window(lam_hi, kmax)
-        tail = (_poisson_tail_bound(lam_lo, pmf_lo[-1], kmax)
-                + _poisson_tail_bound(lam_hi, pmf_hi[-1], kmax))
+        tail = (_geometric_tail(pmf_lo[-1], lam_lo / (kmax + 1.0))
+                + _geometric_tail(pmf_hi[-1], lam_hi / (kmax + 1.0)))
         if tail < POISSON_TAIL_TOL:
             return float(0.5 * np.abs(pmf_lo - pmf_hi).sum())
         kmax *= 2

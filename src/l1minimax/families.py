@@ -31,7 +31,6 @@ __all__ = [
     "entropy_ball_family",
     "two_point_prior",
     "bayes_risk_two_point",
-    "bayes_risk_two_point_piecewise",
     "assembled_minimax_lower_hd",
     "expected_distinct",
     "bayes_risk_entropy_ball",

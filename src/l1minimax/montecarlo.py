@@ -57,7 +57,8 @@ _MAX_BLOCK_MULT = 1 << 53
 # Binomial table and walk (`_table`, `_walk`): a draw whose uniform lies
 # within this relative distance of one of boost's CDF steps, plus a share
 # that grows with the budget and the error of the CDF it was compared
-# with (`_unresolved`), goes to boost's quantile.
+# with (`_unresolved`), goes to boost's quantile.  A margin: no known input
+# needs it, and at 0 draws tested near boost's steps still match its quantile.
 _GUARD = 1e-9
 _UNIT = 2.0 ** -53  # unit roundoff of a double
 _TINY = float(np.finfo(float).tiny)  # smallest normal double
@@ -329,16 +330,26 @@ def _block_runs(keys: np.ndarray, starts: np.ndarray, totals: np.ndarray, mult: 
 
 
 def _block_cells(key: np.uint64, start: int, total: int, mult: int) -> tuple:
-    """One block's occupied cell ids, their counts, and the next stream position."""
+    """One block's occupied cell ids and their counts."""
     cells, run, counts, _, _ = _block_runs(
         np.array([key]), np.array([start]), np.array([total]), mult)
-    return cells.ravel()[run].astype(np.int64), counts, start + total
+    return cells.ravel()[run].astype(np.int64), counts
 
 
-def _check_block_mults(atoms) -> None:
-    for _, mult in atoms:
-        if mult > _MAX_BLOCK_MULT:
-            raise ValueError("atom multiplicity too large to allocate symbols exactly")
+def _stream_layout(keys: np.ndarray, atoms, n: int, tally=None) -> tuple:
+    """Chain counts and block starts, both (R, len(atoms)), of each stream.
+
+    Stream `keys[r]` holds the len(atoms) - 1 uniforms of the conditional
+    chain, then the draws of each block (atom of multiplicity > 1) in atom
+    order, one per count.  `tally` is passed on to `_conditional_chain`.
+    """
+    if any(m > _MAX_BLOCK_MULT for _, m in atoms):
+        raise ValueError("atom multiplicity too large to allocate symbols exactly")
+    totals = _conditional_chain(keys, [v * m for v, m in atoms], n, tally)
+    drawn = totals * np.array([m > 1 for _, m in atoms])
+    starts = np.cumsum(drawn, axis=1)
+    starts += len(atoms) - 1 - drawn
+    return totals, starts
 
 
 def sample_multinomial(p: Distribution, n: int, seed: int) -> CountHistogram:
@@ -352,18 +363,15 @@ def sample_multinomial(p: Distribution, n: int, seed: int) -> CountHistogram:
         raise ValueError(
             f"support size {support} too large for a dense histogram; "
             "use mc_risk, which never materializes per-symbol counts")
-    _check_block_mults(atoms)
     key = stream_key(seed)
-    masses = [v * m for v, m in atoms]
-    totals = _conditional_chain(np.array([key], dtype=np.uint64), masses, n)[0]
+    totals, starts = _stream_layout(np.array([key], dtype=np.uint64), atoms, n)
     dense = np.zeros(support, dtype=np.int64)
-    pos = len(atoms) - 1
     offset = 0
-    for (value, mult), total in zip(atoms, totals):
+    for (value, mult), total, start in zip(atoms, totals[0].tolist(), starts[0].tolist()):
         if mult == 1:
             dense[offset] = total
         elif total > 0:
-            cells, counts, pos = _block_cells(key, pos, int(total), mult)
+            cells, counts = _block_cells(key, start, total, mult)
             dense[offset + cells] = counts
         offset += mult
     return CountHistogram(dense, n)
@@ -410,18 +418,15 @@ def _compressed_losses(
     the batching.
     """
     atoms = _atom_items(p)
-    _check_block_mults(atoms)
-    masses = [v * m for v, m in atoms]
     values = np.array([v for v, _ in atoms])
     losses = np.zeros(keys.shape[0])
     step = max(1, _CHUNK_CELLS // len(atoms))
     for lo in range(0, keys.shape[0], step):
         batch = keys[lo:lo + step]
         out = losses[lo:lo + step]
-        totals = _conditional_chain(batch, masses, n, tally)
+        totals, starts = _stream_layout(batch, atoms, n, tally)
         # |f(total) - value| of every atom, the loss of those with mult 1
         singles = np.abs(estimator(totals, n) - values)
-        pos = np.full(batch.shape[0], len(atoms) - 1, dtype=np.int64)
         for a, (value, mult) in enumerate(atoms):
             if mult == 1:
                 out += singles[:, a]
@@ -429,10 +434,9 @@ def _compressed_losses(
             total = totals[:, a]
             # |f(k) - value| for every count k a cell of this block can hold
             loss = np.abs(estimator(np.arange(int(total.max()) + 1), n) - value)
-            occupied, sums = _block_losses(batch, pos, total, mult, loss)
+            occupied, sums = _block_losses(batch, starts[:, a], total, mult, loss)
             out += (mult - occupied) * loss[0]
             out += sums
-            pos += total
     return losses
 
 

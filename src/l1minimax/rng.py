@@ -12,7 +12,6 @@ import functools
 
 import numpy as np
 
-MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
@@ -38,24 +37,26 @@ def stream_key(seed: int) -> np.uint64:
     return mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
 
 
+def _seed_hash(master_seed: int, index) -> np.uint64 | np.ndarray:
+    """splitmix64 output `index` of the generator seeded with `master_seed`."""
+    with np.errstate(over="ignore"):
+        base = np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF)
+        idx = np.asarray(index, dtype=np.uint64)
+        return mix64(base + (idx + np.uint64(1)) * _GAMMA)
+
+
 def derive_key(master_seed: int, index: int | np.ndarray) -> np.uint64 | np.ndarray:
     """Counter-hash of (master_seed, index); the splitmix64 stream at `index`.
 
     `derive_key(m, r)` equals `stream_key(derive_seed(m, r))` so that a
     sub-stream can be reproduced in isolation from its derived seed.
     """
-    with np.errstate(over="ignore"):
-        base = np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF)
-        idx = np.asarray(index, dtype=np.uint64)
-        seeds = base + (idx + np.uint64(1)) * _GAMMA
-        return mix64(mix64(seeds))
+    return mix64(_seed_hash(master_seed, index))
 
 
 def derive_seed(master_seed: int, index: int) -> int:
     """Per-index seed as a plain integer, usable wherever a seed is accepted."""
-    with np.errstate(over="ignore"):
-        base = np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF)
-        return int(mix64(base + (np.uint64(index) + np.uint64(1)) * _GAMMA))
+    return int(_seed_hash(master_seed, index))
 
 
 # Every stream hashes the same counters (draw indices), so their hashes are

@@ -198,12 +198,37 @@ class TestEstimatorRiskExact:
         assert risk >= floor - 1e-14
 
 
+def mpmath_poisson_tv(lo, hi, digits=50):
+    """Half the absolute pmf difference of Poisson(lo) and Poisson(hi),
+    summed in mpmath far past both tails."""
+    import mpmath
+    with mpmath.workdps(digits):
+        lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+        p_lo, p_hi = mpmath.exp(-lo), mpmath.exp(-hi)
+        total = abs(p_lo - p_hi)
+        for k in range(1, int(hi + 40 * math.sqrt(hi + 1)) + 60):
+            p_lo, p_hi = p_lo * lo / k, p_hi * hi / k
+            total += abs(p_lo - p_hi)
+        return float(total / 2)
+
+
 class TestPoisson:
-    def test_pmf_examples(self):
-        assert _poisson_window(0.0, 3).tolist() == [1.0, 0.0, 0.0, 0.0]
-        assert _poisson_window(1.0, 1) == pytest.approx([math.exp(-1)] * 2, rel=1e-14)
-        ks = np.arange(60)
-        assert _poisson_window(12.5, 59) == pytest.approx(sp_poisson.pmf(ks, 12.5), rel=1e-12)
+    @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (0.5, 2.0), (5.0, 6.0), (40.0, 90.0),
+                                       (100.0, 100.5), (300.0, 320.0), (700.0, 760.0),
+                                       (999.5, 1000.5), (1000.0, 1010.0), (1000.0, 1040.0)])
+    def test_tv_matches_mpmath(self, lo, hi):
+        assert poisson_tv_exact(PoissonPair(lo, hi)) == pytest.approx(
+            mpmath_poisson_tv(lo, hi), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-3, 1.0, 12.5, 300.0, 1040.0])
+    def test_window_matches_scipy(self, lam):
+        # the first window poisson_tv_exact takes, whose tail beyond kmax is
+        # below 1e-15; scipy's own relative error reaches 3e-12 at lam = 1040
+        kmax = int(max(lam + 20.0 * math.sqrt(lam + 1.0), 50.0))
+        pmf = _poisson_window(lam, kmax)
+        assert math.fsum(pmf.tolist()) == pytest.approx(1.0, abs=1e-15)
+        ref = sp_poisson.pmf(np.arange(kmax + 1), lam)
+        assert pmf == pytest.approx(ref, rel=1e-11, abs=1e-300)
 
     def test_tv_identical_rates(self):
         assert poisson_tv_exact(PoissonPair(3.7, 3.7)) == 0.0

@@ -576,3 +576,34 @@ class TestLargeBudgets:
         u = np.concatenate([steps, np.nextafter(steps, 0.0), np.nextafter(steps, 2.0)])
         got, want = self._draws(route, u[(u >= 2.0**-54) & (u <= 1.0)], b, q)
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("guard", [montecarlo._GUARD, 0.0])
+@pytest.mark.parametrize("route", ["_table", "_walk"])
+def test_uniforms_near_cdf_steps_match_boost(monkeypatch, route, guard):
+    """Each route, called directly, with u at a relative 1e-10 to 1e-15 to
+    either side of boost's CDF steps at budgets 2 to 1e4: every draw it
+    resolves is boost's quantile.  This holds with _GUARD at 0 too, where
+    many of these draws resolve, because the rest of `_unresolved`'s band
+    keeps the draws that could differ unresolved: no known input needs the
+    guard, which stays as a margin."""
+    from scipy.special._ufuncs import _binom_cdf
+    monkeypatch.setattr(montecarlo, "_GUARD", guard)
+    rel = np.array([1e-10, 3e-11, 1e-11, 3e-12, 1e-12, 3e-13, 1e-14, 1e-15])
+    rel = np.concatenate([1.0 + rel, 1.0 - rel])
+    draws = resolved = 0
+    for b in (2, 7, 60, 500, 3000, 10**4):
+        for q in (1e-3, 0.05, 0.3, 0.5, 0.77, 0.999):
+            mean = round(b * q)
+            ks = np.arange(max(0, mean - 60), min(b, mean + 60) + 1)
+            u = (_binom_cdf(ks, np.full(ks.size, b), q)[:, None] * rel).ravel()
+            u = u[(u >= 2.0 ** -54) & (u < 1.0)]
+            budgets = np.full(u.size, b, dtype=np.int64)
+            got, unresolved = getattr(montecarlo, route)(u, budgets, q)
+            want = _boost_quantile(u, budgets, q)
+            assert np.array_equal(got[~unresolved], want[~unresolved]), (b, q)
+            draws += u.size
+            resolved += u.size - unresolved.sum()
+    assert draws > 20_000
+    # the guard alone leaves all of them to boost
+    assert resolved > draws // 4 if guard == 0.0 else resolved == 0

@@ -1,30 +1,25 @@
 """Golden reports: the committed results/*.csv, regenerated in-process.
 
 Runs the eight commands of scripts/run_risk_grid.py and
-scripts/run_trend_sweeps.py through `cli.main` and compares every output
-byte for byte with the committed file, so a change that moves any reported
-number has to re-baseline results/ on purpose.
+scripts/run_trend_sweeps.py, read from the scripts themselves, through
+`cli.main` and compares every output byte for byte with the committed
+file, so a change that moves any reported number has to re-baseline
+results/ on purpose.
 """
 
 import pathlib
+import runpy
 
 import pytest
 
 from l1minimax.cli import main
 
-RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+RESULTS = ROOT / "results"
 
-GRID = ["--grid-H", "1", "--grid-c", "0.3", "0.5", "0.7",
-        "--grid-n", "1000", "10000", "100000"]
-
-RISK_GRID = {
-    "bounds_grid.csv": ["bounds"] + GRID + ["--grid-eta", "1.1"],
-    "exact_risk_grid.csv": (["exact-risk", "--family", "entropy-ball"] + GRID
-                            + ["--estimator", "empirical", "--estimator", "threshold",
-                               "--grid-eta", "1.1"]),
-    "mc_risk_grid.csv": (["mc", "--family", "entropy-ball"] + GRID
-                         + ["--replicates", "2000", "--seed", "7"]),
-}
+RISK_GRID = {name: args for args, name in
+             runpy.run_path(str(ROOT / "scripts" / "run_risk_grid.py"))["STEPS"]}
+TREND_TARGETS = runpy.run_path(str(ROOT / "scripts" / "run_trend_sweeps.py"))["TARGETS"]
 
 # PASS lines each reproduce target prints with its default grids
 TREND_PASSES = {"cor2": 2, "cor3-4": 2, "cor6": 2, "cor7": 1, "cor9": 3}
@@ -37,7 +32,7 @@ def test_risk_grid_report_is_golden(tmp_path, name):
     assert out.read_bytes() == (RESULTS / name).read_bytes()
 
 
-@pytest.mark.parametrize("target", sorted(TREND_PASSES))
+@pytest.mark.parametrize("target", TREND_TARGETS)
 def test_trend_report_is_golden(tmp_path, capsys, target):
     out = tmp_path / f"trend_{target}.csv"
     assert main(["reproduce", target, "--out", str(out)]) == 0
