@@ -31,8 +31,6 @@ __all__ = [
     "hoeffding_bound",
 ]
 
-_E = math.exp(1.0)
-
 
 @dataclass(frozen=True)
 class BoundValue:
@@ -88,9 +86,9 @@ def bayes_risk_two_point_piecewise(S: int, n: float) -> float:
     """Closed-form floor for the two-point Bayes risk at the tuned eta."""
     if S < 2 or n < 1:
         raise ValueError("need S >= 2 and n >= 1")
-    if n / S <= _E / 16.0:
+    if n / S <= math.e / 16.0:
         return math.exp(-2.0 * n / S)
-    return 0.125 * math.sqrt(_E * S / n)
+    return 0.125 * math.sqrt(math.e * S / n)
 
 
 def minimax_lower_hd(params: HighDimParams) -> BoundValue:
@@ -157,11 +155,11 @@ def threshold_upper(H: float, n: int, eta: float) -> BoundValue:
         raise ValueError("H must be nonnegative")
     if not eta > 1.0:
         raise ValueError("eta must exceed 1")
-    denom = math.log(n) - math.log(2.0 * _E * _E) - 2.0 * eta * _ln_ln(n)
+    denom = math.log(n) - math.log(2.0 * math.e * math.e) - 2.0 * eta * _ln_ln(n)
     if denom <= 0.0:
         return BoundValue(math.inf, vacuous=True)
     value = (H / denom + math.log(n) ** (-eta)
-             + math.exp((1.0 - _E * _E / 4.0) * math.log(n)))
+             + math.exp((1.0 - math.e * math.e / 4.0) * math.log(n)))
     return BoundValue(value)
 
 
@@ -197,7 +195,7 @@ def adell_jodra_tv_bound(t: float, x: float) -> float:
     if x == 0.0:
         return 0.0
     # sqrt(t+x) - sqrt(t) via the conjugate form to avoid cancellation
-    second = math.sqrt(2.0 / _E) * x / (math.sqrt(t + x) + math.sqrt(t))
+    second = math.sqrt(2.0 / math.e) * x / (math.sqrt(t + x) + math.sqrt(t))
     return min(first, second)
 
 

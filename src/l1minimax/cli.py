@@ -5,8 +5,8 @@ grid, `exact-risk` computes enumeration-based risks on named families,
 `mc` cross-validates them by seeded Monte Carlo, and `reproduce` runs
 scripted trend sweeps with PASS/FAIL verdicts.
 
-Reruns with identical arguments produce byte-identical output files;
-wall-clock timing is therefore only recorded with --timing.
+Reruns with identical arguments produce byte-identical output files, so
+diagnostics, each cell's wall-clock time among them, go to stderr with -v.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .montecarlo import McConfig, mc_risk
 from .report import ReportRow, write_report
 from .rng import derive_seed
 
-_E = math.exp(1.0)
+logger = logging.getLogger(__name__)
 
 
 class UsageError(Exception):
@@ -145,17 +145,18 @@ def _write_report(rows, args) -> None:
 
 def _evaluate(cells, args) -> int:
     """One report row per (params, fill) cell; a cell whose fill raises keeps
-    what it recorded so far plus the error text, and the sweep goes on."""
+    what it recorded so far plus the error text, and the sweep goes on.
+    Each cell's wall-clock time is logged at DEBUG."""
     rows = []
-    for params, fill in cells:
+    for index, (params, fill) in enumerate(cells, start=1):
         row = ReportRow(params=params, seed=args.seed)
         started = time.perf_counter()
         try:
             fill(row)
         except Exception as exc:  # keep the sweep going, record the cell
             row.error = str(exc)
-        if args.timing:
-            row.runtime_ms = (time.perf_counter() - started) * 1e3
+        logger.debug("%s cell %d of %d %s: %.3f ms", args.command, index, len(cells), params,
+                     (time.perf_counter() - started) * 1e3)
         rows.append(row)
     _write_report(rows, args)
     return 0
@@ -273,7 +274,7 @@ def _verdicts_cor2(args, rows):
 def _verdicts_cor34(args, rows):
     cs = _grid(args, "c", lambda c: c > 0, "c > 0")
     ns = sorted(_grid(args, "n", lambda n: n >= 1, "n >= 1"))
-    floor_constant = math.sqrt(_E) / 8.0
+    floor_constant = math.sqrt(math.e) / 8.0
     upper_ok, lower_ok = True, True
     for c, n in itertools.product(cs, ns):
         S = max(2, round(n / c))
@@ -443,10 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="output path (default stdout)")
     common.add_argument("-v", "--verbose", action="store_true",
                         help="log diagnostics (entropy-ball rounding, degenerate "
-                             "threshold) to stderr; reports are unchanged")
-    timed = argparse.ArgumentParser(add_help=False)
-    timed.add_argument("--timing", action="store_true",
-                       help="record wall-clock per cell (breaks byte-identical reruns)")
+                             "threshold, cell times) to stderr; reports are unchanged")
     cells = argparse.ArgumentParser(add_help=False)
     cells.add_argument("--estimator", action="append", choices=["empirical", "threshold"],
                        help="estimator(s) to evaluate; repeatable")
@@ -462,12 +460,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Estimators, exact risks and minimax bounds for discrete "
                     "distribution estimation under l1 loss.")
     sub = parser.add_subparsers(dest="command", required=True)
-    bounds = sub.add_parser("bounds", parents=[common, timed],
+    bounds = sub.add_parser("bounds", parents=[common],
                             help="evaluate closed-form bounds on a parameter grid")
     _add_grids(bounds, dict.fromkeys(_GRIDS))
-    sub.add_parser("exact-risk", parents=[common, timed, cells],
+    sub.add_parser("exact-risk", parents=[common, cells],
                    help="exact estimator risk on named families")
-    mc = sub.add_parser("mc", parents=[common, timed, cells],
+    mc = sub.add_parser("mc", parents=[common, cells],
                         help="Monte-Carlo risk with exact cross-check")
     mc.add_argument("--replicates", type=int, default=10_000,
                     help="Monte-Carlo replicates per cell")

@@ -19,7 +19,7 @@ from .bounds import (BoundValue, HighDimParams, bayes_risk_two_point_piecewise,
                      hoeffding_bound)
 from .core import CompressedFamily, ProbabilityVector
 from .exact import PoissonPair, poisson_tv_exact
-from .rng import stream_key, uniforms
+from .rng import MAX_INDEX_RANGE, stream_key, to_index, uniforms
 
 __all__ = [
     "EntropyBallFamily",
@@ -40,13 +40,9 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_E = math.exp(1.0)
-
 # exp() overflows past ~709; larger families would need atom values below
 # the double-precision range anyway.
 _MAX_LOG_SUPPORT = 700.0
-# Slot indices are derived from floor(u * population), exact only below 2^53.
-_MAX_SAMPLED_POPULATION = 1 << 53
 _MAX_SAMPLED_ACTIVE = 10_000_000
 
 
@@ -122,7 +118,7 @@ class TwoPointPrior:
 
 def two_point_prior(S: int, n: float) -> TwoPointPrior:
     """Prior with the risk-maximizing perturbation min{1, sqrt(eS/n)/4}."""
-    eta = min(1.0, 0.25 * math.sqrt(_E * S / n))
+    eta = min(1.0, 0.25 * math.sqrt(math.e * S / n))
     return TwoPointPrior(S, n, eta)
 
 
@@ -261,17 +257,18 @@ class CompositeDraw:
 def sample_from_composite_prior(cp: CompositePrior, seed: int) -> CompositeDraw:
     """Uniformly random size-S' subset of the k S' slots, deterministic in seed.
 
-    Floyd's subset sampling: O(S') work and memory, no dense materialization.
+    Floyd's subset sampling, in O(S') work and memory: step i, from k S' - S'
+    up, takes the slot j in [0, i] that `rng.to_index` maps its draw to, or i.
     """
     population = cp.k * cp.S_prime
-    if population > _MAX_SAMPLED_POPULATION:
+    if population > MAX_INDEX_RANGE:
         raise ValueError("slot population too large to index exactly")
     if cp.S_prime > _MAX_SAMPLED_ACTIVE:
         raise ValueError("S_prime too large to sample at desk scale")
-    us = uniforms(stream_key(seed), 0, cp.S_prime)
+    first = population - cp.S_prime
+    slots = to_index(uniforms(stream_key(seed), 0, cp.S_prime), np.arange(first, population) + 1)
     chosen = set()
-    for step, i in enumerate(range(population - cp.S_prime, population)):
-        j = int(us[step] * (i + 1))
+    for i, j in zip(range(first, population), slots.astype(np.int64).tolist()):
         chosen.add(i if j in chosen else j)
     family = CompressedFamily(((cp.delta / cp.S_prime, cp.S_prime), (1.0 - cp.delta, 1)))
     return CompositeDraw(cp, tuple(sorted(chosen)), family)

@@ -34,7 +34,8 @@ import numpy as np
 from .core import MAX_DENSE_SUPPORT, CountHistogram, Distribution, _atom_items
 from .estimators import CoordinatewiseEstimator
 from .exact import _binomial_window
-from .rng import derive_key, derive_seed, stream_key, uniforms
+from .rng import (MAX_INDEX_RANGE, UNIFORM_MAX, UNIFORM_MIN, derive_key, derive_seed,
+                  stream_key, to_index, uniforms)
 
 __all__ = [
     "McConfig",
@@ -52,8 +53,6 @@ _CHUNK_CELLS = 2_000_000
 # Padded draws per batch of replicates in a block atom; keeps the batch's
 # temporaries within a few hundred KB.
 _CHUNK_DRAWS = 1 << 13
-# floor(u * multiplicity) is an exact uniform cell index only below 2^53.
-_MAX_BLOCK_MULT = 1 << 53
 # Binomial table and walk (`_table`, `_walk`): a draw whose uniform lies
 # within this relative distance of one of boost's CDF steps, plus a share
 # that grows with the budget and the error of the CDF it was compared
@@ -62,8 +61,6 @@ _MAX_BLOCK_MULT = 1 << 53
 _GUARD = 1e-9
 _UNIT = 2.0 ** -53  # unit roundoff of a double
 _TINY = float(np.finfo(float).tiny)  # smallest normal double
-# `rng.uniforms` never draws below this; smaller uniforms go to boost.
-_MIN_WALK_U = 2.0 ** -54
 # Mass a Binomial table (`_table`) may leave outside its window; far below
 # _GUARD times the smallest uniform.
 _TABLE_TAIL = 1e-30
@@ -168,11 +165,11 @@ def _unresolved(u: np.ndarray, below: np.ndarray, above: np.ndarray, err,
     rounded 1 - q to a power near b (measured for budgets 1e2 to 1e10:
     0.49 b, as for its C(k - 1) against C(k) - pmf(k)); its shortcut to 0
     for u <= (1 - q)^b by pow stands as far off its C(0).  So u must clear
-    both steps by (_GUARD + 2 b _UNIT) C(k) plus `err`, lie below 1 and
-    reach every uniform `rng.uniforms` draws.
+    both steps by (_GUARD + 2 b _UNIT) C(k) plus `err`, lie below the
+    stream's top draw and reach down to its smallest.
     """
     tol = (_GUARD + 2.0 * _UNIT * budgets) * above + err
-    return ~((u - below > tol) & (u - above <= -tol) & (u < 1.0) & (u >= _MIN_WALK_U))
+    return ~((u - below > tol) & (u - above <= -tol) & (u < UNIFORM_MAX) & (u >= UNIFORM_MIN))
 
 
 def _table(u: np.ndarray, budgets: np.ndarray, q: float) -> tuple:
@@ -213,7 +210,7 @@ def _walk(u: np.ndarray, budgets: np.ndarray, q: float) -> tuple:
     _GUARD, and the subtraction's rounding.  Draws with budget 0 are
     unresolved too, and every draw of a call whose anchors overflow.
     """
-    bad = (budgets <= 0) | (u >= 1.0) | (u < _MIN_WALK_U)
+    bad = (budgets <= 0) | (u >= UNIFORM_MAX) | (u < UNIFORM_MIN)
     k = _binomial_guess(np.where(bad, 0.5, u), budgets, q).clip(0, budgets).astype(np.int64)
     try:
         above, pmf = _anchors(budgets, k, q)
@@ -299,20 +296,17 @@ def _conditional_chain(
 
 
 def _block_runs(keys: np.ndarray, starts: np.ndarray, totals: np.ndarray, mult: int) -> tuple:
-    """Uniform allocation of each row's block draws over `mult` cells.
+    """Uniform allocation of each row's block draws over `mult` cells, for
+    `mc_risk` and `sample_multinomial` alike.
 
-    Row r allocates `totals[r]` draws from stream `keys[r]` at `starts[r]`;
-    a draw u lands in cell min(floor(u * mult), mult - 1), held exactly as
-    a float.  Rows are sorted on their own, shorter ones padded with the
-    sentinel `mult`, which sorts last.  Returns the sorted cells, each
-    run's flat start in them and its count, and per row its first run and
-    occupied cells: row r's cells ascend through runs first[r]:first[r] +
-    occupied[r]."""
+    Row r allocates `totals[r]` draws from stream `keys[r]` at `starts[r]`,
+    each to the cell `rng.to_index` maps it to, held exactly as a float.
+    Rows are sorted on their own, shorter ones padded with the sentinel
+    `mult`, which sorts last.  Returns the sorted cells, each run's flat
+    start in them and its count, and per row its first run and occupied
+    cells: row r's cells ascend through runs first[r]:first[r] + occupied[r]."""
     width = int(totals.max())
-    cells = uniforms(keys, starts, width)
-    cells *= mult
-    np.floor(cells, out=cells)
-    np.minimum(cells, mult - 1, out=cells)
+    cells = to_index(uniforms(keys, starts, width), mult)
     padded = totals < width
     if padded.any():
         cells[np.arange(width) >= totals[:, None]] = mult
@@ -329,13 +323,6 @@ def _block_runs(keys: np.ndarray, starts: np.ndarray, totals: np.ndarray, mult: 
     return cells, run, counts, first[:-1], first[1:] - first[:-1] - padded
 
 
-def _block_cells(key: np.uint64, start: int, total: int, mult: int) -> tuple:
-    """One block's occupied cell ids and their counts."""
-    cells, run, counts, _, _ = _block_runs(
-        np.array([key]), np.array([start]), np.array([total]), mult)
-    return cells.ravel()[run].astype(np.int64), counts
-
-
 def _stream_layout(keys: np.ndarray, atoms, n: int, tally=None) -> tuple:
     """Chain counts and block starts, both (R, len(atoms)), of each stream.
 
@@ -343,7 +330,7 @@ def _stream_layout(keys: np.ndarray, atoms, n: int, tally=None) -> tuple:
     chain, then the draws of each block (atom of multiplicity > 1) in atom
     order, one per count.  `tally` is passed on to `_conditional_chain`.
     """
-    if any(m > _MAX_BLOCK_MULT for _, m in atoms):
+    if any(m > MAX_INDEX_RANGE for _, m in atoms):
         raise ValueError("atom multiplicity too large to allocate symbols exactly")
     totals = _conditional_chain(keys, [v * m for v, m in atoms], n, tally)
     drawn = totals * np.array([m > 1 for _, m in atoms])
@@ -363,16 +350,17 @@ def sample_multinomial(p: Distribution, n: int, seed: int) -> CountHistogram:
         raise ValueError(
             f"support size {support} too large for a dense histogram; "
             "use mc_risk, which never materializes per-symbol counts")
-    key = stream_key(seed)
-    totals, starts = _stream_layout(np.array([key], dtype=np.uint64), atoms, n)
+    keys = np.array([stream_key(seed)], dtype=np.uint64)
+    totals, starts = _stream_layout(keys, atoms, n)
     dense = np.zeros(support, dtype=np.int64)
     offset = 0
     for (value, mult), total, start in zip(atoms, totals[0].tolist(), starts[0].tolist()):
         if mult == 1:
             dense[offset] = total
         elif total > 0:
-            cells, counts = _block_cells(key, start, total, mult)
-            dense[offset + cells] = counts
+            cells, run, counts, _, _ = _block_runs(keys, np.array([start]),
+                                                   np.array([total]), mult)
+            dense[offset + cells[0, run].astype(np.int64)] = counts
         offset += mult
     return CountHistogram(dense, n)
 

@@ -2,8 +2,8 @@
 
 One row per grid cell with a fixed column order: parameters alphabetically,
 then exact and Monte-Carlo results, then bound values alphabetically, then
-vacuous flags, then error / seed / runtime.  CSV uses 12 significant
-digits, UTF-8 and LF line endings; JSON mirrors the same field names.
+vacuous flags, then error / seed / runtime_ms (always empty).  CSV uses 12
+significant digits, UTF-8 and LF line endings; JSON mirrors the field names.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ class ReportRow:
     bounds: dict = field(default_factory=dict)
     error: Optional[str] = None
     seed: Optional[int] = None
-    runtime_ms: Optional[float] = None
 
     def record(self) -> dict:
         rec = {name: self.params.get(name) for name in PARAM_COLUMNS}
@@ -58,7 +57,7 @@ class ReportRow:
             rec[name] = bound.value if isinstance(bound, BoundValue) else bound
         for name, column in zip(FLAGGED_BOUNDS, VACUOUS_COLUMNS):
             rec[column] = getattr(self.bounds.get(name), "vacuous", None)
-        rec.update((name, getattr(self, name)) for name in META_COLUMNS)
+        rec.update(error=self.error, seed=self.seed, runtime_ms=None)
         return rec
 
 

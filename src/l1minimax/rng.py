@@ -17,6 +17,12 @@ _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _INV_2_53 = 1.0 / float(1 << 53)
 
+# The range of `uniforms` (a zero hash draws 2^-54, the largest rounds up to
+# 1.0), and the largest range `to_index` maps into exactly.
+UNIFORM_MIN = 0.5 * _INV_2_53
+UNIFORM_MAX = 1.0
+MAX_INDEX_RANGE = 1 << 53
+
 
 def mix64(x: np.uint64 | np.ndarray) -> np.uint64 | np.ndarray:
     """splitmix64 finalizer, vectorized over uint64 arrays (mod 2^64)."""
@@ -95,8 +101,8 @@ def uniforms(key: np.uint64 | np.ndarray, start: int | np.ndarray, count: int) -
     `key` may be a scalar (returns shape (count,)) or a (R,) array
     (returns shape (R, count)).  With a (R,) key array, `start` may also be
     a (R,) array: row r then holds draws `start[r] .. start[r]+count-1` of
-    stream `key[r]`.  Values lie in (0, 1]: the top draw,
-    (2^53 - 1/2) 2^-53, rounds to 1.0 (probability 2^-53 per draw).
+    stream `key[r]`.  Values lie in [UNIFORM_MIN, UNIFORM_MAX]: the
+    top draw, (2^53 - 1/2) 2^-53, rounds to 1.0 (probability 2^-53 per draw).
     """
     k = np.asarray(key, dtype=np.uint64)
     if np.ndim(start) == 0:
@@ -113,4 +119,16 @@ def uniforms(key: np.uint64 | np.ndarray, start: int | np.ndarray, count: int) -
     u = h.astype(np.float64)
     u += 0.5
     u *= _INV_2_53
+    return u
+
+
+def to_index(u: np.ndarray, m) -> np.ndarray:
+    """Index min(floor(u m), m - 1) in [0, m) of each uniform u, in place.
+
+    The one rule from a uniform to an index: exact, as a float, for an int or
+    int array m up to MAX_INDEX_RANGE; the top draw lands in m - 1.
+    """
+    u *= m
+    np.floor(u, out=u)
+    np.minimum(u, m - 1, out=u)
     return u

@@ -273,7 +273,11 @@ class TestUnreadFlags:
          ["--grid-zeta", "0.5"]),
         (["reproduce", "cor2", "--grid-n", "100"], ["--grid-H", "1"]),
         (["reproduce", "cor6", "--grid-n", "1000"], ["--timing"]),
-    ], ids=["bounds-replicates", "exact-risk-zeta", "mc-zeta", "cor2-H", "cor6-timing"])
+        (["bounds", "--grid-S", "10", "--grid-n", "100"], ["--timing"]),
+        (["exact-risk", "--grid-S", "2", "--grid-n", "10"], ["--timing"]),
+        (["mc", "--grid-S", "2", "--grid-n", "10", "--replicates", "200"], ["--timing"]),
+    ], ids=["bounds-replicates", "exact-risk-zeta", "mc-zeta", "cor2-H", "cor6-timing",
+            "bounds-timing", "exact-risk-timing", "mc-timing"])
     def test_unread_flag_is_a_usage_error(self, capsys, argv, unread):
         with pytest.raises(SystemExit) as exc:
             main(argv + unread)

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from l1minimax import families
 from l1minimax import (CompositePrior, CompressedFamily, HighDimParams,
                        assembled_minimax_lower_hd,
                        bayes_risk_entropy_ball, bayes_risk_entropy_ball_constrained,
@@ -283,6 +284,18 @@ class TestCompositePriorSampling:
                         - (1 - cp.delta) * math.log1p(-cp.delta))
             assert entropy(draw.family) == pytest.approx(expected, rel=1e-13)
             assert entropy(dense) == pytest.approx(expected, rel=1e-13)
+
+    def test_top_draw_takes_the_top_of_its_range(self, monkeypatch):
+        # Every draw is 1.0, the stream's top value: step i must take slot i,
+        # the last of [0, i], never i + 1 (the heavy coordinate, or a slot a
+        # later step takes again).
+        cp = CompositePrior(H=2.0, delta=0.2, S_prime=5, k=4)
+        monkeypatch.setattr(families, "uniforms", lambda key, start, count: np.ones(count))
+        draw = sample_from_composite_prior(cp, 0)
+        assert draw.active_slots == tuple(range(15, 20))
+        assert len(set(draw.active_slots)) == cp.S_prime
+        assert all(0 <= slot < cp.k * cp.S_prime for slot in draw.active_slots)
+        assert math.fsum(draw.dense().probs.tolist()) == pytest.approx(1.0, abs=1e-12)
 
     def test_deterministic_in_seed(self):
         cp = CompositePrior(H=2.0, delta=0.2, S_prime=5, k=4)

@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom as sp_binom
 
-from l1minimax import (CompressedFamily, CoordinatewiseEstimator, McConfig,
-                       ProbabilityVector, ThresholdConfig, derive_replicate_seed,
-                       empirical_estimator, entropy_ball_family,
-                       estimator_risk_exact, mc_risk, sample_multinomial,
+from l1minimax import (CompositePrior, CompressedFamily, CoordinatewiseEstimator,
+                       McConfig, ProbabilityVector, ThresholdConfig,
+                       derive_replicate_seed, empirical_estimator,
+                       entropy_ball_family, estimator_risk_exact, mc_risk,
+                       sample_from_composite_prior, sample_multinomial,
                        threshold_estimator)
 from l1minimax import montecarlo, rng
 from l1minimax.rng import derive_key, stream_key, uniforms
@@ -70,6 +71,36 @@ class TestRngStream:
         u = uniforms(stream_key(3), 0, 200_000)
         assert abs(u.mean() - 0.5) < 0.005
         assert abs(u.std() - math.sqrt(1 / 12)) < 0.005
+
+    def test_range_and_index_rule(self):
+        # the smallest and largest 53-bit hashes as `uniforms` maps them; the
+        # top draw, 1.0, indexes the last of m cells
+        hashes = np.array([0, 2**53 - 1], dtype=np.uint64).astype(np.float64)
+        assert ((hashes + 0.5) * 2.0**-53).tolist() == [rng.UNIFORM_MIN, rng.UNIFORM_MAX]
+        assert (rng.UNIFORM_MIN, rng.UNIFORM_MAX) == (2.0**-54, 1.0)
+        for m in (1, 2, 7, 2**53):
+            u = np.array([rng.UNIFORM_MIN, 0.5, rng.UNIFORM_MAX])
+            assert rng.to_index(u, m) is u
+            assert u.tolist() == [0, m // 2, m - 1]
+        assert rng.to_index(np.ones(3), np.array([1, 5, 9])).tolist() == [0, 4, 8]
+
+    def test_index_range_limit(self):
+        # blocks of up to rng.MAX_INDEX_RANGE symbols and composite-prior
+        # populations of up to that many slots are sampled; one more is
+        # rejected (sample_multinomial's dense-support check comes first)
+        limit = rng.MAX_INDEX_RANGE
+        assert limit == 2**53
+        cfg = McConfig(100, 0)
+        at, over = (CompressedFamily(((0.5 / m, m), (0.5, 1))) for m in (limit, limit + 1))
+        assert mc_risk(at, empirical_estimator(), 10, cfg).mean > 0.0
+        with pytest.raises(ValueError, match="multiplicity too large"):
+            mc_risk(over, empirical_estimator(), 10, cfg)
+        with pytest.raises(ValueError, match="too large for a dense histogram"):
+            sample_multinomial(over, 10, 0)
+        with pytest.raises(ValueError, match="population too large"):
+            sample_from_composite_prior(CompositePrior(1.0, 0.5, 1, limit + 1), 0)
+        assert 0 <= sample_from_composite_prior(
+            CompositePrior(1.0, 0.5, 1, limit), 0).active_slots[0] < limit
 
 
 class TestSampleMultinomial:
@@ -541,6 +572,29 @@ class TestBinomialTable:
         assert np.array_equal(got, want)
         assert sum(tally.values()) == u.size
         assert (set(tally) - {"fallback"} == {"table"}) == (n <= montecarlo._MAX_TABLE_BUDGET)
+
+    @pytest.mark.parametrize("b", [2, 5, 17, 60, 150, 300])
+    def test_uniforms_near_table_cdf_match_boost(self, monkeypatch, b):
+        """u 1 to 40 b ulps to either side of the table's own CDF values,
+        where the table's error bound `err` is wider than the band's budget
+        share, with _GUARD at 0: every draw `_table` resolves is boost's
+        quantile."""
+        monkeypatch.setattr(montecarlo, "_GUARD", 0.0)
+        ulps = np.unique(np.geomspace(1, 40 * b, 30).round().astype(np.int64))
+        ulps = np.concatenate([ulps, -ulps])
+        draws = resolved = 0
+        for q in (1e-3, 0.05, 0.3, 0.5, 0.77, 0.999):
+            _, pmf, _ = montecarlo._binomial_window(b, q, montecarlo._TABLE_TAIL)
+            cdf = np.cumsum(pmf / pmf.sum())
+            u = (cdf.view(np.int64)[:, None] + ulps).ravel().view(np.float64)
+            u = u[(u >= rng.UNIFORM_MIN) & (u < 1.0)]
+            budgets = np.full(u.size, b, dtype=np.int64)
+            got, unresolved = montecarlo._table(u, budgets, q)
+            want = _boost_quantile(u, budgets, q)
+            assert np.array_equal(got[~unresolved], want[~unresolved]), q
+            draws += u.size
+            resolved += u.size - unresolved.sum()
+        assert resolved > draws // 50  # the widest offsets clear the whole band
 
 
 @pytest.mark.parametrize("route", ["_table", "_walk"])

@@ -4,10 +4,12 @@ Runs the eight commands of scripts/run_risk_grid.py and
 scripts/run_trend_sweeps.py, read from the scripts themselves, through
 `cli.main` and compares every output byte for byte with the committed
 file, so a change that moves any reported number has to re-baseline
-results/ on purpose.
+results/ on purpose.  With -v the same files come out, and the cell times
+go to stderr.
 """
 
 import pathlib
+import re
 import runpy
 
 import pytest
@@ -40,3 +42,21 @@ def test_trend_report_is_golden(tmp_path, capsys, target):
     assert sum(line.startswith("PASS") for line in lines) == TREND_PASSES[target]
     assert not any("FAIL" in line for line in lines)
     assert out.read_bytes() == (RESULTS / f"trend_{target}.csv").read_bytes()
+
+
+def test_verbose_reports_are_golden_and_log_each_cell_time(tmp_path, capsys):
+    # one DEBUG line per `bounds`, `exact-risk` and `mc` cell, in cell order;
+    # `reproduce` targets run no such cells
+    timing = re.compile(r"DEBUG l1minimax\.cli: (\S+) cell (\d+) of (\d+) \{.*\}: "
+                        r"\d+\.\d{3} ms")
+    commands = [(args, name) for name, args in sorted(RISK_GRID.items())]
+    commands += [(["reproduce", target], f"trend_{target}.csv") for target in TREND_TARGETS]
+    for args, name in commands:
+        out = tmp_path / name
+        assert main(args + ["-v", "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        logged = [match.groups() for match in map(timing.fullmatch, err.splitlines()) if match]
+        report = out.read_bytes()
+        assert report == (RESULTS / name).read_bytes(), name
+        cells = 0 if args[0] == "reproduce" else report.count(b"\n") - 1
+        assert logged == [(args[0], str(i), str(cells)) for i in range(1, cells + 1)], name
