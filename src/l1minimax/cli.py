@@ -143,6 +143,13 @@ def _write_report(rows, args) -> None:
         raise UsageError(f"{args.out}: {exc.strerror}") from exc
 
 
+def _log_cell_time(args, index: int, total: int, params: dict, seconds: float) -> None:
+    """The DEBUG line of report row `index` of `total`: the wall-clock time of
+    the work behind it."""
+    logger.debug("%s cell %d of %d %s: %.3f ms", args.command, index, total, params,
+                 seconds * 1e3)
+
+
 def _evaluate(cells, args) -> int:
     """One report row per (params, fill) cell; a cell whose fill raises keeps
     what it recorded so far plus the error text, and the sweep goes on.
@@ -155,8 +162,7 @@ def _evaluate(cells, args) -> int:
             fill(row)
         except Exception as exc:  # keep the sweep going, record the cell
             row.error = str(exc)
-        logger.debug("%s cell %d of %d %s: %.3f ms", args.command, index, len(cells), params,
-                     (time.perf_counter() - started) * 1e3)
+        _log_cell_time(args, index, len(cells), params, time.perf_counter() - started)
         rows.append(row)
     _write_report(rows, args)
     return 0
@@ -259,11 +265,13 @@ def _verdicts_cor2(args, rows):
         target = bnd.classical_constant(S)
         gaps = []
         for n in ns:
+            started = time.perf_counter()
             risk = _exact_uniform_mle_risk(S, n)
             gaps.append(abs(math.sqrt(n) * risk - target))
-            rows.append(ReportRow(
+            rows.append((ReportRow(
                 params={"S": S, "n": n, "family": "uniform", "estimator": "empirical"},
-                exact_risk=risk, bounds=_cell_bounds(S=S, n=n), seed=args.seed))
+                exact_risk=risk, bounds=_cell_bounds(S=S, n=n), seed=args.seed),
+                time.perf_counter() - started))
         verdicts.append((gaps[-1] <= 0.01,
                          f"S={S}: final |sqrt(n) risk - constant| = {gaps[-1]:.3e} <= 0.01"))
         decreasing = all(a > b for a, b in zip(gaps, gaps[1:]))
@@ -277,6 +285,7 @@ def _verdicts_cor34(args, rows):
     floor_constant = math.sqrt(math.e) / 8.0
     upper_ok, lower_ok = True, True
     for c, n in itertools.product(cs, ns):
+        started = time.perf_counter()
         S = max(2, round(n / c))
         risk = _exact_uniform_mle_risk(S, n)
         oracle = bayes_risk_two_point(two_point_prior(S, n))
@@ -284,11 +293,11 @@ def _verdicts_cor34(args, rows):
         scaled_oracle = math.sqrt(c) * oracle
         upper_ok &= scaled_risk <= 1.0 + 1e-12
         lower_ok &= scaled_oracle >= floor_constant - 0.02
-        rows.append(ReportRow(
+        rows.append((ReportRow(
             params={"S": S, "c": c, "n": n, "family": "uniform", "estimator": "empirical"},
             exact_risk=risk,
             bounds={"mle_upper_simple": bnd.mle_upper_simple(S, n)},
-            seed=args.seed))
+            seed=args.seed), time.perf_counter() - started))
     return [
         (upper_ok, "sqrt(c) * exact uniform risk <= 1 at every linear-scaling cell"),
         (lower_ok, f"sqrt(c) * two-point Bayes oracle >= sqrt(e)/8 - 0.02 "
@@ -298,7 +307,8 @@ def _verdicts_cor34(args, rows):
 
 def _trend(args, H: float, cs: list, risk):
     """The n grid, the max over c in `cs` of risk(ball, c, n) at each n (ball: the
-    entropy ball at delta = cH / ln n), and the ratios ln(n) * max / H cor6/7/9 check."""
+    entropy ball at delta = cH / ln n), the ratios ln(n) * max / H cor6/7/9 check,
+    and the seconds each max took."""
     ns = sorted(args.grid_n)
 
     def ball(c, n):
@@ -307,8 +317,12 @@ def _trend(args, H: float, cs: list, risk):
         except ValueError as exc:  # no entropy ball at this grid point
             raise UsageError(f"{args.target}: H={H:g}, c={c:g}, n={n}: {exc}") from exc
 
-    bests = [max(risk(ball(c, n), c, n) for c in cs) for n in ns]
-    return ns, bests, [math.log(n) * best / H for n, best in zip(ns, bests)]
+    bests, seconds = [], []
+    for n in ns:
+        started = time.perf_counter()
+        bests.append(max(risk(ball(c, n), c, n) for c in cs))
+        seconds.append(time.perf_counter() - started)
+    return ns, bests, [math.log(n) * best / H for n, best in zip(ns, bests)], seconds
 
 
 def _ball_trend(args, H: float, est_name: str, eta: Optional[float] = None):
@@ -321,11 +335,11 @@ def _ball_trend(args, H: float, est_name: str, eta: Optional[float] = None):
 def _rising_trend(args, rows, H: float, trend, quantity: str, ratio: str) -> list:
     """cor6's and cor9's rows at one H, the max risk per n of a `_trend`, and
     their verdicts: ln(n) * `quantity` / H increases over n and ends above 1."""
-    ns, bests, ratios = trend
-    for n, best in zip(ns, bests):
-        rows.append(ReportRow(
+    ns, bests, ratios, seconds = trend
+    for n, best, spent in zip(ns, bests, seconds):
+        rows.append((ReportRow(
             params={"H": H, "n": n, "family": "entropy-ball", "estimator": "empirical"},
-            exact_risk=best, seed=args.seed))
+            exact_risk=best, seed=args.seed), spent))
     increasing = all(a < b for a, b in zip(ratios, ratios[1:]))
     return [(increasing, f"H={H}: ln(n) * {quantity} / H increases over n={ns}"),
             (ratios[-1] > 1.0, f"H={H}: final {ratio} {ratios[-1]:.4f} exceeds 1.0")]
@@ -343,20 +357,21 @@ def _verdicts_cor7(args, rows):
         raise UsageError(f"{args.target}: --grid-eta takes one value")
     verdicts = []
     for H in args.grid_H:
-        ns, _, mle_ratios = _ball_trend(args, H, "empirical")
-        _, thr_bests, thr_ratios = _ball_trend(args, H, "threshold", eta)
+        ns, _, mle_ratios, mle_seconds = _ball_trend(args, H, "empirical")
+        _, thr_bests, thr_ratios, thr_seconds = _ball_trend(args, H, "threshold", eta)
         below = True
         compared = []
-        for n, mle_r, thr_best, thr_r in zip(ns, mle_ratios, thr_bests, thr_ratios):
+        for n, mle_r, thr_best, thr_r, mle_s, thr_s in zip(
+                ns, mle_ratios, thr_bests, thr_ratios, mle_seconds, thr_seconds):
             upper = bnd.threshold_upper(H, n, eta)
             both_valid = (not upper.vacuous
                           and not bnd.mle_entropy_upper(H, n, eta).vacuous)
-            rows.append(ReportRow(
+            rows.append((ReportRow(
                 params={"H": H, "eta": eta, "n": n, "family": "entropy-ball",
                         "estimator": "threshold"},
                 exact_risk=thr_best,
                 bounds={"threshold_upper": upper},
-                seed=args.seed))
+                seed=args.seed), mle_s + thr_s))  # both estimators' max over c
             if both_valid:
                 compared.append(n)
                 below &= thr_r < mle_r
@@ -374,8 +389,11 @@ def _verdicts_cor9(args, rows):
         dominated = []
 
         def oracle(ball, c, n, H=H, dominated=dominated):
+            try:
+                floor = bnd.simplex_lower(H, n, c)
+            except ValueError as exc:  # no simplex floor at this grid point
+                raise UsageError(f"{args.target}: H={H:g}, n={n}: {exc}") from exc
             value = bayes_risk_entropy_ball_constrained(CompositePrior.from_family(ball, k), n)
-            floor = bnd.simplex_lower(H, n, c)
             dominated.append(floor.vacuous or value >= floor.value * (1.0 - 1.0 / k))
             return value
 
@@ -405,10 +423,14 @@ _REPRODUCE_TARGETS = {
 
 
 def cmd_reproduce(args) -> int:
-    rows: list = []
-    verdicts = _REPRODUCE_TARGETS[args.target][0](args, rows)
+    """Run a target's sweep; each verdict function appends (report row,
+    seconds of the work behind it) pairs, and returns its verdicts."""
+    timed: list = []
+    verdicts = _REPRODUCE_TARGETS[args.target][0](args, timed)
+    for index, (row, seconds) in enumerate(timed, start=1):
+        _log_cell_time(args, index, len(timed), row.params, seconds)
     if args.out is not None:
-        _write_report(rows, args)
+        _write_report([row for row, _ in timed], args)
     failed = False
     for ok, description in verdicts:
         print(("PASS" if ok else "FAIL") + f" [{args.target}] {description}")

@@ -3,12 +3,12 @@
 Every random quantity in this package is a pure function of a 64-bit key
 and a draw index, built from the splitmix64 finalizer.  This keeps results
 bit-identical across runs, platforms and thread counts, and lets any draw
-be recomputed in isolation (no generator state to replay).
+be recomputed in isolation (no generator state to replay).  Draw j of key k
+is mix64(k ^ h_j), where the counter hash h_j of draw j is shared by every
+stream and, for j below _TABLE_CAP, read from one table.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -65,34 +65,27 @@ def derive_seed(master_seed: int, index: int) -> int:
     return int(_seed_hash(master_seed, index))
 
 
-# Every stream hashes the same counters (draw indices), so their hashes are
-# shared: computed a page at a time, with the recent pages kept read-only.
-# Replicates drawing at the same offsets, batch after batch, then hash each
-# offset once.  Ranges wider than half the cache are hashed directly.
-_PAGE = 1 << 13
-_CACHED_PAGES = 32
-
-
-def _counter_hashes(start: int, count: int) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return mix64((np.arange(start, start + count, dtype=np.uint64) + np.uint64(1)) * _GAMMA)
-
-
-@functools.lru_cache(maxsize=_CACHED_PAGES)
-def _counter_page(page: int) -> np.ndarray:
-    hashes = _counter_hashes(page * _PAGE, _PAGE)
-    hashes.flags.writeable = False
-    return hashes
+# The table holds h_j for j < len(_table).  A range past its end replaces it
+# by one at least twice as long, never writing it in place, so slices handed
+# out before stay valid, also in other threads.  Ranges past _TABLE_CAP are
+# hashed directly: the table never takes more than 2 MB.
+_TABLE_CAP = 1 << 18
+_table = np.empty(0, dtype=np.uint64)
 
 
 def _hashed_offsets(start: int, count: int) -> np.ndarray:
     """mix64 of the counters of draws `start .. start+count-1`."""
-    first, stop = start // _PAGE, -(-(start + count) // _PAGE)
-    if count <= 0 or stop - first > _CACHED_PAGES // 2:
-        return _counter_hashes(start, count)
-    pages = [_counter_page(p) for p in range(first, stop)]
-    table = pages[0] if len(pages) == 1 else np.concatenate(pages)
-    return table[start - first * _PAGE:][:count]
+    global _table
+    stop = start + count
+    if stop > _TABLE_CAP:
+        return _seed_hash(0, np.arange(start, stop, dtype=np.uint64))
+    table = _table
+    if stop > len(table):
+        size = min(max(2 * len(table), 1 << (stop - 1).bit_length()), _TABLE_CAP)
+        table = _seed_hash(0, np.arange(size, dtype=np.uint64))
+        table.flags.writeable = False
+        _table = table
+    return table[start:stop]
 
 
 def uniforms(key: np.uint64 | np.ndarray, start: int | np.ndarray, count: int) -> np.ndarray:
@@ -104,16 +97,12 @@ def uniforms(key: np.uint64 | np.ndarray, start: int | np.ndarray, count: int) -
     stream `key[r]`.  Values lie in [UNIFORM_MIN, UNIFORM_MAX]: the
     top draw, (2^53 - 1/2) 2^-53, rounds to 1.0 (probability 2^-53 per draw).
     """
-    k = np.asarray(key, dtype=np.uint64)
-    if np.ndim(start) == 0:
-        js = _hashed_offsets(int(start), count)
-    else:
-        starts = np.asarray(start, dtype=np.int64)
-        lo, hi = int(starts.min()), int(starts.max())
-        table = _hashed_offsets(lo, hi - lo + count)
-        js = table if lo == hi else table[(starts - lo)[:, None] + np.arange(count)]
-    if k.ndim == 1:
-        k = k[:, None]
+    k = np.asarray(key, dtype=np.uint64)[..., None]  # a (R,) key: one row per stream
+    starts = np.asarray(start, dtype=np.int64)
+    lo, hi = int(starts.min()), int(starts.max())
+    js = _hashed_offsets(lo, hi - lo + count)
+    if lo != hi:
+        js = js[(starts - lo)[:, None] + np.arange(count)]
     h = mix64(k ^ js)
     h >>= np.uint64(11)
     u = h.astype(np.float64)

@@ -167,6 +167,26 @@ class TestFamilyFiles:
         assert "far from 1" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("text, message", [
+        (None, "No such file or directory"),
+        ("0.5 1\n0.5 two\n", ":2: invalid literal for int() with base 10: 'two'"),
+        ("half 2\n", ":1: could not convert string to float: 'half'"),
+        ("# comments only\n\n   # and a blank line\n", ": no atoms found"),
+    ], ids=["missing", "bad-multiplicity", "bad-value", "comments-only"])
+    def test_unreadable_file_is_a_usage_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "fam.txt"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        out = tmp_path / "x.csv"
+        code = main(["exact-risk", "--family", f"file:{path}", "--grid-n", "10",
+                     "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        sep = ": " if text is None else ""
+        assert captured.err == f"error: {path}{sep}{message}\n"
+        assert captured.out == "" and not out.exists()
+
+
 class TestMcCommand:
     def test_mc_row_includes_exact_and_ci_flag(self, tmp_path):
         code, out = run(tmp_path, "mc", "--family", "uniform", "--grid-S", "2",
@@ -226,8 +246,13 @@ class TestReproduceCommand:
          "--grid-c values must satisfy 0 < c < 1"),
         # cor7 compares both estimators at one threshold exponent
         (["cor7", "--grid-eta", "1.1", "1.5"], "--grid-eta takes one value"),
+        # the simplex floor is defined for n >= e^H only
+        (["cor9", "--grid-n", "2", "1000"],
+         "H=1, n=2: requires n >= e^H = 2.71828, got n=2"),
+        (["cor9", "--grid-H", "3", "--grid-n", "10"],
+         "H=3, n=10: requires n >= e^H = 20.0855, got n=10"),
     ], ids=["cor2", "cor6", "cor3-4", "cor7", "cor9", "cor6-infeasible", "cor9-c",
-            "cor7-eta"])
+            "cor7-eta", "cor9-floor", "cor9-floor-H"])
     def test_out_of_domain_grid_is_a_usage_error(self, argv, message):
         # exit code 1 is a FAIL verdict; a bad grid value is a bad invocation
         src = pathlib.Path(l1minimax.__file__).resolve().parents[1]
@@ -304,7 +329,10 @@ class TestFamilyGrids:
         (["--family", "uniform", "--grid-S", "2", "--grid-n", "10",
           "--estimator", "empirical", "--grid-eta", "1.1", "1.5"],
          "--family uniform does not read --grid-eta without --estimator threshold"),
-    ], ids=["entropy-ball-S", "uniform-H", "uniform-c", "file-S", "uniform-empirical-eta"])
+        (["--family", "entropy-ball", "--grid-H", "1", "--grid-n", "1000"],
+         "--family entropy-ball requires --grid-c"),
+    ], ids=["entropy-ball-S", "uniform-H", "uniform-c", "file-S", "uniform-empirical-eta",
+            "entropy-ball-no-c"])
     def test_unread_family_grid_is_a_usage_error(self, tmp_path, capsys, argv, message):
         path = tmp_path / "fam.txt"
         path.write_text("0.5 2\n", encoding="utf-8")

@@ -64,6 +64,26 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CountHistogram(np.array([-1, 5]), n=4)
 
+    def test_histogram_accepts_integral_floats(self):
+        h = CountHistogram(np.array([1.0, 0.0, 3.0]), n=4)
+        assert h.counts.dtype == np.int64 and h.counts.tolist() == [1, 0, 3]
+
+    def test_histogram_rejects_fractional_counts(self):
+        with pytest.raises(ValueError, match="counts must be integers"):
+            CountHistogram(np.array([1.5, 2.5]), n=4)
+
+    @pytest.mark.parametrize("drift", [2e-12, 5e-10, -5e-10])
+    def test_family_normalizes_small_drift(self, drift):
+        # mass off by more than the sum tolerance, within the normalizing one
+        fam = CompressedFamily(((0.25, 2), (0.5 + drift, 1)))
+        mass = 1.0 + drift
+        assert fam.atoms == ((0.25 / mass, 2), ((0.5 + drift) / mass, 1))
+        assert math.fsum(v * m for v, m in fam.atoms) == pytest.approx(1.0, abs=1e-15)
+
+    def test_family_keeps_mass_within_sum_tolerance(self):
+        atoms = ((0.25, 2), (0.5 + 1e-13, 1))
+        assert CompressedFamily(atoms).atoms == atoms
+
     def test_family_mass_must_be_one(self):
         with pytest.raises(ValueError):
             CompressedFamily(((0.3, 2),))

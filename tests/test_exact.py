@@ -265,6 +265,49 @@ class TestPoisson:
             PoissonPair(-1.0, 1.0)
 
 
+class TestWindowDoubling:
+    """A first window whose certified tail is over the tolerance is doubled
+    until it is not, and the sum over the wider window agrees."""
+
+    @staticmethod
+    def _record(monkeypatch, name):
+        from l1minimax import exact
+        built, original = [], getattr(exact, name)
+
+        def recording(*args):
+            window = original(*args)
+            built.append(window.size)
+            return window
+
+        monkeypatch.setattr(exact, name, recording)
+        return built
+
+    @pytest.mark.parametrize("n, p", [(10**4, 0.3), (500, 0.5)])
+    def test_binomial_window_widens_to_tolerance(self, monkeypatch, n, p):
+        def term(ks):
+            return np.abs(ks / n - p)
+
+        built = self._record(monkeypatch, "_window_pmf")
+        default = binomial_expectation(n, p, term)
+        (first,) = built
+        tight = binomial_expectation(n, p, term, tail_tol=1e-60)
+        assert len(built) == 3 and built[1] == first and built[2] > first
+        assert tight == pytest.approx(default, rel=1e-13)
+        if (n, p) == (500, 0.5):
+            nu = n // 2 + 1  # De Moivre's closed form, as in TestBinomialMad
+            closed = 2 * nu * float(math.comb(n, nu)) * 0.5 ** (n + 1) / n
+            assert tight == pytest.approx(closed, rel=1e-12)
+
+    @pytest.mark.parametrize("lo,hi", [(3.0, 5.0), (100.0, 120.0)])
+    def test_poisson_window_widens_to_tolerance(self, monkeypatch, lo, hi):
+        from l1minimax import exact
+        built = self._record(monkeypatch, "_poisson_window")
+        monkeypatch.setattr(exact, "POISSON_TAIL_TOL", 1e-300)
+        assert poisson_tv_exact(PoissonPair(lo, hi)) == pytest.approx(
+            mpmath_poisson_tv(lo, hi), rel=1e-14, abs=0)
+        assert max(built) > built[0]
+
+
 class TestTruncationBudget:
     """The certified 1e-14 truncation budget covers the whole risk sum."""
 

@@ -43,8 +43,8 @@ class TestRngStream:
     def test_per_row_starts(self):
         keys = derive_key(5, np.arange(9))
         count = 40
-        # equal starts, a spread crossing counter-hash pages, and a spread
-        # wider than the page cache
+        # equal starts, a spread inside the counter-hash table, and a spread
+        # wider than its cap
         for starts in ([3] * 9, [0, 1, 7, 8150, 8191, 8192, 8200, 20000, 3],
                        [0, 5, 300_000, 17, 40, 99, 1, 2, 3]):
             starts = np.array(starts, dtype=np.int64)
@@ -53,19 +53,40 @@ class TestRngStream:
             for r in range(9):
                 assert np.array_equal(got[r], uniforms(keys[r], int(starts[r]), count))
 
-    def test_counter_pages_match_direct_hashing(self):
-        key = stream_key(11)
-        page = rng._PAGE
-        cases = [(0, 1), (page - 3, 7), (page, page), (5, 3 * page + 1),
-                 (2 * page - 1, 20 * page)]
+    def test_counter_table_matches_direct_hashing(self, monkeypatch):
+        # every range reads the counter hashes of its own draws, from the
+        # shared table (grown on demand, read-only, never past the cap) or
+        # hashed directly; a cold and a warm table give the same draws
+        cap = rng._TABLE_CAP
+        assert cap == 2**18
+
+        def direct(key, start, count):
+            hashes = rng._seed_hash(0, np.arange(start, start + count, dtype=np.uint64))
+            return ((rng.mix64(key ^ hashes) >> np.uint64(11)) + 0.5) * 2.0**-53
+
+        key, keys = stream_key(11), derive_key(11, np.arange(4))
+        ranges = [(0, 1), (5, 0), (8189, 7), (3, 40_000), (cap - 5, 5), (cap - 5, 9),
+                  (cap + 7, 20), (4 * cap, 3)]
+        row_starts = [[0, 1, 2, 3], [9, 9, 9, 9], [cap - 40, 7, 3000, 0],
+                      [cap - 2, 0, cap + 5, 11], [cap, 5 * cap, cap + 1, cap]]
         for cold in (True, False):
             if cold:
-                rng._counter_page.cache_clear()
-            for start, count in cases:
-                assert np.array_equal(rng._hashed_offsets(start, count),
-                                      rng._counter_hashes(start, count))
-                assert np.array_equal(uniforms(key, start, count),
-                                      uniforms(key, 0, start + count)[start:])
+                monkeypatch.setattr(rng, "_table", np.empty(0, dtype=np.uint64))
+            early = rng._hashed_offsets(0, 3)  # a view of the table as it stands
+            for start, count in ranges:
+                got = uniforms(key, start, count)
+                assert got.shape == (count,)
+                assert np.array_equal(got, direct(key, start, count))
+                assert np.array_equal(uniforms(keys, start, count),
+                                      np.array([direct(k, start, count) for k in keys]))
+            for starts in row_starts:
+                got = uniforms(keys, np.array(starts), 6)
+                for k, start, row in zip(keys, starts, got):
+                    assert np.array_equal(row, direct(k, start, 6))
+            assert len(rng._table) == cap and not rng._table.flags.writeable
+            assert np.array_equal(early, rng._seed_hash(0, np.arange(3, dtype=np.uint64)))
+        uniforms(key, 50 * cap, 2 * cap)
+        assert len(rng._table) == cap
 
     def test_uniform_moments(self):
         u = uniforms(stream_key(3), 0, 200_000)

@@ -4,8 +4,8 @@ Runs the eight commands of scripts/run_risk_grid.py and
 scripts/run_trend_sweeps.py, read from the scripts themselves, through
 `cli.main` and compares every output byte for byte with the committed
 file, so a change that moves any reported number has to re-baseline
-results/ on purpose.  With -v the same files come out, and the cell times
-go to stderr.
+results/ on purpose.  With -v the same files come out, and the time of
+each report row goes to stderr.
 """
 
 import pathlib
@@ -45,8 +45,7 @@ def test_trend_report_is_golden(tmp_path, capsys, target):
 
 
 def test_verbose_reports_are_golden_and_log_each_cell_time(tmp_path, capsys):
-    # one DEBUG line per `bounds`, `exact-risk` and `mc` cell, in cell order;
-    # `reproduce` targets run no such cells
+    # one DEBUG line per report row, in row order, for every command
     timing = re.compile(r"DEBUG l1minimax\.cli: (\S+) cell (\d+) of (\d+) \{.*\}: "
                         r"\d+\.\d{3} ms")
     commands = [(args, name) for name, args in sorted(RISK_GRID.items())]
@@ -58,5 +57,5 @@ def test_verbose_reports_are_golden_and_log_each_cell_time(tmp_path, capsys):
         logged = [match.groups() for match in map(timing.fullmatch, err.splitlines()) if match]
         report = out.read_bytes()
         assert report == (RESULTS / name).read_bytes(), name
-        cells = 0 if args[0] == "reproduce" else report.count(b"\n") - 1
+        cells = report.count(b"\n") - 1
         assert logged == [(args[0], str(i), str(cells)) for i in range(1, cells + 1)], name
