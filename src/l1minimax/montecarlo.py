@@ -7,14 +7,8 @@ any single replicate can be regenerated in isolation via
 `derive_replicate_seed`.
 
 Sampling uses the sequential conditional-Binomial method: coordinate i is
-an inverse-CDF Binomial of the remaining budget with renormalized
-probability, equal to boost's quantile bit for bit.  In `mc_risk` the
-first step, whose budget is n in every replicate, inverts one CDF table
-for n up to 1e7; other steps accept or reject each draw at its guess from
-boost's CDF or, when small, call boost's quantile.
-scipy is imported at the first draw that needs boost, so `mc_risk` on a
-two-atom family, whose chain has one step, loads it only for a draw in a
-guard band.  Both distribution types are sampled per (value,
+an inverse-CDF Binomial draw (`binomial`) of the remaining budget with
+renormalized probability.  Both distribution types are sampled per (value,
 multiplicity) atom, a dense vector being the atoms (p_i, 1), and block
 counts are split across the block's symbols by uniform allocation from the
 same stream.  `mc_risk` evaluates losses for a batch of replicates at
@@ -31,11 +25,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .binomial import _binomial_inverse
 from .core import MAX_DENSE_SUPPORT, CountHistogram, Distribution, _atom_items
 from .estimators import CoordinatewiseEstimator
-from .exact import _binomial_window
-from .rng import (MAX_INDEX_RANGE, UNIFORM_MAX, UNIFORM_MIN, derive_key, derive_seed,
-                  stream_key, to_index, uniforms)
+from .rng import MAX_INDEX_RANGE, derive_key, derive_seed, stream_key, to_index, uniforms
 
 __all__ = [
     "McConfig",
@@ -53,33 +46,6 @@ _CHUNK_CELLS = 2_000_000
 # Padded draws per batch of replicates in a block atom; keeps the batch's
 # temporaries within a few hundred KB.
 _CHUNK_DRAWS = 1 << 13
-# Binomial table and walk (`_table`, `_walk`): a draw whose uniform lies
-# within this relative distance of one of boost's CDF steps, plus a share
-# that grows with the budget and the error of the CDF it was compared
-# with (`_unresolved`), goes to boost's quantile.  A margin: no known input
-# needs it, and at 0 draws tested near boost's steps still match its quantile.
-_GUARD = 1e-9
-_UNIT = 2.0 ** -53  # unit roundoff of a double
-_TINY = float(np.finfo(float).tiny)  # smallest normal double
-# Mass a Binomial table (`_table`) may leave outside its window; far below
-# _GUARD times the smallest uniform.
-_TABLE_TAIL = 1e-30
-# A table costs ~60 us plus ~25 ns an entry, boost ~1-3 us a draw: calls
-# with fewer draws than this (`sample_multinomial` makes one a step) take
-# the other routes.
-_MIN_TABLE_DRAWS = 32
-# Largest budget a table inverts (tables stay under ~40,000 entries, ~1 ms).
-# Up to it boost's CDF stands within _GUARD of the true CDF a table holds:
-# without the band's budget share (`_unresolved`), 1M draws on boost's steps
-# +-1 ulp at budgets 1e6-1e7 all matched its quantile, 63 of 20,000 at 1e7-1e8 not.
-_MAX_TABLE_BUDGET = 10 ** 7
-# A call walks when draws * log1p(mean) exceeds _MIN_WALK_WORK, the mean
-# being its largest budget times min(q, 1 - q).  Boost's search costs
-# about 0.25 us * log1p(mean) a draw; the walk ~50 us a call plus ~0.1 us
-# a draw where (budget, guess) pairs repeat.  Walking every call of a
-# dense S = 50 vector at n = 25 with 250 replicates took 5.4 ms per cell
-# against boost's 2.9 ms.
-_MIN_WALK_WORK = 500.0
 
 
 @dataclass(frozen=True)
@@ -111,163 +77,6 @@ class McRiskEstimate:
 def derive_replicate_seed(master_seed: int, replicate: int) -> int:
     """Seed reproducing one replicate of `mc_risk` via `sample_multinomial`."""
     return derive_seed(master_seed, replicate)
-
-
-def _binomial_guess(u: np.ndarray, budgets: np.ndarray, q: float) -> np.ndarray:
-    """Cornish-Fisher guess at the Binomial(budgets, q) quantile of u.
-
-    Only where the walk tests a draw: it moves which draws go to boost,
-    never a draw's value.  u must lie in (0, 1).
-    """
-    from scipy.special._ufuncs import ndtri
-
-    z = ndtri(u)
-    mean = budgets * q
-    sd = np.sqrt(mean * (1.0 - q))
-    # the skewness term (1 - 2q) / sd, times sd; -0.5 for the continuity
-    # correction, rounded up: the smallest k whose CDF reaches u
-    return np.ceil(mean + sd * z + (1.0 - 2.0 * q) * (z * z - 1.0) / 6.0 - 0.5)
-
-
-def _anchors(budgets: np.ndarray, k: np.ndarray, q: float) -> tuple:
-    """Boost's CDF and pmf at each (budget, k).
-
-    When the box of (budget, k) pairs the draws span has no more cells than
-    there are draws, pairs repeat (as in a chain's later steps at small n)
-    and boost is called once per distinct pair; otherwise once per draw.
-    """
-    from scipy.special._ufuncs import _binom_cdf, _binom_pmf
-
-    bmin, kmin = int(budgets.min()), int(k.min())
-    width = int(k.max()) - kmin + 1
-    cells = (int(budgets.max()) - bmin + 1) * width
-    if cells > budgets.size:
-        return _binom_cdf(k, budgets, q), _binom_pmf(k, budgets, q)
-    cell = (budgets - bmin) * width + (k - kmin)
-    seen = np.zeros(cells, dtype=bool)
-    seen[cell] = True
-    pairs = np.flatnonzero(seen)
-    slot = np.cumsum(seen) - 1
-    bp, kp = np.divmod(pairs, width)
-    bp += bmin
-    kp += kmin
-    at = slot[cell]
-    return _binom_cdf(kp, bp, q)[at], _binom_pmf(kp, bp, q)[at]
-
-
-def _unresolved(u: np.ndarray, below: np.ndarray, above: np.ndarray, err,
-                budgets: np.ndarray) -> np.ndarray:
-    """Mask of the draws that below < u <= above may not settle as boost's
-    quantile does, `below` and `above` being C(k - 1) and C(k) to `err`.
-
-    Boost's quantile compares u with its own CDF, which at budget b stands
-    up to about b/2 roundings of C(k) off the true CDF, as it raises the
-    rounded 1 - q to a power near b (measured for budgets 1e2 to 1e10:
-    0.49 b, as for its C(k - 1) against C(k) - pmf(k)); its shortcut to 0
-    for u <= (1 - q)^b by pow stands as far off its C(0).  So u must clear
-    both steps by (_GUARD + 2 b _UNIT) C(k) plus `err`, lie below the
-    stream's top draw and reach down to its smallest.
-    """
-    tol = (_GUARD + 2.0 * _UNIT * budgets) * above + err
-    return ~((u - below > tol) & (u - above <= -tol) & (u < UNIFORM_MAX) & (u >= UNIFORM_MIN))
-
-
-def _table(u: np.ndarray, budgets: np.ndarray, q: float) -> tuple:
-    """Draws for (u, budgets), all budgets equal, by inversion of a CDF table.
-
-    Returns the draws and a mask of those left unresolved, as `_walk` does.
-    The table is the Binomial pmf on a `_binomial_window` of m terms and
-    mass at least 1 - tail, normalized by its sum, which cancels the error
-    of the window's log-gamma anchor, then summed from the low end; draw u
-    takes the k with C(k - 1) < u <= C(k).  Against the true pmf over the
-    window's mass, a normalized term is off by at most 11m + 1 roundings
-    (5 a step from the anchor, the sum's, the division's), and the
-    cumulative sum adds m.  `err`, the bound on C's absolute error, is
-    that relative bound doubled for its higher-order terms, plus three
-    tails for the mass outside the window, plus _TINY for roundings among
-    subnormals.  `_unresolved` decides which draws go to boost.
-    """
-    lo, pmf, tail = _binomial_window(int(budgets[0]), q, _TABLE_TAIL)
-    m = pmf.size
-    cdf = np.empty(m + 1)
-    cdf[0] = 0.0
-    np.cumsum(pmf / pmf.sum(), out=cdf[1:])
-    i = np.searchsorted(cdf, u).clip(1, m)
-    above = cdf[i]
-    err = 2.0 * (12 * m + 1) * _UNIT * above + 3.0 * tail + _TINY
-    draws = lo + i - 1
-    return draws, _unresolved(u, cdf[i - 1], above, err, budgets)
-
-
-def _walk(u: np.ndarray, budgets: np.ndarray, q: float) -> tuple:
-    """Draws for (u, budgets), each accepted or left to boost at its guess.
-
-    Returns the draws and a mask of those left unresolved, whose values in
-    the draws are placeholders.  At a draw's guess k boost gives C(k) and
-    pmf(k), so C(k - 1) = C(k) - pmf(k), and the draw is k unless
-    `_unresolved` says otherwise.  `err` covers what the band does not of
-    the error of C(k - 1) and C(k): the anchors' relative error, taken as
-    _GUARD, and the subtraction's rounding.  Draws with budget 0 are
-    unresolved too, and every draw of a call whose anchors overflow.
-    """
-    bad = (budgets <= 0) | (u >= UNIFORM_MAX) | (u < UNIFORM_MIN)
-    k = _binomial_guess(np.where(bad, 0.5, u), budgets, q).clip(0, budgets).astype(np.int64)
-    try:
-        above, pmf = _anchors(budgets, k, q)
-    except OverflowError:  # boost's pmf, for q below about 1e-303
-        return k, np.ones(u.shape, dtype=bool)
-    err = _GUARD * (above + pmf) + _UNIT * above
-    return k, bad | _unresolved(u, above - pmf, above, err, budgets)
-
-
-def _boost_draws(u: np.ndarray, budgets: np.ndarray, q: float) -> np.ndarray:
-    """Boost's quantile, clipped to [0, budget]: the definition of a draw."""
-    from scipy.special._ufuncs import _binom_ppf
-
-    return _binom_ppf(u, budgets, q).clip(0, budgets).astype(np.int64)
-
-
-def _binomial_inverse(u: np.ndarray, budgets: np.ndarray, q: float, tally=None) -> np.ndarray:
-    """Inverse-CDF Binomial draws, one per (uniform, budget) pair.
-
-    Boost's quantile (`_binom_ppf`, the kernel that scipy.stats.binom.ppf
-    dispatches to), clipped to [0, budget], defines every draw.  A call of
-    _MIN_TABLE_DRAWS or more draws whose budgets are all equal and at most
-    _MAX_TABLE_BUDGET (in `mc_risk`, a chain's first step and so the only
-    step of a two-atom family) inverts one CDF table (`_table`).  Other
-    calls too small for the walk's fixed cost to pay off (_MIN_WALK_WORK)
-    go to `_binom_ppf` whole; in the rest each draw is accepted or
-    rejected at its guess (`_walk`) from boost's own CDF and pmf there,
-    evaluated once per distinct (budget, guess) pair where pairs repeat.
-    One acceptance test (`_unresolved`) makes the draws of both routes
-    equal the quantile bit for bit, and the draws it leaves unresolved go
-    to `_binom_ppf` draw by draw, not call by call.  `tally`, a Counter if
-    given, adds up the draws resolved from tables ("table"), accepted at
-    their guess ("walked"), left to boost by either ("fallback"), and in
-    small calls ("small").  scipy is imported at the first draw that
-    needs boost, so importing this package loads numpy only, and a run
-    whose draws all come from tables never loads scipy.
-    """
-    if q <= 0.0:
-        return np.zeros(budgets.shape, dtype=np.int64)
-    if q >= 1.0:
-        return budgets.copy()
-    if (u.size >= _MIN_TABLE_DRAWS and budgets.min() == budgets.max()
-            and budgets[0] <= _MAX_TABLE_BUDGET):
-        route, (draws, unresolved) = "table", _table(u, budgets, q)
-    elif u.size * math.log1p(int(budgets.max(initial=0)) * min(q, 1.0 - q)) <= _MIN_WALK_WORK:
-        if tally is not None:
-            tally["small"] += u.size
-        return _boost_draws(u, budgets, q)
-    else:
-        route, (draws, unresolved) = "walked", _walk(u, budgets, q)
-    rest = np.flatnonzero(unresolved)
-    if rest.size:
-        draws[rest] = _boost_draws(u[rest], budgets[rest], q)
-    if tally is not None:
-        tally[route] += u.size - rest.size
-        tally["fallback"] += rest.size
-    return draws
 
 
 def _conditional_chain(

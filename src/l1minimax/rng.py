@@ -39,14 +39,18 @@ def mix64(x: np.uint64 | np.ndarray) -> np.uint64 | np.ndarray:
 
 
 def stream_key(seed: int) -> np.uint64:
-    """Map a user-facing integer seed to an internal stream key."""
-    return mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
+    """Map a user-facing integer seed in [0, 2^64) to an internal stream key."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    return mix64(np.uint64(seed))
 
 
 def _seed_hash(master_seed: int, index) -> np.uint64 | np.ndarray:
-    """splitmix64 output `index` of the generator seeded with `master_seed`."""
+    """splitmix64 output `index` of the generator seeded with `master_seed` in [0, 2^64)."""
+    if not 0 <= master_seed < 1 << 64:
+        raise ValueError(f"master_seed must be in [0, 2^64), got {master_seed}")
     with np.errstate(over="ignore"):
-        base = np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF)
+        base = np.uint64(master_seed)
         idx = np.asarray(index, dtype=np.uint64)
         return mix64(base + (idx + np.uint64(1)) * _GAMMA)
 

@@ -490,6 +490,24 @@ class TestImportFootprint:
         assert len(rows) == 1 and rows[0]["error"] == ""
         assert rows[0]["mc_mean"] != "" and rows[0]["mc_within_ci"] == "true"
 
+    def test_binomial_windows_and_tables_load_no_scipy(self):
+        # `binomial` imports scipy only inside the routes that call boost
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from l1minimax import binomial
+
+            binomial._binomial_window(10**4, 0.3, 1e-14)
+            draws = binomial._binomial_inverse(np.full(64, 0.5), np.full(64, 1000), 0.3)
+            print(draws.min() == draws.max() == 300)
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """)
+        src = pathlib.Path(l1minimax.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["True", "[]"]
+
 
 class TestWorkerPool:
     """An `mc` sweep of several cells runs them in forked workers, with the

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
-from scipy.stats import binom as sp_binom
 from scipy.stats import poisson as sp_poisson
 
 from l1minimax import (BinomialSpec, CoordinatewiseEstimator, CompressedFamily,
@@ -13,81 +11,9 @@ from l1minimax import (BinomialSpec, CoordinatewiseEstimator, CompressedFamily,
                        binomial_mad_exact, empirical_estimator, entropy_ball_family,
                        estimator_risk_exact, poisson_tv_exact, threshold_estimator,
                        ThresholdConfig)
-from l1minimax.exact import _lgamma_int, _poisson_window, _window_pmf
+from l1minimax import binomial, exact
+from l1minimax.exact import _poisson_window
 from conftest import brute_force_risk, expand
-
-
-def full_window(n, p):
-    """Binomial pmf on 0..n, anchored where binomial_expectation anchors it:
-    at 0 or n while that mass is representable, else at the mode."""
-    if n * math.log1p(-p) > -700.0:
-        return _window_pmf(n, p, 0, n, 0)
-    if n * math.log(p) > -700.0:
-        return _window_pmf(n, p, 0, n, n)
-    return _window_pmf(n, p, 0, n, min(int((n + 1) * p), n))
-
-
-class TestLgammaInt:
-    """The port of cephes `lgam` equals scipy.special.gammaln bit for bit on
-    integers, so exact risks keep their bits without scipy at run time."""
-
-    @staticmethod
-    def assert_bits_equal(xs):
-        got = np.array([_lgamma_int(x) for x in xs.tolist()])
-        bad = np.flatnonzero(got != gammaln(xs))
-        assert bad.size == 0, xs[bad[:5]]
-
-    def test_every_integer_to_2e5(self):
-        self.assert_bits_equal(np.arange(1, 200_001, dtype=float))
-
-    def test_seeded_sample_to_1e8(self):
-        rng = np.random.default_rng(20140606)
-        self.assert_bits_equal(rng.integers(200_001, 10**8 + 11, 200_000).astype(float))
-
-    def test_branch_edges(self):
-        self.assert_bits_equal(np.array([12.0, 13.0, 999.0, 1000.0, 1e8, 1e8 + 1]))
-
-
-class TestBinomialPmf:
-    def test_symmetric_case(self):
-        assert full_window(2, 0.5)[1] == pytest.approx(0.5, rel=1e-15)
-
-    def test_degenerate_p(self):
-        def at(k):
-            return lambda ks: (ks == k).astype(float)
-        assert binomial_expectation(10, 0.0, at(0)) == 1.0
-        assert binomial_expectation(10, 1.0, at(10)) == 1.0
-
-    def test_frozen_power(self):
-        # 0.95^10 at 40 digits
-        assert _window_pmf(10, 0.05, 0, 10, 0)[0] == pytest.approx(
-            0.598736939238378906, rel=1e-14)
-
-    def test_k_out_of_range(self):
-        # the certified window never evaluates a term outside 0..n; the mass
-        # it covers is 1 up to the log-gamma anchor, whose rounding grows
-        # with n (about 1e-9 at n = 1e6)
-        for n, p in [(1, 0.5), (40, 0.3), (5000, 0.01), (10**6, 0.999)]:
-            seen = []
-
-            def term(ks, seen=seen):
-                seen.append(ks)
-                return np.ones(ks.shape)
-            assert binomial_expectation(n, p, term) == pytest.approx(1.0, rel=1e-8)
-            ks = np.concatenate(seen)
-            assert ks.min() >= 0 and ks.max() <= n
-
-    @pytest.mark.parametrize("n", [1, 2, 5, 17, 100, 333, 1000, 2000])
-    @pytest.mark.parametrize("p", [1e-7, 0.01, 0.3, 0.5, 0.731, 0.999])
-    def test_sums_to_one(self, n, p):
-        assert abs(math.fsum(full_window(n, p).tolist()) - 1.0) <= 1e-12
-
-    def test_agrees_with_scipy_at_large_n(self):
-        n, p = 10**6, 0.1
-        pmf = full_window(n, p)
-        for k in [0, 99_000, 100_000, 101_000, 10**6]:
-            ref = float(sp_binom.pmf(k, n, p))
-            assert pmf[k] == pytest.approx(ref, rel=1e-8, abs=1e-300)
 
 
 class TestBinomialMad:
@@ -270,16 +196,15 @@ class TestWindowDoubling:
     until it is not, and the sum over the wider window agrees."""
 
     @staticmethod
-    def _record(monkeypatch, name):
-        from l1minimax import exact
-        built, original = [], getattr(exact, name)
+    def _record(monkeypatch, module, name):
+        built, original = [], getattr(module, name)
 
         def recording(*args):
             window = original(*args)
             built.append(window.size)
             return window
 
-        monkeypatch.setattr(exact, name, recording)
+        monkeypatch.setattr(module, name, recording)
         return built
 
     @pytest.mark.parametrize("n, p", [(10**4, 0.3), (500, 0.5)])
@@ -287,7 +212,7 @@ class TestWindowDoubling:
         def term(ks):
             return np.abs(ks / n - p)
 
-        built = self._record(monkeypatch, "_window_pmf")
+        built = self._record(monkeypatch, binomial, "_window_pmf")
         default = binomial_expectation(n, p, term)
         (first,) = built
         tight = binomial_expectation(n, p, term, tail_tol=1e-60)
@@ -300,8 +225,7 @@ class TestWindowDoubling:
 
     @pytest.mark.parametrize("lo,hi", [(3.0, 5.0), (100.0, 120.0)])
     def test_poisson_window_widens_to_tolerance(self, monkeypatch, lo, hi):
-        from l1minimax import exact
-        built = self._record(monkeypatch, "_poisson_window")
+        built = self._record(monkeypatch, exact, "_poisson_window")
         monkeypatch.setattr(exact, "POISSON_TAIL_TOL", 1e-300)
         assert poisson_tv_exact(PoissonPair(lo, hi)) == pytest.approx(
             mpmath_poisson_tv(lo, hi), rel=1e-14, abs=0)
@@ -317,7 +241,6 @@ class TestTruncationBudget:
         (ProbabilityVector(np.random.default_rng(5).dirichlet(np.ones(40))), 10**5),
     ])
     def test_sum_of_scaled_tails_within_budget(self, monkeypatch, fam, n):
-        from l1minimax import exact
         seen = []
         original = exact.binomial_expectation
 

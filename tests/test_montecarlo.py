@@ -1,14 +1,10 @@
-import logging
 import math
 import tracemalloc
-import warnings
-from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import binom as sp_binom
 
 from l1minimax import (CompositePrior, CompressedFamily, CoordinatewiseEstimator,
                        McConfig, ProbabilityVector, ThresholdConfig,
@@ -122,6 +118,21 @@ class TestRngStream:
             sample_from_composite_prior(CompositePrior(1.0, 0.5, 1, limit + 1), 0)
         assert 0 <= sample_from_composite_prior(
             CompositePrior(1.0, 0.5, 1, limit), 0).active_slots[0] < limit
+
+    @pytest.mark.parametrize("entry", [
+        lambda s: sample_multinomial(ProbabilityVector([0.3, 0.7]), 10, s),
+        lambda s: sample_from_composite_prior(CompositePrior(1.0, 0.5, 3, 4), s),
+        lambda s: derive_replicate_seed(s, 0),
+        lambda s: derive_key(s, np.arange(3, dtype=np.uint64)),
+    ], ids=["sample_multinomial", "sample_from_composite_prior", "derive_replicate_seed",
+            "derive_key"])
+    def test_seeds_outside_64_bits_are_rejected(self, entry):
+        # reduced modulo 2^64, seed -3 would draw what seed 2^64 - 3 draws
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match=r"in \[0, 2\^64\), got "):
+                entry(seed)
+        for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+            entry(seed)
 
 
 class TestSampleMultinomial:
@@ -402,283 +413,3 @@ class TestGoldenBits:
         fam = CompressedFamily(((0.05, 10), (0.5, 1)))
         h = sample_multinomial(fam, 40, seed=3)
         assert h.counts.tolist() == [1, 1, 2, 1, 2, 1, 2, 1, 2, 1, 26]
-
-
-class TestBinomialKernel:
-    """`_binomial_inverse` against the public scipy.stats.binom.ppf (clipped
-    and cast as the sampler did before), bit for bit, so a scipy release
-    that moves the private kernel fails here before it moves any MC number.
-    The q = 1e-12 and 1 - 1e-12 rows are calls too small to walk (draws x
-    log1p(mean) <= _MIN_WALK_WORK) and go to boost's quantile whole; only
-    the moderate-q rows reach the walk, which `TestBinomialWalk` forces on
-    at every q."""
-
-    def test_matches_public_ppf(self):
-        budgets = np.unique(np.concatenate(
-            [[0, 1], np.rint(np.logspace(0.3, 7.0, 36))])).astype(np.int64)
-        # boost's cost grows with the budget: fewer draws at the large ones
-        per_budget = np.where(budgets < 10_000, 1000, 100)
-        b = np.repeat(budgets, per_budget)
-        starts = np.cumsum(per_budget) - per_budget
-        key = stream_key(2024)
-        qs = [1e-12, 1e-3, 0.02, 0.3, 0.5, 0.97, 1.0 - 1e-12] + uniforms(key, 0, 3).tolist()
-        draws = 0
-        for i, q in enumerate(qs):
-            u = uniforms(key, 3 + i * b.size, b.size)
-            # extremes of `uniforms` at every budget: 0.5 * 2^-53, and
-            # 1 - 2^-54, which rounds to 1.0
-            u[starts] = 2.0 ** -54
-            u[starts + 1] = 1.0 - 2.0 ** -54
-            want = np.clip(sp_binom.ppf(u, b, q), 0, b).astype(np.int64)
-            got = montecarlo._binomial_inverse(u, b, q)
-            assert np.array_equal(got, want), q
-            draws += u.size
-        assert draws >= 200_000
-
-
-def _boost_quantile(u, budgets, q):
-    """Boost's quantile, clipped as `_binomial_inverse` clips it: the
-    definition of a draw."""
-    from scipy.special._ufuncs import _binom_ppf
-    return np.clip(_binom_ppf(u, budgets, q), 0, budgets).astype(np.int64)
-
-
-_BUDGETS = st.one_of(st.integers(0, 60), st.integers(0, 10**4), st.integers(0, 10**7),
-                     st.integers(0, 10**12))
-_QS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
-
-
-@st.composite
-def _uniforms_on_cdf_steps(draw, budgets=st.lists(_BUDGETS, min_size=1, max_size=3), qs=_QS):
-    """q across (0, 1), one to three budgets up to 1e12, and u exactly on
-    boost's CDF steps C(k) and 1 ulp to either side, within [2^-54, 1]:
-    every k of a small budget, a window of k anywhere from the far lower
-    to the far upper tail of a large one."""
-    from scipy.special._ufuncs import _binom_cdf
-    q = draw(qs)
-    budgets = draw(budgets)
-    b_all, k_all = [], []
-    for b in budgets:
-        if b <= 60:
-            ks = np.arange(b + 1)
-        else:
-            z = draw(st.floats(-9.0, 9.0))
-            centre = round(b * q + z * math.sqrt(b * q * (1.0 - q)))
-            ks = np.clip(np.arange(centre - 10, centre + 11), 0, b)
-        b_all.append(np.full(ks.size, b))
-        k_all.append(ks)
-    b_all, k_all = np.concatenate(b_all), np.concatenate(k_all)
-    steps = _binom_cdf(k_all, b_all, q)
-    u = np.concatenate([steps, np.nextafter(steps, 0.0), np.nextafter(steps, 2.0)])
-    budgets = np.tile(b_all, 3)
-    keep = (u >= 2.0 ** -54) & (u <= 1.0)
-    return u[keep], budgets[keep].astype(np.int64), q
-
-
-class TestBinomialWalk:
-    """The walk of `_binomial_inverse`, which accepts or rejects each draw at
-    its guess, against boost's quantile, bit for bit, with the walk taken
-    for every call with a positive budget and unequal budgets."""
-
-    # offset 50: guesses 50 steps off, so that nearly every draw the walk
-    # sees is off its guess and must reach boost
-    @given(_uniforms_on_cdf_steps(), st.sampled_from([0, 50]))
-    @settings(max_examples=150, deadline=None)
-    def test_uniforms_on_cdf_steps_match_boost(self, case, offset):
-        u, budgets, q = case
-        # draws at two more budgets keep the call off the table route
-        u = np.append(u, [0.5, 0.5])
-        budgets = np.append(budgets, [0, budgets.max(initial=0) + 1])
-        guess, walk = montecarlo._binomial_guess, montecarlo._walk
-        walked = []
-        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
-            # boost's search warns of itself at some extreme q; nothing else may
-            warnings.simplefilter("error")
-            warnings.filterwarnings("ignore", "Error in function boost::", RuntimeWarning)
-            want = _boost_quantile(u, budgets, q)
-            mp.setattr(montecarlo, "_MIN_WALK_WORK", 0.0)
-            mp.setattr(montecarlo, "_walk", lambda *a: walked.append(walk(*a)) or walked[0])
-            if offset:
-                mp.setattr(montecarlo, "_binomial_guess", lambda x, b, p: guess(x, b, p)
-                           + np.resize([-offset, offset, 3 - offset, offset - 7], x.shape))
-            got = montecarlo._binomial_inverse(u, budgets, q)
-        assert np.array_equal(got, want)
-        [(draws, unresolved)] = walked
-        assert unresolved[draws != want].all()
-
-    def test_unresolved_draws_alone_reach_boost(self, monkeypatch):
-        # Guesses 50 steps off: only draws whose clipped guess is boost's
-        # draw resolve; the rest, u = 1 and budget 0 go to boost, draw by
-        # draw, without a warning.
-        from scipy.special import _ufuncs
-        m, q = 3000, 0.3
-        u = uniforms(stream_key(77), 0, m)
-        u[7] = 1.0
-        budgets = np.resize(np.arange(0, 20, dtype=np.int64), m)
-        want = _boost_quantile(u, budgets, q)
-        offsets = np.resize([-50, 50], m)
-        start = np.clip(montecarlo._binomial_guess(np.where(u < 1.0, u, 0.5), budgets, q)
-                        + offsets, 0, budgets)
-        unresolved = (want != start) | (budgets == 0) | (u == 1.0)
-        assert 100 < unresolved.sum() < m - 100
-        guess = montecarlo._binomial_guess
-        monkeypatch.setattr(montecarlo, "_MIN_WALK_WORK", 0.0)
-        monkeypatch.setattr(montecarlo, "_binomial_guess",
-                            lambda x, b, p: guess(x, b, p) + offsets)
-        sent = []
-        ppf = _ufuncs._binom_ppf
-
-        def counting_ppf(x, b, p):
-            sent.append(np.array(x))
-            return ppf(x, b, p)
-
-        monkeypatch.setattr(_ufuncs, "_binom_ppf", counting_ppf)
-        tally = Counter()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = montecarlo._binomial_inverse(u, budgets, q, tally)
-        assert np.array_equal(got, want)
-        assert len(sent) == 1 and np.array_equal(sent[0], u[unresolved])
-        assert tally == {"walked": m - unresolved.sum(), "fallback": unresolved.sum()}
-
-    def test_mc_risk_logs_draw_routes(self, caplog):
-        # two chain steps of 300 draws each: the first, at budget n in every
-        # replicate, from a table; the second walked at n = 1000, too small
-        # to walk at n = 5
-        pv = ProbabilityVector([0.2, 0.3, 0.5])
-        for n, walk in ((1000, True), (5, False)):
-            caplog.clear()
-            with caplog.at_level(logging.DEBUG, logger="l1minimax"):
-                mc_risk(pv, empirical_estimator(), n, McConfig(300, 4))
-            records = [r for r in caplog.records if r.name == "l1minimax.montecarlo"]
-            assert len(records) == 1
-            table, walked, fallback, small = records[0].args
-            assert table + walked + fallback + small == 600
-            assert table > 0 and (walked > 0) == walk and small == (0 if walk else 300)
-
-
-@st.composite
-def _single_budget_cases(draw):
-    """One budget up to 1e12, q across (0, 1) with its extremes, and u on
-    boost's CDF steps and 1 ulp to either side (`_uniforms_on_cdf_steps`)."""
-    n = draw(_BUDGETS)
-    qs = st.one_of(_QS, st.sampled_from([1e-300, 1.0 - 2.0**-53]))
-    u, _, q = draw(_uniforms_on_cdf_steps(st.just([n]), qs))
-    return u, n, q
-
-
-class TestBinomialTable:
-    """The table route of `_binomial_inverse`, taken by every call of
-    _MIN_TABLE_DRAWS or more draws whose budgets are all equal and at most
-    _MAX_TABLE_BUDGET, against boost's quantile, bit for bit; such calls
-    at larger budgets take the other routes."""
-
-    @given(_single_budget_cases(), st.integers(0, 2**64 - 1))
-    @settings(max_examples=150, deadline=None)
-    def test_uniforms_on_cdf_steps_match_boost(self, case, seed):
-        u, n, q = case
-        # boost's shortcut to 0 at (1 - q)^n and 1 ulp to either side, the
-        # extremes of `uniforms`, 2^-54 and 1.0, and draws off the steps
-        zero = (1.0 - q) ** n
-        u = np.concatenate([u, [zero, np.nextafter(zero, 0.0), np.nextafter(zero, 2.0)]])
-        u = np.concatenate([u[(u >= 2.0**-54) & (u <= 1.0)], [2.0**-54, 1.0],
-                            uniforms(stream_key(seed), 0, 200)])
-        budgets = np.full(u.size, n, dtype=np.int64)
-        tally = Counter()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            warnings.filterwarnings("ignore", "Error in function boost::", RuntimeWarning)
-            want = _boost_quantile(u, budgets, q)
-            got = montecarlo._binomial_inverse(u, budgets, q, tally)
-        assert np.array_equal(got, want)
-        assert sum(tally.values()) == u.size
-        assert (set(tally) - {"fallback"} == {"table"}) == (n <= montecarlo._MAX_TABLE_BUDGET)
-
-    @pytest.mark.parametrize("b", [2, 5, 17, 60, 150, 300])
-    def test_uniforms_near_table_cdf_match_boost(self, monkeypatch, b):
-        """u 1 to 40 b ulps to either side of the table's own CDF values,
-        where the table's error bound `err` is wider than the band's budget
-        share, with _GUARD at 0: every draw `_table` resolves is boost's
-        quantile."""
-        monkeypatch.setattr(montecarlo, "_GUARD", 0.0)
-        ulps = np.unique(np.geomspace(1, 40 * b, 30).round().astype(np.int64))
-        ulps = np.concatenate([ulps, -ulps])
-        draws = resolved = 0
-        for q in (1e-3, 0.05, 0.3, 0.5, 0.77, 0.999):
-            _, pmf, _ = montecarlo._binomial_window(b, q, montecarlo._TABLE_TAIL)
-            cdf = np.cumsum(pmf / pmf.sum())
-            u = (cdf.view(np.int64)[:, None] + ulps).ravel().view(np.float64)
-            u = u[(u >= rng.UNIFORM_MIN) & (u < 1.0)]
-            budgets = np.full(u.size, b, dtype=np.int64)
-            got, unresolved = montecarlo._table(u, budgets, q)
-            want = _boost_quantile(u, budgets, q)
-            assert np.array_equal(got[~unresolved], want[~unresolved]), q
-            draws += u.size
-            resolved += u.size - unresolved.sum()
-        assert resolved > draws // 50  # the widest offsets clear the whole band
-
-
-@pytest.mark.parametrize("route", ["_table", "_walk"])
-class TestLargeBudgets:
-    """Each route, called directly, against boost's quantile at budgets
-    where boost's CDF stands up to b/2 roundings off the true one."""
-
-    @staticmethod
-    def _draws(route, u, b, q):
-        budgets = np.full(u.size, b, dtype=np.int64)
-        want = _boost_quantile(u, budgets, q)
-        got, unresolved = getattr(montecarlo, route)(u, budgets, q)
-        return np.where(unresolved, want, got), want
-
-    @pytest.mark.parametrize("b, q", [(10**9, 1e-9), (10**12, 1e-12)])
-    def test_uniforms_between_pow_and_cdf0_match_boost(self, route, b, q):
-        # boost answers 0 outright for u <= (1 - q)^b by pow, which stands
-        # ~b/4 roundings off its C(0) here
-        from scipy.special._ufuncs import _binom_cdf
-        zero, c0 = (1.0 - q) ** b, _binom_cdf(0, b, q)
-        assert abs(zero - c0) > 1e-8 * c0
-        got, want = self._draws(route, np.linspace(min(zero, c0), max(zero, c0), 64), b, q)
-        assert np.array_equal(got, want)
-
-    # boost's C(1) at (1e9, 3e-9) is 2.6e-8 relative below the true C(1);
-    # at (1739006029, 9.235479502160027e-9) its C(15) is 1.7e-8 relative
-    # above its C(16) - pmf(16)
-    @pytest.mark.parametrize("b, q", [(10**9, 3e-9), (1739006029, 9.235479502160027e-9)])
-    def test_uniforms_on_cdf_steps_match_boost(self, route, b, q):
-        from scipy.special._ufuncs import _binom_cdf
-        ks = np.arange(max(0, round(b * q) - 40), round(b * q) + 41)
-        steps = _binom_cdf(ks, np.full(ks.size, b), q)
-        u = np.concatenate([steps, np.nextafter(steps, 0.0), np.nextafter(steps, 2.0)])
-        got, want = self._draws(route, u[(u >= 2.0**-54) & (u <= 1.0)], b, q)
-        assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("guard", [montecarlo._GUARD, 0.0])
-@pytest.mark.parametrize("route", ["_table", "_walk"])
-def test_uniforms_near_cdf_steps_match_boost(monkeypatch, route, guard):
-    """Each route, called directly, with u at a relative 1e-10 to 1e-15 to
-    either side of boost's CDF steps at budgets 2 to 1e4: every draw it
-    resolves is boost's quantile.  This holds with _GUARD at 0 too, where
-    many of these draws resolve, because the rest of `_unresolved`'s band
-    keeps the draws that could differ unresolved: no known input needs the
-    guard, which stays as a margin."""
-    from scipy.special._ufuncs import _binom_cdf
-    monkeypatch.setattr(montecarlo, "_GUARD", guard)
-    rel = np.array([1e-10, 3e-11, 1e-11, 3e-12, 1e-12, 3e-13, 1e-14, 1e-15])
-    rel = np.concatenate([1.0 + rel, 1.0 - rel])
-    draws = resolved = 0
-    for b in (2, 7, 60, 500, 3000, 10**4):
-        for q in (1e-3, 0.05, 0.3, 0.5, 0.77, 0.999):
-            mean = round(b * q)
-            ks = np.arange(max(0, mean - 60), min(b, mean + 60) + 1)
-            u = (_binom_cdf(ks, np.full(ks.size, b), q)[:, None] * rel).ravel()
-            u = u[(u >= 2.0 ** -54) & (u < 1.0)]
-            budgets = np.full(u.size, b, dtype=np.int64)
-            got, unresolved = getattr(montecarlo, route)(u, budgets, q)
-            want = _boost_quantile(u, budgets, q)
-            assert np.array_equal(got[~unresolved], want[~unresolved]), (b, q)
-            draws += u.size
-            resolved += u.size - unresolved.sum()
-    assert draws > 20_000
-    # the guard alone leaves all of them to boost
-    assert resolved > draws // 4 if guard == 0.0 else resolved == 0
