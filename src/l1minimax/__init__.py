@@ -17,10 +17,9 @@ from .estimators import (DEFAULT_ETA, CoordinatewiseEstimator, ThresholdConfig,
 from .exact import (BinomialSpec, PoissonPair, binomial_expectation,
                     binomial_mad_exact, estimator_risk_exact, poisson_tv_exact)
 from .families import (CompositeDraw, CompositePrior, EntropyBallBayesRisk,
-                       EntropyBallFamily, ExpectedDistinct, TwoPointPrior,
-                       assembled_minimax_lower_hd, bayes_risk_entropy_ball,
-                       bayes_risk_entropy_ball_constrained, bayes_risk_two_point,
-                       entropy_ball_family, expected_distinct,
+                       EntropyBallFamily, TwoPointPrior, assembled_minimax_lower_hd,
+                       bayes_risk_entropy_ball, bayes_risk_entropy_ball_constrained,
+                       bayes_risk_two_point, entropy_ball_family,
                        sample_from_composite_prior, two_point_prior)
 from .montecarlo import (McConfig, McRiskEstimate, derive_replicate_seed,
                          mc_risk, sample_multinomial)

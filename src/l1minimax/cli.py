@@ -6,9 +6,10 @@ grid, `exact-risk` computes enumeration-based risks on named families,
 scripted trend sweeps with PASS/FAIL verdicts.
 
 Reruns with identical arguments produce byte-identical output files, so
-diagnostics, each cell's wall-clock time among them, go to stderr with -v.
-An `mc` sweep runs its cells in forked worker processes on Linux; its
-reports and logs are the same as in-process.
+diagnostics, each report row's wall-clock time among them, go to stderr
+with -v: `_run_cell` times a cell, `cmd_reproduce` a row that a `reproduce`
+target (a generator) yields.  An `mc` sweep runs its cells in forked worker
+processes on Linux; its reports and logs are the same as in-process.
 """
 
 from __future__ import annotations
@@ -326,7 +327,7 @@ def _exact_uniform_mle_risk(S: int, n: int) -> float:
     return estimator_risk_exact(_uniform_family(S), empirical_estimator(), n)
 
 
-def _verdicts_cor2(args, rows):
+def _verdicts_cor2(args):
     S_values = _grid(args, "S", lambda S: S >= 2, "S >= 2")
     ns = sorted(_grid(args, "n", lambda n: n >= 1, "n >= 1"))
     verdicts = []
@@ -334,13 +335,11 @@ def _verdicts_cor2(args, rows):
         target = bnd.classical_constant(S)
         gaps = []
         for n in ns:
-            started = time.perf_counter()
             risk = _exact_uniform_mle_risk(S, n)
             gaps.append(abs(math.sqrt(n) * risk - target))
-            rows.append((ReportRow(
+            yield ReportRow(
                 params={"S": S, "n": n, "family": "uniform", "estimator": "empirical"},
-                exact_risk=risk, bounds=_cell_bounds(S=S, n=n), seed=args.seed),
-                time.perf_counter() - started))
+                exact_risk=risk, bounds=_cell_bounds(S=S, n=n), seed=args.seed)
         verdicts.append((gaps[-1] <= 0.01,
                          f"S={S}: final |sqrt(n) risk - constant| = {gaps[-1]:.3e} <= 0.01"))
         decreasing = all(a > b for a, b in zip(gaps, gaps[1:]))
@@ -348,25 +347,22 @@ def _verdicts_cor2(args, rows):
     return verdicts
 
 
-def _verdicts_cor34(args, rows):
+def _verdicts_cor34(args):
     cs = _grid(args, "c", lambda c: c > 0, "c > 0")
     ns = sorted(_grid(args, "n", lambda n: n >= 1, "n >= 1"))
     floor_constant = math.sqrt(math.e) / 8.0
     upper_ok, lower_ok = True, True
     for c, n in itertools.product(cs, ns):
-        started = time.perf_counter()
         S = max(2, round(n / c))
         risk = _exact_uniform_mle_risk(S, n)
         oracle = bayes_risk_two_point(two_point_prior(S, n))
-        scaled_risk = math.sqrt(c) * risk
-        scaled_oracle = math.sqrt(c) * oracle
-        upper_ok &= scaled_risk <= 1.0 + 1e-12
-        lower_ok &= scaled_oracle >= floor_constant - 0.02
-        rows.append((ReportRow(
+        upper_ok &= math.sqrt(c) * risk <= 1.0 + 1e-12
+        lower_ok &= math.sqrt(c) * oracle >= floor_constant - 0.02
+        yield ReportRow(
             params={"S": S, "c": c, "n": n, "family": "uniform", "estimator": "empirical"},
             exact_risk=risk,
             bounds={"mle_upper_simple": bnd.mle_upper_simple(S, n)},
-            seed=args.seed), time.perf_counter() - started))
+            seed=args.seed)
     return [
         (upper_ok, "sqrt(c) * exact uniform risk <= 1 at every linear-scaling cell"),
         (lower_ok, f"sqrt(c) * two-point Bayes oracle >= sqrt(e)/8 - 0.02 "
@@ -375,23 +371,18 @@ def _verdicts_cor34(args, rows):
 
 
 def _trend(args, H: float, cs: list, risk):
-    """The n grid, the max over c in `cs` of risk(ball, c, n) at each n (ball: the
-    entropy ball at delta = cH / ln n), the ratios ln(n) * max / H cor6/7/9 check,
-    and the seconds each max took."""
-    ns = sorted(args.grid_n)
-
+    """(n, max, ln(n) * max / H) per n of the sorted n grid, max being the max
+    over c in `cs` of risk(ball, c, n) (ball: the entropy ball at
+    delta = cH / ln n); cor6/7/9 check these ratios."""
     def ball(c, n):
         try:
             return _entropy_ball(H, c, n)
         except ValueError as exc:  # no entropy ball at this grid point
             raise UsageError(f"{args.target}: H={H:g}, c={c:g}, n={n}: {exc}") from exc
 
-    bests, seconds = [], []
-    for n in ns:
-        started = time.perf_counter()
-        bests.append(max(risk(ball(c, n), c, n) for c in cs))
-        seconds.append(time.perf_counter() - started)
-    return ns, bests, [math.log(n) * best / H for n, best in zip(ns, bests)], seconds
+    for n in sorted(args.grid_n):
+        best = max(risk(ball(c, n), c, n) for c in cs)
+        yield n, best, math.log(n) * best / H
 
 
 def _ball_trend(args, H: float, est_name: str, eta: Optional[float] = None):
@@ -401,56 +392,57 @@ def _ball_trend(args, H: float, est_name: str, eta: Optional[float] = None):
     return _trend(args, H, args.grid_c, risk)
 
 
-def _rising_trend(args, rows, H: float, trend, quantity: str, ratio: str) -> list:
-    """cor6's and cor9's rows at one H, the max risk per n of a `_trend`, and
-    their verdicts: ln(n) * `quantity` / H increases over n and ends above 1."""
-    ns, bests, ratios, seconds = trend
-    for n, best, spent in zip(ns, bests, seconds):
-        rows.append((ReportRow(
+def _rising_trend(args, H: float, trend, quantity: str, ratio: str):
+    """Yields cor6's and cor9's rows at one H, the max risk per n of a `_trend`,
+    and returns their verdicts: ln(n) * `quantity` / H increases over n and
+    ends above 1."""
+    ns, ratios = [], []
+    for n, best, n_ratio in trend:
+        ns.append(n)
+        ratios.append(n_ratio)
+        yield ReportRow(
             params={"H": H, "n": n, "family": "entropy-ball", "estimator": "empirical"},
-            exact_risk=best, seed=args.seed), spent))
+            exact_risk=best, seed=args.seed)
     increasing = all(a < b for a, b in zip(ratios, ratios[1:]))
     return [(increasing, f"H={H}: ln(n) * {quantity} / H increases over n={ns}"),
             (ratios[-1] > 1.0, f"H={H}: final {ratio} {ratios[-1]:.4f} exceeds 1.0")]
 
 
-def _verdicts_cor6(args, rows):
-    return [verdict for H in args.grid_H
-            for verdict in _rising_trend(args, rows, H, _ball_trend(args, H, "empirical"),
-                                         "max-c MLE risk", "ratio")]
+def _verdicts_cor6(args):
+    verdicts = []
+    for H in args.grid_H:
+        verdicts += yield from _rising_trend(args, H, _ball_trend(args, H, "empirical"),
+                                             "max-c MLE risk", "ratio")
+    return verdicts
 
 
-def _verdicts_cor7(args, rows):
+def _verdicts_cor7(args):
     eta, *more = _grid(args, "eta", lambda eta: eta > 1, "eta > 1")
     if more:
         raise UsageError(f"{args.target}: --grid-eta takes one value")
     verdicts = []
     for H in args.grid_H:
-        ns, _, mle_ratios, mle_seconds = _ball_trend(args, H, "empirical")
-        _, thr_bests, thr_ratios, thr_seconds = _ball_trend(args, H, "threshold", eta)
-        below = True
-        compared = []
-        for n, mle_r, thr_best, thr_r, mle_s, thr_s in zip(
-                ns, mle_ratios, thr_bests, thr_ratios, mle_seconds, thr_seconds):
+        below, compared = True, []
+        # a row per n, after both estimators' max over c at that n
+        for (n, _, mle_r), (_, thr_best, thr_r) in zip(
+                _ball_trend(args, H, "empirical"), _ball_trend(args, H, "threshold", eta)):
             upper = bnd.threshold_upper(H, n, eta)
-            both_valid = (not upper.vacuous
-                          and not bnd.mle_entropy_upper(H, n, eta).vacuous)
-            rows.append((ReportRow(
+            if not upper.vacuous and not bnd.mle_entropy_upper(H, n, eta).vacuous:
+                compared.append(n)
+                below &= thr_r < mle_r
+            yield ReportRow(
                 params={"H": H, "eta": eta, "n": n, "family": "entropy-ball",
                         "estimator": "threshold"},
                 exact_risk=thr_best,
                 bounds={"threshold_upper": upper},
-                seed=args.seed), mle_s + thr_s))  # both estimators' max over c
-            if both_valid:
-                compared.append(n)
-                below &= thr_r < mle_r
+                seed=args.seed)
         verdicts.append((below and bool(compared),
                          f"H={H}: threshold ratio < MLE ratio at every valid n "
                          f"(compared at n={compared})"))
     return verdicts
 
 
-def _verdicts_cor9(args, rows):
+def _verdicts_cor9(args):
     cs = _grid(args, "c", lambda c: 0 < c < 1, "0 < c < 1")
     k = 10**6
     verdicts = []
@@ -466,8 +458,8 @@ def _verdicts_cor9(args, rows):
             dominated.append(floor.vacuous or value >= floor.value * (1.0 - 1.0 / k))
             return value
 
-        verdicts += _rising_trend(args, rows, H, _trend(args, H, cs, oracle),
-                                  "simplex-constrained oracle", "constrained ratio")
+        verdicts += yield from _rising_trend(args, H, _trend(args, H, cs, oracle),
+                                             "simplex-constrained oracle", "constrained ratio")
         verdicts.append((all(dominated),
                          f"H={H}: constrained oracle dominates simplex floor * (1 - 1/k)"))
     return verdicts
@@ -476,7 +468,7 @@ def _verdicts_cor9(args, rows):
 _BALL_C = [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 _BALL_N = [10**3, 10**4, 10**5, 10**6, 10**7]
 
-# target: (verdicts, help, the grids it reads with their defaults)
+# target: (its sweep, yielding rows and returning verdicts; help; grids read, defaults)
 _REPRODUCE_TARGETS = {
     "cor2": (_verdicts_cor2, "sqrt(n) * uniform MLE risk -> sqrt(2(S-1)/pi)",
              {"S": [2], "n": [100, 1_000, 10_000]}),
@@ -492,14 +484,22 @@ _REPRODUCE_TARGETS = {
 
 
 def cmd_reproduce(args) -> int:
-    """Run a target's sweep; each verdict function appends (report row,
-    seconds of the work behind it) pairs, and returns its verdicts."""
-    timed: list = []
-    verdicts = _REPRODUCE_TARGETS[args.target][0](args, timed)
-    for index, (row, seconds) in enumerate(timed, start=1):
-        _log_cell_time(args, index, len(timed), row.params, seconds)
+    """Run a target's sweep.  A target is a generator that yields its report
+    rows as it computes them and returns its verdicts; each row is timed
+    here, over the work since the row before it."""
+    sweep = _REPRODUCE_TARGETS[args.target][0](args)
+    rows, seconds = [], []
+    try:
+        while True:
+            started = time.perf_counter()
+            rows.append(next(sweep))
+            seconds.append(time.perf_counter() - started)
+    except StopIteration as done:
+        verdicts = done.value
+    for index, (row, spent) in enumerate(zip(rows, seconds), start=1):
+        _log_cell_time(args, index, len(rows), row.params, spent)
     if args.out is not None:
-        _write_report([row for row, _ in timed], args)
+        _write_report(rows, args)
     failed = False
     for ok, description in verdicts:
         print(("PASS" if ok else "FAIL") + f" [{args.target}] {description}")
@@ -520,11 +520,20 @@ _GRIDS = {
 }
 
 
+class _GridOnce(argparse.Action):
+    """Stores a --grid-* list; argparse alone would keep the last of several."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not self.default:
+            raise argparse.ArgumentError(self, "given more than once")
+        setattr(namespace, self.dest, values)
+
+
 def _add_grids(parser, defaults: dict) -> None:
     for name, default in defaults.items():
         kind, text = _GRIDS[name]
         parser.add_argument("--grid-" + name, dest="grid_" + name, type=kind, nargs="+",
-                            default=default,
+                            default=default, action=_GridOnce,
                             help=text if default is None else text + " (default: %(default)s)")
 
 

@@ -26,13 +26,11 @@ __all__ = [
     "TwoPointPrior",
     "CompositePrior",
     "CompositeDraw",
-    "ExpectedDistinct",
     "EntropyBallBayesRisk",
     "entropy_ball_family",
     "two_point_prior",
     "bayes_risk_two_point",
     "assembled_minimax_lower_hd",
-    "expected_distinct",
     "bayes_risk_entropy_ball",
     "bayes_risk_entropy_ball_constrained",
     "sample_from_composite_prior",
@@ -149,27 +147,6 @@ def assembled_minimax_lower_hd(params: HighDimParams) -> BoundValue:
     escape_mass = hoeffding_bound(S, 2.0 / S, zeta / (4.0 * math.log(S)))
     value = bayes - math.exp(-zeta * zeta * n / 24.0) - 6.0 * escape_mass
     return BoundValue(value, vacuous=value <= 0.0)
-
-
-class ExpectedDistinct(NamedTuple):
-    """Expected occupied-slot count and its linear cap n * delta."""
-
-    value: float
-    cap: float
-
-
-def expected_distinct(S_prime: int, delta: float, n: int) -> ExpectedDistinct:
-    """E N = S' (1 - (1 - delta/S')^n) for n draws over S' tiny atoms."""
-    if S_prime < 1:
-        raise ValueError("S_prime must be positive")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if not (0.0 <= delta <= 1.0):
-        raise ValueError("delta must lie in [0, 1]")
-    q = delta / S_prime
-    if q > 1.0:
-        raise ValueError("delta / S_prime must not exceed 1")
-    return ExpectedDistinct(S_prime * _occupied_fraction(q, n), n * delta)
 
 
 def _occupied_fraction(q: float, n: int) -> float:

@@ -1,7 +1,10 @@
 import ast
+import importlib
+import importlib.util
 import inspect
 import logging
 import math
+import pathlib
 import warnings
 from collections import Counter
 
@@ -19,11 +22,25 @@ from l1minimax.binomial import _lgamma_int, _window_pmf
 from l1minimax.rng import stream_key, uniforms
 
 
+# hooked by the benchmark but not defined since the block kernel became
+# `_block_runs`; the change that re-points the hook updates this test
+_ABSENT_HOOKS = {("l1minimax.montecarlo", "_block_cells")}
+
+
 def test_benchmark_hooks_stay_bound():
     # perfbench/spans.py hooks these attributes by module and name, and
     # patches every module bound to the same function
     assert exact._window_pmf is binomial._window_pmf
     assert montecarlo._binomial_inverse is binomial._binomial_inverse
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    hooks = {(module, attr) for module, attr, _, _ in spans.HOOKS}
+    hooks |= {("l1minimax.estimators", attr) for attr in spans.ESTIMATOR_FACTORIES}
+    for module, attr in sorted(hooks):
+        bound = hasattr(importlib.import_module(module), attr)
+        assert bound == ((module, attr) not in _ABSENT_HOOKS), f"{module}.{attr}"
 
 
 _MOVED = ("_lgamma_int", "_LOG_TINY", "_LS2PI", "_LGAM_A", "_outward", "_geometric_tail",

@@ -307,7 +307,7 @@ class TestReproduceCommand:
 
 
 class TestUnreadFlags:
-    """Each command accepts only the flags it reads."""
+    """Each command accepts only the flags it reads, and each grid once."""
 
     @pytest.mark.parametrize("argv, unread", [
         (["bounds", "--grid-S", "10", "--grid-n", "100"], ["--replicates", "5"]),
@@ -328,6 +328,23 @@ class TestUnreadFlags:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unrecognized arguments: " + " ".join(unread) in captured.err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["bounds", "--grid-S", "2", "--grid-n", "10", "--grid-S", "3"], "--grid-S"),
+        (["exact-risk", "--grid-S", "2", "--grid-n", "10", "--grid-n", "20"], "--grid-n"),
+        (["mc", "--grid-S", "2", "--grid-n", "10", "--replicates", "200", "--grid-n", "20"],
+         "--grid-n"),
+        (["reproduce", "cor2", "--grid-n", "100", "--grid-n", "1000"], "--grid-n"),
+    ], ids=["bounds", "exact-risk", "mc", "cor2"])
+    def test_repeated_grid_is_a_usage_error(self, tmp_path, capsys, argv, flag):
+        # argparse alone would keep the last list and drop the earlier values
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.endswith(f"error: argument {flag}: given more than once\n")
 
 
 class TestFamilyGrids:
@@ -450,6 +467,39 @@ class TestVerbose:
         verbose = capsys.readouterr()
         assert verbose.out == plain.out
         assert "DEBUG" not in plain.err and "DEBUG" in verbose.err
+
+
+    @pytest.mark.parametrize("target, grids, ms", [
+        ("cor2", ["--grid-n", "100", "1000"], [1000] * 2),
+        ("cor6", ["--grid-c", "0.5", "0.6", "0.7", "--grid-n", "100", "1000"], [3000] * 2),
+        ("cor7", ["--grid-c", "0.5", "0.6", "0.7", "--grid-n", "100", "1000"], [6000] * 2),
+    ])
+    def test_reproduce_row_times_the_work_behind_it(self, monkeypatch, capsys, target,
+                                                    grids, ms):
+        # each exact risk takes one second of a fake clock and nothing else
+        # does: a cor2 row is one risk, a cor6 row the max over c at its n,
+        # a cor7 row both estimators' max over c at its n
+        from l1minimax import cli
+        clock = [0.0]
+        real = cli.estimator_risk_exact
+
+        def estimator_risk_exact(*args):
+            clock[0] += 1.0
+            return real(*args)
+
+        monkeypatch.setattr(cli, "estimator_risk_exact", estimator_risk_exact)
+        monkeypatch.setattr(cli.time, "perf_counter", lambda: clock[0])
+        main(["reproduce", target, *grids, "-v"])
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("DEBUG l1minimax.cli:")]
+        params = {"cor2": [{"S": 2, "n": n, "family": "uniform", "estimator": "empirical"}
+                           for n in (100, 1000)],
+                  "cor6": [{"H": 1.0, "n": n, "family": "entropy-ball",
+                            "estimator": "empirical"} for n in (100, 1000)],
+                  "cor7": [{"H": 1.0, "eta": 1.1, "n": n, "family": "entropy-ball",
+                            "estimator": "threshold"} for n in (100, 1000)]}[target]
+        assert lines == [f"DEBUG l1minimax.cli: reproduce cell {i} of 2 {p}: {t}.000 ms"
+                         for i, (p, t) in enumerate(zip(params, ms), start=1)]
 
 
 class TestImportFootprint:

@@ -10,7 +10,7 @@ from l1minimax import (CompositePrior, CompressedFamily, HighDimParams,
                        assembled_minimax_lower_hd,
                        bayes_risk_entropy_ball, bayes_risk_entropy_ball_constrained,
                        bayes_risk_two_point, bayes_risk_two_point_piecewise,
-                       entropy, entropy_ball_family, expected_distinct,
+                       entropy, entropy_ball_family,
                        minimax_entropy_lower, minimax_lower_hd,
                        sample_from_composite_prior, sample_multinomial,
                        simplex_lower, two_point_prior)
@@ -145,37 +145,6 @@ class TestAssembledLower:
         assert gaps[-1] < 1e-12
 
 
-class TestExpectedDistinct:
-    def test_frozen(self):
-        out = expected_distinct(10, 0.5, 20)
-        assert out.value == pytest.approx(6.41514077591457766, rel=1e-13)
-        assert out.cap == pytest.approx(10.0, rel=1e-15)
-
-    def test_no_observations(self):
-        assert expected_distinct(10, 0.5, 0).value == 0.0
-
-    @pytest.mark.parametrize("sp,delta,n", [
-        (10, 0.5, 20), (1, 0.9, 3), (1000, 0.01, 10**6), (5, 1.0, 2),
-    ])
-    def test_caps(self, sp, delta, n):
-        out = expected_distinct(sp, delta, n)
-        assert out.value <= min(sp, n * delta) + 1e-9
-
-    def test_seeded_occupancy_matches_expectation(self):
-        # distinct observed tiny atoms over seeded Multinomial draws agree
-        # with the closed form within four standard errors
-        delta, sp, n = 0.4, 25, 60
-        fam = CompressedFamily(((delta / sp, sp), (1 - delta, 1)))
-        reps = 3000
-        observed = np.empty(reps)
-        for seed in range(reps):
-            counts = sample_multinomial(fam, n, seed).counts
-            observed[seed] = np.count_nonzero(counts[:sp])
-        expected = expected_distinct(sp, delta, n).value
-        se = observed.std(ddof=1) / math.sqrt(reps)
-        assert abs(observed.mean() - expected) <= 4 * se
-
-
 class TestEntropyBallBayesRisk:
     def _prior(self, sp=10, delta=0.5, k=2):
         return CompositePrior(H=1.0, delta=delta, S_prime=sp, k=k)
@@ -194,8 +163,26 @@ class TestEntropyBallBayesRisk:
 
     @pytest.mark.parametrize("n", [0, 1, 5, 50, 500])
     def test_exact_dominates_linearized(self, n):
+        # expected occupancy E N = S'(1 - exact/delta) is capped by n delta
+        # (the linearized form) and by S' (exact >= 0)
         out = bayes_risk_entropy_ball(self._prior(sp=40, delta=0.3), n)
         assert out.exact >= out.linearized - 1e-15
+        assert out.exact >= 0.0
+
+    def test_seeded_occupancy_matches_expectation(self):
+        # distinct observed tiny atoms over seeded Multinomial draws agree
+        # with the expected occupancy S'(1 - exact/delta) within four
+        # standard errors
+        delta, sp, n = 0.4, 25, 60
+        fam = CompressedFamily(((delta / sp, sp), (1 - delta, 1)))
+        reps = 3000
+        observed = np.empty(reps)
+        for seed in range(reps):
+            counts = sample_multinomial(fam, n, seed).counts
+            observed[seed] = np.count_nonzero(counts[:sp])
+        expected = sp * (1 - bayes_risk_entropy_ball(self._prior(sp, delta), n).exact / delta)
+        se = observed.std(ddof=1) / math.sqrt(reps)
+        assert abs(observed.mean() - expected) <= 4 * se
 
     def test_linearized_dominates_closed_form_floor(self):
         H, n, c = 1.0, 10**3, 0.5
