@@ -14,7 +14,6 @@ from typing import Callable, NamedTuple
 
 __all__ = [
     "BoundValue",
-    "HighDimParams",
     "ChernoffTails",
     "mle_upper_simple",
     "mle_upper_tight",
@@ -43,21 +42,15 @@ class BoundValue:
         return self.value
 
 
-@dataclass(frozen=True)
-class HighDimParams:
-    """Support size, sample size and slack for the high-dimensional bound."""
-
-    S: int
-    n: int
-    zeta: float
-
-    def __post_init__(self):
-        if self.S < 2:
-            raise ValueError("S must be at least 2")
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if not (0.0 < self.zeta <= 1.0):
-            raise ValueError("zeta must lie in (0, 1]")
+def _check_high_dim(S: int, n: int, zeta: float) -> None:
+    """Raises unless (S, n, zeta) is in the high-dimensional bounds' domain;
+    called before any arithmetic, since ln S is 0 at S = 1."""
+    if S < 2:
+        raise ValueError("S must be at least 2")
+    if n < 1:
+        raise ValueError("n must be positive")
+    if not (0.0 < zeta <= 1.0):
+        raise ValueError("zeta must lie in (0, 1]")
 
 
 def mle_upper_simple(S: int, n: int) -> float:
@@ -91,14 +84,14 @@ def bayes_risk_two_point_piecewise(S: int, n: float) -> float:
     return 0.125 * math.sqrt(math.e * S / n)
 
 
-def minimax_lower_hd(params: HighDimParams) -> BoundValue:
+def minimax_lower_hd(S: int, n: int, zeta: float) -> BoundValue:
     """Non-asymptotic high-dimensional minimax lower bound.
 
     The two-point Bayes floor at (1+zeta) n, less two penalty terms for the
     Poissonization and concentration losses.  May be negative (vacuous) at
     small S; returned as-is with the flag.
     """
-    S, n, zeta = params.S, params.n, params.zeta
+    _check_high_dim(S, n, zeta)
     value = (bayes_risk_two_point_piecewise(S, (1.0 + zeta) * n)
              - math.exp(-zeta * zeta * n / 24.0)
              - 12.0 * math.exp(-zeta * zeta * S / (32.0 * math.log(S) ** 2)))
@@ -243,7 +236,7 @@ REPORTED_BOUNDS = {
         ("H", "n", "c"), True, lambda H, n, c: minimax_entropy_lower(H, n, c)),
     "minimax_lower_hd": ReportedBound(
         ("S", "n", "zeta"), True,
-        lambda S, n, zeta: minimax_lower_hd(HighDimParams(S, n, zeta))),
+        lambda S, n, zeta: minimax_lower_hd(S, n, zeta)),
     "mle_entropy_lower": ReportedBound(
         ("H", "n", "c"), False, lambda H, n, c: mle_entropy_lower(H, n, c)),
     "mle_entropy_upper": ReportedBound(

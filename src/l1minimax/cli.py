@@ -49,7 +49,7 @@ def load_family_file(path: str) -> CompressedFamily:
     """Parse 'value multiplicity' lines ('#' comments allowed) into a family."""
     atoms = []
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, encoding="utf-8-sig")
     except OSError as exc:
         raise UsageError(f"{path}: {exc.strerror}") from exc
     with fh:
@@ -386,9 +386,12 @@ def _trend(args, H: float, cs: list, risk):
 
 
 def _ball_trend(args, H: float, est_name: str, eta: Optional[float] = None):
-    """`_trend` of the exact risk on the entropy-ball family at delta = cH / ln n."""
+    """`_trend` of the exact risk on the entropy-ball family at delta = cH / ln n;
+    the estimator depends on n alone and is built (and warns) once per n."""
+    estimator = functools.lru_cache(None)(lambda n: _build_estimator(est_name, n, eta))
+
     def risk(ball, c, n):
-        return estimator_risk_exact(ball.family, _build_estimator(est_name, n, eta), n)
+        return estimator_risk_exact(ball.family, estimator(n), n)
     return _trend(args, H, args.grid_c, risk)
 
 

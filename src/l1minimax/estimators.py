@@ -42,13 +42,6 @@ class ThresholdConfig:
         if not self.eta > 1.0:
             raise ValueError("eta must be strictly greater than 1")
 
-    @property
-    def delta_n(self) -> float:
-        """(ln n)^(2 eta) / n; requires n >= 2 so the log is positive."""
-        if self.n < 2:
-            raise ValueError("delta_n requires n >= 2 (ln n must be positive)")
-        return math.log(self.n) ** (2.0 * self.eta) / self.n
-
 
 @dataclass(frozen=True)
 class CoordinatewiseEstimator:
@@ -71,8 +64,11 @@ def empirical_estimator() -> CoordinatewiseEstimator:
 
 
 def threshold_level(cfg: ThresholdConfig) -> float:
-    """The keep/drop cutoff e^2 (ln n)^(2 eta) / n on estimated frequencies."""
-    return math.exp(2.0) * cfg.delta_n
+    """The keep/drop cutoff e^2 (ln n)^(2 eta) / n on estimated frequencies;
+    requires n >= 2 so the log is positive."""
+    if cfg.n < 2:
+        raise ValueError("delta_n requires n >= 2 (ln n must be positive)")
+    return math.exp(2.0) * (math.log(cfg.n) ** (2.0 * cfg.eta) / cfg.n)
 
 
 def threshold_estimator(cfg: ThresholdConfig) -> CoordinatewiseEstimator:

@@ -5,8 +5,9 @@ estimator under the Multinomial model (marginals are Binomial, so the risk
 decomposes into per-coordinate expectations), and exact Poisson total
 variation distance.
 
-Sums run over certified pmf windows (`binomial`); a Poisson window is
-anchored at its mode and normalized by its sum.  The 1e-14 truncation
+Sums run over certified pmf windows (`binomial`); the Poisson TV sums
+both pmfs over one window around the two rates, each anchored at its mode
+and normalized by its sum on the window.  The 1e-14 truncation
 budget covers a whole risk sum: each of its k distinct atoms of
 multiplicity mult gets TAIL_TOL / (mult * k).
 """
@@ -14,7 +15,6 @@ multiplicity mult gets TAIL_TOL / (mult * k).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -25,8 +25,6 @@ from .core import Distribution, _atom_items
 from .estimators import CoordinatewiseEstimator
 
 __all__ = [
-    "BinomialSpec",
-    "PoissonPair",
     "binomial_mad_exact",
     "binomial_expectation",
     "estimator_risk_exact",
@@ -37,34 +35,6 @@ __all__ = [
 TAIL_TOL = 1e-14
 # Combined Poisson tail mass allowed outside the summation window.
 POISSON_TAIL_TOL = 1e-15
-
-
-@dataclass(frozen=True)
-class BinomialSpec:
-    """Parameters (n, p) of a Binomial count."""
-
-    n: int
-    p: float
-
-    def __post_init__(self):
-        if self.n < 1 or self.n != int(self.n):
-            raise ValueError("n must be a positive integer")
-        if not (0.0 <= self.p <= 1.0):
-            raise ValueError("p must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class PoissonPair:
-    """An ordered pair of Poisson rates for total-variation computation."""
-
-    lambda_lo: float
-    lambda_hi: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.lambda_lo <= self.lambda_hi):
-            raise ValueError("rates must satisfy 0 <= lambda_lo <= lambda_hi")
-        if not math.isfinite(self.lambda_hi):
-            raise ValueError("rates must be finite")
 
 
 def binomial_expectation(
@@ -89,9 +59,12 @@ def binomial_expectation(
     return float(np.dot(term(ks), pmf))
 
 
-def binomial_mad_exact(spec: BinomialSpec) -> float:
+def binomial_mad_exact(n: int, p: float) -> float:
     """E|X/n - p| for X ~ Binomial(n, p), exact to summation precision."""
-    n, p = spec.n, spec.p
+    if n < 1 or n != int(n):
+        raise ValueError("n must be a positive integer")
+    if not (0.0 <= p <= 1.0):
+        raise ValueError("p must lie in [0, 1]")
     bound = max(p, 1.0 - p)
     return binomial_expectation(n, p, lambda ks: np.abs(ks / n - p), bound)
 
@@ -133,28 +106,36 @@ def estimator_risk_exact(
     return total
 
 
-def _poisson_window(lam: float, kmax: int) -> np.ndarray:
-    """Poisson(lam) pmf on 0..kmax, kmax >= lam, by exact ratios outward
+def _poisson_window(lam: float, lo: int, hi: int) -> np.ndarray:
+    """Poisson(lam) pmf on lo..hi, lo <= lam <= hi, by exact ratios outward
     from the mode (`_outward`), normalized by its sum on the window."""
-    pmf = _outward(0, kmax, int(lam), lambda ks: lam / (ks + 1.0), lambda ks: ks / lam)
+    pmf = _outward(lo, hi, int(lam), lambda ks: lam / (ks + 1.0), lambda ks: ks / lam)
     return pmf / pmf.sum()
 
 
-def poisson_tv_exact(pair: PoissonPair) -> float:
-    """Total variation distance between Poisson(lambda_lo) and Poisson(lambda_hi).
+def poisson_tv_exact(lam_lo: float, lam_hi: float) -> float:
+    """Total variation distance between Poisson(lam_lo) and Poisson(lam_hi).
 
-    Half the absolute pmf difference, summed until the combined remaining
-    tail mass of both distributions is below 1e-15.
+    Half the absolute pmf difference over one window from w = 20 deviations
+    below lam_lo to w above lam_hi, widened until the combined mass of both
+    distributions outside it is below 1e-15.
     """
-    lam_lo, lam_hi = pair.lambda_lo, pair.lambda_hi
+    if not (0.0 <= lam_lo <= lam_hi):
+        raise ValueError("rates must satisfy 0 <= lambda_lo <= lambda_hi")
+    if not math.isfinite(lam_hi):
+        raise ValueError("rates must be finite")
     if lam_lo == lam_hi:
         return 0.0
-    kmax = int(max(lam_hi + 20.0 * math.sqrt(lam_hi + 1.0), 50.0))
+    width = 20.0
+    hi = int(max(lam_hi + width * math.sqrt(lam_hi + 1.0), 50.0))
     while True:
-        pmf_lo = _poisson_window(lam_lo, kmax)
-        pmf_hi = _poisson_window(lam_hi, kmax)
-        tail = (_geometric_tail(pmf_lo[-1], lam_lo / (kmax + 1.0))
-                + _geometric_tail(pmf_hi[-1], lam_hi / (kmax + 1.0)))
+        lo = max(0, math.floor(lam_lo - width * math.sqrt(lam_lo + 1.0)))
+        pmfs = [_poisson_window(lam, lo, hi) for lam in (lam_lo, lam_hi)]
+        # outward pmf ratios shrink: lam / (k + 1) past hi, k / lam below lo
+        tail = sum(_geometric_tail(pmf[-1], lam / (hi + 1.0))
+                   + (_geometric_tail(pmf[0], lo / lam) if lo else 0.0)
+                   for lam, pmf in zip((lam_lo, lam_hi), pmfs))
         if tail < POISSON_TAIL_TOL:
-            return float(0.5 * np.abs(pmf_lo - pmf_hi).sum())
-        kmax *= 2
+            return float(0.5 * np.abs(pmfs[0] - pmfs[1]).sum())
+        width *= 2.0
+        hi *= 2

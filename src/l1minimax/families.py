@@ -15,10 +15,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import (BoundValue, HighDimParams, bayes_risk_two_point_piecewise,
+from .bounds import (BoundValue, _check_high_dim, bayes_risk_two_point_piecewise,
                      hoeffding_bound)
 from .core import CompressedFamily, ProbabilityVector
-from .exact import PoissonPair, poisson_tv_exact
+from .exact import poisson_tv_exact
 from .rng import MAX_INDEX_RANGE, stream_key, to_index, uniforms
 
 __all__ = [
@@ -127,11 +127,11 @@ def bayes_risk_two_point(prior: TwoPointPrior) -> float:
     analytic upper bound.
     """
     S, n, eta = prior.S, prior.n, prior.eta_prior
-    tv = poisson_tv_exact(PoissonPair(n * (1.0 - eta) / S, n * (1.0 + eta) / S))
+    tv = poisson_tv_exact(n * (1.0 - eta) / S, n * (1.0 + eta) / S)
     return eta * (1.0 - tv)
 
 
-def assembled_minimax_lower_hd(params: HighDimParams) -> BoundValue:
+def assembled_minimax_lower_hd(S: int, n: int, zeta: float) -> BoundValue:
     """High-dimensional lower bound assembled from its proof ingredients.
 
     Exact two-point Bayes risk at inflated sample size (1 + zeta) n, minus
@@ -140,7 +140,7 @@ def assembled_minimax_lower_hd(params: HighDimParams) -> BoundValue:
     exact quantities where the closed-form statement uses bounds, so it
     dominates `bounds.minimax_lower_hd` whenever both are meaningful.
     """
-    S, n, zeta = params.S, params.n, params.zeta
+    _check_high_dim(S, n, zeta)
     if S < 3:
         raise ValueError("S must be at least 3 (needs ln S > 1)")
     bayes = bayes_risk_two_point(two_point_prior(S, (1.0 + zeta) * n))

@@ -50,7 +50,7 @@ _CHUNK_DRAWS = 1 << 13
 
 @dataclass(frozen=True)
 class McConfig:
-    """Replication and seeding parameters for a Monte-Carlo run."""
+    """Replication and seeding parameters; `mc_risk` rejects a seed outside [0, 2^64)."""
 
     replicates: int
     master_seed: int
@@ -58,8 +58,6 @@ class McConfig:
     def __post_init__(self):
         if self.replicates < 100:
             raise ValueError("replicates must be at least 100 for CI reporting")
-        if not (0 <= self.master_seed < 1 << 64):
-            raise ValueError("master_seed must be a 64-bit unsigned integer")
 
 
 @dataclass(frozen=True)

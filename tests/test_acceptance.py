@@ -5,11 +5,13 @@ summary lines alongside the pytest verdicts.
 """
 
 import math
+import pathlib
+import re
 import time
 
 import numpy as np
 
-from l1minimax import (BinomialSpec, CompositePrior, McConfig, PoissonPair,
+from l1minimax import (CompositePrior, McConfig,
                        ProbabilityVector, ThresholdConfig, adell_jodra_tv_bound,
                        bayes_risk_entropy_ball, bayes_risk_entropy_ball_constrained,
                        bayes_risk_two_point, bayes_risk_two_point_piecewise,
@@ -50,7 +52,7 @@ def test_criterion_01_binomial_mad_identity():
     for n, p in pairs:
         assert p < 1.0 / n
         expected = 2.0 * p * math.exp(n * math.log1p(-p))
-        rel = abs(binomial_mad_exact(BinomialSpec(n, p)) - expected) / expected
+        rel = abs(binomial_mad_exact(n, p) - expected) / expected
         worst = max(worst, rel)
     elapsed = time.perf_counter() - started
     assert worst <= 1e-12
@@ -169,9 +171,9 @@ def test_criterion_07_poisson_tv_bound_grid():
     grid = np.linspace(0.0, 50.0, 50)
     violations = 0
     for t in grid:
-        assert poisson_tv_exact(PoissonPair(t, t)) <= 1e-12
+        assert poisson_tv_exact(t, t) <= 1e-12
         for x in grid:
-            tv = poisson_tv_exact(PoissonPair(t, t + x))
+            tv = poisson_tv_exact(t, t + x)
             if tv > adell_jodra_tv_bound(t, x) + 1e-12:
                 violations += 1
     elapsed = time.perf_counter() - started
@@ -256,3 +258,14 @@ def test_criterion_10_mc_consistency_and_reproducibility(tmp_path):
     print(f"\nPASS criterion 10: exact value inside the 3-sigma CI in "
           f"{coverage:.2%} of 2000 (cell, seed) pairs; reports byte-identical, "
           f"{elapsed:.1f}s")
+
+
+def test_readme_quick_start_runs():
+    # the README's one python block runs as printed (it asserts its own MC
+    # check), and its "# 0.375" comment holds
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    scope = {}
+    exec(block, scope)
+    assert scope["risk"] == 0.375

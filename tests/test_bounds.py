@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from l1minimax import (HighDimParams, ProbabilityVector, adell_jodra_tv_bound,
+from l1minimax import (ProbabilityVector, adell_jodra_tv_bound,
                        chernoff_tails, classical_constant, empirical_estimator,
                        estimator_risk_exact, hoeffding_bound,
                        minimax_entropy_lower, minimax_lower_hd, mle_entropy_lower,
@@ -64,12 +64,12 @@ class TestClassicalConstant:
 
 class TestParamTypes:
     def test_high_dim_params_validation(self):
-        with pytest.raises(ValueError):
-            HighDimParams(1, 10, 0.5)
-        with pytest.raises(ValueError):
-            HighDimParams(10, 10, 0.0)
-        with pytest.raises(ValueError):
-            HighDimParams(10, 10, 1.5)
+        with pytest.raises(ValueError, match="S must be at least 2"):
+            minimax_lower_hd(1, 10, 0.5)
+        with pytest.raises(ValueError, match="zeta"):
+            minimax_lower_hd(10, 10, 0.0)
+        with pytest.raises(ValueError, match="zeta"):
+            minimax_lower_hd(10, 10, 1.5)
 
     def test_entropy_ball_params_validation(self):
         # the entropy-ball bounds check H > 0, c in (0, 1) and eta > 1 themselves
@@ -85,11 +85,11 @@ class TestParamTypes:
 
 class TestMinimaxLowerHd:
     def test_small_cell_is_vacuous(self):
-        out = minimax_lower_hd(HighDimParams(2, 10, 1.0))
+        out = minimax_lower_hd(2, 10, 1.0)
         assert out.vacuous and out.value < 0
 
     def test_large_cell_frozen(self):
-        out = minimax_lower_hd(HighDimParams(10**6, 10**4, 0.5))
+        out = minimax_lower_hd(10**6, 10**4, 0.5)
         assert not out.vacuous
         assert out.value == pytest.approx(0.970445533548508157, rel=1e-12)
 
@@ -100,8 +100,8 @@ class TestMinimaxLowerHd:
         S_lo = int(16 * (1 + zeta) * n / E) - 2   # ratio above e/16: sqrt branch
         penal = lambda S: (math.exp(-zeta**2 * n / 24)
                            + 12 * math.exp(-zeta**2 * S / (32 * math.log(S) ** 2)))
-        hi = minimax_lower_hd(HighDimParams(S_hi, n, zeta))
-        lo = minimax_lower_hd(HighDimParams(S_lo, n, zeta))
+        hi = minimax_lower_hd(S_hi, n, zeta)
+        lo = minimax_lower_hd(S_lo, n, zeta)
         assert hi.value == pytest.approx(
             math.exp(-2 * (1 + zeta) * n / S_hi) - penal(S_hi), rel=1e-12)
         assert lo.value == pytest.approx(

@@ -139,11 +139,13 @@ class TestExactRiskCommand:
 
 
 class TestFamilyFiles:
-    def test_round_trip(self, tmp_path):
+    # utf-8-sig: the file starts with a byte-order mark
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig"])
+    def test_round_trip(self, tmp_path, encoding):
         path = tmp_path / "fam.txt"
         path.write_text("# tiny atoms then the heavy one\n"
                         "0.001 100   # one hundred cells\n"
-                        "0.9 1\n", encoding="utf-8")
+                        "0.9 1\n", encoding=encoding)
         fam = load_family_file(str(path))
         assert fam.atoms == ((0.001, 100), (0.9, 1))
         code, out = run(tmp_path, "exact-risk", "--family", f"file:{path}",
@@ -235,6 +237,16 @@ class TestReproduceCommand:
                      "--grid-n", "1000"])
         assert code == 0
         assert "FAIL" not in capsys.readouterr().out
+
+    def test_cor7_warns_once_per_n(self, tmp_path, capsys):
+        # the threshold estimator depends on n alone, so its degenerate level
+        # at n = 100 is one warning, not one per c of the default grid
+        main(["reproduce", "cor7", "--grid-n", "100", "1000", "-v", "--out",
+              str(tmp_path / "out.csv")])
+        warned = [line for line in capsys.readouterr().err.splitlines()
+                  if "threshold level" in line]
+        assert warned == ["WARNING l1minimax.estimators: threshold level 2.12681 >= 1 "
+                          "at n=100, eta=1.1: estimator returns 0 everywhere"]
 
     def test_unknown_target_rejected(self):
         with pytest.raises(SystemExit):

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson as sp_poisson
 
-from l1minimax import (BinomialSpec, CoordinatewiseEstimator, CompressedFamily,
-                       PoissonPair, ProbabilityVector, binomial_expectation,
+from l1minimax import (CoordinatewiseEstimator, CompressedFamily,
+                       ProbabilityVector, binomial_expectation,
                        binomial_mad_exact, empirical_estimator, entropy_ball_family,
                        estimator_risk_exact, poisson_tv_exact, threshold_estimator,
                        ThresholdConfig)
@@ -19,15 +19,20 @@ from conftest import brute_force_risk, expand
 class TestBinomialMad:
     def test_tiny_case_by_hand(self):
         # outcomes {0,1,2} have probs {1/4,1/2,1/4}, deviations {1/2,0,1/2}
-        assert binomial_mad_exact(BinomialSpec(2, 0.5)) == pytest.approx(0.25, rel=1e-14)
+        assert binomial_mad_exact(2, 0.5) == pytest.approx(0.25, rel=1e-14)
 
     def test_small_p_identity_case(self):
         # p < 1/n, so the value collapses to 2p(1-p)^n
-        assert binomial_mad_exact(BinomialSpec(10, 0.05)) == pytest.approx(
+        assert binomial_mad_exact(10, 0.05) == pytest.approx(
             0.0598736939238378906, rel=1e-13)
 
     def test_deterministic_zero(self):
-        assert binomial_mad_exact(BinomialSpec(5, 0.0)) == 0.0
+        assert binomial_mad_exact(5, 0.0) == 0.0
+
+    def test_domain(self):
+        for n, p, message in [(0, 0.5, "n must"), (2.5, 0.5, "n must"), (5, 1.5, "p must")]:
+            with pytest.raises(ValueError, match=message):
+                binomial_mad_exact(n, p)
 
     @pytest.mark.parametrize("n,p", [
         (10, 0.05), (100, 0.004), (1000, 0.0007), (100_000, 1e-6), (100_000, 9.9e-6),
@@ -35,12 +40,12 @@ class TestBinomialMad:
     def test_identity_below_one_over_n(self, n, p):
         assert p < 1.0 / n
         expected = 2.0 * p * math.exp(n * math.log1p(-p))
-        assert binomial_mad_exact(BinomialSpec(n, p)) == pytest.approx(expected, rel=1e-12)
+        assert binomial_mad_exact(n, p) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("n", [3, 10, 47, 200, 1000])
     @pytest.mark.parametrize("p", [0.001, 0.1, 0.4, 0.5, 0.8, 0.999])
     def test_dominated_by_min_bound(self, n, p):
-        mad = binomial_mad_exact(BinomialSpec(n, p))
+        mad = binomial_mad_exact(n, p)
         assert mad <= math.sqrt(p * (1 - p) / n) + 1e-15
         assert mad <= 2.0 * p + 1e-15
 
@@ -49,7 +54,7 @@ class TestBinomialMad:
         for n, p in [(4, 0.3), (7, 0.9), (12, 0.08)]:
             brute = math.fsum(abs(k / n - p) * float(binom.pmf(k, n, p))
                               for k in range(n + 1))
-            assert binomial_mad_exact(BinomialSpec(n, p)) == pytest.approx(brute, rel=1e-12)
+            assert binomial_mad_exact(n, p) == pytest.approx(brute, rel=1e-12)
 
     @given(st.integers(1, 200), st.floats(1e-9, 1.0 - 1e-9))
     @example(10, 0.5)
@@ -62,7 +67,7 @@ class TestBinomialMad:
         nu = math.floor(n * p) + 1
         q = 1.0 - p
         closed = 2 * nu * float(math.comb(n, nu)) * p ** nu * q ** (n - nu + 1)
-        assert n * binomial_mad_exact(BinomialSpec(n, p)) == pytest.approx(closed, rel=1e-12)
+        assert n * binomial_mad_exact(n, p) == pytest.approx(closed, rel=1e-12)
 
 
 class TestEstimatorRiskExact:
@@ -97,7 +102,7 @@ class TestEstimatorRiskExact:
         pv = ProbabilityVector(probs)
         n = 61
         risk = estimator_risk_exact(pv, empirical_estimator(), n)
-        mads = math.fsum(binomial_mad_exact(BinomialSpec(n, float(p))) for p in pv.probs)
+        mads = math.fsum(binomial_mad_exact(n, float(p)) for p in pv.probs)
         assert risk == pytest.approx(mads, rel=1e-12)
 
     def test_compressed_matches_expanded(self):
@@ -138,34 +143,65 @@ def mpmath_poisson_tv(lo, hi, digits=50):
         return float(total / 2)
 
 
+def mpmath_poisson_tv_cdf(lo, hi, digits=40):
+    """TV of Poisson(lo) and Poisson(hi), lo < hi, as a regularized-gamma CDF
+    difference: the pmfs cross once, at k* = floor((hi - lo) / ln(hi / lo)),
+    so the TV is P_lo(X <= k*) - P_hi(X <= k*) = Q(k*+1, lo) - Q(k*+1, hi)."""
+    import mpmath
+    with mpmath.workdps(digits):
+        lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+        k = int(mpmath.floor((hi - lo) / mpmath.log(hi / lo)))
+        return float(mpmath.gammainc(k + 1, lo, hi, regularized=True))
+
+
 class TestPoisson:
     @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (0.5, 2.0), (5.0, 6.0), (40.0, 90.0),
                                        (100.0, 100.5), (300.0, 320.0), (700.0, 760.0),
                                        (999.5, 1000.5), (1000.0, 1010.0), (1000.0, 1040.0)])
     def test_tv_matches_mpmath(self, lo, hi):
-        assert poisson_tv_exact(PoissonPair(lo, hi)) == pytest.approx(
+        assert poisson_tv_exact(lo, hi) == pytest.approx(
             mpmath_poisson_tv(lo, hi), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("lo,hi", [(1e4, 1.01e4), (1e6, 1.001e6)])
+    def test_tv_matches_mpmath_at_large_rates(self, lo, hi):
+        assert poisson_tv_exact(lo, hi) == pytest.approx(
+            mpmath_poisson_tv_cdf(lo, hi), rel=1e-14, abs=0)
+
+    def test_window_stays_near_the_rates(self, monkeypatch):
+        # 20 deviations either side of the two rates: ~137,000 points, where
+        # a window from 0 would hold ~1e7
+        original = exact._outward
+
+        def bounded(lo, hi, *args):
+            if hi - lo + 1 > 200_000:
+                raise AssertionError(f"window {lo}..{hi} holds {hi - lo + 1} points")
+            return original(lo, hi, *args)
+
+        monkeypatch.setattr(exact, "_outward", bounded)
+        assert poisson_tv_exact(1e7, 1.001e7) == pytest.approx(
+            mpmath_poisson_tv_cdf(1e7, 1.001e7), rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("lam", [0.0, 1e-3, 1.0, 12.5, 300.0, 1040.0])
     def test_window_matches_scipy(self, lam):
-        # the first window poisson_tv_exact takes, whose tail beyond kmax is
-        # below 1e-15; scipy's own relative error reaches 3e-12 at lam = 1040
+        # the first window poisson_tv_exact takes at rates below 400, whose
+        # tail beyond kmax is below 1e-15; scipy's own relative error reaches
+        # 3e-12 at lam = 1040
         kmax = int(max(lam + 20.0 * math.sqrt(lam + 1.0), 50.0))
-        pmf = _poisson_window(lam, kmax)
+        pmf = _poisson_window(lam, 0, kmax)
         assert math.fsum(pmf.tolist()) == pytest.approx(1.0, abs=1e-15)
         ref = sp_poisson.pmf(np.arange(kmax + 1), lam)
         assert pmf == pytest.approx(ref, rel=1e-11, abs=1e-300)
 
     def test_tv_identical_rates(self):
-        assert poisson_tv_exact(PoissonPair(3.7, 3.7)) == 0.0
+        assert poisson_tv_exact(3.7, 3.7) == 0.0
 
     def test_tv_zero_vs_one(self):
-        assert poisson_tv_exact(PoissonPair(0.0, 1.0)) == pytest.approx(
+        assert poisson_tv_exact(0.0, 1.0) == pytest.approx(
             1 - math.exp(-1), rel=1e-13)
 
     def test_tv_one_vs_two_frozen(self):
         # frozen from a 30-digit factorial-based summation
-        tv = poisson_tv_exact(PoissonPair(1.0, 2.0))
+        tv = poisson_tv_exact(1.0, 2.0)
         assert tv == pytest.approx(0.329753032633046568, rel=1e-12)
         assert tv <= min(1 - math.exp(-1), math.sqrt(2 / math.e) * (math.sqrt(2) - 1))
 
@@ -175,20 +211,22 @@ class TestPoisson:
         pmf_lo = sp_poisson.pmf(np.arange(kmax), lo)
         pmf_hi = sp_poisson.pmf(np.arange(kmax), hi)
         other_form = 1.0 - np.minimum(pmf_lo, pmf_hi).sum()
-        assert poisson_tv_exact(PoissonPair(lo, hi)) == pytest.approx(
+        assert poisson_tv_exact(lo, hi) == pytest.approx(
             other_form, abs=1e-12)
 
     def test_tv_monotone_in_gap(self):
         base = 2.0
-        values = [poisson_tv_exact(PoissonPair(base, base + x))
+        values = [poisson_tv_exact(base, base + x)
                   for x in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_pair_validation(self):
-        with pytest.raises(ValueError):
-            PoissonPair(2.0, 1.0)
-        with pytest.raises(ValueError):
-            PoissonPair(-1.0, 1.0)
+        with pytest.raises(ValueError, match="rates must satisfy"):
+            poisson_tv_exact(2.0, 1.0)
+        with pytest.raises(ValueError, match="rates must satisfy"):
+            poisson_tv_exact(-1.0, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            poisson_tv_exact(1.0, math.inf)
 
 
 class TestWindowDoubling:
@@ -223,11 +261,11 @@ class TestWindowDoubling:
             closed = 2 * nu * float(math.comb(n, nu)) * 0.5 ** (n + 1) / n
             assert tight == pytest.approx(closed, rel=1e-12)
 
-    @pytest.mark.parametrize("lo,hi", [(3.0, 5.0), (100.0, 120.0)])
+    @pytest.mark.parametrize("lo,hi", [(3.0, 5.0), (100.0, 120.0), (1e4, 1.01e4)])
     def test_poisson_window_widens_to_tolerance(self, monkeypatch, lo, hi):
         built = self._record(monkeypatch, exact, "_poisson_window")
         monkeypatch.setattr(exact, "POISSON_TAIL_TOL", 1e-300)
-        assert poisson_tv_exact(PoissonPair(lo, hi)) == pytest.approx(
+        assert poisson_tv_exact(lo, hi) == pytest.approx(
             mpmath_poisson_tv(lo, hi), rel=1e-14, abs=0)
         assert max(built) > built[0]
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from l1minimax import families
-from l1minimax import (CompositePrior, CompressedFamily, HighDimParams,
+from l1minimax import (CompositePrior, CompressedFamily,
                        assembled_minimax_lower_hd,
                        bayes_risk_entropy_ball, bayes_risk_entropy_ball_constrained,
                        bayes_risk_two_point, bayes_risk_two_point_piecewise,
@@ -121,24 +121,31 @@ class TestTwoPointPrior:
 
 class TestAssembledLower:
     def test_small_cell_vacuous(self):
-        out = assembled_minimax_lower_hd(HighDimParams(3, 10, 0.5))
+        out = assembled_minimax_lower_hd(3, 10, 0.5)
         assert out.vacuous
+
+    def test_domain(self):
+        # the (S, n, zeta) check of minimax_lower_hd, then its own S >= 3
+        for args, message in [((1, 10, 0.5), "at least 2"), ((10, 0, 0.5), "n must"),
+                              ((10, 10, 1.5), "zeta"), ((2, 10, 0.5), "at least 3")]:
+            with pytest.raises(ValueError, match=message):
+                assembled_minimax_lower_hd(*args)
 
     def test_dominates_statement_form(self):
         for S, n, zeta in [(10**6, 10**4, 0.5), (10**5, 10**3, 1.0), (4000, 50, 0.7)]:
-            assembled = assembled_minimax_lower_hd(HighDimParams(S, n, zeta))
-            statement = minimax_lower_hd(HighDimParams(S, n, zeta))
+            assembled = assembled_minimax_lower_hd(S, n, zeta)
+            statement = minimax_lower_hd(S, n, zeta)
             assert assembled.value >= statement.value - 1e-12
 
     def test_frozen_large_cell(self):
-        out = assembled_minimax_lower_hd(HighDimParams(10**6, 10**4, 0.5))
+        out = assembled_minimax_lower_hd(10**6, 10**4, 0.5)
         assert out.value == pytest.approx(0.970445533548508157, rel=1e-10)
 
     def test_penalties_fade_at_scale(self):
         zeta = 0.5
         gaps = []
         for S, n in [(10**4, 10**2), (10**5, 10**3), (10**6, 10**4)]:
-            assembled = assembled_minimax_lower_hd(HighDimParams(S, n, zeta)).value
+            assembled = assembled_minimax_lower_hd(S, n, zeta).value
             bayes_only = bayes_risk_two_point(two_point_prior(S, (1 + zeta) * n))
             gaps.append(bayes_only - assembled)
         assert all(a > b for a, b in zip(gaps, gaps[1:]))

@@ -124,8 +124,10 @@ class TestRngStream:
         lambda s: sample_from_composite_prior(CompositePrior(1.0, 0.5, 3, 4), s),
         lambda s: derive_replicate_seed(s, 0),
         lambda s: derive_key(s, np.arange(3, dtype=np.uint64)),
+        lambda s: mc_risk(ProbabilityVector([0.3, 0.7]), empirical_estimator(), 10,
+                          McConfig(100, s)),
     ], ids=["sample_multinomial", "sample_from_composite_prior", "derive_replicate_seed",
-            "derive_key"])
+            "derive_key", "mc_risk"])
     def test_seeds_outside_64_bits_are_rejected(self, entry):
         # reduced modulo 2^64, seed -3 would draw what seed 2^64 - 3 draws
         for seed in (-1, 2**64):
