@@ -42,11 +42,16 @@ _MIN_TABLE_DRAWS = 32
 # +-1 ulp at budgets 1e6-1e7 all matched its quantile, 63 of 20,000 at 1e7-1e8 not.
 _MAX_TABLE_BUDGET = 10 ** 7
 # A call walks when draws * log1p(mean) exceeds _MIN_WALK_WORK, the mean
-# being its largest budget times min(q, 1 - q).  Boost's search costs
-# about 0.25 us * log1p(mean) a draw; the walk ~50 us a call plus ~0.1 us
-# a draw where (budget, guess) pairs repeat.  Walking every call of a
-# dense S = 50 vector at n = 25 with 250 replicates took 5.4 ms per cell
-# against boost's 2.9 ms.
+# being its largest budget times min(q, 1 - q).  The threshold models
+# boost's search as ~0.25 us * log1p(mean) a draw, which undercounts it:
+# `_binom_ppf` measures ~1.4 us a draw at budget ~1e3, q = 0.02 (model
+# 0.76 us) and 4.7-8.2 us at 1e5 (model 1.9-2.7 us).  The walk costs
+# ~100 us a call outside boost at 250 draws, plus ~0.1 us a draw where
+# (budget, guess) pairs repeat.  The threshold still splits the routes
+# where they cross: on the small-route calls of one `mc` pass, boost whole
+# beat the walk below budget 100 (42 vs 70 ms) and lost above it (34 vs
+# 28 ms).  Walking every call of a dense S = 50 vector at n = 25 with 250
+# replicates took 5.4 ms per cell against boost's 2.9 ms.
 _MIN_WALK_WORK = 500.0
 
 

@@ -67,7 +67,7 @@ def threshold_level(cfg: ThresholdConfig) -> float:
     """The keep/drop cutoff e^2 (ln n)^(2 eta) / n on estimated frequencies;
     requires n >= 2 so the log is positive."""
     if cfg.n < 2:
-        raise ValueError("delta_n requires n >= 2 (ln n must be positive)")
+        raise ValueError(f"threshold level needs n >= 2 (ln n must be positive), got n={cfg.n}")
     return math.exp(2.0) * (math.log(cfg.n) ** (2.0 * cfg.eta) / cfg.n)
 
 

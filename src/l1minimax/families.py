@@ -17,7 +17,7 @@ import numpy as np
 
 from .bounds import (BoundValue, _check_high_dim, bayes_risk_two_point_piecewise,
                      hoeffding_bound)
-from .core import CompressedFamily, ProbabilityVector
+from .core import CompressedFamily
 from .exact import poisson_tv_exact
 from .rng import MAX_INDEX_RANGE, stream_key, to_index, uniforms
 
@@ -25,7 +25,6 @@ __all__ = [
     "EntropyBallFamily",
     "TwoPointPrior",
     "CompositePrior",
-    "CompositeDraw",
     "EntropyBallBayesRisk",
     "entropy_ball_family",
     "two_point_prior",
@@ -105,14 +104,6 @@ class TwoPointPrior:
         if not (0.0 < self.eta_prior <= 1.0):
             raise ValueError("eta_prior must lie in (0, 1]")
 
-    @property
-    def atom_lo(self) -> float:
-        return (1.0 - self.eta_prior) / self.S
-
-    @property
-    def atom_hi(self) -> float:
-        return (1.0 + self.eta_prior) / self.S
-
 
 def two_point_prior(S: int, n: float) -> TwoPointPrior:
     """Prior with the risk-maximizing perturbation min{1, sqrt(eS/n)/4}."""
@@ -162,7 +153,6 @@ class CompositePrior:
     final coordinate; all members share the same entropy.
     """
 
-    H: float
     delta: float
     S_prime: int
     k: int
@@ -174,16 +164,10 @@ class CompositePrior:
             raise ValueError("S_prime must be positive")
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
-        if not self.H > 0:
-            raise ValueError("H must be positive")
-
-    @property
-    def support_size(self) -> int:
-        return self.k * self.S_prime + 1
 
     @classmethod
     def from_family(cls, fam: EntropyBallFamily, k: int) -> "CompositePrior":
-        return cls(fam.achieved_entropy, fam.delta, fam.S_prime, k)
+        return cls(fam.delta, fam.S_prime, k)
 
 
 class EntropyBallBayesRisk(NamedTuple):
@@ -208,31 +192,12 @@ def bayes_risk_entropy_ball(cp: CompositePrior, n: int) -> EntropyBallBayesRisk:
 
 def bayes_risk_entropy_ball_constrained(cp: CompositePrior, n: int) -> float:
     """Bayes risk when estimates must stay on the simplex: the 2(k-1)/k floor."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    factor = 2.0 * (cp.k - 1) / cp.k
-    return factor * (1.0 - _occupied_fraction(cp.delta / cp.S_prime, n)) * cp.delta
+    return 2.0 * (cp.k - 1) / cp.k * bayes_risk_entropy_ball(cp, n).exact
 
 
-@dataclass(frozen=True)
-class CompositeDraw:
-    """One draw from the composite prior: active slots plus the shared multiset."""
-
-    prior: CompositePrior
-    active_slots: tuple
-    family: CompressedFamily
-
-    def dense(self) -> ProbabilityVector:
-        """Materialized vector over all k S' + 1 coordinates."""
-        cp = self.prior
-        probs = np.zeros(cp.support_size)
-        probs[list(self.active_slots)] = cp.delta / cp.S_prime
-        probs[-1] = 1.0 - cp.delta
-        return ProbabilityVector(probs)
-
-
-def sample_from_composite_prior(cp: CompositePrior, seed: int) -> CompositeDraw:
-    """Uniformly random size-S' subset of the k S' slots, deterministic in seed.
+def sample_from_composite_prior(cp: CompositePrior, seed: int) -> tuple:
+    """Sorted active slots of one member: a uniformly random size-S' subset
+    of the k S' slots, deterministic in seed.
 
     Floyd's subset sampling, in O(S') work and memory: step i, from k S' - S'
     up, takes the slot j in [0, i] that `rng.to_index` maps its draw to, or i.
@@ -247,5 +212,4 @@ def sample_from_composite_prior(cp: CompositePrior, seed: int) -> CompositeDraw:
     chosen = set()
     for i, j in zip(range(first, population), slots.astype(np.int64).tolist()):
         chosen.add(i if j in chosen else j)
-    family = CompressedFamily(((cp.delta / cp.S_prime, cp.S_prime), (1.0 - cp.delta, 1)))
-    return CompositeDraw(cp, tuple(sorted(chosen)), family)
+    return tuple(sorted(chosen))

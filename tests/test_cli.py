@@ -131,6 +131,16 @@ class TestExactRiskCommand:
         assert rows[1]["error"] == ""
         assert float(rows[1]["exact_risk"]) > 0
 
+    def test_threshold_at_n_one_names_its_level(self, tmp_path):
+        # the threshold level e^2 (ln n)^(2 eta) / n has no value at n = 1
+        code, out = run(tmp_path, "exact-risk", "--family", "uniform", "--grid-S", "2",
+                        "--grid-n", "1", "--estimator", "threshold", "--format", "json",
+                        name="out.json")
+        assert code == 0
+        [row] = json.loads(out.read_text(encoding="utf-8"))
+        assert row["error"] == "threshold level needs n >= 2 (ln n must be positive), got n=1"
+        assert row["exact_risk"] is None
+
     def test_unknown_family(self, tmp_path, capsys):
         code = main(["exact-risk", "--family", "prawns", "--grid-n", "4",
                      "--out", str(tmp_path / "x.csv")])

@@ -115,13 +115,13 @@ class TestRngStream:
         with pytest.raises(ValueError, match="too large for a dense histogram"):
             sample_multinomial(over, 10, 0)
         with pytest.raises(ValueError, match="population too large"):
-            sample_from_composite_prior(CompositePrior(1.0, 0.5, 1, limit + 1), 0)
+            sample_from_composite_prior(CompositePrior(0.5, 1, limit + 1), 0)
         assert 0 <= sample_from_composite_prior(
-            CompositePrior(1.0, 0.5, 1, limit), 0).active_slots[0] < limit
+            CompositePrior(0.5, 1, limit), 0)[0] < limit
 
     @pytest.mark.parametrize("entry", [
         lambda s: sample_multinomial(ProbabilityVector([0.3, 0.7]), 10, s),
-        lambda s: sample_from_composite_prior(CompositePrior(1.0, 0.5, 3, 4), s),
+        lambda s: sample_from_composite_prior(CompositePrior(0.5, 3, 4), s),
         lambda s: derive_replicate_seed(s, 0),
         lambda s: derive_key(s, np.arange(3, dtype=np.uint64)),
         lambda s: mc_risk(ProbabilityVector([0.3, 0.7]), empirical_estimator(), 10,
