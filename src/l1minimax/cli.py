@@ -8,8 +8,8 @@ scripted trend sweeps with PASS/FAIL verdicts.
 Reruns with identical arguments produce byte-identical output files, so
 diagnostics, each report row's wall-clock time among them, go to stderr
 with -v: `_run_cell` times a cell, `cmd_reproduce` a row that a `reproduce`
-target (a generator) yields.  An `mc` sweep runs its cells in forked worker
-processes on Linux; its reports and logs are the same as in-process.
+target (a generator) yields.  Cells run in order, in-process; `mc_risk`
+splits a large `mc` cell's replicates over CPUs itself.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import functools
 import itertools
 import logging
 import math
-import os
 import sys
 import time
 from typing import Optional
@@ -154,86 +153,25 @@ def _log_cell_time(args, index: int, total: int, params: dict, seconds: float) -
                  seconds * 1e3)
 
 
-class _CellLog(logging.Handler):
-    """Keeps the records one cell logs, each message formatted and its
-    arguments dropped so that it pickles, as logging.handlers.QueueHandler
-    does; that module imports socket and pickle, on every command."""
-
-    def __init__(self):
-        super().__init__()
-        self.records = []
-
-    def emit(self, record) -> None:
-        record.msg, record.args = record.getMessage(), None
-        self.records.append(record)
-
-
-# The (params, fill) cells of the sweep `_evaluate` runs, and its seed.
-# Forked workers inherit them: the fills are closures and do not pickle.
-_sweep: tuple = ((), None)
-
-
-def _run_cell(index: int):
-    """Cell `index` of `_sweep` as (report row, seconds of its work, the log
-    records it made); a cell whose fill raises keeps what it recorded so far
-    plus the error text."""
-    cells, seed = _sweep
-    params, fill = cells[index]
+def _run_cell(params: dict, fill, seed: int):
+    """(report row, seconds of its work) of a (params, fill) cell; a cell
+    whose fill raises keeps what it recorded so far plus the error text."""
     row = ReportRow(params=params, seed=seed)
-    log, kept = logging.getLogger("l1minimax"), _CellLog()
-    handlers, propagate = log.handlers, log.propagate
-    log.handlers, log.propagate = [kept], False
     started = time.perf_counter()
     try:
         fill(row)
     except Exception as exc:  # keep the sweep going, record the cell
         row.error = str(exc)
-    finally:
-        seconds = time.perf_counter() - started
-        log.handlers, log.propagate = handlers, propagate
-    return row, seconds, kept.records
-
-
-def _workers(command: str, cells: int) -> int:
-    """Processes to run a sweep's cells in: for an `mc` sweep of two or more
-    cells on Linux, one per CPU this process may use and at most one per
-    cell; otherwise 1, in-process: the other commands' whole work takes
-    less time than starting a pool."""
-    if command != "mc" or cells < 2 or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(cells, len(os.sched_getaffinity(0)))
-
-
-def _cell_results(command: str, count: int):
-    """`_run_cell` of cells 0 .. count - 1, in cell order."""
-    workers = _workers(command, count)
-    if workers == 1:
-        yield from map(_run_cell, range(count))
-        return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    # buffered output would otherwise be written again by each child at exit
-    sys.stdout.flush()
-    sys.stderr.flush()
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        yield from pool.map(_run_cell, range(count))
+    return row, time.perf_counter() - started
 
 
 def _evaluate(cells, args) -> int:
-    """One report row per (params, fill) cell, each cell's log records and
-    then its wall-clock time (DEBUG) logged in cell order."""
-    global _sweep
-    _sweep = cells, args.seed
+    """One report row per (params, fill) cell, each run and timed in cell order."""
     rows = []
-    try:
-        for index, (row, seconds, records) in enumerate(
-                _cell_results(args.command, len(cells)), start=1):
-            for record in records:
-                logging.getLogger(record.name).handle(record)
-            _log_cell_time(args, index, len(cells), row.params, seconds)
-            rows.append(row)
-    finally:
-        _sweep = (), None
+    for index, (params, fill) in enumerate(cells, start=1):
+        row, seconds = _run_cell(params, fill, args.seed)
+        _log_cell_time(args, index, len(cells), params, seconds)
+        rows.append(row)
     _write_report(rows, args)
     return 0
 

@@ -91,7 +91,7 @@ def estimator_risk_exact(
     Computed per unique atom value then scaled by multiplicity, so families
     with one repeated tiny value cost constant work per distinct value.
     """
-    if n < 1:
+    if n < 1 or n != int(n):
         raise ValueError("n must be a positive integer")
     atoms = _grouped_atoms(p)
     total = 0.0

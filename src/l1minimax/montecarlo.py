@@ -2,7 +2,7 @@
 
 Determinism contract: every replicate draws from its own uniform stream
 keyed by a counter-hash of (master_seed, replicate index), so results are
-bit-identical across runs, platforms, chunk sizes and thread counts, and
+bit-identical across runs, platforms, chunk sizes and process splits, and
 any single replicate can be regenerated in isolation via
 `derive_replicate_seed`.
 
@@ -11,14 +11,18 @@ an inverse-CDF Binomial draw (`binomial`) of the remaining budget with
 renormalized probability.  Both distribution types are sampled per (value,
 multiplicity) atom, a dense vector being the atoms (p_i, 1), and block
 counts are split across the block's symbols by uniform allocation from the
-same stream.  `mc_risk` evaluates losses for a batch of replicates at
-once; every replicate's draws and loss are those it has when sampled alone.
+same stream.  `mc_risk` evaluates losses for batches of replicates, split
+over forked children when large (`_split_losses`); every replicate's draws
+and loss are those it has when sampled alone.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import os
+import pickle
+import signal
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -46,6 +50,11 @@ _CHUNK_CELLS = 2_000_000
 # Padded draws per batch of replicates in a block atom; keeps the batch's
 # temporaries within a few hundred KB.
 _CHUNK_DRAWS = 1 << 13
+# Expected block draws per replicate range.  Linux, 2 CPUs, 10 alternating
+# process pairs: an idle child costs ~3.2 ms to fork and join, and a call
+# split in two stops losing at ~1e6 draws (30.1 against 30.2 ms serial).  Of
+# results/mc_risk_grid.csv's cells, those at n = 1e5 and n = 1e4, c >= 0.5 split.
+_MIN_SPLIT_DRAWS = 500_000
 
 
 @dataclass(frozen=True)
@@ -56,8 +65,9 @@ class McConfig:
     master_seed: int
 
     def __post_init__(self):
-        if self.replicates < 100:
-            raise ValueError("replicates must be at least 100 for CI reporting")
+        if self.replicates < 100 or self.replicates != int(self.replicates):
+            raise ValueError("replicates must be an integer of at least 100 for CI "
+                             f"reporting, got {self.replicates}")
 
 
 @dataclass(frozen=True)
@@ -148,8 +158,8 @@ def _stream_layout(keys: np.ndarray, atoms, n: int, tally=None) -> tuple:
 
 def sample_multinomial(p: Distribution, n: int, seed: int) -> CountHistogram:
     """One Multinomial(n, p) draw, deterministic in the seed."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    if n < 1 or n != int(n):
+        raise ValueError("n must be a positive integer")
     atoms = _atom_items(p)
     support = sum(m for _, m in atoms)
     # A vector with that many atoms already holds one float per symbol.
@@ -235,6 +245,57 @@ def _compressed_losses(
     return losses
 
 
+def _split_losses(keys: np.ndarray, p: Distribution, estimator: CoordinatewiseEstimator,
+                  n: int, tally) -> np.ndarray:
+    """`_compressed_losses` by contiguous replicate ranges, one per usable CPU
+    and at most one per _MIN_SPLIT_DRAWS expected block draws; forked children
+    compute the ranges after the first, each ending in os._exit, and are
+    reaped before this returns or raises.  A failed child's range is redone."""
+    reps, count = keys.shape[0], 1
+    draws = reps * n * sum(value * mult for value, mult in _atom_items(p) if mult > 1)
+    if draws >= 2 * _MIN_SPLIT_DRAWS and hasattr(os, "sched_getaffinity"):
+        count = min(int(draws // _MIN_SPLIT_DRAWS), len(os.sched_getaffinity(0)), reps)
+    cuts = [reps * i // count for i in range(count + 1)]
+    children = {}  # range: (pid or None if fork failed, read end of its pipe)
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                pid = None
+            if pid == 0:
+                try:
+                    own = Counter()
+                    losses = _compressed_losses(keys[lo:hi], p, estimator, n, own)
+                    with open(write, "wb") as pipe:
+                        pickle.dump((losses, own), pipe)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write)
+            children[lo, hi] = pid, open(read, "rb")
+        out = [_compressed_losses(keys[:cuts[1]], p, estimator, n, tally)]
+        for (lo, hi), (pid, pipe) in list(children.items()):
+            with pipe:
+                sent = pipe.read()
+            failed = pid is None or os.waitpid(pid, 0)[1] != 0
+            del children[lo, hi]
+            if failed:
+                out.append(_compressed_losses(keys[lo:hi], p, estimator, n, tally))
+                continue
+            losses, routes = pickle.loads(sent)
+            out.append(losses)
+            tally.update(routes)
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return np.concatenate(out)
+
+
 def mc_risk(
     p: Distribution,
     estimator: CoordinatewiseEstimator,
@@ -244,13 +305,13 @@ def mc_risk(
     """Monte-Carlo estimate of the expected l1 risk with a z-score CI.
 
     Losses are accumulated in replicate-index order, so the reported mean
-    does not depend on batching.
+    does not depend on batching or on splitting over processes.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    if n < 1 or n != int(n):
+        raise ValueError("n must be a positive integer")
     keys = derive_key(cfg.master_seed, np.arange(cfg.replicates, dtype=np.uint64))
     tally = Counter()
-    losses = _compressed_losses(keys, p, estimator, n, tally)
+    losses = _split_losses(keys, p, estimator, n, tally)
     logger.debug("mc_risk: Binomial draws from tables %d, walked %d, sent to boost by "
                  "a table or the walk %d, in calls too small to walk %d", tally["table"],
                  tally["walked"], tally["fallback"], tally["small"])

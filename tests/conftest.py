@@ -6,6 +6,7 @@ integer combinatorics, so they can vouch for the fast implementations.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -112,6 +113,14 @@ def per_replicate_compressed_losses(keys, fam, estimator, n):
                 acc += float(np.abs(estimates - value).sum())
         losses[r] = acc
     return losses
+
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_its_test():
+    """Every child process a test starts is reaped by the end of the test."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

@@ -4,7 +4,6 @@ import json
 import math
 import os
 import pathlib
-import re
 import subprocess
 import sys
 import textwrap
@@ -232,6 +231,23 @@ class TestMcCommand:
         assert code == 0
         _, rows = parse_csv(out)
         assert rows[0]["seed"] == str((1 << 64) - 1) and rows[0]["error"] == ""
+
+    def test_raising_cell_keeps_its_error_and_the_sweep_goes_on(self, tmp_path, monkeypatch):
+        from l1minimax import cli
+        real = cli.mc_risk
+
+        def mc_risk(family, estimator, n, cfg):
+            if n == 100:
+                raise ArithmeticError(f"no risk at n={n}")
+            return real(family, estimator, n, cfg)
+
+        monkeypatch.setattr(cli, "mc_risk", mc_risk)
+        code, out = run(tmp_path, "mc", "--family", "uniform", "--grid-S", "2", "--grid-n",
+                        "10", "100", "1000", "--replicates", "200")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [r["error"] for r in rows] == ["", "no risk at n=100", ""]
+        assert [r["mc_mean"] != "" for r in rows] == [True, False, True]
 
 
 class TestReproduceCommand:
@@ -527,7 +543,7 @@ class TestVerbose:
 class TestImportFootprint:
     """Importing the package and running commands whose draws all come from
     Binomial tables load numpy only; scipy arrives with the first draw that
-    needs boost."""
+    needs boost, and no command loads a process pool."""
 
     SCRIPT = textwrap.dedent("""
         import sys
@@ -540,7 +556,8 @@ class TestImportFootprint:
         assert cli.main(["mc", "--family", "entropy-ball", "--grid-H", "1",
                          "--grid-c", "0.5", "--grid-n", "1000", "--replicates", "200",
                          "--out", out]) == 0
-        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        print(sorted(m for m in sys.modules
+                     if m.split(".")[0] in ("scipy", "multiprocessing", "concurrent")))
         assert cli.main(["mc", "--family", "file:" + family, "--grid-n", "1000",
                          "--replicates", "200", "--out", out]) == 0
         print("scipy.special" in sys.modules)
@@ -579,133 +596,6 @@ class TestImportFootprint:
                               env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["True", "[]"]
-
-
-class TestWorkerPool:
-    """An `mc` sweep of several cells runs them in forked workers, with the
-    same reports, stdout and logs as in-process; other commands never start
-    a pool."""
-
-    @staticmethod
-    def commands(tmp_path):
-        """(argv, cells, a line of its -v log) of each sweep."""
-        family = tmp_path / "fam.txt"
-        family.write_text("0.2 1\n0.3 1\n0.5 1\n", encoding="utf-8")
-        # n = 1 is an error cell for both estimators, the threshold estimator
-        # warns at n = 100, and the three atoms' second chain step is walked
-        # on boost's CDF (scipy)
-        return [(["mc", "--family", "entropy-ball", "--grid-H", "1", "--grid-c", "0.5",
-                  "--grid-n", "1", "100", "1000", "--estimator", "empirical",
-                  "--estimator", "threshold", "--replicates", "300", "--seed", "3", "-v"],
-                 6, "WARNING l1minimax.estimators: threshold level 2.43557 >= 1 at n=100"),
-                (["mc", "--family", f"file:{family}", "--grid-n", "50", "1000",
-                  "--replicates", "300", "--seed", "3", "-v"],
-                 2, "DEBUG l1minimax.montecarlo: mc_risk: Binomial draws from tables 300, "
-                    "walked 300,")]
-
-    @staticmethod
-    def sweep(monkeypatch, capsys, caplog, workers, argv):
-        """(exit code, stdout, stderr with its times masked, pids of the
-        library records) of `argv` run by `workers` processes."""
-        from l1minimax import cli
-        monkeypatch.setattr(cli, "_workers", lambda command, cells: workers)
-        caplog.clear()
-        code = main(argv)
-        captured = capsys.readouterr()
-        pids = {r.process for r in caplog.records if r.name != "l1minimax.cli"}
-        return code, captured.out, re.sub(r"\d+\.\d{3} ms", "ms", captured.err), pids
-
-    @pytest.mark.parametrize("fmt", ["csv", "json", "stdout"])
-    def test_pooled_output_equals_serial(self, tmp_path, monkeypatch, capsys, caplog, fmt):
-        for argv, cells, logged in self.commands(tmp_path):
-            outputs = []
-            for workers in (1, 2):
-                out = tmp_path / f"out{workers}.{fmt}"
-                flags = [] if fmt == "stdout" else ["--format", fmt, "--out", str(out)]
-                code, stdout, err, pids = self.sweep(monkeypatch, capsys, caplog, workers,
-                                                     argv + flags)
-                assert code == 0
-                # in-process, every record is made here; pooled, none is
-                if workers == 1:
-                    assert pids == {os.getpid()}
-                else:
-                    assert pids and os.getpid() not in pids
-                outputs.append((stdout, err, None if fmt == "stdout" else out.read_bytes()))
-            assert outputs[0] == outputs[1]
-            stdout, err, _ = outputs[0]
-            assert (stdout != "") == (fmt == "stdout")
-            assert err.count("DEBUG l1minimax.cli: mc cell") == cells
-            assert logged in err
-
-    def test_raising_cell_keeps_its_error_and_the_sweep_goes_on(self, tmp_path, monkeypatch,
-                                                                capsys, caplog):
-        from l1minimax import cli
-        real = cli.mc_risk
-
-        def mc_risk(family, estimator, n, cfg):
-            if n == 100:
-                raise ArithmeticError(f"no risk at n={n}")
-            return real(family, estimator, n, cfg)
-
-        monkeypatch.setattr(cli, "mc_risk", mc_risk)
-        argv = ["mc", "--family", "uniform", "--grid-S", "2", "--grid-n", "10", "100", "1000",
-                "--replicates", "200"]
-        reports = []
-        for workers in (1, 2):
-            out = tmp_path / f"out{workers}.csv"
-            code, _, _, _ = self.sweep(monkeypatch, capsys, caplog, workers,
-                                       argv + ["--out", str(out)])
-            assert code == 0
-            reports.append(out.read_bytes())
-        assert reports[0] == reports[1]
-        _, rows = parse_csv(tmp_path / "out2.csv")
-        assert [r["error"] for r in rows] == ["", "no risk at n=100", ""]
-        assert [r["mc_mean"] != "" for r in rows] == [True, False, True]
-
-    SCRIPT = textwrap.dedent("""
-        import os, sys
-        from l1minimax import cli
-
-        out = sys.argv[1]
-
-        def run(argv):
-            assert cli.main(argv + ["--out", out]) == 0
-            with open(out, "rb") as fh:
-                return fh.read()
-
-        def pool_modules():
-            return [m for m in ("concurrent.futures.process", "multiprocessing")
-                    if m in sys.modules]
-
-        grid = ["--family", "entropy-ball", "--grid-H", "1", "--grid-c", "0.5",
-                "--grid-n", "1000", "10000"]
-        run(["bounds", "--grid-H", "1", "--grid-c", "0.5", "--grid-n", "1000", "10000"])
-        run(["exact-risk", *grid, "--estimator", "empirical", "--estimator", "threshold"])
-        run(["reproduce", "cor7"])
-        run(["mc", "--family", "uniform", "--grid-S", "2", "--grid-n", "10",
-             "--replicates", "200"])
-        print(pool_modules())
-        mc = ["mc", *grid, "--replicates", "200"]
-        del os.sched_getaffinity
-        without = run(mc)
-        os.sched_getaffinity = lambda pid: {0}
-        one_cpu = run(mc)
-        print(pool_modules())
-        os.sched_getaffinity = lambda pid: {0, 1}
-        pooled = run(mc)
-        print(pool_modules())
-        print(without == one_cpu == pooled)
-    """)
-
-    def test_cheap_commands_never_start_a_pool(self, tmp_path):
-        src = pathlib.Path(l1minimax.__file__).resolve().parents[1]
-        proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, str(tmp_path / "out.csv")],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-4:] == [
-            "[]", "[]", "['concurrent.futures.process', 'multiprocessing']", "True"]
 
 
 class TestColumnOrder:

@@ -1,5 +1,9 @@
+import logging
 import math
+import os
 import tracemalloc
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +20,22 @@ from l1minimax import montecarlo, rng
 from l1minimax.rng import derive_key, stream_key, uniforms
 
 from conftest import expand, per_replicate_compressed_losses
+
+
+def _split_in_three(monkeypatch):
+    """Makes every `mc_risk` call with a block atom split its replicates into
+    three ranges, the last two in forked children; returns the list that
+    gets the pid of each child forked."""
+    forked, fork = [], os.fork
+
+    def counted():
+        forked.append(fork())
+        return forked[-1]
+
+    monkeypatch.setattr(montecarlo, "_MIN_SPLIT_DRAWS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "fork", counted)
+    return forked
 
 
 class TestRngStream:
@@ -206,12 +226,15 @@ class TestMcRisk:
         b = mc_risk(fam, empirical_estimator(), 40, McConfig(500, 3))
         assert a == b
 
-    def test_chunking_does_not_change_results(self, monkeypatch):
+    @pytest.mark.parametrize("split", [False, True])
+    def test_chunking_does_not_change_results(self, monkeypatch, split):
         pv = ProbabilityVector([0.2, 0.3, 0.5])
         baseline = mc_risk(pv, empirical_estimator(), 25, McConfig(400, 9))
+        forked = _split_in_three(monkeypatch) if split else []
         monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", 7)
         chunked = mc_risk(pv, empirical_estimator(), 25, McConfig(400, 9))
         assert baseline == chunked
+        assert forked == []  # a dense vector has no block draws to split
 
     def test_replicates_reproducible_in_isolation_dense(self):
         pv = ProbabilityVector([0.2, 0.8])
@@ -225,10 +248,13 @@ class TestMcRisk:
         mean = float(np.asarray(losses).sum() / reps)
         assert mean == out.mean
 
-    def test_replicates_reproducible_in_isolation_compressed(self):
+    @pytest.mark.parametrize("split", [False, True])
+    def test_replicates_reproducible_in_isolation_compressed(self, monkeypatch, split):
         fam = CompressedFamily(((0.02, 20), (0.6, 1)))
         n, master, reps = 30, 555, 120
+        forked = _split_in_three(monkeypatch) if split else []
         out = mc_risk(fam, empirical_estimator(), n, McConfig(reps, master))
+        assert len(forked) == 2 * split
         expanded = expand(fam)
         losses = []
         for r in range(reps):
@@ -241,6 +267,18 @@ class TestMcRisk:
     def test_replicate_floor_enforced(self):
         with pytest.raises(ValueError, match="100"):
             McConfig(99, 0)
+
+    @pytest.mark.parametrize("call", [
+        lambda: mc_risk(ProbabilityVector.uniform(3), empirical_estimator(), 10.5,
+                        McConfig(100, 1)),
+        lambda: McConfig(150.5, 1),
+        lambda: estimator_risk_exact(ProbabilityVector.uniform(3), empirical_estimator(), 10.5),
+        lambda: sample_multinomial(ProbabilityVector.uniform(3), 10.5, 1),
+    ], ids=["mc_risk", "McConfig", "estimator_risk_exact", "sample_multinomial"])
+    def test_non_integer_sizes_are_rejected(self, call):
+        # 10.5 would draw 10 and divide by 10.5; 150.5 would average 151 losses
+        with pytest.raises(ValueError, match="integer"):
+            call()
 
     def test_coverage_over_seeds(self):
         # |mc mean - exact| within z standard errors for nearly all seeds
@@ -293,19 +331,23 @@ class TestBatchedCompressedLosses:
             monkeypatch.setattr(montecarlo, "_CHUNK_DRAWS", chunk)
             assert mc_risk(fam, empirical_estimator(), 300, McConfig(400, 9)) == baseline
 
-    def test_row_batching_does_not_change_results(self, monkeypatch):
+    @pytest.mark.parametrize("split", [False, True])
+    def test_row_batching_does_not_change_results(self, monkeypatch, split):
         # _CHUNK_CELLS // 3 atoms = 0 and 2 rows per batch split block atoms
-        # across row batches, each with its own stream positions
+        # across row batches, each with its own stream positions; a split
+        # makes replicate ranges of 133, 133 and 134
         fam = CompressedFamily(((0.004, 100), (0.1, 3), (0.3, 1)))
         estimator = empirical_estimator()
         keys = derive_key(9, np.arange(400, dtype=np.uint64))
         want = per_replicate_compressed_losses(keys, fam, estimator, 300)
         baseline = mc_risk(fam, estimator, 300, McConfig(400, 9))
+        forked = _split_in_three(monkeypatch) if split else []
         for cells in (1, 7):
             monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", cells)
-            assert np.array_equal(montecarlo._compressed_losses(keys, fam, estimator, 300),
-                                  want), cells
+            for losses in (montecarlo._compressed_losses, montecarlo._split_losses):
+                assert np.array_equal(losses(keys, fam, estimator, 300, Counter()), want), cells
             assert mc_risk(fam, estimator, 300, McConfig(400, 9)) == baseline
+        assert len(forked) == 8 * split
 
     @pytest.mark.parametrize("mult", [2, 30, 2**53])
     def test_top_draw_is_counted_not_padding(self, monkeypatch, mult):
@@ -350,6 +392,57 @@ class TestBatchedCompressedLosses:
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000, peak
+
+
+class TestSplitReplicates:
+    """A split call keeps its result bit for bit and its Binomial draws,
+    whatever its children do, and leaves no child behind."""
+
+    def call(self):
+        fam = CompressedFamily(((0.004, 100), (0.1, 3), (0.3, 1)))
+        return mc_risk(fam, empirical_estimator(), 300, McConfig(400, 9))
+
+    @staticmethod
+    def fail(monkeypatch, where):
+        """`_compressed_losses` raises in the children or in this process."""
+        parent, losses = os.getpid(), montecarlo._compressed_losses
+
+        def failing(*args):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise ArithmeticError(where)
+            return losses(*args)
+
+        monkeypatch.setattr(montecarlo, "_compressed_losses", failing)
+
+    def test_route_tally_counts_the_same_draws(self, monkeypatch, caplog):
+        # two chain steps a replicate; halving a call can move draws between routes
+        caplog.set_level(logging.DEBUG, logger="l1minimax.montecarlo")
+        baseline = self.call()
+        _split_in_three(monkeypatch)
+        assert self.call() == baseline
+        assert [sum(record.args) for record in caplog.records] == [800, 800]
+
+    @pytest.mark.parametrize("failure", ["children", "fork", "no affinity mask"])
+    def test_range_without_a_child_is_computed_here(self, monkeypatch, failure):
+        baseline = self.call()
+        forked = _split_in_three(monkeypatch)
+        if failure == "children":
+            self.fail(monkeypatch, "children")
+        elif failure == "fork":
+            monkeypatch.setattr(os, "fork", mock.Mock(side_effect=OSError("no fork")))
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity")
+        assert self.call() == baseline
+        assert len(forked) == (2 if failure == "children" else 0)
+
+    def test_parent_range_raising_leaves_no_child(self, monkeypatch):
+        forked = _split_in_three(monkeypatch)
+        self.fail(monkeypatch, "parent")
+        with pytest.raises(ArithmeticError, match="parent"):
+            self.call()
+        assert len(forked) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestDenseVectorsAsAtoms:
