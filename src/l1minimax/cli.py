@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import itertools
 import logging
 import math
@@ -228,6 +229,11 @@ def cmd_risk(args) -> int:
             row.mc_within_ci = bool(est.ci_lo <= row.exact_risk <= est.ci_hi)
         row.bounds = _cell_bounds(**params)
 
+    if with_mc:
+        try:
+            McConfig(args.replicates, args.seed)
+        except ValueError as exc:  # wrong for every cell: a bad invocation
+            raise UsageError(str(exc)) from exc
     estimators = args.estimator or ["empirical"]
     repeated = sorted({name for name in estimators if estimators.count(name) > 1})
     if repeated:
@@ -542,5 +548,13 @@ def main(argv=None) -> int:
         log.setLevel(level)
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run() -> int:
+    """The process entry of `python -m l1minimax` and the `l1minimax` script:
+    `main()`, then `gc.freeze()` however it ends, so the interpreter's exit
+    skips its final collection of every live object (outputs are written and
+    closed by then; atexit handlers and stream flushes still run).  `main()`
+    itself never freezes, so in-process callers keep collecting."""
+    try:
+        return main()
+    finally:
+        gc.freeze()

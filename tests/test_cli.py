@@ -1,9 +1,11 @@
 import csv
 import errno
+import gc
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -211,13 +213,6 @@ class TestMcCommand:
         assert row["mc_within_ci"] == "true"
         assert row["seed"] == "5"
 
-    def test_small_replicates_rejected_per_cell(self, tmp_path):
-        code, out = run(tmp_path, "mc", "--family", "uniform", "--grid-S", "2",
-                        "--grid-n", "4", "--replicates", "50")
-        assert code == 0
-        _, rows = parse_csv(out)
-        assert "100" in rows[0]["error"]
-
     def test_rerun_byte_identical(self, tmp_path):
         args = ("mc", "--family", "uniform", "--grid-S", "2", "3", "--grid-n", "10",
                 "--replicates", "500", "--seed", "123")
@@ -306,9 +301,12 @@ class TestReproduceCommand:
           "--seed", str(1 << 64)], f"--seed must be in [0, 2^64), got {1 << 64}"),
         (["reproduce", "cor2", "--grid-n", "100", "--seed", "-1"],
          "--seed must be in [0, 2^64), got -1"),
+        # too few replicates for every cell, not one error row per cell
+        (["mc", "--grid-S", "2", "--grid-n", "4", "--replicates", "50"],
+         "replicates must be an integer of at least 100 for CI reporting, got 50"),
     ], ids=["cor2", "cor6", "cor3-4", "cor7", "cor9", "cor6-infeasible", "cor9-c",
             "cor7-eta", "cor9-floor", "cor9-floor-H", "mc-seed-negative", "mc-seed-2^64",
-            "cor2-seed-negative"])
+            "cor2-seed-negative", "mc-replicates"])
     def test_out_of_domain_grid_is_a_usage_error(self, argv, message):
         # exit code 1 is a FAIL verdict; a bad grid value is a bad invocation
         src = pathlib.Path(l1minimax.__file__).resolve().parents[1]
@@ -319,6 +317,27 @@ class TestReproduceCommand:
         assert proc.returncode == 2
         assert proc.stderr == f"error: {message}\n"
         assert proc.stdout == ""
+
+    def test_process_entry_writes_what_main_writes(self, tmp_path):
+        # `python -m l1minimax` freezes the collector after main() returns;
+        # main() itself must not, or long-lived callers would keep cyclic garbage
+        argv = ["reproduce", "cor2", "--grid-n", "100", "1000", "-v", "--out"]
+        assert main(argv + [str(tmp_path / "main.csv")]) == 0
+        assert gc.get_freeze_count() == 0
+        src = pathlib.Path(l1minimax.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "l1minimax", *argv, str(tmp_path / "process.csv")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "PASS [cor2] S=2: final |sqrt(n) risk - constant| = 1.994e-04 <= 0.01",
+            "PASS [cor2] S=2: gap decreases monotonically over n=[100, 1000]"]
+        assert re.sub(r"\d+\.\d{3} ms", "T ms", proc.stderr).splitlines() == [
+            f"DEBUG l1minimax.cli: reproduce cell {i} of 2 {{'S': 2, 'n': {n}, "
+            f"'family': 'uniform', 'estimator': 'empirical'}}: T ms"
+            for i, n in ((1, 100), (2, 1000))]
+        assert (tmp_path / "process.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
 
     @pytest.mark.parametrize("target, error", [
         ("cor2", ZeroDivisionError), ("cor6", ValueError)])
