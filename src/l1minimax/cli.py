@@ -10,6 +10,10 @@ diagnostics, each report row's wall-clock time among them, go to stderr
 with -v: `_run_cell` times a cell, `cmd_reproduce` a row that a `reproduce`
 target (a generator) yields.  Cells run in order, in-process; `mc_risk`
 splits a large `mc` cell's replicates over CPUs itself.
+
+Only `bounds` and `report` load with this module: each command imports the
+numeric modules it calls, before it times its first cell, so `bounds`, `-h`
+and argparse's usage errors never import numpy.
 """
 
 from __future__ import annotations
@@ -17,23 +21,20 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import importlib
 import itertools
 import logging
 import math
 import sys
 import time
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import bounds as bnd
-from .core import CompressedFamily
-from .estimators import (DEFAULT_ETA, CoordinatewiseEstimator, ThresholdConfig,
-                         empirical_estimator, threshold_estimator)
-from .exact import estimator_risk_exact
-from .families import (CompositePrior, bayes_risk_entropy_ball_constrained,
-                       bayes_risk_two_point, entropy_ball_family, two_point_prior)
-from .montecarlo import McConfig, mc_risk
 from .report import ReportRow, write_report
-from .rng import derive_seed
+
+if TYPE_CHECKING:
+    from .core import CompressedFamily
+    from .estimators import CoordinatewiseEstimator
 
 logger = logging.getLogger(__name__)
 
@@ -47,6 +48,7 @@ class UsageError(Exception):
 
 def load_family_file(path: str) -> CompressedFamily:
     """Parse 'value multiplicity' lines ('#' comments allowed) into a family."""
+    from .core import CompressedFamily
     atoms = []
     try:
         fh = open(path, encoding="utf-8-sig")
@@ -76,6 +78,7 @@ def load_family_file(path: str) -> CompressedFamily:
 
 
 def _build_estimator(name: str, n: int, eta: Optional[float]) -> CoordinatewiseEstimator:
+    from .estimators import ThresholdConfig, empirical_estimator, threshold_estimator
     if name == "empirical":
         return empirical_estimator()
     if name == "threshold":
@@ -84,6 +87,7 @@ def _build_estimator(name: str, n: int, eta: Optional[float]) -> CoordinatewiseE
 
 
 def _uniform_family(S: int) -> CompressedFamily:
+    from .core import CompressedFamily
     if S < 1:
         raise ValueError("S must be positive")
     return CompressedFamily(((1.0 / S, S),))
@@ -91,6 +95,7 @@ def _uniform_family(S: int) -> CompressedFamily:
 
 def _entropy_ball(H: float, c: float, n: int):
     """The entropy-ball family of the sweeps, at delta = c H / ln n."""
+    from .families import entropy_ball_family
     if n < 2:
         raise ValueError("entropy-ball needs n >= 2")
     return entropy_ball_family(H, c * H / math.log(n))
@@ -138,6 +143,13 @@ def _cell_bounds(**grid) -> dict:
 
 # ---------------------------------------------------------------------------
 # subcommands
+
+def _load(*modules: str) -> None:
+    """Import the package's numeric `modules` that a command calls before it
+    times its first cell, so that no cell's time counts loading them."""
+    for module in modules:
+        importlib.import_module(f"{__package__}.{module}")
+
 
 def _write_report(rows, args) -> None:
     """Write `rows` as --format to --out; an unwritable --out is a usage error."""
@@ -213,7 +225,17 @@ def _family_cells(args):
 def cmd_risk(args) -> int:
     """`exact-risk` and `mc`; mc adds a Monte-Carlo estimate seeded by the
     cell index and checks the exact risk against its interval."""
+    from .estimators import DEFAULT_ETA
+    from .exact import estimator_risk_exact
+    _load("families")  # --family entropy-ball's source
     with_mc = args.command == "mc"
+    if with_mc:
+        from .montecarlo import McConfig, mc_risk
+        from .rng import derive_seed
+        try:
+            McConfig(args.replicates, args.seed)
+        except ValueError as exc:  # wrong for every cell: a bad invocation
+            raise UsageError(str(exc)) from exc
 
     def fill(row, build_family, index) -> None:
         params = row.params
@@ -229,11 +251,6 @@ def cmd_risk(args) -> int:
             row.mc_within_ci = bool(est.ci_lo <= row.exact_risk <= est.ci_hi)
         row.bounds = _cell_bounds(**params)
 
-    if with_mc:
-        try:
-            McConfig(args.replicates, args.seed)
-        except ValueError as exc:  # wrong for every cell: a bad invocation
-            raise UsageError(str(exc)) from exc
     estimators = args.estimator or ["empirical"]
     repeated = sorted({name for name in estimators if estimators.count(name) > 1})
     if repeated:
@@ -268,6 +285,8 @@ def _grid(args, flag: str, ok, domain: str) -> list:
 
 
 def _exact_uniform_mle_risk(S: int, n: int) -> float:
+    from .estimators import empirical_estimator
+    from .exact import estimator_risk_exact
     return estimator_risk_exact(_uniform_family(S), empirical_estimator(), n)
 
 
@@ -292,6 +311,7 @@ def _verdicts_cor2(args):
 
 
 def _verdicts_cor34(args):
+    from .families import bayes_risk_two_point, two_point_prior
     cs = _grid(args, "c", lambda c: c > 0, "c > 0")
     ns = sorted(_grid(args, "n", lambda n: n >= 1, "n >= 1"))
     floor_constant = math.sqrt(math.e) / 8.0
@@ -332,6 +352,7 @@ def _trend(args, H: float, cs: list, risk):
 def _ball_trend(args, H: float, est_name: str, eta: Optional[float] = None):
     """`_trend` of the exact risk on the entropy-ball family at delta = cH / ln n;
     the estimator depends on n alone and is built (and warns) once per n."""
+    from .exact import estimator_risk_exact
     estimator = functools.lru_cache(None)(lambda n: _build_estimator(est_name, n, eta))
 
     def risk(ball, c, n):
@@ -390,6 +411,7 @@ def _verdicts_cor7(args):
 
 
 def _verdicts_cor9(args):
+    from .families import CompositePrior, bayes_risk_entropy_ball_constrained
     cs = _grid(args, "c", lambda c: 0 < c < 1, "0 < c < 1")
     k = 10**6
     verdicts = []
@@ -415,17 +437,21 @@ def _verdicts_cor9(args):
 _BALL_C = [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 _BALL_N = [10**3, 10**4, 10**5, 10**6, 10**7]
 
-# target: (its sweep, yielding rows and returning verdicts; help; grids read, defaults)
+# target: (its sweep, yielding rows and returning verdicts; the modules it
+# calls; help; grids read, defaults)
 _REPRODUCE_TARGETS = {
-    "cor2": (_verdicts_cor2, "sqrt(n) * uniform MLE risk -> sqrt(2(S-1)/pi)",
+    "cor2": (_verdicts_cor2, ["exact"], "sqrt(n) * uniform MLE risk -> sqrt(2(S-1)/pi)",
              {"S": [2], "n": [100, 1_000, 10_000]}),
-    "cor3-4": (_verdicts_cor34, "linear scaling n = cS: MLE risk and two-point oracle",
+    "cor3-4": (_verdicts_cor34, ["exact", "families"],
+               "linear scaling n = cS: MLE risk and two-point oracle",
                {"c": [1.0, 2.0, 4.0, 8.0], "n": [1_000, 10_000]}),
-    "cor6": (_verdicts_cor6, "entropy ball: ln(n) * max MLE risk / H rises past 1",
+    "cor6": (_verdicts_cor6, ["exact", "families"],
+             "entropy ball: ln(n) * max MLE risk / H rises past 1",
              {"H": [1.0], "c": _BALL_C, "n": _BALL_N}),
-    "cor7": (_verdicts_cor7, "entropy ball: thresholding below the MLE",
+    "cor7": (_verdicts_cor7, ["exact", "families"], "entropy ball: thresholding below the MLE",
              {"H": [1.0], "c": _BALL_C, "n": _BALL_N, "eta": [1.1]}),
-    "cor9": (_verdicts_cor9, "entropy ball: simplex-constrained oracle rises past 1",
+    "cor9": (_verdicts_cor9, ["families"],
+             "entropy ball: simplex-constrained oracle rises past 1",
              {"H": [1.0], "c": _BALL_C, "n": _BALL_N}),
 }
 
@@ -434,7 +460,9 @@ def cmd_reproduce(args) -> int:
     """Run a target's sweep.  A target is a generator that yields its report
     rows as it computes them and returns its verdicts; each row is timed
     here, over the work since the row before it."""
-    sweep = _REPRODUCE_TARGETS[args.target][0](args)
+    target, modules, *_ = _REPRODUCE_TARGETS[args.target]
+    _load(*modules)
+    sweep = target(args)
     rows, seconds = [], []
     try:
         while True:
@@ -519,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     repro = sub.add_parser("reproduce", help="scripted trend sweeps with PASS/FAIL verdicts")
     targets = repro.add_subparsers(dest="target", required=True, metavar="target",
                                    help="which scripted sweep to run; options follow it")
-    for name, (_, text, grids) in _REPRODUCE_TARGETS.items():
+    for name, (_, _, text, grids) in _REPRODUCE_TARGETS.items():
         _add_grids(targets.add_parser(name, parents=[common], help=text, description=text),
                    grids)
     return parser

@@ -77,6 +77,9 @@ class CountHistogram:
     n: int
 
     def __post_init__(self):
+        if self.n < 1 or self.n != int(self.n):
+            raise ValueError("n must be a positive integer")
+        object.__setattr__(self, "n", int(self.n))
         arr = np.asarray(self.counts)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("counts must be a non-empty 1-D sequence")
@@ -92,8 +95,6 @@ class CountHistogram:
         total = int(arr.sum())
         if self.n != total:
             raise ValueError(f"counts sum to {total}, expected n={self.n}")
-        if self.n < 1:
-            raise ValueError("n must be positive")
         arr.setflags(write=False)
         object.__setattr__(self, "counts", arr)
 

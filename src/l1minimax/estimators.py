@@ -37,8 +37,9 @@ class ThresholdConfig:
     eta: float = DEFAULT_ETA
 
     def __post_init__(self):
-        if self.n < 1:
+        if self.n < 1 or self.n != int(self.n):
             raise ValueError("n must be a positive integer")
+        object.__setattr__(self, "n", int(self.n))
         if not self.eta > 1.0:
             raise ValueError("eta must be strictly greater than 1")
 

@@ -8,9 +8,7 @@ significant digits, UTF-8 and LF line endings; JSON mirrors the field names.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -74,6 +72,7 @@ def _format_cell(value) -> str:
 
 
 def render_csv(rows) -> str:
+    import csv
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(COLUMNS)
@@ -84,6 +83,7 @@ def render_csv(rows) -> str:
 
 
 def render_json(rows) -> str:
+    import json
     return json.dumps([row.record() for row in rows], indent=2) + "\n"
 
 

@@ -228,15 +228,15 @@ class TestMcCommand:
         assert rows[0]["seed"] == str((1 << 64) - 1) and rows[0]["error"] == ""
 
     def test_raising_cell_keeps_its_error_and_the_sweep_goes_on(self, tmp_path, monkeypatch):
-        from l1minimax import cli
-        real = cli.mc_risk
+        from l1minimax import montecarlo
+        real = montecarlo.mc_risk
 
         def mc_risk(family, estimator, n, cfg):
             if n == 100:
                 raise ArithmeticError(f"no risk at n={n}")
             return real(family, estimator, n, cfg)
 
-        monkeypatch.setattr(cli, "mc_risk", mc_risk)
+        monkeypatch.setattr(montecarlo, "mc_risk", mc_risk)
         code, out = run(tmp_path, "mc", "--family", "uniform", "--grid-S", "2", "--grid-n",
                         "10", "100", "1000", "--replicates", "200")
         assert code == 0
@@ -344,12 +344,12 @@ class TestReproduceCommand:
     def test_internal_error_is_not_a_usage_error(self, monkeypatch, target, error):
         # only grid values outside their domain are bad invocations; a
         # failure inside a computation keeps its traceback
-        from l1minimax import cli
+        from l1minimax import exact
 
         def broken(*args):
             raise error("inside the computation")
 
-        monkeypatch.setattr(cli, "estimator_risk_exact", broken)
+        monkeypatch.setattr(exact, "estimator_risk_exact", broken)
         with pytest.raises(error, match="inside the computation"):
             main(["reproduce", target, "--grid-n", "1000"])
 
@@ -536,15 +536,15 @@ class TestVerbose:
         # each exact risk takes one second of a fake clock and nothing else
         # does: a cor2 row is one risk, a cor6 row the max over c at its n,
         # a cor7 row both estimators' max over c at its n
-        from l1minimax import cli
+        from l1minimax import cli, exact
         clock = [0.0]
-        real = cli.estimator_risk_exact
+        real = exact.estimator_risk_exact
 
         def estimator_risk_exact(*args):
             clock[0] += 1.0
             return real(*args)
 
-        monkeypatch.setattr(cli, "estimator_risk_exact", estimator_risk_exact)
+        monkeypatch.setattr(exact, "estimator_risk_exact", estimator_risk_exact)
         monkeypatch.setattr(cli.time, "perf_counter", lambda: clock[0])
         main(["reproduce", target, *grids, "-v"])
         lines = [line for line in capsys.readouterr().err.splitlines()
@@ -559,10 +559,103 @@ class TestVerbose:
                          for i, (p, t) in enumerate(zip(params, ms), start=1)]
 
 
+_MAIN_MODULES = textwrap.dedent("""
+    import json, runpy, sys
+    record, *argv = sys.argv[1:]
+    sys.argv, code = ["l1minimax", *argv], None
+    try:
+        runpy.run_module("l1minimax", run_name="__main__", alter_sys=True)  # as -m does
+    except SystemExit as done:
+        code = done.code
+    finally:
+        with open(record, "w") as fh:
+            json.dump([code, sorted(sys.modules)], fh)
+""")
+
+
+def _process_imports(tmp_path, *argv):
+    """(exit code, every module loaded) of a `python -m l1minimax *argv` process."""
+    src = pathlib.Path(l1minimax.__file__).resolve().parents[1]
+    record = tmp_path / "modules.json"
+    subprocess.run([sys.executable, "-c", _MAIN_MODULES, str(record), *argv], cwd=tmp_path,
+                   capture_output=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    code, modules = json.loads(record.read_text())
+    return code, set(modules)
+
+
 class TestImportFootprint:
-    """Importing the package and running commands whose draws all come from
-    Binomial tables load numpy only; scipy arrives with the first draw that
-    needs boost, and no command loads a process pool."""
+    """`import l1minimax` loads none of its modules, and a CLI process only
+    those its command calls: `bounds`, `-h` and usage errors load no numpy.
+    Commands whose draws all come from Binomial tables load no scipy; it
+    arrives with the first draw that needs boost, and no command loads a
+    process pool."""
+
+    BOUNDS_GRID = ["bounds", "--grid-H", "1", "--grid-c", "0.3", "0.5", "0.7",
+                   "--grid-n", "1000", "10000", "100000", "--grid-eta", "1.1"]
+
+    def test_package_loads_each_module_when_first_reached(self):
+        script = textwrap.dedent("""
+            import json, sys
+            def loaded():
+                print(json.dumps(sorted(m for m in sys.modules if m.count(".") < 2
+                                        and m.split(".")[0] in ("l1minimax", "numpy"))))
+            import l1minimax
+            loaded()
+            l1minimax.cli
+            loaded()
+            l1minimax.mc_risk
+            loaded()
+        """)
+        src = pathlib.Path(l1minimax.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        package, cli, api = map(json.loads, proc.stdout.splitlines())
+        assert package == ["l1minimax"]
+        assert cli == ["l1minimax", "l1minimax.bounds", "l1minimax.cli", "l1minimax.report"]
+        assert {"numpy", "l1minimax.core", "l1minimax.estimators", "l1minimax.exact",
+                "l1minimax.families", "l1minimax.montecarlo"} <= set(api)
+
+    @pytest.mark.parametrize("argv, code", [
+        (BOUNDS_GRID + ["--out", "bounds.csv"], 0),
+        (["-h"], 0),
+        (["bounds", "--grid-n", "10", "--no-such-flag"], 2),
+    ], ids=["bounds", "help", "usage-error"])
+    def test_no_numpy_without_numeric_work(self, tmp_path, argv, code):
+        returncode, modules = _process_imports(tmp_path, *argv)
+        assert returncode == code
+        assert "l1minimax.cli" in modules
+        assert not [m for m in modules if m.split(".")[0] == "numpy"]
+
+    @pytest.mark.parametrize("argv, absent", [
+        (["reproduce", "cor2", "--grid-n", "100", "1000"],
+         {"l1minimax.montecarlo", "l1minimax.families"}),
+        (["exact-risk", "--grid-S", "2", "--grid-n", "10", "--out", "exact.csv"],
+         {"l1minimax.montecarlo"}),
+    ], ids=["reproduce-cor2", "exact-risk"])
+    def test_commands_load_only_the_modules_they_call(self, tmp_path, argv, absent):
+        returncode, modules = _process_imports(tmp_path, *argv)
+        assert returncode == 0
+        assert "l1minimax.exact" in modules
+        assert not absent & modules
+
+    @pytest.mark.parametrize("target", ["cor2", "cor3-4", "cor6", "cor7", "cor9"])
+    def test_reproduce_target_loads_its_modules_before_its_first_row(self, target):
+        # cmd_reproduce loads them before it starts a row's clock
+        script = textwrap.dedent("""
+            import sys
+            from l1minimax import cli
+            target = sys.argv[1]
+            cli._load(*cli._REPRODUCE_TARGETS[target][1])
+            before = set(sys.modules)
+            cli.main(["reproduce", target, "--grid-n", "1000"])
+            print(sorted(m for m in set(sys.modules) - before if m.startswith("l1minimax")))
+        """)
+        src = pathlib.Path(l1minimax.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", script, target], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     SCRIPT = textwrap.dedent("""
         import sys

@@ -72,6 +72,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="counts must be integers"):
             CountHistogram(np.array([1.5, 2.5]), n=4)
 
+    @pytest.mark.parametrize("n", [10.5, 0])
+    def test_histogram_n_must_be_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match="positive integer"):
+            CountHistogram(np.array([4, 6]), n)
+
+    @pytest.mark.parametrize("n", [10, 10.0, np.int64(10)])
+    def test_histogram_keeps_an_int_n(self, n):
+        assert type(CountHistogram(np.array([4, 6]), n).n) is int
+
     @pytest.mark.parametrize("drift", [2e-12, 5e-10, -5e-10])
     def test_family_normalizes_small_drift(self, drift):
         # mass off by more than the sum tolerance, within the normalizing one

@@ -53,6 +53,17 @@ class TestThresholdLevel:
         with pytest.raises(ValueError, match="eta"):
             ThresholdConfig(100, 1.0)
 
+    @pytest.mark.parametrize("n", [1000.5, 0])
+    def test_n_must_be_a_positive_integer(self, n):
+        # 1000.5 would surface only at the first call, as a sample-size mismatch
+        with pytest.raises(ValueError, match="positive integer"):
+            ThresholdConfig(n, 1.5)
+
+    @pytest.mark.parametrize("n", [1000, 1000.0, np.int64(1000)])
+    def test_integral_n_is_kept_as_int(self, n):
+        cfg = ThresholdConfig(n, 1.5)
+        assert type(cfg.n) is int and cfg == ThresholdConfig(1000, 1.5)
+
 
 class TestHardThreshold:
     def test_keep_and_drop_against_level_oracle(self):
