@@ -81,9 +81,7 @@ def _build_estimator(name: str, n: int, eta: Optional[float]) -> CoordinatewiseE
     from .estimators import ThresholdConfig, empirical_estimator, threshold_estimator
     if name == "empirical":
         return empirical_estimator()
-    if name == "threshold":
-        return threshold_estimator(ThresholdConfig(n, eta))
-    raise UsageError(f"unknown estimator {name!r}")
+    return threshold_estimator(ThresholdConfig(n, eta))
 
 
 def _uniform_family(S: int) -> CompressedFamily:
@@ -311,7 +309,7 @@ def _verdicts_cor2(args):
 
 
 def _verdicts_cor34(args):
-    from .families import bayes_risk_two_point, two_point_prior
+    from .families import bayes_risk_two_point
     cs = _grid(args, "c", lambda c: c > 0, "c > 0")
     ns = sorted(_grid(args, "n", lambda n: n >= 1, "n >= 1"))
     floor_constant = math.sqrt(math.e) / 8.0
@@ -319,7 +317,7 @@ def _verdicts_cor34(args):
     for c, n in itertools.product(cs, ns):
         S = max(2, round(n / c))
         risk = _exact_uniform_mle_risk(S, n)
-        oracle = bayes_risk_two_point(two_point_prior(S, n))
+        oracle = bayes_risk_two_point(S, n)
         upper_ok &= math.sqrt(c) * risk <= 1.0 + 1e-12
         lower_ok &= math.sqrt(c) * oracle >= floor_constant - 0.02
         yield ReportRow(

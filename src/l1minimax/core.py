@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "ProbabilityVector",
-    "CountHistogram",
     "CompressedFamily",
     "entropy",
 ]
@@ -24,7 +23,7 @@ __all__ = [
 NORMALIZE_TOL = 1e-9
 SUM_TOL = 1e-12
 
-# Largest support `sample_multinomial` returns a dense histogram for.
+# Largest support `sample_multinomial` returns per-symbol counts for.
 MAX_DENSE_SUPPORT = 10_000_000
 
 
@@ -67,36 +66,6 @@ class ProbabilityVector:
 
     def __len__(self) -> int:
         return self.support_size
-
-
-@dataclass(frozen=True)
-class CountHistogram:
-    """Per-symbol observation counts from n draws."""
-
-    counts: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.n != int(self.n):
-            raise ValueError("n must be a positive integer")
-        object.__setattr__(self, "n", int(self.n))
-        arr = np.asarray(self.counts)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("counts must be a non-empty 1-D sequence")
-        if not np.issubdtype(arr.dtype, np.integer):
-            as_int = arr.astype(np.int64)
-            if not np.array_equal(as_int, arr):
-                raise ValueError("counts must be integers")
-            arr = as_int
-        else:
-            arr = arr.astype(np.int64)
-        if np.any(arr < 0):
-            raise ValueError("counts must be nonnegative")
-        total = int(arr.sum())
-        if self.n != total:
-            raise ValueError(f"counts sum to {total}, expected n={self.n}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "counts", arr)
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,9 @@ from .rng import MAX_INDEX_RANGE, stream_key, to_index, uniforms
 
 __all__ = [
     "EntropyBallFamily",
-    "TwoPointPrior",
     "CompositePrior",
     "EntropyBallBayesRisk",
     "entropy_ball_family",
-    "two_point_prior",
     "bayes_risk_two_point",
     "assembled_minimax_lower_hd",
     "bayes_risk_entropy_ball",
@@ -45,23 +43,18 @@ _MAX_SAMPLED_ACTIVE = 10_000_000
 
 @dataclass(frozen=True)
 class EntropyBallFamily:
-    """S' tiny atoms of mass delta/S' plus one heavy atom of mass 1 - delta.
-
-    `achieved_entropy` is recomputed after the integer rounding of S', so it
-    is always at least the requested target.
-    """
+    """S' tiny atoms of mass delta/S' plus one heavy atom of mass 1 - delta."""
 
     delta: float
     S_prime: int
-    achieved_entropy: float
     family: CompressedFamily
 
 
 def entropy_ball_family(H: float, delta: float) -> EntropyBallFamily:
     """Solve delta ln S' - delta ln delta - (1-delta) ln(1-delta) = H for S'.
 
-    S' is rounded up to an integer and the entropy recomputed; rounding can
-    only increase the entropy, and the deviation is logged.
+    S' is rounded up to an integer; rounding can only increase the entropy,
+    and the excess is logged.
     """
     if not H > 0:
         raise ValueError("H must be positive")
@@ -81,43 +74,23 @@ def entropy_ball_family(H: float, delta: float) -> EntropyBallFamily:
     logger.debug("entropy ball H=%g delta=%g: S'=%d (real %.6g), entropy excess %.3e",
                  H, delta, sp, sp_real, achieved - H)
     family = CompressedFamily(((delta / sp, sp), (1.0 - delta, 1)))
-    return EntropyBallFamily(delta, sp, achieved, family)
+    return EntropyBallFamily(delta, sp, family)
 
 
-@dataclass(frozen=True)
-class TwoPointPrior:
-    """Product prior putting each coordinate at (1 +- eta_prior)/S equally.
+def bayes_risk_two_point(S: int, n: float) -> float:
+    """Poissonized Bayes-risk lower bound eta (1 - TV) of the product prior
+    putting each coordinate at (1 +- eta)/S equally, with exact Poisson TV.
 
-    `n` may be fractional: under Poissonization the sample size only enters
-    through the rates n(1 +- eta_prior)/S.
+    eta is the risk-maximizing perturbation min{1, sqrt(eS/n)/4}.  `n` may be
+    fractional: under Poissonization it enters only through the rates
+    n(1 +- eta)/S.  Dominates the piecewise closed form, which replaces the
+    exact TV by its analytic upper bound.
     """
-
-    S: int
-    n: float
-    eta_prior: float
-
-    def __post_init__(self):
-        if self.S < 2:
-            raise ValueError("S must be at least 2")
-        if not self.n >= 1:
-            raise ValueError("n must be at least 1")
-        if not (0.0 < self.eta_prior <= 1.0):
-            raise ValueError("eta_prior must lie in (0, 1]")
-
-
-def two_point_prior(S: int, n: float) -> TwoPointPrior:
-    """Prior with the risk-maximizing perturbation min{1, sqrt(eS/n)/4}."""
+    if S < 2:
+        raise ValueError("S must be at least 2")
+    if not n >= 1:
+        raise ValueError("n must be at least 1")
     eta = min(1.0, 0.25 * math.sqrt(math.e * S / n))
-    return TwoPointPrior(S, n, eta)
-
-
-def bayes_risk_two_point(prior: TwoPointPrior) -> float:
-    """Poissonized Bayes-risk lower bound eta (1 - TV) with exact Poisson TV.
-
-    Dominates the piecewise closed form, which replaces the exact TV by its
-    analytic upper bound.
-    """
-    S, n, eta = prior.S, prior.n, prior.eta_prior
     tv = poisson_tv_exact(n * (1.0 - eta) / S, n * (1.0 + eta) / S)
     return eta * (1.0 - tv)
 
@@ -134,7 +107,7 @@ def assembled_minimax_lower_hd(S: int, n: int, zeta: float) -> BoundValue:
     _check_high_dim(S, n, zeta)
     if S < 3:
         raise ValueError("S must be at least 3 (needs ln S > 1)")
-    bayes = bayes_risk_two_point(two_point_prior(S, (1.0 + zeta) * n))
+    bayes = bayes_risk_two_point(S, (1.0 + zeta) * n)
     escape_mass = hoeffding_bound(S, 2.0 / S, zeta / (4.0 * math.log(S)))
     value = bayes - math.exp(-zeta * zeta * n / 24.0) - 6.0 * escape_mass
     return BoundValue(value, vacuous=value <= 0.0)

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .binomial import _binomial_inverse
-from .core import MAX_DENSE_SUPPORT, CountHistogram, Distribution, _atom_items
+from .core import MAX_DENSE_SUPPORT, Distribution, _atom_items
 from .estimators import CoordinatewiseEstimator
 from .rng import MAX_INDEX_RANGE, derive_key, derive_seed, stream_key, to_index, uniforms
 
@@ -156,8 +156,9 @@ def _stream_layout(keys: np.ndarray, atoms, n: int, tally=None) -> tuple:
     return totals, starts
 
 
-def sample_multinomial(p: Distribution, n: int, seed: int) -> CountHistogram:
-    """One Multinomial(n, p) draw, deterministic in the seed."""
+def sample_multinomial(p: Distribution, n: int, seed: int) -> np.ndarray:
+    """One Multinomial(n, p) draw, deterministic in the seed: the read-only
+    int64 count of each symbol, in support order."""
     if n < 1 or n != int(n):
         raise ValueError("n must be a positive integer")
     atoms = _atom_items(p)
@@ -179,7 +180,8 @@ def sample_multinomial(p: Distribution, n: int, seed: int) -> CountHistogram:
                                                    np.array([total]), mult)
             dense[offset + cells[0, run].astype(np.int64)] = counts
         offset += mult
-    return CountHistogram(dense, n)
+    dense.setflags(write=False)
+    return dense
 
 
 def _block_losses(
@@ -250,20 +252,26 @@ def _split_losses(keys: np.ndarray, p: Distribution, estimator: CoordinatewiseEs
     """`_compressed_losses` by contiguous replicate ranges, one per usable CPU
     and at most one per _MIN_SPLIT_DRAWS expected block draws; forked children
     compute the ranges after the first, each ending in os._exit, and are
-    reaped before this returns or raises.  A failed child's range is redone."""
+    reaped before this returns or raises.  A range whose child got no pipe or
+    no process (EMFILE, EAGAIN), or failed, is computed here."""
     reps, count = keys.shape[0], 1
     draws = reps * n * sum(value * mult for value, mult in _atom_items(p) if mult > 1)
     if draws >= 2 * _MIN_SPLIT_DRAWS and hasattr(os, "sched_getaffinity"):
         count = min(int(draws // _MIN_SPLIT_DRAWS), len(os.sched_getaffinity(0)), reps)
     cuts = [reps * i // count for i in range(count + 1)]
-    children = {}  # range: (pid or None if fork failed, read end of its pipe)
+    children = {}  # range: (pid, read end of its pipe) of the child computing it
     try:
         for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            read, write = os.pipe()
+            try:
+                read, write = os.pipe()
+            except OSError:  # as a failed fork: this range is computed here
+                continue
             try:
                 pid = os.fork()
             except OSError:
-                pid = None
+                os.close(read)
+                os.close(write)
+                continue
             if pid == 0:
                 try:
                     own = Counter()
@@ -276,12 +284,16 @@ def _split_losses(keys: np.ndarray, p: Distribution, estimator: CoordinatewiseEs
             os.close(write)
             children[lo, hi] = pid, open(read, "rb")
         out = [_compressed_losses(keys[:cuts[1]], p, estimator, n, tally)]
-        for (lo, hi), (pid, pipe) in list(children.items()):
-            with pipe:
-                sent = pipe.read()
-            failed = pid is None or os.waitpid(pid, 0)[1] != 0
-            del children[lo, hi]
-            if failed:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            sent = None
+            if (lo, hi) in children:
+                pid, pipe = children[lo, hi]
+                with pipe:
+                    sent = pipe.read()
+                if os.waitpid(pid, 0)[1] != 0:
+                    sent = None
+                del children[lo, hi]
+            if sent is None:
                 out.append(_compressed_losses(keys[lo:hi], p, estimator, n, tally))
                 continue
             losses, routes = pickle.loads(sent)
@@ -290,9 +302,8 @@ def _split_losses(keys: np.ndarray, p: Distribution, estimator: CoordinatewiseEs
     finally:
         for pid, pipe in children.values():
             pipe.close()
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return np.concatenate(out)
 
 

@@ -7,9 +7,11 @@ summary lines alongside the pytest verdicts.
 import math
 import pathlib
 import re
+import shlex
 import time
 
 import numpy as np
+import pytest
 
 from l1minimax import (CompositePrior, McConfig,
                        ProbabilityVector, ThresholdConfig, adell_jodra_tv_bound,
@@ -20,7 +22,7 @@ from l1minimax import (CompositePrior, McConfig,
                        estimator_risk_exact, hoeffding_bound, mc_risk,
                        mle_entropy_lower, mle_entropy_upper, mle_upper_simple,
                        mle_upper_tight, poisson_tv_exact, simplex_lower,
-                       threshold_estimator, threshold_upper, two_point_prior)
+                       threshold_estimator, threshold_upper)
 from l1minimax.cli import main
 from conftest import (exact_binomial_tail_upper, exact_poisson_tail_lower,
                       exact_poisson_tail_upper)
@@ -189,7 +191,7 @@ def test_criterion_08_bayes_oracles():
     n_grid = [max(1, int(round(n))) for n in np.geomspace(1, 10**4, 20)]
     for S in S_grid:
         for n in n_grid:
-            exact = bayes_risk_two_point(two_point_prior(S, n))
+            exact = bayes_risk_two_point(S, n)
             floor = bayes_risk_two_point_piecewise(S, n)
             assert exact >= floor - 1e-12, (S, n, exact, floor)
     k = 10**6
@@ -260,12 +262,30 @@ def test_criterion_10_mc_consistency_and_reproducibility(tmp_path):
           f"{elapsed:.1f}s")
 
 
+def _readme_blocks(language):
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    return re.findall(rf"```{language}\n(.*?)```", readme, re.DOTALL)
+
+
 def test_readme_quick_start_runs():
     # the README's one python block runs as printed (it asserts its own MC
     # check), and its "# 0.375" comment holds
-    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(
-        encoding="utf-8")
-    (block,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    (block,) = _readme_blocks("python")
     scope = {}
     exec(block, scope)
     assert scope["risk"] == 0.375
+
+
+def _readme_command_lines():
+    """Each `l1minimax ...` line of the README's sh blocks, continuations joined."""
+    return [line for block in _readme_blocks("sh")
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("l1minimax ")]
+
+
+@pytest.mark.parametrize("line", _readme_command_lines(), ids=lambda line: line.split()[1])
+def test_readme_command_line_runs(line, tmp_path):
+    # exits 0 as printed, its report written under tmp_path
+    argv = shlex.split(line, comments=True)[1:]
+    assert main(argv + ["--out", str(tmp_path / "report")]) == 0

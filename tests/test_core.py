@@ -1,11 +1,10 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from l1minimax import (CompressedFamily, CountHistogram, McConfig, ProbabilityVector,
+from l1minimax import (CompressedFamily, McConfig, ProbabilityVector,
                        empirical_estimator, entropy, estimator_risk_exact, mc_risk,
                        sample_multinomial)
 
@@ -55,31 +54,6 @@ class TestConstruction:
 
     def test_support_size_counts_zeros(self):
         assert ProbabilityVector([0.0, 1.0, 0.0]).support_size == 3
-
-    def test_histogram_sum_must_match(self):
-        with pytest.raises(ValueError, match="sum"):
-            CountHistogram(np.array([1, 2]), n=4)
-
-    def test_histogram_rejects_negative(self):
-        with pytest.raises(ValueError):
-            CountHistogram(np.array([-1, 5]), n=4)
-
-    def test_histogram_accepts_integral_floats(self):
-        h = CountHistogram(np.array([1.0, 0.0, 3.0]), n=4)
-        assert h.counts.dtype == np.int64 and h.counts.tolist() == [1, 0, 3]
-
-    def test_histogram_rejects_fractional_counts(self):
-        with pytest.raises(ValueError, match="counts must be integers"):
-            CountHistogram(np.array([1.5, 2.5]), n=4)
-
-    @pytest.mark.parametrize("n", [10.5, 0])
-    def test_histogram_n_must_be_a_positive_integer(self, n):
-        with pytest.raises(ValueError, match="positive integer"):
-            CountHistogram(np.array([4, 6]), n)
-
-    @pytest.mark.parametrize("n", [10, 10.0, np.int64(10)])
-    def test_histogram_keeps_an_int_n(self, n):
-        assert type(CountHistogram(np.array([4, 6]), n).n) is int
 
     @pytest.mark.parametrize("drift", [2e-12, 5e-10, -5e-10])
     def test_family_normalizes_small_drift(self, drift):

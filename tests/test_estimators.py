@@ -5,33 +5,28 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from l1minimax import (CountHistogram, ThresholdConfig, empirical_estimator,
-                       threshold_estimator, threshold_level)
+from l1minimax import ThresholdConfig, empirical_estimator, threshold_estimator, threshold_level
 
 
-def hist(counts):
+def estimate(rule, counts):
+    """A coordinatewise rule applied to counts at their sample size."""
     counts = np.asarray(counts)
-    return CountHistogram(counts, int(counts.sum()))
-
-
-def estimate(rule, h):
-    """A coordinatewise rule applied to a histogram's counts."""
-    return rule(h.counts, h.n)
+    return rule(counts, int(counts.sum()))
 
 
 class TestEmpirical:
     def test_basic(self):
-        assert estimate(empirical_estimator(), hist([3, 1])).tolist() == [0.75, 0.25]
+        assert estimate(empirical_estimator(), [3, 1]).tolist() == [0.75, 0.25]
 
     def test_all_in_one_cell(self):
-        assert estimate(empirical_estimator(), hist([0, 0, 4])).tolist() == [0.0, 0.0, 1.0]
+        assert estimate(empirical_estimator(), [0, 0, 4]).tolist() == [0.0, 0.0, 1.0]
 
     def test_even_split(self):
-        assert estimate(empirical_estimator(), hist([2, 2])).tolist() == [0.5, 0.5]
+        assert estimate(empirical_estimator(), [2, 2]).tolist() == [0.5, 0.5]
 
     @given(st.lists(st.integers(0, 50), min_size=1, max_size=10).filter(lambda c: sum(c) > 0))
     def test_lies_on_simplex(self, counts):
-        est = estimate(empirical_estimator(), hist(counts))
+        est = estimate(empirical_estimator(), counts)
         assert abs(math.fsum(est.tolist()) - 1.0) <= 1e-12
 
 
@@ -73,14 +68,14 @@ class TestHardThreshold:
         counts = np.zeros(3, dtype=np.int64)
         counts[0], counts[1] = 5000, 2000
         counts[2] = n - 7000
-        out = estimate(threshold_estimator(cfg), CountHistogram(counts, n))
+        out = estimate(threshold_estimator(cfg), counts)
         assert out[0] == 0.005
         assert out[1] == 0.0
         assert out[2] == counts[2] / n
 
     def test_zero_count_maps_to_zero(self):
         cfg = ThresholdConfig(8, 1.2)
-        out = estimate(threshold_estimator(cfg), hist([0, 8]))
+        out = estimate(threshold_estimator(cfg), [0, 8])
         assert out[0] == 0.0
 
     def test_cutoff_is_strict(self):
@@ -89,12 +84,12 @@ class TestHardThreshold:
         n, k, eta = 216, 215, 1.0020862308122218
         cfg = ThresholdConfig(n, eta)
         assert threshold_level(cfg) == k / n
-        out = estimate(threshold_estimator(cfg), hist([k, n - k]))
+        out = estimate(threshold_estimator(cfg), [k, n - k])
         assert out[0] == 0.0
         # nudging the exponent below moves the cutoff under k/n: now kept
         cfg_lo = ThresholdConfig(n, eta - 1e-9)
         assert threshold_level(cfg_lo) < k / n
-        kept = estimate(threshold_estimator(cfg_lo), hist([k, n - k]))
+        kept = estimate(threshold_estimator(cfg_lo), [k, n - k])
         assert kept[0] == k / n
 
     def test_n_mismatch_rejected(self):
@@ -105,15 +100,14 @@ class TestHardThreshold:
         # threshold_level(100, 1.5) ~ 7.22 > 1, so every coordinate dies
         cfg = ThresholdConfig(100, 1.5)
         assert threshold_level(cfg) > 1.0
-        out = estimate(threshold_estimator(cfg), hist([60, 40]))
+        out = estimate(threshold_estimator(cfg), [60, 40])
         assert np.all(out == 0.0)
 
     @given(st.lists(st.integers(0, 30), min_size=1, max_size=8).filter(lambda c: sum(c) > 1),
            st.floats(1.01, 3.0))
     def test_dominated_by_empirical(self, counts, eta):
-        h = hist(counts)
-        thresholded = estimate(threshold_estimator(ThresholdConfig(h.n, eta)), h)
-        plain = estimate(empirical_estimator(), h)
+        thresholded = estimate(threshold_estimator(ThresholdConfig(sum(counts), eta)), counts)
+        plain = estimate(empirical_estimator(), counts)
         assert np.all(thresholded <= plain)
         assert float(thresholded.sum()) <= 1.0 + 1e-12
 
@@ -125,9 +119,9 @@ class TestEstimatorObjects:
         assert out.tolist() == [0.0, 0.5, 1.0]
 
     def test_threshold_rule_matches_hard_threshold(self):
-        # the rule on a histogram's counts is hard thresholding of k/n at the level
+        # the rule on a sample's counts is hard thresholding of k/n at the level
         cfg = ThresholdConfig(50, 1.3)
-        h = CountHistogram(np.array([0, 1, 5, 44]), 50)
-        freq = h.counts / h.n
+        counts = np.array([0, 1, 5, 44])
+        freq = counts / 50
         expected = np.where(freq > threshold_level(cfg), freq, 0.0)
-        assert np.array_equal(threshold_estimator(cfg)(h.counts, h.n), expected)
+        assert np.array_equal(threshold_estimator(cfg)(counts, 50), expected)

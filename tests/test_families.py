@@ -11,9 +11,9 @@ from l1minimax import (CompositePrior, CompressedFamily,
                        bayes_risk_entropy_ball, bayes_risk_entropy_ball_constrained,
                        bayes_risk_two_point, bayes_risk_two_point_piecewise,
                        entropy, entropy_ball_family,
-                       minimax_entropy_lower, minimax_lower_hd,
-                       sample_from_composite_prior, sample_multinomial,
-                       simplex_lower, two_point_prior)
+                       minimax_entropy_lower, minimax_lower_hd, mle_entropy_lower,
+                       poisson_tv_exact, sample_from_composite_prior,
+                       sample_multinomial, simplex_lower)
 
 E = math.e
 
@@ -22,8 +22,7 @@ class TestEntropyBallFamily:
     def test_frozen_construction(self):
         fam = entropy_ball_family(1.0, 0.2)
         assert fam.S_prime == 13  # real solution 12.1580059936830754
-        assert fam.achieved_entropy == pytest.approx(1.01339229503049523, rel=1e-13)
-        assert fam.achieved_entropy == pytest.approx(entropy(fam.family), rel=1e-13)
+        assert entropy(fam.family) == pytest.approx(1.01339229503049523, rel=1e-13)
 
     def test_real_solution_hits_entropy_target(self):
         # before rounding, delta ln S' - delta ln delta - (1-delta) ln(1-delta) = H
@@ -37,11 +36,11 @@ class TestEntropyBallFamily:
     @pytest.mark.parametrize("H,delta", [(1.0, 0.2), (1.0, 0.05), (2.5, 0.4), (0.7, 0.3)])
     def test_rounding_only_adds_entropy(self, H, delta):
         fam = entropy_ball_family(H, delta)
-        assert fam.achieved_entropy >= H - 1e-12
+        assert entropy(fam.family) >= H - 1e-12
         log_sp_real = (math.log(delta) + H / delta
                        + (1 - delta) / delta * math.log1p(-delta))
         excess_cap = delta * (math.log(fam.S_prime) - log_sp_real)
-        assert fam.achieved_entropy - H <= excess_cap + 1e-12
+        assert entropy(fam.family) - H <= excess_cap + 1e-12
 
     def test_delta_near_one_approaches_uniform(self):
         fam = entropy_ball_family(math.log(4), 0.999999)
@@ -71,10 +70,13 @@ class TestEntropyBallFamily:
     @pytest.mark.parametrize("n", [10**3, 10**4, 10**5, 10**6])
     def test_identity_regime_over_grid(self, c, n):
         # the small-coordinate condition needs n > (1-c)^(-1/(1-c)), which
-        # excludes c = 0.9 at desk scale (it would require n > 1e10)
+        # excludes c = 0.9 at desk scale (it would require n > 1e10): there
+        # the floor that rests on it refuses the cell
         H = 1.0
         if n <= math.exp(-math.log1p(-c) / (1.0 - c)):
-            pytest.skip("outside the bound's validity regime")
+            with pytest.raises(ValueError, match=r"requires n > \(1-c\)\^\(-1/\(1-c\)\)"):
+                mle_entropy_lower(H, n, c)
+            return
         delta = c * H / math.log(n)
         fam = entropy_ball_family(H, delta)
         assert delta / fam.S_prime < 1.0 / n
@@ -82,27 +84,30 @@ class TestEntropyBallFamily:
 
 
 class TestTwoPointPrior:
+    # the perturbation eta = min{1, sqrt(eS/n)/4} is read through the value
+    # eta (1 - TV(n(1 - eta)/S, n(1 + eta)/S))
     def test_perturbation_frozen(self):
-        prior = two_point_prior(100, 1000)
-        assert prior.eta_prior == pytest.approx(0.13034286105448596, rel=1e-14)
+        eta = 0.13034286105448596
+        tv = poisson_tv_exact(1000 * (1.0 - eta) / 100, 1000 * (1.0 + eta) / 100)
+        assert bayes_risk_two_point(100, 1000) == pytest.approx(eta * (1.0 - tv), rel=1e-14)
 
     def test_perturbation_clamped(self):
-        prior = two_point_prior(1000, 100)
-        assert prior.eta_prior == 1.0
+        assert bayes_risk_two_point(1000, 100) == 1.0 - poisson_tv_exact(0.0, 0.2)
 
     def test_bayes_risk_frozen(self):
-        prior = two_point_prior(100, 1000)
-        value = bayes_risk_two_point(prior)
+        value = bayes_risk_two_point(100, 1000)
         assert value == pytest.approx(0.0887883656828233, rel=1e-10)
 
-    def test_bayes_risk_vanishes_with_perturbation(self):
-        from l1minimax import TwoPointPrior
-        tiny = TwoPointPrior(100, 1000, 1e-9)
-        assert bayes_risk_two_point(tiny) < 1e-9
+    @pytest.mark.parametrize("S,n,message", [(1, 1000, "S must be at least 2"),
+                                             (100, 0.5, "n must be at least 1"),
+                                             (100, math.nan, "n must be at least 1")])
+    def test_domain(self, S, n, message):
+        with pytest.raises(ValueError, match=message):
+            bayes_risk_two_point(S, n)
 
     @pytest.mark.parametrize("S,n", [(100, 1000), (1000, 100), (10, 10), (3, 2000)])
     def test_exact_tv_dominates_piecewise_form(self, S, n):
-        assert (bayes_risk_two_point(two_point_prior(S, n))
+        assert (bayes_risk_two_point(S, n)
                 >= bayes_risk_two_point_piecewise(S, n) - 1e-12)
 
     def test_piecewise_branches(self):
@@ -140,7 +145,7 @@ class TestAssembledLower:
         gaps = []
         for S, n in [(10**4, 10**2), (10**5, 10**3), (10**6, 10**4)]:
             assembled = assembled_minimax_lower_hd(S, n, zeta).value
-            bayes_only = bayes_risk_two_point(two_point_prior(S, (1 + zeta) * n))
+            bayes_only = bayes_risk_two_point(S, (1 + zeta) * n)
             gaps.append(bayes_only - assembled)
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-12
@@ -179,7 +184,7 @@ class TestEntropyBallBayesRisk:
         reps = 3000
         observed = np.empty(reps)
         for seed in range(reps):
-            counts = sample_multinomial(fam, n, seed).counts
+            counts = sample_multinomial(fam, n, seed)
             observed[seed] = np.count_nonzero(counts[:sp])
         expected = sp * (1 - bayes_risk_entropy_ball(self._prior(sp, delta), n).exact / delta)
         se = observed.std(ddof=1) / math.sqrt(reps)

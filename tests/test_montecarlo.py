@@ -1,3 +1,4 @@
+import errno
 import logging
 import math
 import os
@@ -159,20 +160,25 @@ class TestRngStream:
 
 class TestSampleMultinomial:
     def test_point_mass(self):
-        h = sample_multinomial(ProbabilityVector([0.0, 1.0, 0.0]), 50, seed=1)
-        assert h.counts.tolist() == [0, 50, 0]
+        counts = sample_multinomial(ProbabilityVector([0.0, 1.0, 0.0]), 50, seed=1)
+        assert counts.tolist() == [0, 50, 0]
+
+    def test_counts_are_a_read_only_int64_array(self):
+        counts = sample_multinomial(CompressedFamily(((0.25, 2), (0.5, 1))), 8, seed=2)
+        assert type(counts) is np.ndarray and counts.dtype == np.int64
+        assert counts.shape == (3,) and not counts.flags.writeable
 
     def test_single_draw(self):
-        h = sample_multinomial(ProbabilityVector([0.3, 0.7]), 1, seed=5)
-        assert sorted(h.counts.tolist()) == [0, 1]
+        counts = sample_multinomial(ProbabilityVector([0.3, 0.7]), 1, seed=5)
+        assert sorted(counts.tolist()) == [0, 1]
 
     @given(st.integers(0, 2**32), st.integers(1, 60))
     @settings(max_examples=50, deadline=None)
     def test_counts_sum_to_n(self, seed, n):
         pv = ProbabilityVector([0.1, 0.2, 0.3, 0.4])
-        h = sample_multinomial(pv, n, seed)
-        assert int(h.counts.sum()) == n
-        assert np.all(h.counts >= 0)
+        counts = sample_multinomial(pv, n, seed)
+        assert int(counts.sum()) == n
+        assert np.all(counts >= 0)
 
     def test_compressed_and_dense_agree_in_distribution(self):
         fam = CompressedFamily(((0.25, 2), (0.5, 1)))
@@ -180,7 +186,7 @@ class TestSampleMultinomial:
         totals = np.zeros(3)
         reps = 2000
         for seed in range(reps):
-            totals += sample_multinomial(fam, n, seed).counts
+            totals += sample_multinomial(fam, n, seed)
         freq = totals / (reps * n)
         assert np.allclose(freq, [0.25, 0.25, 0.5], atol=0.01)
 
@@ -242,8 +248,8 @@ class TestMcRisk:
         out = mc_risk(pv, empirical_estimator(), n, McConfig(reps, master))
         losses = []
         for r in range(reps):
-            h = sample_multinomial(pv, n, derive_replicate_seed(master, r))
-            est = empirical_estimator()(h.counts, n)
+            counts = sample_multinomial(pv, n, derive_replicate_seed(master, r))
+            est = empirical_estimator()(counts, n)
             losses.append(float(np.abs(est - pv.probs).sum()))
         mean = float(np.asarray(losses).sum() / reps)
         assert mean == out.mean
@@ -258,8 +264,8 @@ class TestMcRisk:
         expanded = expand(fam)
         losses = []
         for r in range(reps):
-            h = sample_multinomial(fam, n, derive_replicate_seed(master, r))
-            est = empirical_estimator()(h.counts, n)
+            counts = sample_multinomial(fam, n, derive_replicate_seed(master, r))
+            est = empirical_estimator()(counts, n)
             losses.append(float(np.abs(est - expanded.probs).sum()))
         mean = float(np.asarray(losses).sum() / reps)
         assert mean == out.mean
@@ -376,8 +382,8 @@ class TestBatchedCompressedLosses:
         assert np.array_equal(montecarlo._compressed_losses(keys, fam, estimator, n),
                               per_replicate_compressed_losses(keys, fam, estimator, n))
         if mult < 2**53:  # a 2^53-cell block has no dense histogram to sample into
-            blocks = np.array([sample_multinomial(fam, n, derive_replicate_seed(21, r))
-                               .counts[:mult] for r in range(keys.size)])
+            blocks = np.array([sample_multinomial(fam, n, derive_replicate_seed(21, r))[:mult]
+                               for r in range(keys.size)])
             assert np.array_equal(blocks, np.eye(mult, dtype=np.int64)[-1] * totals[:, None])
 
     def test_memory_stays_bounded(self):
@@ -422,7 +428,7 @@ class TestSplitReplicates:
         assert self.call() == baseline
         assert [sum(record.args) for record in caplog.records] == [800, 800]
 
-    @pytest.mark.parametrize("failure", ["children", "fork", "no affinity mask"])
+    @pytest.mark.parametrize("failure", ["children", "fork", "pipe", "no affinity mask"])
     def test_range_without_a_child_is_computed_here(self, monkeypatch, failure):
         baseline = self.call()
         forked = _split_in_three(monkeypatch)
@@ -430,10 +436,14 @@ class TestSplitReplicates:
             self.fail(monkeypatch, "children")
         elif failure == "fork":
             monkeypatch.setattr(os, "fork", mock.Mock(side_effect=OSError("no fork")))
+        elif failure == "pipe":
+            # the first range gets its child, the second no pipe
+            no_pipe = OSError(errno.EMFILE, "Too many open files")
+            monkeypatch.setattr(os, "pipe", mock.Mock(side_effect=[os.pipe(), no_pipe]))
         else:
             monkeypatch.delattr(os, "sched_getaffinity")
         assert self.call() == baseline
-        assert len(forked) == (2 if failure == "children" else 0)
+        assert len(forked) == {"children": 2, "pipe": 1}.get(failure, 0)
 
     def test_parent_range_raising_leaves_no_child(self, monkeypatch):
         forked = _split_in_three(monkeypatch)
@@ -469,9 +479,9 @@ class TestDenseVectorsAsAtoms:
         losses = []
         for r in range(reps):
             seed = derive_replicate_seed(master, r)
-            h = sample_multinomial(pv, n, seed)
-            assert h.counts.tolist() == sample_multinomial(atoms, n, seed).counts.tolist()
-            est = estimator(h.counts, n)
+            counts = sample_multinomial(pv, n, seed)
+            assert counts.tolist() == sample_multinomial(atoms, n, seed).tolist()
+            est = estimator(counts, n)
             loss = 0.0
             for i in range(S):
                 loss += abs(float(est[i]) - float(pv.probs[i]))
@@ -501,10 +511,10 @@ class TestGoldenBits:
 
     def test_dense_sample(self):
         pv = ProbabilityVector([0.1, 0.15, 0.2, 0.25, 0.3])
-        h = sample_multinomial(pv, 50, seed=11)
-        assert h.counts.tolist() == [6, 7, 4, 21, 12]
+        counts = sample_multinomial(pv, 50, seed=11)
+        assert counts.tolist() == [6, 7, 4, 21, 12]
 
     def test_compressed_sample(self):
         fam = CompressedFamily(((0.05, 10), (0.5, 1)))
-        h = sample_multinomial(fam, 40, seed=3)
-        assert h.counts.tolist() == [1, 1, 2, 1, 2, 1, 2, 1, 2, 1, 26]
+        counts = sample_multinomial(fam, 40, seed=3)
+        assert counts.tolist() == [1, 1, 2, 1, 2, 1, 2, 1, 2, 1, 26]
