@@ -47,12 +47,17 @@ logger = logging.getLogger(__name__)
 # Conditional-chain counts (replicates x atoms) per batch; keeps peak
 # memory flat for vectors with many atoms.
 _CHUNK_CELLS = 2_000_000
-# Padded draws per batch of replicates in a block atom; keeps the batch's
-# temporaries within a few hundred KB.
-_CHUNK_DRAWS = 1 << 13
-# Expected block draws per replicate range.  Linux, 2 CPUs, 10 alternating
-# process pairs: an idle child costs ~3.2 ms to fork and join, and a call
-# split in two stops losing at ~1e6 draws (30.1 against 30.2 ms serial).  Of
+# Padded draws per `_block_runs` batch of width-ordered rows; keeps the
+# batch's temporaries within a few hundred KB.  results/mc_risk_grid.csv's
+# 9 cells run serially, 2 MB of L2 a core, two sets of 15 in-process rounds,
+# median ms at 1 << 13, 14 and 15: 632, 544, 670 and 760, 591, 705; rows
+# in replicate order at 1 << 14 took 589 and 685.
+_CHUNK_DRAWS = 1 << 14
+# Expected block draws per replicate range.  Linux, 2 CPUs: an idle child
+# costs ~3.2 ms to fork and join, and a call split in two stops losing
+# between 6e5 and 1e6 draws (two sets of 10 alternating process pairs,
+# median ms split/serial: 16.8/16.0 and 14.0/15.1 at 6e5, 25.7/26.6 and
+# 23.0/32.0 at 1e6, 33.4/54.1 and 34.7/41.1 at 1.5e6).  Of
 # results/mc_risk_grid.csv's cells, those at n = 1e5 and n = 1e4, c >= 0.5 split.
 _MIN_SPLIT_DRAWS = 500_000
 
@@ -185,29 +190,44 @@ def sample_multinomial(p: Distribution, n: int, seed: int) -> np.ndarray:
 
 
 def _block_losses(
-    keys: np.ndarray, starts: np.ndarray, totals: np.ndarray, mult: int, loss: np.ndarray
+    keys: np.ndarray, starts: np.ndarray, totals: np.ndarray, mult: int, loss: np.ndarray,
+    tally=None,
 ) -> tuple:
     """Occupied cells and the summed `loss[count]` over them, per replicate,
     for the draws of one block atom.
 
-    Rows are allocated by `_block_runs` in batches of up to _CHUNK_DRAWS
-    padded draws (a row wider than that is a batch of its own).  A row's
-    sum runs over its occupied cells in ascending order, as a replicate
-    evaluated alone would sum them.
+    Rows with draws are visited in order of their draw count (a stable
+    argsort), and each `_block_runs` call takes consecutive rows while rows
+    x widest row stays within _CHUNK_DRAWS padded draws (a row wider than
+    that is a batch of its own), so a batch holds rows of near-equal width.
+    Rows without draws occupy no cell.  A row's sum runs over its occupied
+    cells in ascending order, as a replicate evaluated alone would sum them.
+    `tally`, a Counter if given, counts the block rows, batches, real draws
+    and padded draws.
     """
-    rows = keys.shape[0]
-    occupied = np.zeros(rows, dtype=np.int64)
-    sums = np.zeros(rows)
-    step = max(1, _CHUNK_DRAWS // max(1, int(totals.max())))
-    for lo in range(0, rows, step):
-        hi = min(lo + step, rows)
-        if not totals[lo:hi].any():
-            continue
-        _, _, counts, first, occ = _block_runs(keys[lo:hi], starts[lo:hi], totals[lo:hi], mult)
+    occupied = np.zeros(keys.shape[0], dtype=np.int64)
+    sums = np.zeros(keys.shape[0])
+    order = np.argsort(totals, kind="stable")
+    order = order[totals[order] > 0]
+    widths = totals[order].tolist()
+    lo = 0
+    while lo < len(widths):
+        hi = lo + 1
+        while hi < len(widths) and (hi + 1 - lo) * widths[hi] <= _CHUNK_DRAWS:
+            hi += 1
+        rows = order[lo:hi]
+        _, _, counts, first, occ = _block_runs(keys[rows], starts[rows], totals[rows], mult)
         run_loss = loss[counts]
-        occupied[lo:hi] = occ
-        for r, a, k in zip(range(lo, hi), first.tolist(), occ.tolist()):
+        occupied[rows] = occ
+        for r, a, k in zip(rows.tolist(), first.tolist(), occ.tolist()):
             sums[r] = run_loss[a:a + k].sum()
+        if tally is not None:
+            tally["block batches"] += 1
+            tally["block padded"] += (hi - lo) * widths[hi - 1]
+        lo = hi
+    if tally is not None:
+        tally["block rows"] += len(widths)
+        tally["block draws"] += sum(widths)
     return occupied, sums
 
 
@@ -222,7 +242,8 @@ def _compressed_losses(
     evaluated in batches of at most _CHUNK_CELLS chain counts, atom by atom;
     each one's draws, and the order and grouping of the sums that make its
     loss, are those of evaluating it on its own, so losses do not depend on
-    the batching.
+    the batching.  `tally` is passed on to `_stream_layout` and
+    `_block_losses`.
     """
     atoms = _atom_items(p)
     values = np.array([v for v, _ in atoms])
@@ -241,7 +262,8 @@ def _compressed_losses(
             total = totals[:, a]
             # |f(k) - value| for every count k a cell of this block can hold
             loss = np.abs(estimator(np.arange(int(total.max()) + 1), n) - value)
-            occupied, sums = _block_losses(batch, starts[:, a], total, mult, loss)
+            occupied, sums = _block_losses(batch, starts[:, a], total, mult, loss,
+                                           tally)
             out += (mult - occupied) * loss[0]
             out += sums
     return losses
@@ -326,6 +348,10 @@ def mc_risk(
     logger.debug("mc_risk: Binomial draws from tables %d, walked %d, sent to boost by "
                  "a table or the walk %d, in calls too small to walk %d", tally["table"],
                  tally["walked"], tally["fallback"], tally["small"])
+    if "block rows" in tally:  # counted, if only zeros, for every block atom
+        logger.debug("mc_risk: block allocation of %d rows in %d batches, %d draws padded "
+                     "to %d", tally["block rows"], tally["block batches"],
+                     tally["block draws"], tally["block padded"])
     reps = cfg.replicates
     mean = float(losses.sum() / reps)
     variance = float(np.square(losses - mean).sum() / (reps - 1))

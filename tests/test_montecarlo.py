@@ -39,6 +39,19 @@ def _split_in_three(monkeypatch):
     return forked
 
 
+def _spy_on_block_runs(monkeypatch):
+    """Records the keys and totals of every `_block_runs` call, in a list it
+    returns."""
+    calls, block_runs = [], montecarlo._block_runs
+
+    def spy(keys, starts, totals, mult):
+        calls.append((keys.copy(), totals.copy()))
+        return block_runs(keys, starts, totals, mult)
+
+    monkeypatch.setattr(montecarlo, "_block_runs", spy)
+    return calls
+
+
 class TestRngStream:
     def test_uniforms_deterministic_and_open(self):
         key = stream_key(42)
@@ -355,6 +368,35 @@ class TestBatchedCompressedLosses:
             assert mc_risk(fam, estimator, 300, McConfig(400, 9)) == baseline
         assert len(forked) == 8 * split
 
+    def test_width_ordered_batches(self, monkeypatch):
+        # Block totals that fall, interleave and hold zeros, and one row (60)
+        # wider than the budget: at 24 padded draws, batches of widths
+        # 1-3, 4-6, 7-8, 9-9, 9 and 60.
+        totals = np.array([9, 7, 0, 5, 9, 1, 0, 3, 8, 2, 60, 4, 0, 6, 9, 1, 5, 2, 3, 0])
+        fam = CompressedFamily(((0.3 / 7, 7), (0.7, 1)))
+        n, estimator = 80, empirical_estimator()
+        keys = derive_key(5, np.arange(totals.size, dtype=np.uint64))
+        monkeypatch.setattr(montecarlo, "_conditional_chain",
+                            lambda keys, masses, n, tally=None:
+                            np.stack([totals, n - totals], axis=1))
+        starts, loss = np.full(totals.size, 1), np.abs(np.arange(61) / n - 0.3 / 7)
+        monkeypatch.setattr(montecarlo, "_CHUNK_DRAWS", 1)  # each row alone
+        alone = montecarlo._block_losses(keys, starts, totals, 7, loss)
+        want = per_replicate_compressed_losses(keys, fam, estimator, n)
+        monkeypatch.setattr(montecarlo, "_CHUNK_DRAWS", 24)
+        batches, tally = _spy_on_block_runs(monkeypatch), Counter()
+        got = montecarlo._block_losses(keys, starts, totals, 7, loss, tally)
+        assert np.array_equal(got[0], alone[0]) and np.array_equal(got[1], alone[1])
+        assert [t.tolist() for _, t in batches] == [
+            [1, 1, 2, 2, 3, 3], [4, 5, 5, 6], [7, 8], [9, 9], [9], [60]]
+        for row_keys, widths in batches:
+            assert row_keys.size * widths.max() <= 24 or row_keys.size == 1
+        allocated = np.concatenate([row_keys for row_keys, _ in batches])
+        assert sorted(allocated.tolist()) == sorted(keys[totals > 0].tolist())
+        assert tally == {"block rows": 16, "block batches": 6, "block draws": 134,
+                         "block padded": 18 + 24 + 16 + 18 + 9 + 60}
+        assert np.array_equal(montecarlo._compressed_losses(keys, fam, estimator, n), want)
+
     @pytest.mark.parametrize("mult", [2, 30, 2**53])
     def test_top_draw_is_counted_not_padding(self, monkeypatch, mult):
         # Every block draw is 1.0, the stream's top value: it must land in
@@ -369,15 +411,18 @@ class TestBatchedCompressedLosses:
             return np.ones(np.shape(key) + (count,))
 
         monkeypatch.setattr(montecarlo, "uniforms", top)
+        batches = _spy_on_block_runs(monkeypatch)
         totals = montecarlo._conditional_chain(keys, [v * m for v, m in fam.atoms], n)[:, 0]
-        assert totals.min() < totals.max()  # rows of one batch are padded
         loss = np.arange(totals.max() + 1) / n
-        for chunk in (montecarlo._CHUNK_DRAWS, 1, 7):
+        default = montecarlo._CHUNK_DRAWS
+        for chunk in (default, 1, 7):
             monkeypatch.setattr(montecarlo, "_CHUNK_DRAWS", chunk)
             occupied, sums = montecarlo._block_losses(
                 keys, np.full(keys.size, 2), totals, mult, loss)
             assert np.array_equal(occupied, (totals > 0).astype(np.int64))
             assert np.array_equal(sums, np.where(totals > 0, loss[totals], 0.0))
+            if chunk == default:  # rows of one batch are padded
+                assert any(widths.min() < widths.max() for _, widths in batches)
         estimator = empirical_estimator()
         assert np.array_equal(montecarlo._compressed_losses(keys, fam, estimator, n),
                               per_replicate_compressed_losses(keys, fam, estimator, n))
@@ -426,7 +471,23 @@ class TestSplitReplicates:
         baseline = self.call()
         _split_in_three(monkeypatch)
         assert self.call() == baseline
-        assert [sum(record.args) for record in caplog.records] == [800, 800]
+        routes = [r for r in caplog.records if r.msg.startswith("mc_risk: Binomial")]
+        assert [sum(record.args) for record in routes] == [800, 800]
+
+    def test_block_tally_counts_the_same_draws(self, monkeypatch, caplog):
+        # a split call's children send back their block counts too
+        caplog.set_level(logging.DEBUG, logger="l1minimax.montecarlo")
+        fam = CompressedFamily(((0.004, 100), (0.1, 3), (0.3, 1)))
+        keys = derive_key(9, np.arange(400, dtype=np.uint64))
+        chain = montecarlo._conditional_chain(keys, [v * m for v, m in fam.atoms], 300)
+        baseline = self.call()
+        forked = _split_in_three(monkeypatch)
+        assert self.call() == baseline and len(forked) == 2
+        blocks = [r.args for r in caplog.records if r.msg.startswith("mc_risk: block")]
+        assert len(blocks) == 2
+        for rows, batches, draws, padded in blocks:
+            assert rows == np.count_nonzero(chain[:, :2]) and 0 < batches <= rows
+            assert draws == chain[:, :2].sum() and padded >= draws
 
     @pytest.mark.parametrize("failure", ["children", "fork", "pipe", "no affinity mask"])
     def test_range_without_a_child_is_computed_here(self, monkeypatch, failure):
