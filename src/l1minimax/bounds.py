@@ -104,12 +104,26 @@ def _ln_ln(n: int) -> float:
     return math.log(math.log(n))
 
 
+def _check_n_exceeds(n, log_bound: float, condition: str, inclusive: bool = False) -> None:
+    """Raises unless n > e^log_bound (n >= e^log_bound if `inclusive`), naming
+    `condition`.  Compared in logs, so a bound past the float range rejects n
+    instead of overflowing; only there does the message print it as e^x."""
+    log_n = math.log(n) if n > 0 else -math.inf
+    if log_n > log_bound or inclusive and log_n == log_bound:
+        return
+    try:
+        bound = f"{math.exp(log_bound):.6g}"
+    except OverflowError:
+        bound = f"e^{log_bound:.6g}"
+    raise ValueError(f"requires {condition} = {bound}, got n={n}")
+
+
 def mle_entropy_upper(H: float, n: int, eta: float) -> BoundValue:
     """2H / (ln n - 2 eta ln ln n) + (ln n)^(-eta) over the entropy ball.
 
     Vacuous (reported as +inf) when the denominator is nonpositive.
     """
-    if H < 0:
+    if not H >= 0:
         raise ValueError("H must be nonnegative")
     if not eta > 1.0:
         raise ValueError("eta must exceed 1")
@@ -129,11 +143,8 @@ def mle_entropy_lower(H: float, n: int, c: float) -> float:
         raise ValueError("c must lie in (0, 1)")
     if not H > 0:
         raise ValueError("H must be positive")
-    n_min = math.exp(-math.log1p(-c) / (1.0 - c))
-    if not n > n_min:
-        raise ValueError(f"requires n > (1-c)^(-1/(1-c)) = {n_min:.6g}, got n={n}")
-    if not n > math.exp(H):
-        raise ValueError(f"requires n > e^H = {math.exp(H):.6g}, got n={n}")
+    _check_n_exceeds(n, -math.log1p(-c) / (1.0 - c), "n > (1-c)^(-1/(1-c))")
+    _check_n_exceeds(n, H, "n > e^H")
     inner = math.exp(-math.log((1.0 - c) * n) / c)
     return 2.0 * c * H / math.log(n) * math.exp(n * math.log1p(-inner))
 
@@ -144,7 +155,7 @@ def threshold_upper(H: float, n: int, eta: float) -> BoundValue:
     Worst-case risk of the hard-thresholding rule over the entropy ball;
     vacuous (+inf) when the denominator is nonpositive.
     """
-    if H < 0:
+    if not H >= 0:
         raise ValueError("H must be nonnegative")
     if not eta > 1.0:
         raise ValueError("eta must exceed 1")
@@ -161,8 +172,7 @@ def _entropy_ball_lower_core(H: float, n: int, c: float) -> float:
         raise ValueError("c must lie in (0, 1)")
     if not H > 0:
         raise ValueError("H must be positive")
-    if not n >= math.exp(H):
-        raise ValueError(f"requires n >= e^H = {math.exp(H):.6g}, got n={n}")
+    _check_n_exceeds(n, H, "n >= e^H", inclusive=True)
     # n^(1 - 1/c) (1-c)^(-1/c), assembled in logs to dodge overflow
     inner = math.exp((1.0 - 1.0 / c) * math.log(n) - math.log1p(-c) / c)
     return c * H / math.log(n) * (1.0 - inner)

@@ -7,12 +7,13 @@ scripted trend sweeps with PASS/FAIL verdicts.
 
 Reruns with identical arguments produce byte-identical output files, so
 diagnostics, each report row's wall-clock time among them, go to stderr
-with -v: `_run_cell` times a cell, `cmd_reproduce` a row that a `reproduce`
-target (a generator) yields.  Cells run in order, in-process; `mc_risk`
-splits a large `mc` cell's replicates over CPUs itself.
+with -v.  Each command returns a generator that yields its report rows and
+returns its verdicts; `_sweep` is the one place that runs it and times a
+row.  Cells run in order, in-process; `mc_risk` splits a large `mc` cell's
+replicates over CPUs itself.
 
 Only `bounds` and `report` load with this module: each command imports the
-numeric modules it calls, before it times its first cell, so `bounds`, `-h`
+numeric modules it calls before its sweep starts, so `bounds`, `-h`
 and argparse's usage errors never import numpy.
 """
 
@@ -143,59 +144,33 @@ def _cell_bounds(**grid) -> dict:
 # subcommands
 
 def _load(*modules: str) -> None:
-    """Import the package's numeric `modules` that a command calls before it
-    times its first cell, so that no cell's time counts loading them."""
+    """Import the package's numeric `modules` that a command calls before its
+    sweep starts, so that no row's time counts loading them."""
     for module in modules:
         importlib.import_module(f"{__package__}.{module}")
 
 
-def _write_report(rows, args) -> None:
-    """Write `rows` as --format to --out; an unwritable --out is a usage error."""
-    try:
-        write_report(rows, args.format, args.out)
-    except OSError as exc:
-        raise UsageError(f"{args.out}: {exc.strerror}") from exc
-
-
-def _log_cell_time(args, index: int, total: int, params: dict, seconds: float) -> None:
-    """The DEBUG line of report row `index` of `total`: the wall-clock time of
-    the work behind it."""
-    logger.debug("%s cell %d of %d %s: %.3f ms", args.command, index, total, params,
-                 seconds * 1e3)
-
-
-def _run_cell(params: dict, fill, seed: int):
-    """(report row, seconds of its work) of a (params, fill) cell; a cell
-    whose fill raises keeps what it recorded so far plus the error text."""
-    row = ReportRow(params=params, seed=seed)
-    started = time.perf_counter()
-    try:
-        fill(row)
-    except Exception as exc:  # keep the sweep going, record the cell
-        row.error = str(exc)
-    return row, time.perf_counter() - started
-
-
-def _evaluate(cells, args) -> int:
-    """One report row per (params, fill) cell, each run and timed in cell order."""
-    rows = []
-    for index, (params, fill) in enumerate(cells, start=1):
-        row, seconds = _run_cell(params, fill, args.seed)
-        _log_cell_time(args, index, len(cells), params, seconds)
-        rows.append(row)
-    _write_report(rows, args)
-    return 0
+def _cells(cells, seed: int):
+    """Yields the report row of each (params, fill) cell in order; a cell whose
+    fill raises keeps what it recorded so far plus the error text."""
+    for params, fill in cells:
+        row = ReportRow(params=params, seed=seed)
+        try:
+            fill(row)
+        except Exception as exc:  # keep the sweep going, record the cell
+            row.error = str(exc)
+        yield row
 
 
 def _fill_bounds(row) -> None:
     row.bounds = _cell_bounds(**row.params)
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args):
     names = [name for name in _GRIDS if getattr(args, "grid_" + name)]
     if not names:
         raise UsageError("bounds needs at least one --grid-* parameter")
-    return _evaluate([(point, _fill_bounds) for point in _grid_points(args, names)], args)
+    return _cells([(point, _fill_bounds) for point in _grid_points(args, names)], args.seed)
 
 
 def _family_cells(args):
@@ -220,7 +195,7 @@ def _family_cells(args):
                    for point in _grid_points(args, grids)]
 
 
-def cmd_risk(args) -> int:
+def cmd_risk(args):
     """`exact-risk` and `mc`; mc adds a Monte-Carlo estimate seeded by the
     cell index and checks the exact risk against its interval."""
     from .estimators import DEFAULT_ETA
@@ -268,7 +243,7 @@ def cmd_risk(args) -> int:
             cells.append(({**params, "estimator": est_name, "eta": eta},
                           functools.partial(fill, build_family=build_family,
                                             index=len(cells))))
-    return _evaluate(cells, args)
+    return _cells(cells, args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -454,27 +429,38 @@ _REPRODUCE_TARGETS = {
 }
 
 
-def cmd_reproduce(args) -> int:
-    """Run a target's sweep.  A target is a generator that yields its report
-    rows as it computes them and returns its verdicts; each row is timed
-    here, over the work since the row before it."""
+def cmd_reproduce(args):
+    """A target's sweep, its modules loaded first so that no row's time counts them."""
     target, modules, *_ = _REPRODUCE_TARGETS[args.target]
     _load(*modules)
-    sweep = target(args)
+    return target(args)
+
+
+def _sweep(sweep, args) -> int:
+    """Runs a command's sweep: `sweep` yields its report rows as it computes
+    them and returns its verdicts (None from a command that has none).  Each
+    row is timed over the work since the row before it.  The time lines, the
+    report and the verdicts follow the sweep, so a usage error inside it
+    writes nothing; the report goes to --out, or to stdout when no verdicts
+    are printed there."""
     rows, seconds = [], []
     try:
         while True:
             started = time.perf_counter()
             rows.append(next(sweep))
             seconds.append(time.perf_counter() - started)
-    except StopIteration as done:
-        verdicts = done.value
+    except StopIteration as stop:
+        verdicts = stop.value
     for index, (row, spent) in enumerate(zip(rows, seconds), start=1):
-        _log_cell_time(args, index, len(rows), row.params, spent)
-    if args.out is not None:
-        _write_report(rows, args)
+        logger.debug("%s cell %d of %d %s: %.3f ms", args.command, index, len(rows),
+                     row.params, spent * 1e3)
+    if verdicts is None or args.out is not None:
+        try:
+            write_report(rows, args.format, args.out)
+        except OSError as exc:
+            raise UsageError(f"{args.out}: {exc.strerror}") from exc
     failed = False
-    for ok, description in verdicts:
+    for ok, description in verdicts or ():
         print(("PASS" if ok else "FAIL") + f" [{args.target}] {description}")
         failed |= not ok
     return 1 if failed else 0
@@ -565,7 +551,7 @@ def main(argv=None) -> int:
     try:
         if not 0 <= args.seed < 1 << 64:
             raise UsageError(f"--seed must be in [0, 2^64), got {args.seed}")
-        return handlers[args.command](args)
+        return _sweep(handlers[args.command](args), args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -90,7 +90,7 @@ class CompressedFamily:
             value = float(value)
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"atom {i}: value must be finite and nonnegative")
-            if mult != int(mult) or int(mult) < 1:
+            if not 1 <= mult < math.inf or mult != int(mult):
                 raise ValueError(f"atom {i}: multiplicity must be a positive integer")
             mult = int(mult)
             cleaned.append((value, mult))

@@ -37,7 +37,7 @@ class ThresholdConfig:
     eta: float = DEFAULT_ETA
 
     def __post_init__(self):
-        if self.n < 1 or self.n != int(self.n):
+        if not 1 <= self.n < math.inf or self.n != int(self.n):
             raise ValueError("n must be a positive integer")
         object.__setattr__(self, "n", int(self.n))
         if not self.eta > 1.0:

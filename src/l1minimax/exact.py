@@ -61,7 +61,7 @@ def binomial_expectation(
 
 def binomial_mad_exact(n: int, p: float) -> float:
     """E|X/n - p| for X ~ Binomial(n, p), exact to summation precision."""
-    if n < 1 or n != int(n):
+    if not 1 <= n < math.inf or n != int(n):
         raise ValueError("n must be a positive integer")
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
@@ -91,7 +91,7 @@ def estimator_risk_exact(
     Computed per unique atom value then scaled by multiplicity, so families
     with one repeated tiny value cost constant work per distinct value.
     """
-    if n < 1 or n != int(n):
+    if not 1 <= n < math.inf or n != int(n):
         raise ValueError("n must be a positive integer")
     atoms = _grouped_atoms(p)
     total = 0.0

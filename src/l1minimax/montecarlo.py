@@ -70,7 +70,7 @@ class McConfig:
     master_seed: int
 
     def __post_init__(self):
-        if self.replicates < 100 or self.replicates != int(self.replicates):
+        if not 100 <= self.replicates < math.inf or self.replicates != int(self.replicates):
             raise ValueError("replicates must be an integer of at least 100 for CI "
                              f"reporting, got {self.replicates}")
 
@@ -164,7 +164,7 @@ def _stream_layout(keys: np.ndarray, atoms, n: int, tally=None) -> tuple:
 def sample_multinomial(p: Distribution, n: int, seed: int) -> np.ndarray:
     """One Multinomial(n, p) draw, deterministic in the seed: the read-only
     int64 count of each symbol, in support order."""
-    if n < 1 or n != int(n):
+    if not 1 <= n < math.inf or n != int(n):
         raise ValueError("n must be a positive integer")
     atoms = _atom_items(p)
     support = sum(m for _, m in atoms)
@@ -340,7 +340,7 @@ def mc_risk(
     Losses are accumulated in replicate-index order, so the reported mean
     does not depend on batching or on splitting over processes.
     """
-    if n < 1 or n != int(n):
+    if not 1 <= n < math.inf or n != int(n):
         raise ValueError("n must be a positive integer")
     keys = derive_key(cfg.master_seed, np.arange(cfg.replicates, dtype=np.uint64))
     tally = Counter()

@@ -81,6 +81,9 @@ class TestParamTypes:
             minimax_entropy_lower(1.0, 100, 1.0)
         with pytest.raises(ValueError, match="eta"):
             mle_entropy_upper(1.0, 100, 1.0)
+        for bound in (mle_entropy_upper, threshold_upper):  # H < 0 is False at NaN
+            with pytest.raises(ValueError, match="H must be nonnegative"):
+                bound(math.nan, 10**6, 1.1)
 
 
 class TestMinimaxLowerHd:
@@ -136,6 +139,18 @@ class TestEntropyBallBounds:
             mle_entropy_lower(10.0, 10**3, 0.5)
         with pytest.raises(ValueError, match=r"\(1-c\)"):
             mle_entropy_lower(1.0, 10**3, 0.9)  # (1-c)^(-1/(1-c)) = 1e10
+
+    @pytest.mark.parametrize("bound, H, c, message", [
+        # (1-c)^(-1/(1-c)) = e^6907.76 at c = 0.999, and e^800: both past floats
+        (mle_entropy_lower, 1.0, 0.999, r"requires n > \(1-c\)\^\(-1/\(1-c\)\) = e\^6907\.76, "),
+        (mle_entropy_lower, 800.0, 0.5, r"requires n > e\^H = e\^800, "),
+        (minimax_entropy_lower, 800.0, 0.5, r"requires n >= e\^H = e\^800, "),
+        (simplex_lower, 800.0, 0.5, r"requires n >= e\^H = e\^800, "),
+    ], ids=["mle_entropy_lower-n_min", "mle_entropy_lower-e^H", "minimax_entropy_lower",
+            "simplex_lower"])
+    def test_domain_past_float_range_is_a_value_error(self, bound, H, c, message):
+        with pytest.raises(ValueError, match=message + "got n=1000$"):
+            bound(H, 10**3, c)
 
     def test_threshold_upper_frozen(self):
         out = threshold_upper(1.0, 10**6, 1.1)

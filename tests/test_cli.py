@@ -2,6 +2,7 @@ import csv
 import errno
 import gc
 import json
+import logging
 import math
 import os
 import pathlib
@@ -57,6 +58,31 @@ class TestBoundsCommand:
         assert rows[0]["threshold_upper"] == "inf"
         assert rows[0]["threshold_upper_vacuous"] == "true"
 
+    @pytest.mark.parametrize("H, c", [("1", "0.999"), ("800", "0.5")],
+                             ids=["n_min-past-floats", "e^H-past-floats"])
+    def test_bound_domain_past_float_range_keeps_the_row(self, tmp_path, H, c):
+        # (1-c)^(-1/(1-c)) = e^6907.76 at c = 0.999; e^800 overflows too.  The
+        # floors that need n above them are left out, the rest of the row stays
+        code, out = run(tmp_path, "bounds", "--grid-H", H, "--grid-n", "1000",
+                        "--grid-c", c, "--grid-eta", "1.1")
+        assert code == 0
+        _, rows = parse_csv(out)
+        row = rows[0]
+        assert row["error"] == ""
+        assert row["mle_entropy_lower"] == ""
+        assert row["mle_entropy_upper"] != "" and row["mle_entropy_upper_vacuous"] == "false"
+        assert row["threshold_upper"] == "inf" and row["threshold_upper_vacuous"] == "true"
+
+    def test_nan_entropy_budget_has_no_entropy_bounds(self, tmp_path):
+        code, out = run(tmp_path, "bounds", "--grid-H", "nan", "--grid-n", "1000",
+                        "--grid-c", "0.5", "--grid-eta", "1.1")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows[0]["error"] == ""
+        assert all(rows[0][name] == "" for name in (
+            "mle_entropy_upper", "mle_entropy_upper_vacuous", "threshold_upper",
+            "threshold_upper_vacuous", "mle_entropy_lower", "minimax_entropy_lower"))
+
     def test_no_grids_is_an_error(self, tmp_path, capsys):
         code = main(["bounds", "--out", str(tmp_path / "x.csv")])
         assert code == 2
@@ -96,6 +122,15 @@ class TestExactRiskCommand:
         floor = float(rows[0]["mle_entropy_lower"])
         assert floor == pytest.approx(0.144186923414, rel=1e-11)
         assert risk >= floor
+
+    def test_entropy_ball_near_c_one_keeps_its_risk(self, tmp_path):
+        code, out = run(tmp_path, "exact-risk", "--family", "entropy-ball",
+                        "--grid-H", "1", "--grid-c", "0.999", "--grid-n", "1000")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows[0]["error"] == ""
+        assert float(rows[0]["exact_risk"]) > 0
+        assert rows[0]["minimax_entropy_lower_vacuous"] == "true"
 
     def test_threshold_estimator_rows(self, tmp_path):
         code, out = run(tmp_path, "exact-risk", "--family", "entropy-ball",
@@ -525,6 +560,34 @@ class TestVerbose:
         assert verbose.out == plain.out
         assert "DEBUG" not in plain.err and "DEBUG" in verbose.err
 
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--grid-S", "2", "3", "--grid-n", "10", "100"],
+        ["exact-risk", "--grid-S", "2", "3", "--grid-n", "10", "100"],
+        ["mc", "--grid-S", "2", "3", "--grid-n", "10", "100", "--replicates", "200"],
+        ["reproduce", "cor2", "--grid-n", "100", "1000"],
+    ], ids=["bounds", "exact-risk", "mc", "cor2"])
+    def test_time_lines_follow_the_sweep(self, tmp_path, monkeypatch, capsys, argv):
+        # each row logs a record during its work; the time lines come after
+        # every such record, one per report row, numbered in row order
+        from l1minimax import cli
+        real = cli._cell_bounds
+
+        def cell_bounds(**grid):
+            logging.getLogger("l1minimax.probe").debug("row work at %s", grid)
+            return real(**grid)
+
+        monkeypatch.setattr(cli, "_cell_bounds", cell_bounds)
+        out = tmp_path / "out.csv"
+        assert main(argv + ["-v", "--out", str(out)]) == 0
+        _, rows = parse_csv(out)
+        lines = capsys.readouterr().err.splitlines()
+        work, timed = lines[:-len(rows)], lines[-len(rows):]
+        assert len(work) >= len(rows)
+        assert not any(line.startswith("DEBUG l1minimax.cli:") for line in work)
+        for index, line in enumerate(timed, start=1):
+            assert re.fullmatch(rf"DEBUG l1minimax\.cli: {argv[0]} cell {index} of "
+                                rf"{len(rows)} \{{.*\}}: \d+\.\d{{3}} ms", line), line
 
     @pytest.mark.parametrize("target, grids, ms", [
         ("cor2", ["--grid-n", "100", "1000"], [1000] * 2),

@@ -72,8 +72,9 @@ class TestConstruction:
             CompressedFamily(((0.3, 2),))
 
     def test_family_rejects_bad_multiplicity(self):
-        with pytest.raises(ValueError):
-            CompressedFamily(((0.5, 0), (0.5, 1)))
+        for mult in (0, 1.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="multiplicity must be a positive integer"):
+                CompressedFamily(((0.5, mult), (0.5, 1)))
 
     def test_family_huge_multiplicity_ok(self):
         mult = 10**15

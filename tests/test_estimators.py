@@ -48,7 +48,7 @@ class TestThresholdLevel:
         with pytest.raises(ValueError, match="eta"):
             ThresholdConfig(100, 1.0)
 
-    @pytest.mark.parametrize("n", [1000.5, 0])
+    @pytest.mark.parametrize("n", [1000.5, 0, math.inf, math.nan])
     def test_n_must_be_a_positive_integer(self, n):
         # 1000.5 would surface only at the first call, as a sample-size mismatch
         with pytest.raises(ValueError, match="positive integer"):

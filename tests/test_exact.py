@@ -30,7 +30,8 @@ class TestBinomialMad:
         assert binomial_mad_exact(5, 0.0) == 0.0
 
     def test_domain(self):
-        for n, p, message in [(0, 0.5, "n must"), (2.5, 0.5, "n must"), (5, 1.5, "p must")]:
+        for n, p, message in [(0, 0.5, "n must"), (2.5, 0.5, "n must"), (math.inf, 0.5, "n must"),
+                              (math.nan, 0.5, "n must"), (5, 1.5, "p must")]:
             with pytest.raises(ValueError, match=message):
                 binomial_mad_exact(n, p)
 

@@ -293,9 +293,19 @@ class TestMcRisk:
         lambda: McConfig(150.5, 1),
         lambda: estimator_risk_exact(ProbabilityVector.uniform(3), empirical_estimator(), 10.5),
         lambda: sample_multinomial(ProbabilityVector.uniform(3), 10.5, 1),
-    ], ids=["mc_risk", "McConfig", "estimator_risk_exact", "sample_multinomial"])
+        *(call for size in (math.inf, math.nan) for call in (
+            lambda size=size: mc_risk(ProbabilityVector.uniform(3), empirical_estimator(),
+                                      size, McConfig(100, 1)),
+            lambda size=size: McConfig(size, 1),
+            lambda size=size: estimator_risk_exact(ProbabilityVector.uniform(3),
+                                                   empirical_estimator(), size),
+            lambda size=size: sample_multinomial(ProbabilityVector.uniform(3), size, 1))),
+    ], ids=["mc_risk", "McConfig", "estimator_risk_exact", "sample_multinomial",
+            *(f"{name}-{size}" for size in ("inf", "nan") for name in (
+                "mc_risk", "McConfig", "estimator_risk_exact", "sample_multinomial"))])
     def test_non_integer_sizes_are_rejected(self, call):
-        # 10.5 would draw 10 and divide by 10.5; 150.5 would average 151 losses
+        # 10.5 would draw 10 and divide by 10.5; 150.5 would average 151 losses;
+        # int() of inf or NaN would raise OverflowError or a conversion message
         with pytest.raises(ValueError, match="integer"):
             call()
 
