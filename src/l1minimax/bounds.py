@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 __all__ = [
     "BoundValue",
@@ -38,16 +38,13 @@ class BoundValue:
     value: float
     vacuous: bool = False
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def _check_high_dim(S: int, n: int, zeta: float) -> None:
     """Raises unless (S, n, zeta) is in the high-dimensional bounds' domain;
     called before any arithmetic, since ln S is 0 at S = 1."""
-    if S < 2:
+    if not S >= 2:
         raise ValueError("S must be at least 2")
-    if n < 1:
+    if not n >= 1:
         raise ValueError("n must be positive")
     if not (0.0 < zeta <= 1.0):
         raise ValueError("zeta must lie in (0, 1]")
@@ -55,14 +52,14 @@ def _check_high_dim(S: int, n: int, zeta: float) -> None:
 
 def mle_upper_simple(S: int, n: int) -> float:
     """sqrt((S - 1) / n), the baseline worst-case risk of the empirical rule."""
-    if S < 1 or n < 1:
+    if not (S >= 1 and n >= 1):
         raise ValueError("S and n must be positive")
     return math.sqrt((S - 1) / n)
 
 
 def mle_upper_tight(S: int, n: int) -> float:
     """sqrt(2(S-1)/(pi n)) + 2 sqrt(S) (S-1)^(1/4) / n^(3/4)."""
-    if S < 1 or n < 1:
+    if not (S >= 1 and n >= 1):
         raise ValueError("S and n must be positive")
     return (math.sqrt(2.0 * (S - 1) / (math.pi * n))
             + 2.0 * math.sqrt(S) * (S - 1) ** 0.25 / n ** 0.75)
@@ -70,14 +67,14 @@ def mle_upper_tight(S: int, n: int) -> float:
 
 def classical_constant(S: int) -> float:
     """sqrt(2(S-1)/pi): the fixed-support limit of sqrt(n) times the risk."""
-    if S < 2:
+    if not S >= 2:
         raise ValueError("S must be at least 2")
     return math.sqrt(2.0 * (S - 1) / math.pi)
 
 
 def bayes_risk_two_point_piecewise(S: int, n: float) -> float:
     """Closed-form floor for the two-point Bayes risk at the tuned eta."""
-    if S < 2 or n < 1:
+    if not (S >= 2 and n >= 1):
         raise ValueError("need S >= 2 and n >= 1")
     if n / S <= math.e / 16.0:
         return math.exp(-2.0 * n / S)
@@ -99,8 +96,8 @@ def minimax_lower_hd(S: int, n: int, zeta: float) -> BoundValue:
 
 
 def _ln_ln(n: int) -> float:
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    if not 2 <= n < math.inf:
+        raise ValueError(f"n must be finite and at least 2, got n={n}")
     return math.log(math.log(n))
 
 
@@ -108,6 +105,8 @@ def _check_n_exceeds(n, log_bound: float, condition: str, inclusive: bool = Fals
     """Raises unless n > e^log_bound (n >= e^log_bound if `inclusive`), naming
     `condition`.  Compared in logs, so a bound past the float range rejects n
     instead of overflowing; only there does the message print it as e^x."""
+    if not n < math.inf:
+        raise ValueError(f"n must be finite, got n={n}")
     log_n = math.log(n) if n > 0 else -math.inf
     if log_n > log_bound or inclusive and log_n == log_bound:
         return
@@ -230,31 +229,24 @@ def hoeffding_bound(n: int, range_width: float, t: float) -> float:
 
 
 class ReportedBound(NamedTuple):
-    """A bound the reports carry: its grid parameters in call order, whether
-    it returns a `BoundValue` (and so has a vacuous column), and its value."""
+    """A bound the reports carry: its grid parameters in call order, and whether
+    it returns a `BoundValue` (and so has a vacuous column)."""
 
     params: tuple
     flagged: bool
-    evaluate: Callable
 
 
-# Every bound a report row carries, by column.  Entries call their function by
-# its module-level name, so a patched attribute (a profiler's wrapper) runs.
+# Every bound a report row carries, keyed by its function's name.  The report
+# looks the name up in this module when it calls the bound, not when this
+# table is built, so a patched attribute (a profiler's wrapper) runs.
 REPORTED_BOUNDS = {
-    "classical_constant": ReportedBound(("S",), False, lambda S: classical_constant(S)),
-    "minimax_entropy_lower": ReportedBound(
-        ("H", "n", "c"), True, lambda H, n, c: minimax_entropy_lower(H, n, c)),
-    "minimax_lower_hd": ReportedBound(
-        ("S", "n", "zeta"), True,
-        lambda S, n, zeta: minimax_lower_hd(S, n, zeta)),
-    "mle_entropy_lower": ReportedBound(
-        ("H", "n", "c"), False, lambda H, n, c: mle_entropy_lower(H, n, c)),
-    "mle_entropy_upper": ReportedBound(
-        ("H", "n", "eta"), True, lambda H, n, eta: mle_entropy_upper(H, n, eta)),
-    "mle_upper_simple": ReportedBound(("S", "n"), False, lambda S, n: mle_upper_simple(S, n)),
-    "mle_upper_tight": ReportedBound(("S", "n"), False, lambda S, n: mle_upper_tight(S, n)),
-    "simplex_lower": ReportedBound(
-        ("H", "n", "c"), True, lambda H, n, c: simplex_lower(H, n, c)),
-    "threshold_upper": ReportedBound(
-        ("H", "n", "eta"), True, lambda H, n, eta: threshold_upper(H, n, eta)),
+    "classical_constant": ReportedBound(("S",), False),
+    "minimax_entropy_lower": ReportedBound(("H", "n", "c"), True),
+    "minimax_lower_hd": ReportedBound(("S", "n", "zeta"), True),
+    "mle_entropy_lower": ReportedBound(("H", "n", "c"), False),
+    "mle_entropy_upper": ReportedBound(("H", "n", "eta"), True),
+    "mle_upper_simple": ReportedBound(("S", "n"), False),
+    "mle_upper_tight": ReportedBound(("S", "n"), False),
+    "simplex_lower": ReportedBound(("H", "n", "c"), True),
+    "threshold_upper": ReportedBound(("H", "n", "eta"), True),
 }

@@ -134,8 +134,8 @@ def _cell_bounds(**grid) -> dict:
         if any(arg is None for arg in args):
             continue
         try:
-            values[name] = bound.evaluate(*args)
-        except ValueError:
+            values[name] = getattr(bnd, name)(*args)
+        except (ValueError, OverflowError):
             continue
     return values
 

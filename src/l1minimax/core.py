@@ -54,18 +54,11 @@ class ProbabilityVector:
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
-    @property
-    def support_size(self) -> int:
-        return int(self.probs.size)
-
     @staticmethod
     def uniform(support_size: int) -> "ProbabilityVector":
         if support_size < 1:
             raise ValueError("support_size must be positive")
         return ProbabilityVector(np.full(support_size, 1.0 / support_size))
-
-    def __len__(self) -> int:
-        return self.support_size
 
 
 @dataclass(frozen=True)
@@ -103,10 +96,6 @@ class CompressedFamily:
         if abs(mass - 1.0) > SUM_TOL:
             cleaned = [(v / mass, m) for v, m in cleaned]
         object.__setattr__(self, "atoms", tuple(cleaned))
-
-    @property
-    def support_size(self) -> int:
-        return sum(m for _, m in self.atoms)
 
 
 Distribution = Union[ProbabilityVector, CompressedFamily]

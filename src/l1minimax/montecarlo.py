@@ -84,7 +84,6 @@ class McRiskEstimate:
     ci_lo: float
     ci_hi: float
     replicates: int
-    master_seed: int
 
 
 def derive_replicate_seed(master_seed: int, replicate: int) -> int:
@@ -357,4 +356,4 @@ def mc_risk(
     variance = float(np.square(losses - mean).sum() / (reps - 1))
     std_error = math.sqrt(variance / reps)
     half = 3.0 * std_error  # interval half-width: three standard errors
-    return McRiskEstimate(mean, std_error, mean - half, mean + half, reps, cfg.master_seed)
+    return McRiskEstimate(mean, std_error, mean - half, mean + half, reps)

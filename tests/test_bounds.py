@@ -1,9 +1,11 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from l1minimax import (ProbabilityVector, adell_jodra_tv_bound,
+from l1minimax import bounds
+from l1minimax import (BoundValue, ProbabilityVector, adell_jodra_tv_bound,
                        chernoff_tails, classical_constant, empirical_estimator,
                        estimator_risk_exact, hoeffding_bound,
                        minimax_entropy_lower, minimax_lower_hd, mle_entropy_lower,
@@ -84,6 +86,40 @@ class TestParamTypes:
         for bound in (mle_entropy_upper, threshold_upper):  # H < 0 is False at NaN
             with pytest.raises(ValueError, match="H must be nonnegative"):
                 bound(math.nan, 10**6, 1.1)
+
+
+    @pytest.mark.parametrize("bound, args", [
+        (mle_upper_simple, (10, math.nan)),
+        (mle_upper_tight, (10, math.nan)),
+        (minimax_lower_hd, (10, math.nan, 0.5)),
+        (mle_entropy_upper, (1.0, math.inf, 1.1)),
+        (mle_entropy_upper, (1.0, math.nan, 1.1)),
+        (threshold_upper, (1.0, math.inf, 1.1)),
+        (threshold_upper, (1.0, math.nan, 1.1)),
+        (mle_entropy_lower, (1.0, math.inf, 0.5)),
+        (minimax_entropy_lower, (1.0, math.inf, 0.5)),
+        (simplex_lower, (1.0, math.inf, 0.5)),
+    ], ids=lambda v: getattr(v, "__name__", None) or "-".join(map(str, v)))
+    def test_non_finite_n_is_a_value_error(self, bound, args):
+        # ln ln inf and ln inf - ln ln inf are inf or nan; none is a bound
+        with pytest.raises(ValueError, match="n must"):
+            bound(*args)
+
+
+class TestReportedBounds:
+    POINT = {"S": 10, "n": 1000, "H": 1.0, "c": 0.5, "eta": 1.1, "zeta": 0.5}
+
+    @pytest.mark.parametrize("name", sorted(bounds.REPORTED_BOUNDS))
+    def test_entry_matches_its_function(self, name):
+        # the report calls each bound by its key with its params in order
+        entry = bounds.REPORTED_BOUNDS[name]
+        assert name in bounds.__all__
+        fn = getattr(bounds, name)
+        positional = [p.name for p in inspect.signature(fn).parameters.values()
+                      if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+        assert tuple(positional) == entry.params
+        value = fn(*(self.POINT[param] for param in entry.params))
+        assert isinstance(value, BoundValue) == entry.flagged
 
 
 class TestMinimaxLowerHd:

@@ -73,6 +73,22 @@ class TestBoundsCommand:
         assert row["mle_entropy_upper"] != "" and row["mle_entropy_upper_vacuous"] == "false"
         assert row["threshold_upper"] == "inf" and row["threshold_upper_vacuous"] == "true"
 
+    def test_bound_past_float_range_drops_only_itself(self, tmp_path):
+        # S = 10^400 overflows the S/n bounds; the entropy-ball bounds stay
+        code, out = run(tmp_path, "bounds", "--grid-S", str(10**400), "--grid-n", "10",
+                        "--grid-H", "1", "--grid-c", "0.5", "--grid-eta", "1.1")
+        assert code == 0
+        _, rows = parse_csv(out)
+        row = rows[0]
+        assert row["error"] == ""
+        assert all(row[name] == "" for name in (
+            "mle_upper_simple", "mle_upper_tight", "classical_constant"))
+        assert all(row[name] != "" for name in (
+            "minimax_entropy_lower", "mle_entropy_lower", "mle_entropy_upper",
+            "simplex_lower", "threshold_upper"))
+        assert all(row[name + "_vacuous"] in ("true", "false") for name in (
+            "minimax_entropy_lower", "mle_entropy_upper", "simplex_lower", "threshold_upper"))
+
     def test_nan_entropy_budget_has_no_entropy_bounds(self, tmp_path):
         code, out = run(tmp_path, "bounds", "--grid-H", "nan", "--grid-n", "1000",
                         "--grid-c", "0.5", "--grid-eta", "1.1")
