@@ -191,7 +191,7 @@ def simplex_lower(H: float, n: int, c: float) -> BoundValue:
 
 def adell_jodra_tv_bound(t: float, x: float) -> float:
     """min{1 - e^(-x), sqrt(2/e) (sqrt(t+x) - sqrt(t))} for Poisson rates t, t+x."""
-    if t < 0 or x < 0:
+    if not (t >= 0 and x >= 0):
         raise ValueError("t and x must be nonnegative")
     first = -math.expm1(-x)
     if x == 0.0:
@@ -212,7 +212,7 @@ def chernoff_tails(lam: float, delta: float) -> ChernoffTails:
     upper_tail bounds P(X >= (1+delta) lam); lower_tail bounds
     P(X <= (1-delta) lam) by exp(-delta^2 lam / 2).
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lam must be nonnegative")
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
@@ -223,7 +223,7 @@ def chernoff_tails(lam: float, delta: float) -> ChernoffTails:
 
 def hoeffding_bound(n: int, range_width: float, t: float) -> float:
     """2 exp(-2 t^2 / (n w^2)) for a sum of n iid terms of range w, capped at 1."""
-    if n < 1 or range_width <= 0 or t <= 0:
+    if not (n >= 1 and range_width > 0 and t > 0):
         raise ValueError("n, range_width and t must be positive")
     return min(1.0, 2.0 * math.exp(-2.0 * t * t / (n * range_width * range_width)))
 

@@ -285,7 +285,7 @@ def _verdicts_cor2(args):
 
 def _verdicts_cor34(args):
     from .families import bayes_risk_two_point
-    cs = _grid(args, "c", lambda c: c > 0, "c > 0")
+    cs = _grid(args, "c", lambda c: 0 < c < math.inf, "0 < c < inf")
     ns = sorted(_grid(args, "n", lambda n: n >= 1, "n >= 1"))
     floor_constant = math.sqrt(math.e) / 8.0
     upper_ok, lower_ok = True, True
@@ -358,7 +358,7 @@ def _verdicts_cor6(args):
 
 
 def _verdicts_cor7(args):
-    eta, *more = _grid(args, "eta", lambda eta: eta > 1, "eta > 1")
+    eta, *more = _grid(args, "eta", lambda eta: 1 < eta < math.inf, "1 < eta < inf")
     if more:
         raise UsageError(f"{args.target}: --grid-eta takes one value")
     verdicts = []

@@ -38,6 +38,15 @@ def _as_float_array(values: Iterable[float], what: str) -> np.ndarray:
     return arr
 
 
+def _whole(value, message: str, least: int = 1) -> int:
+    """int(value) for a whole number of at least `least`, integral floats and
+    numpy integers included; anything else, inf and NaN too, raises
+    ValueError(message).  Every size the package takes passes through here."""
+    if not least <= value < math.inf or value != int(value):
+        raise ValueError(message)
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ProbabilityVector:
     """Finite nonnegative vector summing to 1; zeros are allowed entries."""
@@ -56,8 +65,7 @@ class ProbabilityVector:
 
     @staticmethod
     def uniform(support_size: int) -> "ProbabilityVector":
-        if support_size < 1:
-            raise ValueError("support_size must be positive")
+        support_size = _whole(support_size, "support_size must be a positive integer")
         return ProbabilityVector(np.full(support_size, 1.0 / support_size))
 
 
@@ -83,9 +91,7 @@ class CompressedFamily:
             value = float(value)
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"atom {i}: value must be finite and nonnegative")
-            if not 1 <= mult < math.inf or mult != int(mult):
-                raise ValueError(f"atom {i}: multiplicity must be a positive integer")
-            mult = int(mult)
+            mult = _whole(mult, f"atom {i}: multiplicity must be a positive integer")
             cleaned.append((value, mult))
             total.append(value * mult)
         if not cleaned:

@@ -13,6 +13,8 @@ from typing import Callable
 
 import numpy as np
 
+from .core import _whole
+
 __all__ = [
     "ThresholdConfig",
     "CoordinatewiseEstimator",
@@ -37,9 +39,7 @@ class ThresholdConfig:
     eta: float = DEFAULT_ETA
 
     def __post_init__(self):
-        if not 1 <= self.n < math.inf or self.n != int(self.n):
-            raise ValueError("n must be a positive integer")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _whole(self.n, "n must be a positive integer"))
         if not self.eta > 1.0:
             raise ValueError("eta must be strictly greater than 1")
 

@@ -21,7 +21,7 @@ import numpy as np
 
 # _window_pmf is bound here because perfbench/spans.py hooks exact._window_pmf
 from .binomial import _binomial_window, _geometric_tail, _outward, _window_pmf
-from .core import Distribution, _atom_items
+from .core import Distribution, _atom_items, _whole
 from .estimators import CoordinatewiseEstimator
 
 __all__ = [
@@ -61,8 +61,7 @@ def binomial_expectation(
 
 def binomial_mad_exact(n: int, p: float) -> float:
     """E|X/n - p| for X ~ Binomial(n, p), exact to summation precision."""
-    if not 1 <= n < math.inf or n != int(n):
-        raise ValueError("n must be a positive integer")
+    n = _whole(n, "n must be a positive integer")
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
     bound = max(p, 1.0 - p)
@@ -91,8 +90,7 @@ def estimator_risk_exact(
     Computed per unique atom value then scaled by multiplicity, so families
     with one repeated tiny value cost constant work per distinct value.
     """
-    if not 1 <= n < math.inf or n != int(n):
-        raise ValueError("n must be a positive integer")
+    n = _whole(n, "n must be a positive integer")
     atoms = _grouped_atoms(p)
     total = 0.0
     for value, mult in atoms:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bounds import (BoundValue, _check_high_dim, bayes_risk_two_point_piecewise,
                      hoeffding_bound)
-from .core import CompressedFamily
+from .core import CompressedFamily, _whole
 from .exact import poisson_tv_exact
 from .rng import MAX_INDEX_RANGE, stream_key, to_index, uniforms
 
@@ -131,10 +131,10 @@ class CompositePrior:
     k: int
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("k must be at least 2")
-        if self.S_prime < 1:
-            raise ValueError("S_prime must be positive")
+        object.__setattr__(self, "k", _whole(self.k, "k must be an integer of at least 2",
+                                             least=2))
+        object.__setattr__(self, "S_prime", _whole(self.S_prime,
+                                                   "S_prime must be a positive integer"))
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
 
@@ -156,7 +156,7 @@ class EntropyBallBayesRisk(NamedTuple):
 
 def bayes_risk_entropy_ball(cp: CompositePrior, n: int) -> EntropyBallBayesRisk:
     """Exact Bayes risk of the composite prior under Multinomial sampling."""
-    if n < 0:
+    if not n >= 0:
         raise ValueError("n must be nonnegative")
     exact = (1.0 - _occupied_fraction(cp.delta / cp.S_prime, n)) * cp.delta
     linearized = (1.0 - n * cp.delta / cp.S_prime) * cp.delta

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .binomial import _binomial_inverse
-from .core import MAX_DENSE_SUPPORT, Distribution, _atom_items
+from .core import MAX_DENSE_SUPPORT, Distribution, _atom_items, _whole
 from .estimators import CoordinatewiseEstimator
 from .rng import MAX_INDEX_RANGE, derive_key, derive_seed, stream_key, to_index, uniforms
 
@@ -70,9 +70,9 @@ class McConfig:
     master_seed: int
 
     def __post_init__(self):
-        if not 100 <= self.replicates < math.inf or self.replicates != int(self.replicates):
-            raise ValueError("replicates must be an integer of at least 100 for CI "
-                             f"reporting, got {self.replicates}")
+        object.__setattr__(self, "replicates", _whole(
+            self.replicates, "replicates must be an integer of at least 100 for CI "
+            f"reporting, got {self.replicates}", least=100))
 
 
 @dataclass(frozen=True)
@@ -163,8 +163,7 @@ def _stream_layout(keys: np.ndarray, atoms, n: int, tally=None) -> tuple:
 def sample_multinomial(p: Distribution, n: int, seed: int) -> np.ndarray:
     """One Multinomial(n, p) draw, deterministic in the seed: the read-only
     int64 count of each symbol, in support order."""
-    if not 1 <= n < math.inf or n != int(n):
-        raise ValueError("n must be a positive integer")
+    n = _whole(n, "n must be a positive integer")
     atoms = _atom_items(p)
     support = sum(m for _, m in atoms)
     # A vector with that many atoms already holds one float per symbol.
@@ -339,8 +338,7 @@ def mc_risk(
     Losses are accumulated in replicate-index order, so the reported mean
     does not depend on batching or on splitting over processes.
     """
-    if not 1 <= n < math.inf or n != int(n):
-        raise ValueError("n must be a positive integer")
+    n = _whole(n, "n must be a positive integer")
     keys = derive_key(cfg.master_seed, np.arange(cfg.replicates, dtype=np.uint64))
     tally = Counter()
     losses = _split_losses(keys, p, estimator, n, tally)

@@ -88,13 +88,9 @@ def render_json(rows) -> str:
 
 
 def write_report(rows, fmt: str, out_path: Optional[str]) -> None:
-    """Render rows and write them to a file (or stdout when no path given)."""
-    if fmt == "csv":
-        text = render_csv(rows)
-    elif fmt == "json":
-        text = render_json(rows)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    """Render rows as `fmt`, "csv" or "json", and write them to a file (or
+    stdout when no path given)."""
+    text = render_csv(rows) if fmt == "csv" else render_json(rows)
     if out_path is None:
         sys.stdout.write(text)
     else:

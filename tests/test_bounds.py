@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from l1minimax import bounds
-from l1minimax import (BoundValue, ProbabilityVector, adell_jodra_tv_bound,
-                       chernoff_tails, classical_constant, empirical_estimator,
-                       estimator_risk_exact, hoeffding_bound,
+from l1minimax import (BoundValue, CompositePrior, ProbabilityVector, adell_jodra_tv_bound,
+                       bayes_risk_entropy_ball, chernoff_tails, classical_constant,
+                       empirical_estimator, estimator_risk_exact, hoeffding_bound,
                        minimax_entropy_lower, minimax_lower_hd, mle_entropy_lower,
                        mle_entropy_upper, mle_upper_simple, mle_upper_tight,
                        simplex_lower, threshold_upper)
@@ -104,6 +104,21 @@ class TestParamTypes:
         # ln ln inf and ln inf - ln ln inf are inf or nan; none is a bound
         with pytest.raises(ValueError, match="n must"):
             bound(*args)
+
+    @pytest.mark.parametrize("lemma, args", [
+        (chernoff_tails, (math.nan, 0.5)),
+        (adell_jodra_tv_bound, (1.0, math.nan)),
+        (adell_jodra_tv_bound, (math.nan, 1.0)),
+        (hoeffding_bound, (math.nan, 1.0, 1.0)),
+        (hoeffding_bound, (10, math.nan, 1.0)),
+        (hoeffding_bound, (10, 1.0, math.nan)),
+        (bayes_risk_entropy_ball, (CompositePrior(0.3, 10, 2), math.nan)),
+    ], ids=["chernoff-lam", "adell_jodra-x", "adell_jodra-t", "hoeffding-n",
+            "hoeffding-range_width", "hoeffding-t", "bayes_risk_entropy_ball-n"])
+    def test_nan_lemma_argument_is_a_value_error(self, lemma, args):
+        # every comparison with NaN is False, so `x < 0` let NaN through
+        with pytest.raises(ValueError, match="must be"):
+            lemma(*args)
 
 
 class TestReportedBounds:

@@ -328,9 +328,10 @@ class TestReproduceCommand:
         (["reproduce", "cor2", "--grid-S", "1"], "cor2: --grid-S values must satisfy S >= 2"),
         (["reproduce", "cor6", "--grid-n", "1"],
          "cor6: H=1, c=0.3, n=1: entropy-ball needs n >= 2"),
-        (["reproduce", "cor3-4", "--grid-c", "0"], "cor3-4: --grid-c values must satisfy c > 0"),
+        (["reproduce", "cor3-4", "--grid-c", "0"],
+         "cor3-4: --grid-c values must satisfy 0 < c < inf"),
         (["reproduce", "cor7", "--grid-eta", "0.5"],
-         "cor7: --grid-eta values must satisfy eta > 1"),
+         "cor7: --grid-eta values must satisfy 1 < eta < inf"),
         (["reproduce", "cor9", "--grid-H", "-1"], "cor9: H=-1, c=0.3, n=1000: H must be positive"),
         # c and n each in range, but delta = cH / ln n = 1.45 is not
         (["reproduce", "cor6", "--grid-c", "10", "--grid-n", "1000"],
@@ -355,9 +356,14 @@ class TestReproduceCommand:
         # too few replicates for every cell, not one error row per cell
         (["mc", "--grid-S", "2", "--grid-n", "4", "--replicates", "50"],
          "replicates must be an integer of at least 100 for CI reporting, got 50"),
+        # inf is no ratio n/S and no threshold exponent; its rows would end in a FAIL
+        (["reproduce", "cor3-4", "--grid-c", "inf"],
+         "cor3-4: --grid-c values must satisfy 0 < c < inf"),
+        (["reproduce", "cor7", "--grid-eta", "inf"],
+         "cor7: --grid-eta values must satisfy 1 < eta < inf"),
     ], ids=["cor2", "cor6", "cor3-4", "cor7", "cor9", "cor6-infeasible", "cor9-c",
             "cor7-eta", "cor9-floor", "cor9-floor-H", "mc-seed-negative", "mc-seed-2^64",
-            "cor2-seed-negative", "mc-replicates"])
+            "cor2-seed-negative", "mc-replicates", "cor3-4-inf", "cor7-eta-inf"])
     def test_out_of_domain_grid_is_a_usage_error(self, argv, message):
         # exit code 1 is a FAIL verdict; a bad grid value is a bad invocation
         src = pathlib.Path(l1minimax.__file__).resolve().parents[1]

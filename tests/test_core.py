@@ -1,9 +1,12 @@
+import ast
 import math
+import pathlib
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import l1minimax
 from l1minimax import (CompressedFamily, McConfig, ProbabilityVector,
                        empirical_estimator, entropy, estimator_risk_exact, mc_risk,
                        sample_multinomial)
@@ -95,3 +98,25 @@ class TestAtomView:
     def test_foreign_type_rejected(self, consume):
         with pytest.raises(TypeError, match="expected ProbabilityVector or CompressedFamily"):
             consume([0.5, 0.5])
+
+
+def _self_int_comparisons(source: str) -> int:
+    """How many comparisons in `source` set a value against its own int()."""
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            casts = {ast.dump(op.args[0]) for op in operands
+                     if isinstance(op, ast.Call) and isinstance(op.func, ast.Name)
+                     and op.func.id == "int" and len(op.args) == 1}
+            count += sum(ast.dump(op) in casts for op in operands)
+    return count
+
+
+def test_whole_number_rule_is_defined_in_core():
+    # `x != int(x)` is the whole-number test; every size goes through the one
+    # copy in `core._whole`, so no entry can check a size more loosely
+    package = pathlib.Path(l1minimax.__file__).parent
+    counts = {path.stem: _self_int_comparisons(path.read_text(encoding="utf-8"))
+              for path in sorted(package.glob("*.py"))}
+    assert {name: count for name, count in counts.items() if count} == {"core": 1}

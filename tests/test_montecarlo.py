@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l1minimax import (CompositePrior, CompressedFamily, CoordinatewiseEstimator,
-                       McConfig, ProbabilityVector, ThresholdConfig,
+                       McConfig, ProbabilityVector, ThresholdConfig, binomial_mad_exact,
                        derive_replicate_seed, empirical_estimator,
                        entropy_ball_family, estimator_risk_exact, mc_risk,
                        sample_from_composite_prior, sample_multinomial,
@@ -218,6 +218,23 @@ class TestSampleMultinomial:
             sample_multinomial(fam, 5, seed=0)
 
 
+# Each entry that takes a size, called with `size` in that place.
+SIZED_ENTRIES = {
+    "mc_risk": lambda size: mc_risk(ProbabilityVector([0.5, 0.5]), empirical_estimator(),
+                                    size, McConfig(100, 1)),
+    "McConfig": lambda size: McConfig(size, 1),
+    "estimator_risk_exact": lambda size: estimator_risk_exact(
+        ProbabilityVector([0.5, 0.5]), empirical_estimator(), size),
+    "sample_multinomial": lambda size: sample_multinomial(ProbabilityVector.uniform(3), size, 1),
+    "binomial_mad_exact": lambda size: binomial_mad_exact(size, 0.5),
+    "ThresholdConfig": lambda size: ThresholdConfig(size),
+    "CompressedFamily": lambda size: CompressedFamily(((1.0, 1), (0.0, size))),
+    "ProbabilityVector.uniform": lambda size: ProbabilityVector.uniform(size),
+    "CompositePrior-S_prime": lambda size: CompositePrior(0.3, size, 10),
+    "CompositePrior-k": lambda size: CompositePrior(0.3, 10, size),
+}
+
+
 class TestMcRisk:
     def test_perfect_oracle(self):
         pv = ProbabilityVector([0.25] * 4)
@@ -287,27 +304,28 @@ class TestMcRisk:
         with pytest.raises(ValueError, match="100"):
             McConfig(99, 0)
 
-    @pytest.mark.parametrize("call", [
-        lambda: mc_risk(ProbabilityVector.uniform(3), empirical_estimator(), 10.5,
-                        McConfig(100, 1)),
-        lambda: McConfig(150.5, 1),
-        lambda: estimator_risk_exact(ProbabilityVector.uniform(3), empirical_estimator(), 10.5),
-        lambda: sample_multinomial(ProbabilityVector.uniform(3), 10.5, 1),
-        *(call for size in (math.inf, math.nan) for call in (
-            lambda size=size: mc_risk(ProbabilityVector.uniform(3), empirical_estimator(),
-                                      size, McConfig(100, 1)),
-            lambda size=size: McConfig(size, 1),
-            lambda size=size: estimator_risk_exact(ProbabilityVector.uniform(3),
-                                                   empirical_estimator(), size),
-            lambda size=size: sample_multinomial(ProbabilityVector.uniform(3), size, 1))),
-    ], ids=["mc_risk", "McConfig", "estimator_risk_exact", "sample_multinomial",
-            *(f"{name}-{size}" for size in ("inf", "nan") for name in (
-                "mc_risk", "McConfig", "estimator_risk_exact", "sample_multinomial"))])
-    def test_non_integer_sizes_are_rejected(self, call):
+    @pytest.mark.parametrize("name, size", [
+        pytest.param(name, 150.5 if name == "McConfig" and size == 10.5 else size,
+                     id=name + suffix)
+        for suffix, size in (("", 10.5), ("-inf", math.inf), ("-nan", math.nan), ("-0", 0))
+        for name in SIZED_ENTRIES])
+    def test_non_integer_sizes_are_rejected(self, name, size):
         # 10.5 would draw 10 and divide by 10.5; 150.5 would average 151 losses;
         # int() of inf or NaN would raise OverflowError or a conversion message
         with pytest.raises(ValueError, match="integer"):
-            call()
+            SIZED_ENTRIES[name](size)
+
+    @pytest.mark.parametrize("n", [4.0, np.int64(4), np.float64(4.0)],
+                             ids=["float", "int64", "float64"])
+    def test_integral_sizes_match_the_int(self, n):
+        # the Binomial windows at n = 4 reach n, a bound numpy takes only as an int
+        pv = ProbabilityVector([0.5, 0.5])
+        for name in ("estimator_risk_exact", "binomial_mad_exact", "mc_risk"):
+            got, want = SIZED_ENTRIES[name](n), SIZED_ENTRIES[name](4)
+            assert repr(got) == repr(want), name
+        assert np.array_equal(sample_multinomial(pv, n, 1), sample_multinomial(pv, 4, 1))
+        assert type(McConfig(150.0, 1).replicates) is int
+        assert type(mc_risk(pv, empirical_estimator(), n, McConfig(150.0, 1)).replicates) is int
 
     def test_coverage_over_seeds(self):
         # |mc mean - exact| within z standard errors for nearly all seeds
