@@ -3,7 +3,8 @@
 Pure real-valued functions of their parameters.  Bounds that have a
 meaningful regime carry an explicit vacuous flag instead of being clamped:
 a vacuous lower bound keeps its (nonpositive) value, a vacuous upper bound
-reports +inf, so downstream comparisons stay honest either way.
+reports +inf, so downstream comparisons stay honest either way.  Each
+parameter's domain is checked in one place, which rejects NaN and +-inf.
 """
 
 from __future__ import annotations
@@ -39,43 +40,44 @@ class BoundValue:
     vacuous: bool = False
 
 
+def _check_sizes(S, n=1, least_S: int = 2) -> None:
+    """Raises unless S >= `least_S` and n >= 1 are finite (n = 1 where a bound has none)."""
+    if not least_S <= S < math.inf:
+        raise ValueError(f"S must be at least {least_S} and finite, got S={S}")
+    if not 1 <= n < math.inf:
+        raise ValueError(f"n must be at least 1 and finite, got n={n}")
+
+
 def _check_high_dim(S: int, n: int, zeta: float) -> None:
     """Raises unless (S, n, zeta) is in the high-dimensional bounds' domain;
     called before any arithmetic, since ln S is 0 at S = 1."""
-    if not S >= 2:
-        raise ValueError("S must be at least 2")
-    if not n >= 1:
-        raise ValueError("n must be positive")
+    _check_sizes(S, n)
     if not (0.0 < zeta <= 1.0):
         raise ValueError("zeta must lie in (0, 1]")
 
 
 def mle_upper_simple(S: int, n: int) -> float:
     """sqrt((S - 1) / n), the baseline worst-case risk of the empirical rule."""
-    if not (S >= 1 and n >= 1):
-        raise ValueError("S and n must be positive")
+    _check_sizes(S, n, least_S=1)
     return math.sqrt((S - 1) / n)
 
 
 def mle_upper_tight(S: int, n: int) -> float:
     """sqrt(2(S-1)/(pi n)) + 2 sqrt(S) (S-1)^(1/4) / n^(3/4)."""
-    if not (S >= 1 and n >= 1):
-        raise ValueError("S and n must be positive")
+    _check_sizes(S, n, least_S=1)
     return (math.sqrt(2.0 * (S - 1) / (math.pi * n))
             + 2.0 * math.sqrt(S) * (S - 1) ** 0.25 / n ** 0.75)
 
 
 def classical_constant(S: int) -> float:
     """sqrt(2(S-1)/pi): the fixed-support limit of sqrt(n) times the risk."""
-    if not S >= 2:
-        raise ValueError("S must be at least 2")
+    _check_sizes(S)
     return math.sqrt(2.0 * (S - 1) / math.pi)
 
 
 def bayes_risk_two_point_piecewise(S: int, n: float) -> float:
     """Closed-form floor for the two-point Bayes risk at the tuned eta."""
-    if not (S >= 2 and n >= 1):
-        raise ValueError("need S >= 2 and n >= 1")
+    _check_sizes(S, n)
     if n / S <= math.e / 16.0:
         return math.exp(-2.0 * n / S)
     return 0.125 * math.sqrt(math.e * S / n)
@@ -117,19 +119,36 @@ def _check_n_exceeds(n, log_bound: float, condition: str, inclusive: bool = Fals
     raise ValueError(f"requires {condition} = {bound}, got n={n}")
 
 
+def _check_eta(eta) -> None:
+    if not 1.0 < eta < math.inf:
+        raise ValueError(f"eta must exceed 1 and be finite, got eta={eta}")
+
+
+def _entropy_ball_upper(H, n, eta, scale: float, shift: float) -> BoundValue:
+    """scale H / (ln n - shift - 2 eta ln ln n) + (ln n)^(-eta), or vacuous +inf."""
+    if not 0.0 <= H < math.inf:
+        raise ValueError(f"H must be nonnegative and finite, got H={H}")
+    _check_eta(eta)
+    ln_ln_n = _ln_ln(n)  # before ln n, so that n <= 0 is named
+    denom = math.log(n) - shift - 2.0 * eta * ln_ln_n
+    if denom <= 0.0:
+        return BoundValue(math.inf, vacuous=True)
+    return BoundValue(scale * H / denom + math.log(n) ** (-eta))
+
+
 def mle_entropy_upper(H: float, n: int, eta: float) -> BoundValue:
     """2H / (ln n - 2 eta ln ln n) + (ln n)^(-eta) over the entropy ball.
 
     Vacuous (reported as +inf) when the denominator is nonpositive.
     """
-    if not H >= 0:
-        raise ValueError("H must be nonnegative")
-    if not eta > 1.0:
-        raise ValueError("eta must exceed 1")
-    denom = math.log(n) - 2.0 * eta * _ln_ln(n)
-    if denom <= 0.0:
-        return BoundValue(math.inf, vacuous=True)
-    return BoundValue(2.0 * H / denom + math.log(n) ** (-eta))
+    return _entropy_ball_upper(H, n, eta, 2.0, 0.0)
+
+
+def _check_lower(H: float, c: float) -> None:
+    if not (0.0 < c < 1.0):
+        raise ValueError(f"c must lie in (0, 1), got c={c}")
+    if not 0.0 < H < math.inf:
+        raise ValueError(f"H must be positive and finite, got H={H}")
 
 
 def mle_entropy_lower(H: float, n: int, c: float) -> float:
@@ -138,10 +157,7 @@ def mle_entropy_lower(H: float, n: int, c: float) -> float:
     Requires n > max{(1-c)^(-1/(1-c)), e^H}; violations raise naming the
     failed condition.
     """
-    if not (0.0 < c < 1.0):
-        raise ValueError("c must lie in (0, 1)")
-    if not H > 0:
-        raise ValueError("H must be positive")
+    _check_lower(H, c)
     _check_n_exceeds(n, -math.log1p(-c) / (1.0 - c), "n > (1-c)^(-1/(1-c))")
     _check_n_exceeds(n, H, "n > e^H")
     inner = math.exp(-math.log((1.0 - c) * n) / c)
@@ -154,23 +170,13 @@ def threshold_upper(H: float, n: int, eta: float) -> BoundValue:
     Worst-case risk of the hard-thresholding rule over the entropy ball;
     vacuous (+inf) when the denominator is nonpositive.
     """
-    if not H >= 0:
-        raise ValueError("H must be nonnegative")
-    if not eta > 1.0:
-        raise ValueError("eta must exceed 1")
-    denom = math.log(n) - math.log(2.0 * math.e * math.e) - 2.0 * eta * _ln_ln(n)
-    if denom <= 0.0:
-        return BoundValue(math.inf, vacuous=True)
-    value = (H / denom + math.log(n) ** (-eta)
-             + math.exp((1.0 - math.e * math.e / 4.0) * math.log(n)))
-    return BoundValue(value)
+    upper = _entropy_ball_upper(H, n, eta, 1.0, math.log(2.0 * math.e * math.e))
+    return upper if upper.vacuous else BoundValue(
+        upper.value + math.exp((1.0 - math.e * math.e / 4.0) * math.log(n)))
 
 
 def _entropy_ball_lower_core(H: float, n: int, c: float) -> float:
-    if not (0.0 < c < 1.0):
-        raise ValueError("c must lie in (0, 1)")
-    if not H > 0:
-        raise ValueError("H must be positive")
+    _check_lower(H, c)
     _check_n_exceeds(n, H, "n >= e^H", inclusive=True)
     # n^(1 - 1/c) (1-c)^(-1/c), assembled in logs to dodge overflow
     inner = math.exp((1.0 - 1.0 / c) * math.log(n) - math.log1p(-c) / c)

@@ -150,11 +150,11 @@ def _load(*modules: str) -> None:
         importlib.import_module(f"{__package__}.{module}")
 
 
-def _cells(cells, seed: int):
+def _cells(cells):
     """Yields the report row of each (params, fill) cell in order; a cell whose
     fill raises keeps what it recorded so far plus the error text."""
     for params, fill in cells:
-        row = ReportRow(params=params, seed=seed)
+        row = ReportRow(params=params)
         try:
             fill(row)
         except Exception as exc:  # keep the sweep going, record the cell
@@ -170,7 +170,7 @@ def cmd_bounds(args):
     names = [name for name in _GRIDS if getattr(args, "grid_" + name)]
     if not names:
         raise UsageError("bounds needs at least one --grid-* parameter")
-    return _cells([(point, _fill_bounds) for point in _grid_points(args, names)], args.seed)
+    return _cells([(point, _fill_bounds) for point in _grid_points(args, names)])
 
 
 def _family_cells(args):
@@ -243,7 +243,7 @@ def cmd_risk(args):
             cells.append(({**params, "estimator": est_name, "eta": eta},
                           functools.partial(fill, build_family=build_family,
                                             index=len(cells))))
-    return _cells(cells, args.seed)
+    return _cells(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +275,7 @@ def _verdicts_cor2(args):
             gaps.append(abs(math.sqrt(n) * risk - target))
             yield ReportRow(
                 params={"S": S, "n": n, "family": "uniform", "estimator": "empirical"},
-                exact_risk=risk, bounds=_cell_bounds(S=S, n=n), seed=args.seed)
+                exact_risk=risk, bounds=_cell_bounds(S=S, n=n))
         verdicts.append((gaps[-1] <= 0.01,
                          f"S={S}: final |sqrt(n) risk - constant| = {gaps[-1]:.3e} <= 0.01"))
         decreasing = all(a > b for a, b in zip(gaps, gaps[1:]))
@@ -297,9 +297,7 @@ def _verdicts_cor34(args):
         lower_ok &= math.sqrt(c) * oracle >= floor_constant - 0.02
         yield ReportRow(
             params={"S": S, "c": c, "n": n, "family": "uniform", "estimator": "empirical"},
-            exact_risk=risk,
-            bounds={"mle_upper_simple": bnd.mle_upper_simple(S, n)},
-            seed=args.seed)
+            exact_risk=risk, bounds={"mle_upper_simple": bnd.mle_upper_simple(S, n)})
     return [
         (upper_ok, "sqrt(c) * exact uniform risk <= 1 at every linear-scaling cell"),
         (lower_ok, f"sqrt(c) * two-point Bayes oracle >= sqrt(e)/8 - 0.02 "
@@ -333,7 +331,7 @@ def _ball_trend(args, H: float, est_name: str, eta: Optional[float] = None):
     return _trend(args, H, args.grid_c, risk)
 
 
-def _rising_trend(args, H: float, trend, quantity: str, ratio: str):
+def _rising_trend(H: float, trend, quantity: str, ratio: str):
     """Yields cor6's and cor9's rows at one H, the max risk per n of a `_trend`,
     and returns their verdicts: ln(n) * `quantity` / H increases over n and
     ends above 1."""
@@ -343,7 +341,7 @@ def _rising_trend(args, H: float, trend, quantity: str, ratio: str):
         ratios.append(n_ratio)
         yield ReportRow(
             params={"H": H, "n": n, "family": "entropy-ball", "estimator": "empirical"},
-            exact_risk=best, seed=args.seed)
+            exact_risk=best)
     increasing = all(a < b for a, b in zip(ratios, ratios[1:]))
     return [(increasing, f"H={H}: ln(n) * {quantity} / H increases over n={ns}"),
             (ratios[-1] > 1.0, f"H={H}: final {ratio} {ratios[-1]:.4f} exceeds 1.0")]
@@ -352,7 +350,7 @@ def _rising_trend(args, H: float, trend, quantity: str, ratio: str):
 def _verdicts_cor6(args):
     verdicts = []
     for H in args.grid_H:
-        verdicts += yield from _rising_trend(args, H, _ball_trend(args, H, "empirical"),
+        verdicts += yield from _rising_trend(H, _ball_trend(args, H, "empirical"),
                                              "max-c MLE risk", "ratio")
     return verdicts
 
@@ -374,9 +372,7 @@ def _verdicts_cor7(args):
             yield ReportRow(
                 params={"H": H, "eta": eta, "n": n, "family": "entropy-ball",
                         "estimator": "threshold"},
-                exact_risk=thr_best,
-                bounds={"threshold_upper": upper},
-                seed=args.seed)
+                exact_risk=thr_best, bounds={"threshold_upper": upper})
         verdicts.append((below and bool(compared),
                          f"H={H}: threshold ratio < MLE ratio at every valid n "
                          f"(compared at n={compared})"))
@@ -400,7 +396,7 @@ def _verdicts_cor9(args):
             dominated.append(floor.vacuous or value >= floor.value * (1.0 - 1.0 / k))
             return value
 
-        verdicts += yield from _rising_trend(args, H, _trend(args, H, cs, oracle),
+        verdicts += yield from _rising_trend(H, _trend(args, H, cs, oracle),
                                              "simplex-constrained oracle", "constrained ratio")
         verdicts.append((all(dominated),
                          f"H={H}: constrained oracle dominates simplex floor * (1 - 1/k)"))
@@ -439,16 +435,17 @@ def cmd_reproduce(args):
 def _sweep(sweep, args) -> int:
     """Runs a command's sweep: `sweep` yields its report rows as it computes
     them and returns its verdicts (None from a command that has none).  Each
-    row is timed over the work since the row before it.  The time lines, the
-    report and the verdicts follow the sweep, so a usage error inside it
-    writes nothing; the report goes to --out, or to stdout when no verdicts
-    are printed there."""
+    row is timed over the work since the row before it and stamped with --seed.
+    The time lines, the report and the verdicts follow the sweep, so a usage
+    error inside it writes nothing; the report goes to --out, or to stdout
+    when no verdicts are printed there."""
     rows, seconds = [], []
     try:
         while True:
             started = time.perf_counter()
             rows.append(next(sweep))
             seconds.append(time.perf_counter() - started)
+            rows[-1].seed = args.seed
     except StopIteration as stop:
         verdicts = stop.value
     for index, (row, spent) in enumerate(zip(rows, seconds), start=1):

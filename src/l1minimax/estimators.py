@@ -13,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 
+from .bounds import _check_eta
 from .core import _whole
 
 __all__ = [
@@ -40,8 +41,7 @@ class ThresholdConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _whole(self.n, "n must be a positive integer"))
-        if not self.eta > 1.0:
-            raise ValueError("eta must be strictly greater than 1")
+        _check_eta(self.eta)
 
 
 @dataclass(frozen=True)

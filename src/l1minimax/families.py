@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import (BoundValue, _check_high_dim, bayes_risk_two_point_piecewise,
-                     hoeffding_bound)
+from .bounds import (BoundValue, _check_high_dim, _check_sizes,
+                     bayes_risk_two_point_piecewise, hoeffding_bound)
 from .core import CompressedFamily, _whole
 from .exact import poisson_tv_exact
 from .rng import MAX_INDEX_RANGE, stream_key, to_index, uniforms
@@ -86,10 +86,7 @@ def bayes_risk_two_point(S: int, n: float) -> float:
     n(1 +- eta)/S.  Dominates the piecewise closed form, which replaces the
     exact TV by its analytic upper bound.
     """
-    if S < 2:
-        raise ValueError("S must be at least 2")
-    if not n >= 1:
-        raise ValueError("n must be at least 1")
+    _check_sizes(S, n)
     eta = min(1.0, 0.25 * math.sqrt(math.e * S / n))
     tv = poisson_tv_exact(n * (1.0 - eta) / S, n * (1.0 + eta) / S)
     return eta * (1.0 - tv)
@@ -156,8 +153,8 @@ class EntropyBallBayesRisk(NamedTuple):
 
 def bayes_risk_entropy_ball(cp: CompositePrior, n: int) -> EntropyBallBayesRisk:
     """Exact Bayes risk of the composite prior under Multinomial sampling."""
-    if not n >= 0:
-        raise ValueError("n must be nonnegative")
+    if not 0 <= n < math.inf:
+        raise ValueError(f"n must be nonnegative and finite, got n={n}")
     exact = (1.0 - _occupied_fraction(cp.delta / cp.S_prime, n)) * cp.delta
     linearized = (1.0 - n * cp.delta / cp.S_prime) * cp.delta
     return EntropyBallBayesRisk(exact, linearized)

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from l1minimax import bounds
-from l1minimax import (BoundValue, CompositePrior, ProbabilityVector, adell_jodra_tv_bound,
-                       bayes_risk_entropy_ball, chernoff_tails, classical_constant,
+from l1minimax import (BoundValue, CompositePrior, ProbabilityVector, ThresholdConfig,
+                       adell_jodra_tv_bound, assembled_minimax_lower_hd,
+                       bayes_risk_entropy_ball, bayes_risk_two_point,
+                       bayes_risk_two_point_piecewise, chernoff_tails, classical_constant,
                        empirical_estimator, estimator_risk_exact, hoeffding_bound,
                        minimax_entropy_lower, minimax_lower_hd, mle_entropy_lower,
                        mle_entropy_upper, mle_upper_simple, mle_upper_tight,
@@ -14,6 +16,39 @@ from l1minimax import (BoundValue, CompositePrior, ProbabilityVector, adell_jodr
 from conftest import exact_poisson_tail_lower, exact_poisson_tail_upper
 
 E = math.e
+
+# Each closed-form bound and Bayes-risk oracle, called with `value` for the
+# parameter its key ends in and an in-domain value for the others.
+DOMAIN_ENTRIES = {
+    "mle_upper_simple-S": lambda value: mle_upper_simple(value, 10),
+    "mle_upper_simple-n": lambda value: mle_upper_simple(10, value),
+    "mle_upper_tight-S": lambda value: mle_upper_tight(value, 10),
+    "mle_upper_tight-n": lambda value: mle_upper_tight(10, value),
+    "classical_constant-S": lambda value: classical_constant(value),
+    "bayes_risk_two_point_piecewise-S": lambda value: bayes_risk_two_point_piecewise(value, 100),
+    "bayes_risk_two_point_piecewise-n": lambda value: bayes_risk_two_point_piecewise(10, value),
+    "bayes_risk_two_point-S": lambda value: bayes_risk_two_point(value, 100),
+    "bayes_risk_two_point-n": lambda value: bayes_risk_two_point(10, value),
+    "minimax_lower_hd-S": lambda value: minimax_lower_hd(value, 100, 0.5),
+    "minimax_lower_hd-n": lambda value: minimax_lower_hd(10, value, 0.5),
+    "assembled_minimax_lower_hd-S": lambda value: assembled_minimax_lower_hd(value, 100, 0.5),
+    "assembled_minimax_lower_hd-n": lambda value: assembled_minimax_lower_hd(10, value, 0.5),
+    "mle_entropy_upper-H": lambda value: mle_entropy_upper(value, 1000, 1.1),
+    "mle_entropy_upper-n": lambda value: mle_entropy_upper(1.0, value, 1.1),
+    "mle_entropy_upper-eta": lambda value: mle_entropy_upper(1.0, 1000, value),
+    "threshold_upper-H": lambda value: threshold_upper(value, 1000, 1.1),
+    "threshold_upper-n": lambda value: threshold_upper(1.0, value, 1.1),
+    "threshold_upper-eta": lambda value: threshold_upper(1.0, 1000, value),
+    "ThresholdConfig-eta": lambda value: ThresholdConfig(100, value),
+    "mle_entropy_lower-H": lambda value: mle_entropy_lower(value, 1000, 0.5),
+    "mle_entropy_lower-c": lambda value: mle_entropy_lower(1.0, 1000, value),
+    "minimax_entropy_lower-H": lambda value: minimax_entropy_lower(value, 1000, 0.5),
+    "minimax_entropy_lower-c": lambda value: minimax_entropy_lower(1.0, 1000, value),
+    "simplex_lower-H": lambda value: simplex_lower(value, 1000, 0.5),
+    "simplex_lower-c": lambda value: simplex_lower(1.0, 1000, value),
+    "bayes_risk_entropy_ball-n": lambda value: bayes_risk_entropy_ball(
+        CompositePrior(0.5, 10, 2), value),
+}
 
 
 class TestMleUpperBounds:
@@ -119,6 +154,36 @@ class TestParamTypes:
         # every comparison with NaN is False, so `x < 0` let NaN through
         with pytest.raises(ValueError, match="must be"):
             lemma(*args)
+
+    @pytest.mark.parametrize("name, value", [
+        pytest.param(name, value, id=f"{name}-{value}")
+        for value in (math.nan, math.inf, -math.inf) for name in DOMAIN_ENTRIES])
+    def test_non_finite_parameter_is_a_value_error_naming_it(self, name, value):
+        # `not x >= 1` lets +inf through, where mle_upper_simple(10, inf) reads 0.0,
+        # mle_entropy_upper(inf, 1000, 1.1) a non-vacuous inf, minimax_lower_hd(inf, ...) NaN
+        param = name.rsplit("-", 1)[1]
+        with pytest.raises(ValueError, match=f"{param} must|got {param}="):
+            DOMAIN_ENTRIES[name](value)
+
+    @pytest.mark.parametrize("eta", [1.0, 0.5, math.inf, math.nan, -math.inf])
+    def test_eta_rule_has_one_home(self, eta):
+        messages = set()
+        for check in (lambda: ThresholdConfig(100, eta), lambda: mle_entropy_upper(1.0, 1000, eta),
+                      lambda: threshold_upper(1.0, 1000, eta)):
+            with pytest.raises(ValueError) as info:
+                check()
+            messages.add(str(info.value))
+        assert messages == {f"eta must exceed 1 and be finite, got eta={eta}"}
+
+    @pytest.mark.parametrize("S, n", [(1, 100), (math.nan, 100), (math.inf, 100),
+                                      (10, 0.5), (10, math.nan), (10, math.inf)])
+    def test_two_point_sizes_rule_has_one_home(self, S, n):
+        messages = set()
+        for oracle in (bayes_risk_two_point, bayes_risk_two_point_piecewise):
+            with pytest.raises(ValueError) as info:
+                oracle(S, n)
+            messages.add(str(info.value))
+        assert len(messages) == 1
 
 
 class TestReportedBounds:

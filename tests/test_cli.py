@@ -99,6 +99,17 @@ class TestBoundsCommand:
             "mle_entropy_upper", "mle_entropy_upper_vacuous", "threshold_upper",
             "threshold_upper_vacuous", "mle_entropy_lower", "minimax_entropy_lower"))
 
+    def test_infinite_eta_has_no_upper_entropy_bounds(self, tmp_path):
+        # eta is a finite exponent: inf is outside both upper bounds' domain
+        code, out = run(tmp_path, "bounds", "--grid-H", "1", "--grid-n", "1000",
+                        "--grid-c", "0.5", "--grid-eta", "inf")
+        assert code == 0
+        _, [row] = parse_csv(out)
+        assert row["error"] == "" and row["minimax_entropy_lower"] != ""
+        assert all(row[name] == "" for name in (
+            "mle_entropy_upper", "mle_entropy_upper_vacuous", "threshold_upper",
+            "threshold_upper_vacuous"))
+
     def test_no_grids_is_an_error(self, tmp_path, capsys):
         code = main(["bounds", "--out", str(tmp_path / "x.csv")])
         assert code == 2
@@ -192,6 +203,15 @@ class TestExactRiskCommand:
         [row] = json.loads(out.read_text(encoding="utf-8"))
         assert row["error"] == "threshold level needs n >= 2 (ln n must be positive), got n=1"
         assert row["exact_risk"] is None
+
+    def test_infinite_eta_is_a_cell_error(self, tmp_path):
+        # eta = inf is outside ThresholdConfig's domain, as eta <= 1 is
+        code, out = run(tmp_path, "exact-risk", "--estimator", "threshold", "--family",
+                        "uniform", "--grid-S", "3", "--grid-n", "2", "100", "--grid-eta", "inf")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [(r["n"], r["exact_risk"], r["error"]) for r in rows] == [
+            (n, "", "eta must exceed 1 and be finite, got eta=inf") for n in ("2", "100")]
 
     def test_unknown_family(self, tmp_path, capsys):
         code = main(["exact-risk", "--family", "prawns", "--grid-n", "4",
