@@ -2,17 +2,25 @@
 
 Every pmf window, Binomial and Poisson, is built from exact pmf ratios
 outward from one anchor term (`_outward`) and accepted once a geometric
-tail bound (`_geometric_tail`) certifies the mass outside it.  Draws
-invert the Binomial CDF, equal to boost's quantile bit for bit.
+tail bound (`_geometric_tail`) certifies the mass outside it.  A window is
+a Python list while numpy is not loaded and the window is small
+(`_list_window`), else an array; both hold the same bits, and
+`_pairwise_sum` sums a list in the order `ndarray.sum()` sums an array.
+Draws invert the Binomial CDF, equal to boost's quantile bit for bit.
+numpy is imported only by the functions that build arrays.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import sys
+from functools import reduce
+from itertools import accumulate
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .rng import UNIFORM_MAX, UNIFORM_MIN
+if TYPE_CHECKING:
+    import numpy as np
 
 # exp() underflows near -745; anchors beyond this use the log-gamma form.
 _LOG_TINY = -700.0
@@ -28,7 +36,11 @@ _LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
 # needs it, and at 0 draws tested near boost's steps still match its quantile.
 _GUARD = 1e-9
 _UNIT = 2.0 ** -53  # unit roundoff of a double
-_TINY = float(np.finfo(float).tiny)  # smallest normal double
+# The range of `rng.uniforms`, [UNIFORM_MIN, UNIFORM_MAX] there, held here
+# too: `rng` loads numpy, this module loads without it, and importing the
+# two names from `rng` in each call cost ~2 us.
+_UNIFORM_MIN, _UNIFORM_MAX = 2.0 ** -54, 1.0
+_TINY = sys.float_info.min  # smallest normal double
 # Mass a Binomial table (`_table`) may leave outside its window; far below
 # _GUARD times the smallest uniform.
 _TABLE_TAIL = 1e-30
@@ -53,6 +65,14 @@ _MAX_TABLE_BUDGET = 10 ** 7
 # 28 ms).  Walking every call of a dense S = 50 vector at n = 25 with 250
 # replicates took 5.4 ms per cell against boost's 2.9 ms.
 _MIN_WALK_WORK = 500.0
+# Widest pmf window built as a Python list while numpy is not loaded
+# (`_list_window`).  A list costs ~0.4-0.7 us a point, an array ~0.03 ms a
+# window plus ~0.015 us a point (`binomial_mad_exact` at n = 4e4, p = 0.3:
+# 2,279 points, 1.0 ms against 0.05 ms), and importing numpy ~75 ms, so a
+# process that sums a few windows of a few thousand points is faster
+# without numpy.  Entropy-ball windows reach 2,117 points at n = 1e5
+# (c = 0.9) and 3,581 at n = 1e6, where a sweep row sums tens of thousands.
+_MAX_LIST_WINDOW = 2_500
 
 
 def _lgamma_int(x: float) -> float:
@@ -74,16 +94,64 @@ def _lgamma_int(x: float) -> float:
     return q + ((((a0 * p + a1) * p + a2) * p + a3) * p + a4) / x
 
 
-def _outward(lo: int, hi: int, anchor: int, up, down) -> np.ndarray:
+def _numpy_loaded() -> bool:
+    return "numpy" in sys.modules
+
+
+def _list_window(size: int) -> bool:
+    """Whether a pmf window of `size` points is built and summed as a Python
+    list: numpy is not loaded yet and the window holds at most
+    _MAX_LIST_WINDOW points.  Otherwise it is an array, numpy being loaded
+    for it if need be; both routes give every value the same bits."""
+    return size <= _MAX_LIST_WINDOW and not _numpy_loaded()
+
+
+def _pairwise_sum(values: list, lo: int = 0, hi: int | None = None) -> float:
+    """Sum of values[lo:hi] in the order of numpy's `pairwise_sum`, which
+    `ndarray.sum()` of a contiguous float64 array uses: below 8 terms a loop
+    from 0.0; up to 128, eight partial sums over every eighth term, added
+    as a tree, then the rest in turn; above, the sums of two halves split
+    at n/2 rounded down to a multiple of 8."""
+    hi = len(values) if hi is None else hi
+    count = hi - lo
+    if count < 8:
+        total = 0.0
+        for value in values[lo:hi]:
+            total += value
+        return total
+    if count <= 128:
+        end = hi - count % 8
+        r = [reduce(operator.add, values[j:end:8]) for j in range(lo, lo + 8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for value in values[end:hi]:
+            total += value
+        return total
+    half = count // 2
+    half -= half % 8
+    return _pairwise_sum(values, lo, lo + half) + _pairwise_sum(values, lo + half, hi)
+
+
+def _outward(lo: int, hi: int, anchor: int, up, down) -> list | np.ndarray:
     """pmf(k) / pmf(anchor) on lo..hi, anchor in [lo, hi], by cumulative
     products of exact ratios outward: up(ks) is pmf(k + 1) / pmf(k) at
-    ks = anchor..hi-1, down(ks) is pmf(k - 1) / pmf(k) at ks = anchor..lo+1."""
+    ks = anchor..hi-1, down(ks) is pmf(k - 1) / pmf(k) at ks = anchor..lo+1.
+    A list (`_list_window`) applies them to each count as a float, and
+    multiplies in the order of np.multiply.accumulate (np.cumprod)."""
+    if _list_window(hi - lo + 1):
+        below = list(accumulate(map(down, map(float, range(anchor, lo, -1))), operator.mul))
+        below.reverse()
+        return below + [1.0] + list(accumulate(map(up, map(float, range(anchor, hi))),
+                                               operator.mul))
+    import numpy as np
+
+    # np.multiply.accumulate is np.cumprod without its ~2 us of dispatch
     out = np.empty(hi - lo + 1)
     out[anchor - lo] = 1.0
     if anchor < hi:
-        out[anchor - lo + 1:] = np.cumprod(up(np.arange(anchor, hi, dtype=float)))
+        out[anchor - lo + 1:] = np.multiply.accumulate(up(np.arange(anchor, hi, dtype=float)))
     if anchor > lo:
-        out[anchor - lo - 1::-1] = np.cumprod(down(np.arange(anchor, lo, -1, dtype=float)))
+        out[anchor - lo - 1::-1] = np.multiply.accumulate(
+            down(np.arange(anchor, lo, -1, dtype=float)))
     return out
 
 
@@ -93,7 +161,7 @@ def _geometric_tail(edge: float, r: float) -> float:
     return math.inf if r >= 1.0 else edge * r / (1.0 - r)
 
 
-def _window_pmf(n: int, p: float, lo: int, hi: int, anchor: int) -> np.ndarray:
+def _window_pmf(n: int, p: float, lo: int, hi: int, anchor: int) -> list | np.ndarray:
     """Binomial pmf on lo..hi from a log-space anchor and the exact
     multiplicative recurrence (`_outward`).
 
@@ -112,16 +180,19 @@ def _window_pmf(n: int, p: float, lo: int, hi: int, anchor: int) -> np.ndarray:
     odds = p / (1.0 - p)
     out = _outward(lo, hi, anchor, lambda ks: (n - ks) / (ks + 1.0) * odds,
                    lambda ks: ks / ((n - ks + 1.0) * odds))
-    out *= math.exp(log_a)
+    scale = math.exp(log_a)
+    if isinstance(out, list):
+        return [value * scale for value in out]
+    out *= scale
     return out
 
 
 def _binomial_window(n: int, p: float, tail_tol: float, term_bound: float = 1.0) -> tuple:
     """Binomial(n, p) pmf on a window lo..hi with a certified tail.
 
-    Returns lo, the pmf on lo..hi (`_window_pmf`, not normalized) and a
-    bound on the mass outside the window, which times `term_bound` is at
-    most `tail_tol`.  The window starts at mode +- (12 sigma + 40) and
+    Returns lo, the pmf on lo..hi (`_window_pmf`, not normalized; a list or
+    an array, `_list_window`) and a bound on the mass outside the window,
+    which times `term_bound` is at most `tail_tol`.  The window starts at mode +- (12 sigma + 40) and
     doubles until it is; windows touching 0 and n have no truncation at
     all.  0 < p < 1.
     """
@@ -154,6 +225,7 @@ def _binomial_guess(u: np.ndarray, budgets: np.ndarray, q: float) -> np.ndarray:
     Only where the walk tests a draw: it moves which draws go to boost,
     never a draw's value.  u must lie in (0, 1).
     """
+    import numpy as np
     from scipy.special._ufuncs import ndtri
 
     z = ndtri(u)
@@ -171,6 +243,7 @@ def _anchors(budgets: np.ndarray, k: np.ndarray, q: float) -> tuple:
     there are draws, pairs repeat (as in a chain's later steps at small n)
     and boost is called once per distinct pair; otherwise once per draw.
     """
+    import numpy as np
     from scipy.special._ufuncs import _binom_cdf, _binom_pmf
 
     bmin, kmin = int(budgets.min()), int(k.min())
@@ -204,7 +277,7 @@ def _unresolved(u: np.ndarray, below: np.ndarray, above: np.ndarray, err,
     stream's top draw and reach down to its smallest.
     """
     tol = (_GUARD + 2.0 * _UNIT * budgets) * above + err
-    return ~((u - below > tol) & (u - above <= -tol) & (u < UNIFORM_MAX) & (u >= UNIFORM_MIN))
+    return ~((u - below > tol) & (u - above <= -tol) & (u < _UNIFORM_MAX) & (u >= _UNIFORM_MIN))
 
 
 def _table(u: np.ndarray, budgets: np.ndarray, q: float) -> tuple:
@@ -222,6 +295,8 @@ def _table(u: np.ndarray, budgets: np.ndarray, q: float) -> tuple:
     tails for the mass outside the window, plus _TINY for roundings among
     subnormals.  `_unresolved` decides which draws go to boost.
     """
+    import numpy as np
+
     lo, pmf, tail = _binomial_window(int(budgets[0]), q, _TABLE_TAIL)
     m = pmf.size
     cdf = np.empty(m + 1)
@@ -245,7 +320,9 @@ def _walk(u: np.ndarray, budgets: np.ndarray, q: float) -> tuple:
     _GUARD, and the subtraction's rounding.  Draws with budget 0 are
     unresolved too, and every draw of a call whose anchors overflow.
     """
-    bad = (budgets <= 0) | (u >= UNIFORM_MAX) | (u < UNIFORM_MIN)
+    import numpy as np
+
+    bad = (budgets <= 0) | (u >= _UNIFORM_MAX) | (u < _UNIFORM_MIN)
     k = _binomial_guess(np.where(bad, 0.5, u), budgets, q).clip(0, budgets).astype(np.int64)
     try:
         above, pmf = _anchors(budgets, k, q)
@@ -257,6 +334,7 @@ def _walk(u: np.ndarray, budgets: np.ndarray, q: float) -> tuple:
 
 def _boost_draws(u: np.ndarray, budgets: np.ndarray, q: float) -> np.ndarray:
     """Boost's quantile, clipped to [0, budget]: the definition of a draw."""
+    import numpy as np
     from scipy.special._ufuncs import _binom_ppf
 
     return _binom_ppf(u, budgets, q).clip(0, budgets).astype(np.int64)
@@ -283,6 +361,8 @@ def _binomial_inverse(u: np.ndarray, budgets: np.ndarray, q: float, tally=None) 
     needs boost, so importing this package loads numpy only, and a run
     whose draws all come from tables never loads scipy.
     """
+    import numpy as np
+
     if q <= 0.0:
         return np.zeros(budgets.shape, dtype=np.int64)
     if q >= 1.0:

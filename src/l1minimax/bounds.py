@@ -218,8 +218,8 @@ def chernoff_tails(lam: float, delta: float) -> ChernoffTails:
     upper_tail bounds P(X >= (1+delta) lam); lower_tail bounds
     P(X <= (1-delta) lam) by exp(-delta^2 lam / 2).
     """
-    if not lam >= 0:
-        raise ValueError("lam must be nonnegative")
+    if not 0 <= lam < math.inf:
+        raise ValueError("lam must be nonnegative and finite")
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
     upper = math.exp(lam * (delta - (1.0 + delta) * math.log1p(delta)))
@@ -231,7 +231,12 @@ def hoeffding_bound(n: int, range_width: float, t: float) -> float:
     """2 exp(-2 t^2 / (n w^2)) for a sum of n iid terms of range w, capped at 1."""
     if not (n >= 1 and range_width > 0 and t > 0):
         raise ValueError("n, range_width and t must be positive")
-    return min(1.0, 2.0 * math.exp(-2.0 * t * t / (n * range_width * range_width)))
+    spread = n * range_width * range_width
+    exponent = -2.0 * t * t / spread if spread > 0.0 else math.nan
+    if math.isnan(exponent):  # n w^2 underflows to 0, or it and t^2 overflow
+        ratio = t / range_width
+        exponent = -2.0 * (ratio * ratio) / n
+    return min(1.0, 2.0 * math.exp(exponent))
 
 
 class ReportedBound(NamedTuple):

@@ -14,7 +14,10 @@ replicates over CPUs itself.
 
 Only `bounds` and `report` load with this module: each command imports the
 numeric modules it calls before its sweep starts, so `bounds`, `-h`
-and argparse's usage errors never import numpy.
+and argparse's usage errors never import numpy.  Nor do `exact-risk`,
+`reproduce cor2`, `cor3-4` and `cor9` while their pmf windows are small
+enough to be lists (`binomial._list_window`); cor6 and cor7 load numpy
+before their sweeps.
 """
 
 from __future__ import annotations
@@ -144,10 +147,11 @@ def _cell_bounds(**grid) -> dict:
 # subcommands
 
 def _load(*modules: str) -> None:
-    """Import the package's numeric `modules` that a command calls before its
-    sweep starts, so that no row's time counts loading them."""
+    """Import the `modules` a command calls before its sweep starts, so that
+    no row's time counts loading them: the package's numeric modules by
+    relative name (".exact"), and numpy for a sweep that sums arrays."""
     for module in modules:
-        importlib.import_module(f"{__package__}.{module}")
+        importlib.import_module(module, __package__)
 
 
 def _cells(cells):
@@ -200,7 +204,7 @@ def cmd_risk(args):
     cell index and checks the exact risk against its interval."""
     from .estimators import DEFAULT_ETA
     from .exact import estimator_risk_exact
-    _load("families")  # --family entropy-ball's source
+    _load(".families")  # --family entropy-ball's source
     with_mc = args.command == "mc"
     if with_mc:
         from .montecarlo import McConfig, mc_risk
@@ -407,19 +411,23 @@ _BALL_C = [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 _BALL_N = [10**3, 10**4, 10**5, 10**6, 10**7]
 
 # target: (its sweep, yielding rows and returning verdicts; the modules it
-# calls; help; grids read, defaults)
+# calls; help; grids read, defaults).  cor6 and cor7 load numpy up front:
+# most of their ~150k and ~310k pmf window points lie in windows wider than
+# `binomial._MAX_LIST_WINDOW`, which are arrays, and built as lists their
+# first rows' narrower windows would cost ~8 and ~16 ms more.
 _REPRODUCE_TARGETS = {
-    "cor2": (_verdicts_cor2, ["exact"], "sqrt(n) * uniform MLE risk -> sqrt(2(S-1)/pi)",
+    "cor2": (_verdicts_cor2, [".exact"], "sqrt(n) * uniform MLE risk -> sqrt(2(S-1)/pi)",
              {"S": [2], "n": [100, 1_000, 10_000]}),
-    "cor3-4": (_verdicts_cor34, ["exact", "families"],
+    "cor3-4": (_verdicts_cor34, [".exact", ".families"],
                "linear scaling n = cS: MLE risk and two-point oracle",
                {"c": [1.0, 2.0, 4.0, 8.0], "n": [1_000, 10_000]}),
-    "cor6": (_verdicts_cor6, ["exact", "families"],
+    "cor6": (_verdicts_cor6, [".exact", ".families", "numpy"],
              "entropy ball: ln(n) * max MLE risk / H rises past 1",
              {"H": [1.0], "c": _BALL_C, "n": _BALL_N}),
-    "cor7": (_verdicts_cor7, ["exact", "families"], "entropy ball: thresholding below the MLE",
+    "cor7": (_verdicts_cor7, [".exact", ".families", "numpy"],
+             "entropy ball: thresholding below the MLE",
              {"H": [1.0], "c": _BALL_C, "n": _BALL_N, "eta": [1.1]}),
-    "cor9": (_verdicts_cor9, ["families"],
+    "cor9": (_verdicts_cor9, [".families"],
              "entropy ball: simplex-constrained oracle rises past 1",
              {"H": [1.0], "c": _BALL_C, "n": _BALL_N}),
 }

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ProbabilityVector",
@@ -28,6 +29,8 @@ MAX_DENSE_SUPPORT = 10_000_000
 
 
 def _as_float_array(values: Iterable[float], what: str) -> np.ndarray:
+    import numpy as np
+
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{what} must be a non-empty 1-D sequence")
@@ -65,6 +68,8 @@ class ProbabilityVector:
 
     @staticmethod
     def uniform(support_size: int) -> "ProbabilityVector":
+        import numpy as np
+
         support_size = _whole(support_size, "support_size must be a positive integer")
         return ProbabilityVector(np.full(support_size, 1.0 / support_size))
 

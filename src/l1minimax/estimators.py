@@ -1,7 +1,10 @@
 """Coordinatewise estimators: the empirical distribution and hard thresholding.
 
 Both rules act on each symbol's count independently, which is what lets the
-exact-risk machinery decompose the l1 risk into per-coordinate sums.
+exact-risk machinery decompose the l1 risk into per-coordinate sums.  Both
+are threshold rules k -> (k/n if k/n > cut else 0), the empirical one with
+cut 0, and expose their cut, so exact risks can evaluate them count by
+count without numpy (`CoordinatewiseEstimator.cut_at`).
 """
 
 from __future__ import annotations
@@ -9,12 +12,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .bounds import _check_eta
 from .core import _whole
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ThresholdConfig",
@@ -50,26 +54,51 @@ class CoordinatewiseEstimator:
 
     `fn(counts, n)` must be elementwise (shape preserving) and map into
     [0, 1]; that range is what certifies truncation in exact risk sums.
+    A threshold rule also gives its `cut`, and `n` if it holds only at
+    that sample size; `fn` is then k -> (k/n if k/n > cut else 0.0) on
+    counts k >= 0, bit for bit.
     """
 
     name: str
     fn: Callable[[np.ndarray, int], np.ndarray] = field(repr=False)
+    cut: Optional[float] = field(default=None, repr=False)
+    n: Optional[int] = field(default=None, repr=False)
 
     def __call__(self, counts, n: int) -> np.ndarray:
+        import numpy as np
+
         return self.fn(np.asarray(counts), n)
+
+    def cut_at(self, n: int) -> Optional[float]:
+        """The rule's cut at sample size n, None for a rule without one;
+        raises, as `fn` does, at a sample size other than its own."""
+        if self.n is not None:
+            _check_sample_size(self.n, n)
+        return self.cut
+
+
+def _check_sample_size(own: int, n: int) -> None:
+    if n != own:
+        raise ValueError(f"config n={own} does not match sample size n={n}")
 
 
 def empirical_estimator() -> CoordinatewiseEstimator:
-    """Rule k -> k / n: the empirical distribution (MLE)."""
-    return CoordinatewiseEstimator("empirical", lambda counts, n: counts / n)
+    """Rule k -> k / n: the empirical distribution (MLE), the threshold
+    rule with cut 0 (k / n is 0 only at k = 0)."""
+    return CoordinatewiseEstimator("empirical", lambda counts, n: counts / n, cut=0.0)
 
 
 def threshold_level(cfg: ThresholdConfig) -> float:
     """The keep/drop cutoff e^2 (ln n)^(2 eta) / n on estimated frequencies;
-    requires n >= 2 so the log is positive."""
+    requires n >= 2 so the log is positive.  Past the float range it is
+    inf: the rule then zeroes every frequency."""
     if cfg.n < 2:
         raise ValueError(f"threshold level needs n >= 2 (ln n must be positive), got n={cfg.n}")
-    return math.exp(2.0) * (math.log(cfg.n) ** (2.0 * cfg.eta) / cfg.n)
+    try:
+        power = math.log(cfg.n) ** (2.0 * cfg.eta)
+    except OverflowError:  # (ln n)^(2 eta) past the float range
+        return math.inf
+    return math.exp(2.0) * (power / cfg.n)
 
 
 def threshold_estimator(cfg: ThresholdConfig) -> CoordinatewiseEstimator:
@@ -85,10 +114,11 @@ def threshold_estimator(cfg: ThresholdConfig) -> CoordinatewiseEstimator:
         )
 
     def fn(counts: np.ndarray, n: int) -> np.ndarray:
-        if n != cfg.n:
-            raise ValueError(f"config n={cfg.n} does not match sample size n={n}")
+        import numpy as np
+
+        _check_sample_size(cfg.n, n)
         freq = counts / n
         return np.where(freq > cut, freq, 0.0)
 
-    return CoordinatewiseEstimator(f"threshold(eta={cfg.eta:g})", fn)
+    return CoordinatewiseEstimator(f"threshold(eta={cfg.eta:g})", fn, cut, cfg.n)
 

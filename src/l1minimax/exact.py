@@ -10,19 +10,27 @@ both pmfs over one window around the two rates, each anchored at its mode
 and normalized by its sum on the window.  The 1e-14 truncation
 budget covers a whole risk sum: each of its k distinct atoms of
 multiplicity mult gets TAIL_TOL / (mult * k).
+
+Every sum is numpy's pairwise sum, whose order depends only on the number
+of terms, never BLAS: a window built as a list (`binomial._list_window`)
+is summed by `_pairwise_sum` in the same order, so no value depends on
+the route, the CPU or the thread count.  numpy is imported only when a
+window is an array.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional
 
 # _window_pmf is bound here because perfbench/spans.py hooks exact._window_pmf
-from .binomial import _binomial_window, _geometric_tail, _outward, _window_pmf
+from .binomial import (_binomial_window, _geometric_tail, _outward, _pairwise_sum,
+                       _window_pmf)
 from .core import Distribution, _atom_items, _whole
 from .estimators import CoordinatewiseEstimator
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "binomial_mad_exact",
@@ -43,20 +51,32 @@ def binomial_expectation(
     term: Callable[[np.ndarray], np.ndarray],
     term_bound: float = 1.0,
     tail_tol: float = TAIL_TOL,
+    term_list: Optional[Callable[[range], list]] = None,
 ) -> float:
     """Sum of term(k) * pmf(k) over k = 0..n with certified truncation.
 
     `term` maps an int64 array of counts to values bounded by `term_bound`
     in absolute value.  The sum runs over a `_binomial_window` whose tail
-    bound times `term_bound` is at most `tail_tol`.
+    bound times `term_bound` is at most `tail_tol`.  `term_list`, if given,
+    maps a range of counts to the list of the same values, bit for bit; a
+    window built as a list is then summed without numpy.
     """
-    if p <= 0.0:
-        return float(term(np.array([0], dtype=np.int64))[0])
-    if p >= 1.0:
-        return float(term(np.array([n], dtype=np.int64))[0])
+    if p <= 0.0 or p >= 1.0:  # all the mass at one count
+        k = 0 if p <= 0.0 else n
+        if term_list is not None:
+            return term_list(range(k, k + 1))[0]
+        import numpy as np
+
+        return float(term(np.array([k], dtype=np.int64))[0])
     lo, pmf, _ = _binomial_window(n, p, tail_tol, term_bound)
+    if term_list is not None and isinstance(pmf, list):
+        terms = term_list(range(lo, lo + len(pmf)))
+        return _pairwise_sum([t * q for t, q in zip(terms, pmf)])
+    import numpy as np
+
+    pmf = np.asarray(pmf)  # a list window, for a term on arrays alone
     ks = np.arange(lo, lo + pmf.size, dtype=np.int64)
-    return float(np.dot(term(ks), pmf))
+    return float((term(ks) * pmf).sum())
 
 
 def binomial_mad_exact(n: int, p: float) -> float:
@@ -65,7 +85,9 @@ def binomial_mad_exact(n: int, p: float) -> float:
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
     bound = max(p, 1.0 - p)
-    return binomial_expectation(n, p, lambda ks: np.abs(ks / n - p), bound)
+    nf = float(n)
+    return binomial_expectation(n, p, lambda ks: abs(ks / n - p), bound,
+                                term_list=lambda ks: [abs(k / nf - p) for k in ks])
 
 
 def _grouped_atoms(p: Distribution) -> list:
@@ -91,23 +113,33 @@ def estimator_risk_exact(
     with one repeated tiny value cost constant work per distinct value.
     """
     n = _whole(n, "n must be a positive integer")
+    cut = estimator.cut_at(n)
+    nf = float(n)
     atoms = _grouped_atoms(p)
     total = 0.0
     for value, mult in atoms:
 
         def loss(ks: np.ndarray, v=value) -> np.ndarray:
-            return np.abs(estimator(ks, n) - v)
+            return abs(estimator(ks, n) - v)
+
+        def loss_list(ks: range, v=value) -> list:
+            # the rule k -> k/n if k/n > cut else 0 (`cut_at`), count by count
+            return [abs((f if (f := k / nf) > cut else 0.0) - v) for k in ks]
 
         # this atom's share of the budget: sum of mult * tail <= TAIL_TOL
         tail_tol = TAIL_TOL / (mult * len(atoms))
-        total += float(mult) * binomial_expectation(n, value, loss, tail_tol=tail_tol)
+        total += float(mult) * binomial_expectation(
+            n, value, loss, tail_tol=tail_tol, term_list=None if cut is None else loss_list)
     return total
 
 
-def _poisson_window(lam: float, lo: int, hi: int) -> np.ndarray:
+def _poisson_window(lam: float, lo: int, hi: int) -> list | np.ndarray:
     """Poisson(lam) pmf on lo..hi, lo <= lam <= hi, by exact ratios outward
     from the mode (`_outward`), normalized by its sum on the window."""
     pmf = _outward(lo, hi, int(lam), lambda ks: lam / (ks + 1.0), lambda ks: ks / lam)
+    if isinstance(pmf, list):
+        mass = _pairwise_sum(pmf)
+        return [value / mass for value in pmf]
     return pmf / pmf.sum()
 
 
@@ -134,6 +166,8 @@ def poisson_tv_exact(lam_lo: float, lam_hi: float) -> float:
                    + (_geometric_tail(pmf[0], lo / lam) if lo else 0.0)
                    for lam, pmf in zip((lam_lo, lam_hi), pmfs))
         if tail < POISSON_TAIL_TOL:
-            return float(0.5 * np.abs(pmfs[0] - pmfs[1]).sum())
+            if isinstance(pmfs[0], list):
+                return 0.5 * _pairwise_sum([abs(a - b) for a, b in zip(*pmfs)])
+            return float(0.5 * abs(pmfs[0] - pmfs[1]).sum())
         width *= 2.0
         hi *= 2

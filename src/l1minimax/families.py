@@ -13,13 +13,10 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .bounds import (BoundValue, _check_high_dim, _check_sizes,
                      bayes_risk_two_point_piecewise, hoeffding_bound)
 from .core import CompressedFamily, _whole
 from .exact import poisson_tv_exact
-from .rng import MAX_INDEX_RANGE, stream_key, to_index, uniforms
 
 __all__ = [
     "EntropyBallFamily",
@@ -172,6 +169,10 @@ def sample_from_composite_prior(cp: CompositePrior, seed: int) -> tuple:
     Floyd's subset sampling, in O(S') work and memory: step i, from k S' - S'
     up, takes the slot j in [0, i] that `rng.to_index` maps its draw to, or i.
     """
+    import numpy as np
+
+    from .rng import MAX_INDEX_RANGE, stream_key, to_index, uniforms
+
     population = cp.k * cp.S_prime
     if population > MAX_INDEX_RANGE:
         raise ValueError("slot population too large to index exactly")

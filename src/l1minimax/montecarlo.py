@@ -60,6 +60,10 @@ _CHUNK_DRAWS = 1 << 14
 # 23.0/32.0 at 1e6, 33.4/54.1 and 34.7/41.1 at 1.5e6).  Of
 # results/mc_risk_grid.csv's cells, those at n = 1e5 and n = 1e4, c >= 0.5 split.
 _MIN_SPLIT_DRAWS = 500_000
+# Level of a degenerate interval, the 99.73% of three standard errors:
+# when all R losses equal l0, a loss other than l0 has chance at most
+# ln(1/delta) / R with probability 1 - delta, and losses lie in [0, 2].
+_DEGENERATE_DELTA = 0.0027
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,8 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McRiskEstimate:
-    """Sample mean of per-replicate l1 losses with a z-score interval."""
+    """Sample mean of per-replicate l1 losses with a z-score interval (see
+    `mc_risk` for the interval of equal losses)."""
 
     mean: float
     std_error: float
@@ -336,7 +341,10 @@ def mc_risk(
     """Monte-Carlo estimate of the expected l1 risk with a z-score CI.
 
     Losses are accumulated in replicate-index order, so the reported mean
-    does not depend on batching or on splitting over processes.
+    does not depend on batching or on splitting over processes.  The
+    interval is the mean +- 3 standard errors, unless all R losses equal
+    one value l0: then it is l0 +- 2 ln(1/delta) / R at delta = 0.0027,
+    as a sample that never saw a rare loss has no spread to measure.
     """
     n = _whole(n, "n must be a positive integer")
     keys = derive_key(cfg.master_seed, np.arange(cfg.replicates, dtype=np.uint64))
@@ -353,5 +361,7 @@ def mc_risk(
     mean = float(losses.sum() / reps)
     variance = float(np.square(losses - mean).sum() / (reps - 1))
     std_error = math.sqrt(variance / reps)
-    half = 3.0 * std_error  # interval half-width: three standard errors
-    return McRiskEstimate(mean, std_error, mean - half, mean + half, reps)
+    center, half = mean, 3.0 * std_error  # interval half-width: three standard errors
+    if losses.min() == losses.max():
+        center, half = float(losses[0]), 2.0 * math.log(1.0 / _DEGENERATE_DELTA) / reps
+    return McRiskEstimate(mean, std_error, center - half, center + half, reps)

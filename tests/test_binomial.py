@@ -18,7 +18,7 @@ from scipy.stats import binom as sp_binom
 from l1minimax import (McConfig, ProbabilityVector, binomial_expectation, empirical_estimator,
                        mc_risk)
 from l1minimax import binomial, exact, montecarlo, rng
-from l1minimax.binomial import _lgamma_int, _window_pmf
+from l1minimax.binomial import _lgamma_int, _pairwise_sum, _window_pmf
 from l1minimax.rng import stream_key, uniforms
 
 
@@ -41,6 +41,11 @@ def test_benchmark_hooks_stay_bound():
     for module, attr in sorted(hooks):
         bound = hasattr(importlib.import_module(module), attr)
         assert bound == ((module, attr) not in _ABSENT_HOOKS), f"{module}.{attr}"
+
+
+def test_stream_range_is_the_one_of_rng():
+    # `binomial` holds the range of `rng.uniforms` itself, as `rng` loads numpy
+    assert (binomial._UNIFORM_MIN, binomial._UNIFORM_MAX) == (rng.UNIFORM_MIN, rng.UNIFORM_MAX)
 
 
 _MOVED = ("_lgamma_int", "_LOG_TINY", "_LS2PI", "_LGAM_A", "_outward", "_geometric_tail",
@@ -134,6 +139,24 @@ class TestBinomialPmf:
         for k in [0, 99_000, 100_000, 101_000, 10**6]:
             ref = float(sp_binom.pmf(k, n, p))
             assert pmf[k] == pytest.approx(ref, rel=1e-8, abs=1e-300)
+
+
+class TestPairwiseSum:
+    """`_pairwise_sum` adds a list in the order `ndarray.sum()` adds a
+    contiguous float64 array, so list and array windows sum to the same bits."""
+
+    def test_equals_ndarray_sum_for_lengths_to_40000(self):
+        gen = np.random.default_rng(20140606)
+        lengths = list(range(1100)) + gen.integers(1100, 40_001, 60).tolist() + [40_000]
+        for i, size in enumerate(lengths):
+            # signed, spread over 26 decades, and heavy-tailed values in turn
+            values = (gen.standard_normal(size), gen.random(size) * np.exp(gen.uniform(-30, 30, size)),
+                      gen.standard_cauchy(size))[i % 3]
+            assert _pairwise_sum(values.tolist()).hex() == float(values.sum()).hex(), size
+
+    def test_sums_a_slice(self):
+        values = [float(k) * 0.1 for k in range(300)]
+        assert _pairwise_sum(values, 17, 290) == float(np.array(values[17:290]).sum())
 
 
 class TestBinomialKernel:

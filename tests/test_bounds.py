@@ -366,6 +366,12 @@ class TestChernoffTails:
         exact_up = exact_poisson_tail_upper(lam, (1 + delta) * lam)
         assert exact_up <= chernoff_tails(lam, delta).upper_tail
 
+    @pytest.mark.parametrize("lam", [math.inf, -math.inf])
+    def test_non_finite_lam_is_a_value_error(self, lam):
+        # lam = inf passed `lam >= 0` and gave NaN tails at tiny delta
+        with pytest.raises(ValueError, match="lam must be nonnegative and finite"):
+            chernoff_tails(lam, 5e-324)
+
 
 class TestHoeffding:
     def test_vacuous_clamp(self):
@@ -387,3 +393,15 @@ class TestHoeffding:
         b2 = hoeffding_bound(n, w, 2 * t)
         assert b1 < 1.0
         assert b2 == pytest.approx(b1**4 / 8.0, rel=1e-10)
+
+    @pytest.mark.parametrize("n, w, t, expected", [
+        (1, 1e-200, 1e-200, 2.0 * math.exp(-2.0)),  # n w^2 underflowed: ZeroDivisionError
+        (1, 5e-324, 1.0, 0.0),  # t / w overflows: the exponent is -inf
+        (1, 1e200, 1e200, 2.0 * math.exp(-2.0)),  # t^2 / (n w^2) was inf / inf
+    ])
+    def test_exponent_past_the_float_range(self, n, w, t, expected):
+        assert hoeffding_bound(n, w, t) == expected
+
+    def test_finite_exponents_keep_their_bits(self):
+        for n, w, t in [(10, 1.0, 1e-15), (50, 0.3, 1.5), (10**4, 2e-4, 0.0271), (1, 1e200, 1.0)]:
+            assert hoeffding_bound(n, w, t) == min(1.0, 2.0 * math.exp(-2.0 * t * t / (n * w * w)))

@@ -213,6 +213,18 @@ class TestExactRiskCommand:
         assert [(r["n"], r["exact_risk"], r["error"]) for r in rows] == [
             (n, "", "eta must exceed 1 and be finite, got eta=inf") for n in ("2", "100")]
 
+    def test_eta_past_the_float_range_zeroes_the_rule(self, tmp_path):
+        # (ln n)^(2 eta) overflows at eta = 1e200: the row's error was the
+        # errno tuple "(34, 'Numerical result out of range')"; now the level
+        # is inf and the all-zero rule has risk sum(p) = 1
+        code, out = run(tmp_path, "exact-risk", "--family", "entropy-ball", "--grid-H", "1",
+                        "--grid-c", "0.5", "--grid-n", "1000", "--estimator", "threshold",
+                        "--grid-eta", "1e200")
+        assert code == 0
+        _, [row] = parse_csv(out)
+        assert row["error"] == "" and float(row["exact_risk"]) == pytest.approx(1.0, rel=1e-12)
+        assert row["mle_entropy_upper"] == "inf" and row["mle_entropy_upper_vacuous"] == "true"
+
     def test_unknown_family(self, tmp_path, capsys):
         code = main(["exact-risk", "--family", "prawns", "--grid-n", "4",
                      "--out", str(tmp_path / "x.csv")])
@@ -283,6 +295,15 @@ class TestMcCommand:
         assert float(row["mc_ci_lo"]) <= 0.375 <= float(row["mc_ci_hi"])
         assert row["mc_within_ci"] == "true"
         assert row["seed"] == "5"
+
+    def test_equal_losses_interval_covers_the_exact_risk(self, tmp_path):
+        # the threshold rule zeroes everything at n = 10: every loss is 1,
+        # the exact risk 1 - 2^-50, and three standard errors of 0 missed it
+        code, out = run(tmp_path, "mc", "--estimator", "threshold", "--family", "uniform",
+                        "--grid-S", "3", "--grid-n", "10", "--replicates", "100")
+        assert code == 0
+        _, [row] = parse_csv(out)
+        assert row["mc_mean"] == "1" and row["mc_within_ci"] == "true"
 
     def test_rerun_byte_identical(self, tmp_path):
         args = ("mc", "--family", "uniform", "--grid-S", "2", "3", "--grid-n", "10",
@@ -690,13 +711,15 @@ def _process_imports(tmp_path, *argv):
 
 class TestImportFootprint:
     """`import l1minimax` loads none of its modules, and a CLI process only
-    those its command calls: `bounds`, `-h` and usage errors load no numpy.
-    Commands whose draws all come from Binomial tables load no scipy; it
-    arrives with the first draw that needs boost, and no command loads a
-    process pool."""
+    those its command calls: `bounds`, `-h` and usage errors load no numpy,
+    nor do `exact-risk`, `reproduce cor2`, `cor3-4` and `cor9` on their
+    documented grids, whose pmf windows are lists.  Commands whose draws
+    all come from Binomial tables load no scipy; it arrives with the first
+    draw that needs boost, and no command loads a process pool."""
 
-    BOUNDS_GRID = ["bounds", "--grid-H", "1", "--grid-c", "0.3", "0.5", "0.7",
-                   "--grid-n", "1000", "10000", "100000", "--grid-eta", "1.1"]
+    GRID = ["--grid-H", "1", "--grid-c", "0.3", "0.5", "0.7",
+            "--grid-n", "1000", "10000", "100000"]
+    BOUNDS_GRID = ["bounds", *GRID, "--grid-eta", "1.1"]
 
     def test_package_loads_each_module_when_first_reached(self):
         script = textwrap.dedent("""
@@ -732,6 +755,21 @@ class TestImportFootprint:
         assert "l1minimax.cli" in modules
         assert not [m for m in modules if m.split(".")[0] == "numpy"]
 
+    @pytest.mark.parametrize("argv", [
+        ["reproduce", "cor2"],
+        ["reproduce", "cor3-4"],
+        ["reproduce", "cor9"],
+        ["exact-risk", "--family", "entropy-ball", *GRID, "--estimator", "empirical",
+         "--estimator", "threshold", "--grid-eta", "1.1"],
+    ], ids=["reproduce-cor2", "reproduce-cor3-4", "reproduce-cor9", "exact-risk-grid"])
+    def test_exact_commands_load_no_numpy(self, tmp_path, argv):
+        # the exact_risk_grid.csv command and three trend targets, as the
+        # scripts run them
+        returncode, modules = _process_imports(tmp_path, *argv, "--out", "out.csv")
+        assert returncode == 0
+        assert "l1minimax.exact" in modules or "l1minimax.families" in modules
+        assert not [m for m in modules if m.split(".")[0] == "numpy"]
+
     @pytest.mark.parametrize("argv, absent", [
         (["reproduce", "cor2", "--grid-n", "100", "1000"],
          {"l1minimax.montecarlo", "l1minimax.families"}),
@@ -746,7 +784,8 @@ class TestImportFootprint:
 
     @pytest.mark.parametrize("target", ["cor2", "cor3-4", "cor6", "cor7", "cor9"])
     def test_reproduce_target_loads_its_modules_before_its_first_row(self, target):
-        # cmd_reproduce loads them before it starts a row's clock
+        # cmd_reproduce loads them, and numpy for cor6 and cor7, before it
+        # starts a row's clock
         script = textwrap.dedent("""
             import sys
             from l1minimax import cli
@@ -754,7 +793,8 @@ class TestImportFootprint:
             cli._load(*cli._REPRODUCE_TARGETS[target][1])
             before = set(sys.modules)
             cli.main(["reproduce", target, "--grid-n", "1000"])
-            print(sorted(m for m in set(sys.modules) - before if m.startswith("l1minimax")))
+            print(sorted(m for m in set(sys.modules) - before
+                         if m.split(".")[0] in ("l1minimax", "numpy")))
         """)
         src = pathlib.Path(l1minimax.__file__).resolve().parents[1]
         proc = subprocess.run([sys.executable, "-c", script, target], capture_output=True,

@@ -44,6 +44,17 @@ class TestThresholdLevel:
         with pytest.raises(ValueError, match="n >= 2"):
             threshold_level(ThresholdConfig(1, 1.5))
 
+    @pytest.mark.parametrize("eta", [1e200, 1e308])
+    def test_level_past_the_float_range_is_inf(self, eta, caplog):
+        # (ln n)^(2 eta) overflows: at 1e200 it raised OverflowError (34, ...),
+        # at 1e308 (2 eta = inf) it gave inf; both zero every frequency
+        cfg = ThresholdConfig(1000, eta)
+        assert threshold_level(cfg) == math.inf
+        rule = threshold_estimator(cfg)
+        assert "returns 0 everywhere" in caplog.text
+        assert rule.cut_at(1000) == math.inf
+        assert estimate(rule, [999, 1]).tolist() == [0.0, 0.0]
+
     def test_eta_must_exceed_one(self):
         with pytest.raises(ValueError, match="eta"):
             ThresholdConfig(100, 1.0)
@@ -113,6 +124,22 @@ class TestHardThreshold:
 
 
 class TestEstimatorObjects:
+    def test_built_in_rules_expose_their_cut(self):
+        assert empirical_estimator().cut_at(7) == 0.0
+        cfg = ThresholdConfig(50, 1.3)
+        assert threshold_estimator(cfg).cut_at(50) == threshold_level(cfg)
+        with pytest.raises(ValueError, match="config n=50 does not match sample size n=49"):
+            threshold_estimator(cfg).cut_at(49)
+
+    @pytest.mark.parametrize("rule", [empirical_estimator(),
+                                      threshold_estimator(ThresholdConfig(1000, 1.1))],
+                             ids=["empirical", "threshold"])
+    def test_rule_is_its_cut_count_by_count(self, rule):
+        # k -> k/n if k/n > cut else 0, bit for bit, for every count 0..n
+        cut, counts = rule.cut_at(1000), np.arange(1001)
+        by_count = [k / 1000.0 if k / 1000.0 > cut else 0.0 for k in range(1001)]
+        assert rule(counts, 1000).tolist() == by_count
+
     def test_empirical_rule_on_arrays(self):
         rule = empirical_estimator()
         out = rule(np.array([0, 2, 4]), 4)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -283,9 +284,9 @@ class TestTruncationBudget:
         seen = []
         original = exact.binomial_expectation
 
-        def recording(n, p, term, term_bound=1.0, tail_tol=exact.TAIL_TOL):
+        def recording(n, p, term, term_bound=1.0, tail_tol=exact.TAIL_TOL, **kwargs):
             seen.append((p, tail_tol))
-            return original(n, p, term, term_bound, tail_tol)
+            return original(n, p, term, term_bound, tail_tol, **kwargs)
 
         monkeypatch.setattr(exact, "binomial_expectation", recording)
         estimator_risk_exact(fam, empirical_estimator(), n)
@@ -294,3 +295,72 @@ class TestTruncationBudget:
         spent = math.fsum(mults[p] * tol for p, tol in seen)
         # up to the rounding of the division that splits the budget
         assert spent <= exact.TAIL_TOL * (1.0 + 1e-12)
+
+
+def on_both_routes(call):
+    """call() with every pmf window built as a list, as when numpy is not
+    loaded, then with every window an array: their results as .hex()."""
+    with mock.patch.object(binomial, "_numpy_loaded", lambda: False), \
+            mock.patch.object(binomial, "_MAX_LIST_WINDOW", math.inf):
+        assert isinstance(binomial._window_pmf(10, 0.3, 0, 10, 3), list)
+        listed = call()
+    with mock.patch.object(binomial, "_MAX_LIST_WINDOW", -1):
+        assert isinstance(binomial._window_pmf(10, 0.3, 0, 10, 3), np.ndarray)
+        arrays = call()
+    return listed.hex(), arrays.hex()
+
+
+_SIZES = st.integers(0, 7).flatmap(lambda e: st.integers(1, 10**e))
+
+
+@st.composite
+def _families(draw):
+    """1-3 atoms: weights in [0.01, 1] and multiplicities up to 1e6."""
+    atoms = draw(st.lists(st.tuples(st.floats(0.01, 1.0), st.integers(1, 10**6)),
+                          min_size=1, max_size=3))
+    mass = math.fsum(w * m for w, m in atoms)
+    return CompressedFamily(tuple((w / mass, m) for w, m in atoms))
+
+
+class TestRoutes:
+    """A window built as a list and one built as an array give every exact
+    value the same bits: the same ratios in the same order, products in
+    np.cumprod's order, and `_pairwise_sum` in `ndarray.sum()`'s."""
+
+    @given(_families(), _SIZES, st.floats(1.01, 3.0))
+    @example(entropy_ball_family(1.0, 0.05).family, 10**7, 1.1)
+    @example(CompressedFamily(((0.5, 2),)), 10**7, 2.0)
+    @example(CompressedFamily(((1.0, 1),)), 1, 1.5)
+    @settings(max_examples=40, deadline=None)
+    def test_estimator_risk_exact(self, fam, n, eta):
+        rules = [empirical_estimator()]
+        if n >= 2:
+            rules.append(threshold_estimator(ThresholdConfig(n, eta)))
+        for rule in rules:
+            listed, arrays = on_both_routes(lambda: estimator_risk_exact(fam, rule, n))
+            assert listed == arrays, rule.name
+
+    @given(_SIZES, st.floats(0.0, 1.0))
+    @example(10**6, 0.37)
+    @example(10**7, 1e-9)
+    @example(5, 0.0)
+    @example(5, 1.0)
+    @settings(max_examples=40, deadline=None)
+    def test_binomial_mad_exact(self, n, p):
+        listed, arrays = on_both_routes(lambda: binomial_mad_exact(n, p))
+        assert listed == arrays
+
+    @given(st.floats(0.0, 1e4), st.floats(0.0, 100.0))
+    @example(0.0, 1.0)
+    @example(1e4, 100.0)
+    @settings(max_examples=40, deadline=None)
+    def test_poisson_tv_exact(self, lo, gap):
+        listed, arrays = on_both_routes(lambda: poisson_tv_exact(lo, lo + gap))
+        assert listed == arrays
+
+    def test_term_on_arrays_alone_sums_a_list_window(self):
+        # a rule without a cut (a custom fn) takes the window as an array
+        oracle = CoordinatewiseEstimator("quarter", lambda ks, n: np.full(np.shape(ks), 0.25))
+        fam = CompressedFamily(((0.25, 4),))
+        listed, arrays = on_both_routes(lambda: estimator_risk_exact(fam, oracle, 1000))
+        assert listed == arrays == (0.0).hex()

@@ -5,7 +5,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from l1minimax import families
 from l1minimax import (CompositePrior, CompressedFamily,
                        assembled_minimax_lower_hd,
                        bayes_risk_entropy_ball, bayes_risk_entropy_ball_constrained,
@@ -280,7 +279,7 @@ class TestCompositePriorSampling:
         # the last of [0, i], never i + 1 (the heavy coordinate, or a slot a
         # later step takes again).
         cp = CompositePrior(delta=0.2, S_prime=5, k=4)
-        monkeypatch.setattr(families, "uniforms", lambda key, start, count: np.ones(count))
+        monkeypatch.setattr("l1minimax.rng.uniforms", lambda key, start, count: np.ones(count))
         assert sample_from_composite_prior(cp, 0) == tuple(range(15, 20))
 
     def test_deterministic_in_seed(self):

@@ -1,7 +1,11 @@
 import errno
+import inspect
 import logging
 import math
 import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -243,6 +247,17 @@ class TestMcRisk:
         out = mc_risk(pv, oracle, 10, McConfig(200, 0))
         assert out.mean == 0.0
         assert out.std_error == 0.0
+
+    def test_equal_losses_get_an_interval_of_their_own(self):
+        # seed 2 never draws the 0.001 atom: all 100 losses are 2 * 0.001,
+        # and mean +- 3 standard errors (~1e-19) missed the exact risk
+        pv = ProbabilityVector([0.999, 0.001])
+        exact = estimator_risk_exact(pv, empirical_estimator(), 10)
+        out = mc_risk(pv, empirical_estimator(), 10, McConfig(100, 2))
+        assert out.std_error < 1e-18 and out.mean != exact
+        half = 2.0 * math.log(1.0 / 0.0027) / 100
+        assert (out.ci_lo, out.ci_hi) == (0.002 - half, 0.002 + half)
+        assert out.ci_lo <= exact <= out.ci_hi
 
     def test_ci_contains_exact_uniform(self):
         pv = ProbabilityVector([0.5, 0.5])
@@ -580,6 +595,29 @@ class TestDenseVectorsAsAtoms:
         assert montecarlo._compressed_losses(keys, pv, estimator, n).tolist() == losses
 
 
+def exact_golden_values() -> list:
+    """.hex() of three exact values of the kinds whose last bits followed
+    OpenBLAS's kernel and thread count while exact sums used `np.dot`: the
+    empirical risk on an entropy ball at n = 1e7, on a seeded 50-atom
+    Dirichlet vector at n = 100, and a Binomial MAD on ~11,700 points.
+    Self-contained, so that a child process can run its source."""
+    import math
+    import random
+
+    import numpy  # noqa: F401  (loaded, so every window is an array)
+
+    from l1minimax import (ProbabilityVector, binomial_mad_exact, empirical_estimator,
+                           entropy_ball_family, estimator_risk_exact)
+
+    rnd = random.Random(11)
+    weights = [rnd.expovariate(1.0) for _ in range(50)]
+    dirichlet = ProbabilityVector([w / math.fsum(weights) for w in weights])
+    ball = entropy_ball_family(1.0, 0.05).family
+    return [estimator_risk_exact(ball, empirical_estimator(), 10**7).hex(),
+            estimator_risk_exact(dirichlet, empirical_estimator(), 100).hex(),
+            binomial_mad_exact(10**6, 0.37).hex()]
+
+
 class TestGoldenBits:
     """Fixed-seed outputs pinned bit for bit.
 
@@ -587,6 +625,27 @@ class TestGoldenBits:
     platforms; these values make a change of sampler (or of the library
     behind the Binomial inversion) visible instead of silent.
     """
+
+    EXACT = ["0x1.840d6aa4b73f7p-4", "0x1.eb79ac6b04515p-2", "0x1.93ef3e0764dc2p-12"]
+
+    def test_exact_values(self):
+        assert exact_golden_values() == self.EXACT
+
+    @pytest.mark.parametrize("setting", [
+        {"OPENBLAS_CORETYPE": "Prescott"},
+        {"OPENBLAS_NUM_THREADS": "1"},
+        {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+    ], ids=["openblas-prescott", "openblas-one-thread", "numpy-without-avx512"])
+    def test_exact_values_whatever_the_kernel(self, setting):
+        # exact sums are numpy's pairwise sum, whose order is the number of
+        # terms alone: no BLAS kernel, thread count or SIMD target moves them
+        src = pathlib.Path(montecarlo.__file__).resolve().parents[1]
+        script = inspect.getsource(exact_golden_values) + "\nprint(*exact_golden_values())\n"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src), **setting},
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == exact_golden_values()
 
     def test_dense_mc_mean(self):
         pv = ProbabilityVector([0.2, 0.3, 0.5])
