@@ -192,10 +192,13 @@ def _binomial_window(n: int, p: float, tail_tol: float, term_bound: float = 1.0)
 
     Returns lo, the pmf on lo..hi (`_window_pmf`, not normalized; a list or
     an array, `_list_window`) and a bound on the mass outside the window,
-    which times `term_bound` is at most `tail_tol`.  The window starts at mode +- (12 sigma + 40) and
-    doubles until it is; windows touching 0 and n have no truncation at
-    all.  0 < p < 1.
+    which times `term_bound` is at most `tail_tol`.  The window starts at
+    mode +- (12 sigma + 40) and doubles until it is; windows touching 0 and
+    n have no truncation at all.  At p = 0 or 1 it is the one count 0 or n.
     """
+    if p <= 0.0 or p >= 1.0:  # all the mass at one count: no ratios
+        k = 0 if p <= 0.0 else n
+        return k, _outward(k, k, k, None, None), 0.0
     mode = min(int((n + 1) * p), n)
     sigma = math.sqrt(n * p * (1.0 - p))
     width = int(12.0 * sigma + 40.0)

@@ -125,7 +125,8 @@ def _check_eta(eta) -> None:
 
 
 def _entropy_ball_upper(H, n, eta, scale: float, shift: float) -> BoundValue:
-    """scale H / (ln n - shift - 2 eta ln ln n) + (ln n)^(-eta), or vacuous +inf."""
+    """scale H / (ln n - shift - 2 eta ln ln n) + (ln n)^(-eta), or vacuous
+    +inf, also where the sum is past the float range."""
     if not 0.0 <= H < math.inf:
         raise ValueError(f"H must be nonnegative and finite, got H={H}")
     _check_eta(eta)
@@ -133,7 +134,11 @@ def _entropy_ball_upper(H, n, eta, scale: float, shift: float) -> BoundValue:
     denom = math.log(n) - shift - 2.0 * eta * ln_ln_n
     if denom <= 0.0:
         return BoundValue(math.inf, vacuous=True)
-    return BoundValue(scale * H / denom + math.log(n) ** (-eta))
+    try:
+        value = scale * H / denom + math.log(n) ** (-eta)
+    except OverflowError:  # (ln n)^(-eta) past the float range: ln n < 1
+        value = math.inf
+    return BoundValue(value, vacuous=value == math.inf)
 
 
 def mle_entropy_upper(H: float, n: int, eta: float) -> BoundValue:

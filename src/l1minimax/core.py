@@ -50,6 +50,17 @@ def _whole(value, message: str, least: int = 1) -> int:
     return int(value)
 
 
+def _mass(values: list, what: str) -> float:
+    """math.fsum of `values`; raises unless it lies within NORMALIZE_TOL of 1."""
+    try:
+        mass = math.fsum(values)
+    except OverflowError:  # partial sums past the float range: far from 1
+        mass = math.inf
+    if abs(mass - 1.0) > NORMALIZE_TOL:
+        raise ValueError(f"{what} to {mass!r}, too far from 1 to normalize")
+    return mass
+
+
 @dataclass(frozen=True)
 class ProbabilityVector:
     """Finite nonnegative vector summing to 1; zeros are allowed entries."""
@@ -58,9 +69,7 @@ class ProbabilityVector:
 
     def __post_init__(self):
         arr = _as_float_array(self.probs, "probs")
-        total = math.fsum(arr.tolist())
-        if abs(total - 1.0) > NORMALIZE_TOL:
-            raise ValueError(f"probs sum to {total!r}, too far from 1 to normalize")
+        total = _mass(arr.tolist(), "probs sum")
         if total != 1.0:
             arr = arr / total
         arr.setflags(write=False)
@@ -101,9 +110,7 @@ class CompressedFamily:
             total.append(value * mult)
         if not cleaned:
             raise ValueError("atoms must be non-empty")
-        mass = math.fsum(total)
-        if abs(mass - 1.0) > NORMALIZE_TOL:
-            raise ValueError(f"atom mass sums to {mass!r}, too far from 1 to normalize")
+        mass = _mass(total, "atom mass sums")
         if abs(mass - 1.0) > SUM_TOL:
             cleaned = [(v / mass, m) for v, m in cleaned]
         object.__setattr__(self, "atoms", tuple(cleaned))

@@ -2,9 +2,9 @@
 
 Both rules act on each symbol's count independently, which is what lets the
 exact-risk machinery decompose the l1 risk into per-coordinate sums.  Both
-are threshold rules k -> (k/n if k/n > cut else 0), the empirical one with
-cut 0, and expose their cut, so exact risks can evaluate them count by
-count without numpy (`CoordinatewiseEstimator.cut_at`).
+are one `ThresholdRule` k -> (k/n if k/n > cut else 0), the empirical one
+with cut 0; the rule evaluates on count arrays and, for exact risks without
+numpy, count by count (`ThresholdRule.losses`).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ThresholdConfig",
+    "ThresholdRule",
     "CoordinatewiseEstimator",
     "empirical_estimator",
     "threshold_estimator",
@@ -49,43 +50,57 @@ class ThresholdConfig:
 
 
 @dataclass(frozen=True)
+class ThresholdRule:
+    """The rule k -> (k/n if k/n > cut else 0.0) on counts k >= 0; given an
+    `n`, it holds at that sample size alone and raises at any other."""
+
+    cut: float
+    n: Optional[int] = None
+
+    def _check(self, n: int) -> None:
+        if self.n is not None and n != self.n:
+            raise ValueError(f"config n={self.n} does not match sample size n={n}")
+
+    def __call__(self, counts: np.ndarray, n: int) -> np.ndarray:
+        self._check(n)
+        freq = counts / n
+        if self.cut <= 0.0:  # every frequency is >= 0: kept, or 0 already
+            return freq
+        import numpy as np
+
+        return np.where(freq > self.cut, freq, 0.0)
+
+    def losses(self, counts: range, n: int, value: float) -> list:
+        """|rule(k) - value| for each count k, without numpy; the same bits
+        as the rule on an array of the counts."""
+        self._check(n)
+        nf, cut = float(n), self.cut
+        return [abs((f if (f := k / nf) > cut else 0.0) - value) for k in counts]
+
+
+@dataclass(frozen=True)
 class CoordinatewiseEstimator:
     """A per-symbol rule k -> estimate, vectorized over count arrays.
 
     `fn(counts, n)` must be elementwise (shape preserving) and map into
     [0, 1]; that range is what certifies truncation in exact risk sums.
-    A threshold rule also gives its `cut`, and `n` if it holds only at
-    that sample size; `fn` is then k -> (k/n if k/n > cut else 0.0) on
-    counts k >= 0, bit for bit.
+    An `fn` that is a `ThresholdRule` also evaluates count by count, so
+    exact risks need no numpy; any other `fn` takes arrays.
     """
 
     name: str
     fn: Callable[[np.ndarray, int], np.ndarray] = field(repr=False)
-    cut: Optional[float] = field(default=None, repr=False)
-    n: Optional[int] = field(default=None, repr=False)
 
     def __call__(self, counts, n: int) -> np.ndarray:
         import numpy as np
 
         return self.fn(np.asarray(counts), n)
 
-    def cut_at(self, n: int) -> Optional[float]:
-        """The rule's cut at sample size n, None for a rule without one;
-        raises, as `fn` does, at a sample size other than its own."""
-        if self.n is not None:
-            _check_sample_size(self.n, n)
-        return self.cut
-
-
-def _check_sample_size(own: int, n: int) -> None:
-    if n != own:
-        raise ValueError(f"config n={own} does not match sample size n={n}")
-
 
 def empirical_estimator() -> CoordinatewiseEstimator:
     """Rule k -> k / n: the empirical distribution (MLE), the threshold
     rule with cut 0 (k / n is 0 only at k = 0)."""
-    return CoordinatewiseEstimator("empirical", lambda counts, n: counts / n, cut=0.0)
+    return CoordinatewiseEstimator("empirical", ThresholdRule(0.0))
 
 
 def threshold_level(cfg: ThresholdConfig) -> float:
@@ -112,13 +127,4 @@ def threshold_estimator(cfg: ThresholdConfig) -> CoordinatewiseEstimator:
             "threshold level %.6g >= 1 at n=%d, eta=%g: estimator returns 0 everywhere",
             cut, cfg.n, cfg.eta,
         )
-
-    def fn(counts: np.ndarray, n: int) -> np.ndarray:
-        import numpy as np
-
-        _check_sample_size(cfg.n, n)
-        freq = counts / n
-        return np.where(freq > cut, freq, 0.0)
-
-    return CoordinatewiseEstimator(f"threshold(eta={cfg.eta:g})", fn, cut, cfg.n)
-
+    return CoordinatewiseEstimator(f"threshold(eta={cfg.eta:g})", ThresholdRule(cut, cfg.n))

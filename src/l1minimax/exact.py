@@ -21,13 +21,14 @@ window is an array.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 # _window_pmf is bound here because perfbench/spans.py hooks exact._window_pmf
 from .binomial import (_binomial_window, _geometric_tail, _outward, _pairwise_sum,
                        _window_pmf)
 from .core import Distribution, _atom_items, _whole
-from .estimators import CoordinatewiseEstimator
+from .estimators import CoordinatewiseEstimator, ThresholdRule
 
 if TYPE_CHECKING:
     import numpy as np
@@ -57,17 +58,11 @@ def binomial_expectation(
 
     `term` maps an int64 array of counts to values bounded by `term_bound`
     in absolute value.  The sum runs over a `_binomial_window` whose tail
-    bound times `term_bound` is at most `tail_tol`.  `term_list`, if given,
-    maps a range of counts to the list of the same values, bit for bit; a
-    window built as a list is then summed without numpy.
+    bound times `term_bound` is at most `tail_tol`, the single count 0 or n
+    at p = 0 or 1.  `term_list`, if given, maps a range of counts to the
+    list of the same values, bit for bit; a window built as a list is then
+    summed without numpy.
     """
-    if p <= 0.0 or p >= 1.0:  # all the mass at one count
-        k = 0 if p <= 0.0 else n
-        if term_list is not None:
-            return term_list(range(k, k + 1))[0]
-        import numpy as np
-
-        return float(term(np.array([k], dtype=np.int64))[0])
     lo, pmf, _ = _binomial_window(n, p, tail_tol, term_bound)
     if term_list is not None and isinstance(pmf, list):
         terms = term_list(range(lo, lo + len(pmf)))
@@ -84,10 +79,9 @@ def binomial_mad_exact(n: int, p: float) -> float:
     n = _whole(n, "n must be a positive integer")
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
-    bound = max(p, 1.0 - p)
-    nf = float(n)
-    return binomial_expectation(n, p, lambda ks: abs(ks / n - p), bound,
-                                term_list=lambda ks: [abs(k / nf - p) for k in ks])
+    rule = ThresholdRule(0.0)  # the empirical rule, k -> k / n
+    return binomial_expectation(n, p, lambda ks: abs(rule(ks, n) - p), max(p, 1.0 - p),
+                                term_list=partial(rule.losses, n=n, value=p))
 
 
 def _grouped_atoms(p: Distribution) -> list:
@@ -113,8 +107,7 @@ def estimator_risk_exact(
     with one repeated tiny value cost constant work per distinct value.
     """
     n = _whole(n, "n must be a positive integer")
-    cut = estimator.cut_at(n)
-    nf = float(n)
+    rule = estimator.fn if isinstance(estimator.fn, ThresholdRule) else None
     atoms = _grouped_atoms(p)
     total = 0.0
     for value, mult in atoms:
@@ -122,14 +115,11 @@ def estimator_risk_exact(
         def loss(ks: np.ndarray, v=value) -> np.ndarray:
             return abs(estimator(ks, n) - v)
 
-        def loss_list(ks: range, v=value) -> list:
-            # the rule k -> k/n if k/n > cut else 0 (`cut_at`), count by count
-            return [abs((f if (f := k / nf) > cut else 0.0) - v) for k in ks]
-
         # this atom's share of the budget: sum of mult * tail <= TAIL_TOL
         tail_tol = TAIL_TOL / (mult * len(atoms))
         total += float(mult) * binomial_expectation(
-            n, value, loss, tail_tol=tail_tol, term_list=None if cut is None else loss_list)
+            n, value, loss, tail_tol=tail_tol,
+            term_list=None if rule is None else partial(rule.losses, n=n, value=value))
     return total
 
 

@@ -5,8 +5,10 @@ paths: risks come from full Multinomial enumeration, pmfs from exact
 integer combinatorics, so they can vouch for the fast implementations.
 """
 
+import importlib.util
 import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -56,6 +58,15 @@ def expand(fam):
     """Dense vector form of a CompressedFamily (small supports only): each
     atom's value repeated multiplicity times, in support order."""
     return ProbabilityVector(np.repeat([v for v, _ in fam.atoms], [m for _, m in fam.atoms]))
+
+
+def perfbench_spans():
+    """The benchmark's tracer module, loaded by path: `perfbench` is no package."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
 
 
 def exact_binomial_tail_upper(n, p, threshold):

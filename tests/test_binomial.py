@@ -1,10 +1,8 @@
 import ast
 import importlib
-import importlib.util
 import inspect
 import logging
 import math
-import pathlib
 import warnings
 from collections import Counter
 
@@ -20,6 +18,7 @@ from l1minimax import (McConfig, ProbabilityVector, binomial_expectation, empiri
 from l1minimax import binomial, exact, montecarlo, rng
 from l1minimax.binomial import _lgamma_int, _pairwise_sum, _window_pmf
 from l1minimax.rng import stream_key, uniforms
+from conftest import perfbench_spans
 
 
 # hooked by the benchmark but not defined since the block kernel became
@@ -32,10 +31,7 @@ def test_benchmark_hooks_stay_bound():
     # patches every module bound to the same function
     assert exact._window_pmf is binomial._window_pmf
     assert montecarlo._binomial_inverse is binomial._binomial_inverse
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = perfbench_spans()
     hooks = {(module, attr) for module, attr, _, _ in spans.HOOKS}
     hooks |= {("l1minimax.estimators", attr) for attr in spans.ESTIMATOR_FACTORIES}
     for module, attr in sorted(hooks):

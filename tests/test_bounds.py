@@ -238,6 +238,11 @@ class TestEntropyBallBounds:
         out = mle_entropy_upper(1.0, 50, 1.5)
         assert out.vacuous and out.value == math.inf
 
+    @pytest.mark.parametrize("bound", [mle_entropy_upper, threshold_upper])
+    def test_upper_past_the_float_range_is_vacuous(self, bound):
+        # (ln 2)^(-1e200) raised OverflowError (34, ...)
+        assert bound(0.0, 2, 1e200) == BoundValue(math.inf, vacuous=True)
+
     def test_mle_upper_h_zero_limit(self):
         out = mle_entropy_upper(0.0, 10**6, 1.1)
         assert out.value == pytest.approx(math.log(10**6) ** -1.1, rel=1e-14)

@@ -269,7 +269,8 @@ class TestFamilyFiles:
         ("0.5 1\n0.5 two\n", ":2: invalid literal for int() with base 10: 'two'"),
         ("half 2\n", ":1: could not convert string to float: 'half'"),
         ("# comments only\n\n   # and a blank line\n", ": no atoms found"),
-    ], ids=["missing", "bad-multiplicity", "bad-value", "comments-only"])
+        ("1e308 1\n1e308 1\n", ": atom mass sums to inf, too far from 1 to normalize"),
+    ], ids=["missing", "bad-multiplicity", "bad-value", "comments-only", "mass-past-floats"])
     def test_unreadable_file_is_a_usage_error(self, tmp_path, capsys, text, message):
         path = tmp_path / "fam.txt"
         if text is not None:

@@ -51,6 +51,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="far from 1"):
             ProbabilityVector([0.5, 0.51])
 
+    def test_mass_past_the_float_range_is_far_from_1(self):
+        # fsum raised OverflowError ("intermediate overflow in fsum") here
+        with pytest.raises(ValueError, match="probs sum to inf, too far from 1"):
+            ProbabilityVector([1e308, 1e308])
+        with pytest.raises(ValueError, match="atom mass sums to inf, too far from 1"):
+            CompressedFamily(((1e308, 1), (1e308, 1)))
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             ProbabilityVector([1.5, -0.5])

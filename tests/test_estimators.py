@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from l1minimax import ThresholdConfig, empirical_estimator, threshold_estimator, threshold_level
+from l1minimax import (ThresholdConfig, ThresholdRule, empirical_estimator, threshold_estimator,
+                       threshold_level)
 
 
 def estimate(rule, counts):
@@ -52,7 +53,7 @@ class TestThresholdLevel:
         assert threshold_level(cfg) == math.inf
         rule = threshold_estimator(cfg)
         assert "returns 0 everywhere" in caplog.text
-        assert rule.cut_at(1000) == math.inf
+        assert rule.fn == ThresholdRule(math.inf, 1000)
         assert estimate(rule, [999, 1]).tolist() == [0.0, 0.0]
 
     def test_eta_must_exceed_one(self):
@@ -124,21 +125,33 @@ class TestHardThreshold:
 
 
 class TestEstimatorObjects:
-    def test_built_in_rules_expose_their_cut(self):
-        assert empirical_estimator().cut_at(7) == 0.0
+    def test_built_in_rules_are_threshold_rules(self):
+        assert empirical_estimator().fn == ThresholdRule(0.0)
         cfg = ThresholdConfig(50, 1.3)
-        assert threshold_estimator(cfg).cut_at(50) == threshold_level(cfg)
-        with pytest.raises(ValueError, match="config n=50 does not match sample size n=49"):
-            threshold_estimator(cfg).cut_at(49)
+        rule = threshold_estimator(cfg).fn
+        assert rule == ThresholdRule(threshold_level(cfg), 50)
+        mismatch = "config n=50 does not match sample size n=49"
+        with pytest.raises(ValueError, match=mismatch):
+            rule(np.arange(3), 49)
+        with pytest.raises(ValueError, match=mismatch):
+            rule.losses(range(3), 49, 0.5)
 
-    @pytest.mark.parametrize("rule", [empirical_estimator(),
-                                      threshold_estimator(ThresholdConfig(1000, 1.1))],
-                             ids=["empirical", "threshold"])
-    def test_rule_is_its_cut_count_by_count(self, rule):
-        # k -> k/n if k/n > cut else 0, bit for bit, for every count 0..n
-        cut, counts = rule.cut_at(1000), np.arange(1001)
-        by_count = [k / 1000.0 if k / 1000.0 > cut else 0.0 for k in range(1001)]
-        assert rule(counts, 1000).tolist() == by_count
+    @given(st.integers(1, 2000),
+           st.one_of(st.just(0.0), st.just(5e-324), st.floats(1e-300, 1.0),
+                     st.floats(1.0, 1e300), st.just(math.inf)),
+           st.booleans(), st.floats(0.0, 1.0))
+    @example(1000, 0.0, False, 0.25)  # the empirical rule
+    @example(1000, threshold_level(ThresholdConfig(1000, 1.1)), True, 0.25)
+    @example(216, 215 / 216, True, 215 / 216)  # the cut on a count: dropped
+    def test_rule_on_arrays_is_the_rule_count_by_count(self, n, cut, own_n, value):
+        # k -> k/n if k/n > cut else 0, and its losses, bit for bit, for every count 0..n
+        rule = ThresholdRule(cut, n if own_n else None)
+        counts = np.arange(n + 1)
+        by_count = [k / n if k / n > cut else 0.0 for k in range(n + 1)]
+        on_arrays = rule(counts, n)
+        assert [x.hex() for x in on_arrays.tolist()] == [x.hex() for x in by_count]
+        losses = rule.losses(range(n + 1), n, value)
+        assert [x.hex() for x in np.abs(on_arrays - value).tolist()] == [x.hex() for x in losses]
 
     def test_empirical_rule_on_arrays(self):
         rule = empirical_estimator()

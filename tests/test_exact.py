@@ -7,14 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson as sp_poisson
 
-from l1minimax import (CoordinatewiseEstimator, CompressedFamily,
+from l1minimax import (CoordinatewiseEstimator, CompressedFamily, McConfig,
                        ProbabilityVector, binomial_expectation,
                        binomial_mad_exact, empirical_estimator, entropy_ball_family,
-                       estimator_risk_exact, poisson_tv_exact, threshold_estimator,
-                       ThresholdConfig)
+                       estimator_risk_exact, mc_risk, poisson_tv_exact, threshold_estimator,
+                       ThresholdConfig, ThresholdRule)
 from l1minimax import binomial, exact
 from l1minimax.exact import _poisson_window
-from conftest import brute_force_risk, expand
+from conftest import brute_force_risk, expand, perfbench_spans
 
 
 class TestBinomialMad:
@@ -297,13 +297,18 @@ class TestTruncationBudget:
         assert spent <= exact.TAIL_TOL * (1.0 + 1e-12)
 
 
-def on_both_routes(call):
-    """call() with every pmf window built as a list, as when numpy is not
-    loaded, then with every window an array: their results as .hex()."""
+def on_list_route(call):
+    """call() with every pmf window built as a list, as when numpy is not loaded."""
     with mock.patch.object(binomial, "_numpy_loaded", lambda: False), \
             mock.patch.object(binomial, "_MAX_LIST_WINDOW", math.inf):
         assert isinstance(binomial._window_pmf(10, 0.3, 0, 10, 3), list)
-        listed = call()
+        return call()
+
+
+def on_both_routes(call):
+    """call() with every pmf window built as a list, as when numpy is not
+    loaded, then with every window an array: their results as .hex()."""
+    listed = on_list_route(call)
     with mock.patch.object(binomial, "_MAX_LIST_WINDOW", -1):
         assert isinstance(binomial._window_pmf(10, 0.3, 0, 10, 3), np.ndarray)
         arrays = call()
@@ -331,6 +336,7 @@ class TestRoutes:
     @example(entropy_ball_family(1.0, 0.05).family, 10**7, 1.1)
     @example(CompressedFamily(((0.5, 2),)), 10**7, 2.0)
     @example(CompressedFamily(((1.0, 1),)), 1, 1.5)
+    @example(CompressedFamily(((0.0, 3), (1.0, 1))), 1000, 1.1)  # p = 0 and 1
     @settings(max_examples=40, deadline=None)
     def test_estimator_risk_exact(self, fam, n, eta):
         rules = [empirical_estimator()]
@@ -359,8 +365,46 @@ class TestRoutes:
         assert listed == arrays
 
     def test_term_on_arrays_alone_sums_a_list_window(self):
-        # a rule without a cut (a custom fn) takes the window as an array
+        # a custom fn, not a ThresholdRule, takes the window as an array
         oracle = CoordinatewiseEstimator("quarter", lambda ks, n: np.full(np.shape(ks), 0.25))
         fam = CompressedFamily(((0.25, 4),))
         listed, arrays = on_both_routes(lambda: estimator_risk_exact(fam, oracle, 1000))
         assert listed == arrays == (0.0).hex()
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_custom_rule_has_one_risk_on_both_routes(self, n):
+        # the all-zero rule loses 0.25 at every count: its risk is the
+        # window's pmf sum, within roundings of 1, and the same on both routes
+        zero = CoordinatewiseEstimator("zero", lambda ks, n: np.zeros(np.shape(ks)))
+        fam = CompressedFamily(((0.25, 4),))
+        listed, arrays = on_both_routes(lambda: estimator_risk_exact(fam, zero, n))
+        assert listed == arrays
+        assert float.fromhex(listed) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    @pytest.mark.parametrize("n", [1, 7, 10**7])
+    def test_all_the_mass_at_one_count(self, p, n):
+        # at p = 0 or 1 the window is the one count 0 or n, on both routes
+        k = 0 if p == 0.0 else n
+        window = on_list_route(lambda: binomial._binomial_window(n, p, exact.TAIL_TOL))
+        assert window == (k, [1.0], 0.0)
+        fam = CompressedFamily(((p, 1), (1.0 - p, 1)))
+        for fn, risk in ((ThresholdRule(0.0), 0.0), (ThresholdRule(math.inf), 1.0),
+                         (lambda ks, n: np.full(np.shape(ks), 0.5), 1.0)):
+            rule = CoordinatewiseEstimator("rule", fn)
+            listed, arrays = on_both_routes(lambda: estimator_risk_exact(fam, rule, n))
+            assert listed == arrays == risk.hex()
+
+
+@pytest.mark.parametrize("est", [empirical_estimator(),
+                                 threshold_estimator(ThresholdConfig(1000, 1.1))],
+                         ids=["empirical", "threshold"])
+def test_traced_estimators_keep_their_bits(est):
+    # the benchmark's tracer rebuilds an estimator around a timed fn, which
+    # takes arrays: its exact risk equals the list route's, its MC risk too
+    traced = perfbench_spans().Tracer().wrap_estimator(est)
+    assert traced.name == est.name
+    fam = entropy_ball_family(1.0, 0.05).family
+    assert estimator_risk_exact(fam, traced, 1000).hex() == \
+        on_list_route(lambda: estimator_risk_exact(fam, est, 1000)).hex()
+    assert mc_risk(fam, traced, 1000, McConfig(200, 3)) == mc_risk(fam, est, 1000, McConfig(200, 3))
