@@ -73,6 +73,12 @@ _MIN_WALK_WORK = 500.0
 # without numpy.  Entropy-ball windows reach 2,117 points at n = 1e5
 # (c = 0.9) and 3,581 at n = 1e6, where a sweep row sums tens of thousands.
 _MAX_LIST_WINDOW = 2_500
+# Widest pmf window a sum builds (`_binomial_window`, `exact.poisson_tv_exact`);
+# a wider one raises ValueError before it allocates.  The reports and the
+# benchmark's workloads build at most 17,507 points (`reproduce cor6` and
+# `cor7` at n = 1e7); a window of 1e7 points (`binomial_mad_exact` at
+# n = 6.8e11, p = 0.5) takes ~0.3 s and ~250 MB.
+_MAX_WINDOW = 10_000_000
 
 
 def _lgamma_int(x: float) -> float:
@@ -195,6 +201,7 @@ def _binomial_window(n: int, p: float, tail_tol: float, term_bound: float = 1.0)
     which times `term_bound` is at most `tail_tol`.  The window starts at
     mode +- (12 sigma + 40) and doubles until it is; windows touching 0 and
     n have no truncation at all.  At p = 0 or 1 it is the one count 0 or n.
+    A window past _MAX_WINDOW points raises ValueError naming n.
     """
     if p <= 0.0 or p >= 1.0:  # all the mass at one count: no ratios
         k = 0 if p <= 0.0 else n
@@ -211,6 +218,9 @@ def _binomial_window(n: int, p: float, tail_tol: float, term_bound: float = 1.0)
             anchor = hi = n
         else:
             anchor = min(max(mode, lo), hi)
+        if hi - lo >= _MAX_WINDOW:
+            raise ValueError(f"n={n} is too large for an exact sum: the Binomial(n, {p:g}) "
+                             f"pmf window exceeds {_MAX_WINDOW:,} points")
         pmf = _window_pmf(n, p, lo, hi, anchor)
         tail = 0.0
         if lo > 0:

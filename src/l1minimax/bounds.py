@@ -10,7 +10,6 @@ parameter's domain is checked in one place, which rejects NaN and +-inf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 __all__ = [
@@ -32,8 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoundValue:
+class BoundValue(NamedTuple):
     """A bound evaluation together with its validity flag."""
 
     value: float
@@ -62,17 +60,25 @@ def mle_upper_simple(S: int, n: int) -> float:
     return math.sqrt((S - 1) / n)
 
 
+def _gaussian_mad(S, n) -> float:
+    """sqrt(2(S-1)/(pi n)), split as sqrt(2/pi) sqrt((S-1)/n) only where
+    2(S-1) or pi n leaves the float range, so in-range values keep their bits."""
+    value = math.sqrt(2.0 * (S - 1) / (math.pi * n))
+    if not 0.0 < value < math.inf:  # inf, NaN, or 0 from an infinite pi n
+        value = math.sqrt(2.0 / math.pi) * math.sqrt((S - 1) / n)
+    return value
+
+
 def mle_upper_tight(S: int, n: int) -> float:
     """sqrt(2(S-1)/(pi n)) + 2 sqrt(S) (S-1)^(1/4) / n^(3/4)."""
     _check_sizes(S, n, least_S=1)
-    return (math.sqrt(2.0 * (S - 1) / (math.pi * n))
-            + 2.0 * math.sqrt(S) * (S - 1) ** 0.25 / n ** 0.75)
+    return _gaussian_mad(S, n) + 2.0 * math.sqrt(S) * (S - 1) ** 0.25 / n ** 0.75
 
 
 def classical_constant(S: int) -> float:
     """sqrt(2(S-1)/pi): the fixed-support limit of sqrt(n) times the risk."""
     _check_sizes(S)
-    return math.sqrt(2.0 * (S - 1) / math.pi)
+    return _gaussian_mad(S, 1)
 
 
 def bayes_risk_two_point_piecewise(S: int, n: float) -> float:
@@ -80,7 +86,10 @@ def bayes_risk_two_point_piecewise(S: int, n: float) -> float:
     _check_sizes(S, n)
     if n / S <= math.e / 16.0:
         return math.exp(-2.0 * n / S)
-    return 0.125 * math.sqrt(math.e * S / n)
+    value = 0.125 * math.sqrt(math.e * S / n)
+    if value == math.inf:  # e S past the float range; S / n < 16 / e here
+        value = 0.125 * math.sqrt(math.e * (S / n))
+    return value
 
 
 def minimax_lower_hd(S: int, n: int, zeta: float) -> BoundValue:

@@ -7,8 +7,7 @@ everything here is safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Union
 
 if TYPE_CHECKING:
     import numpy as np
@@ -61,19 +60,18 @@ def _mass(values: list, what: str) -> float:
     return mass
 
 
-@dataclass(frozen=True)
-class ProbabilityVector:
+class ProbabilityVector(NamedTuple("ProbabilityVector", [("probs", "np.ndarray")])):
     """Finite nonnegative vector summing to 1; zeros are allowed entries."""
 
-    probs: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        arr = _as_float_array(self.probs, "probs")
+    def __new__(cls, probs):
+        arr = _as_float_array(probs, "probs")
         total = _mass(arr.tolist(), "probs sum")
         if total != 1.0:
             arr = arr / total
         arr.setflags(write=False)
-        object.__setattr__(self, "probs", arr)
+        return super().__new__(cls, arr)
 
     @staticmethod
     def uniform(support_size: int) -> "ProbabilityVector":
@@ -83,8 +81,7 @@ class ProbabilityVector:
         return ProbabilityVector(np.full(support_size, 1.0 / support_size))
 
 
-@dataclass(frozen=True)
-class CompressedFamily:
+class CompressedFamily(NamedTuple("CompressedFamily", [("atoms", tuple)])):
     """Distribution stored as (probability value, multiplicity) atoms.
 
     Canonical representation for families whose support shares a handful of
@@ -92,12 +89,12 @@ class CompressedFamily:
     regardless of multiplicity.  Multiplicities may exceed float precision.
     """
 
-    atoms: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, atoms):
         cleaned = []
         total = []
-        for i, atom in enumerate(self.atoms):
+        for i, atom in enumerate(atoms):
             try:
                 value, mult = atom
             except (TypeError, ValueError):
@@ -113,7 +110,7 @@ class CompressedFamily:
         mass = _mass(total, "atom mass sums")
         if abs(mass - 1.0) > SUM_TOL:
             cleaned = [(v / mass, m) for v, m in cleaned]
-        object.__setattr__(self, "atoms", tuple(cleaned))
+        return super().__new__(cls, tuple(cleaned))
 
 
 Distribution = Union[ProbabilityVector, CompressedFamily]

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .bounds import _check_eta
 from .core import _whole
@@ -37,20 +36,18 @@ logger = logging.getLogger(__name__)
 DEFAULT_ETA = 1.5
 
 
-@dataclass(frozen=True)
-class ThresholdConfig:
+class ThresholdConfig(NamedTuple("ThresholdConfig", [("n", int), ("eta", float)])):
     """Cutoff parameters for the hard-thresholding rule."""
 
-    n: int
-    eta: float = DEFAULT_ETA
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", _whole(self.n, "n must be a positive integer"))
-        _check_eta(self.eta)
+    def __new__(cls, n, eta=DEFAULT_ETA):
+        n = _whole(n, "n must be a positive integer")
+        _check_eta(eta)
+        return super().__new__(cls, n, eta)
 
 
-@dataclass(frozen=True)
-class ThresholdRule:
+class ThresholdRule(NamedTuple):
     """The rule k -> (k/n if k/n > cut else 0.0) on counts k >= 0; given an
     `n`, it holds at that sample size alone and raises at any other."""
 
@@ -78,8 +75,7 @@ class ThresholdRule:
         return [abs((f if (f := k / nf) > cut else 0.0) - value) for k in counts]
 
 
-@dataclass(frozen=True)
-class CoordinatewiseEstimator:
+class CoordinatewiseEstimator(NamedTuple):
     """A per-symbol rule k -> estimate, vectorized over count arrays.
 
     `fn(counts, n)` must be elementwise (shape preserving) and map into
@@ -89,7 +85,10 @@ class CoordinatewiseEstimator:
     """
 
     name: str
-    fn: Callable[[np.ndarray, int], np.ndarray] = field(repr=False)
+    fn: Callable[[np.ndarray, int], np.ndarray]
+
+    def __repr__(self) -> str:  # fn stays out: a closure's repr is an address
+        return f"{type(self).__name__}(name={self.name!r})"
 
     def __call__(self, counts, n: int) -> np.ndarray:
         import numpy as np

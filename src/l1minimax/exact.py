@@ -25,8 +25,8 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 # _window_pmf is bound here because perfbench/spans.py hooks exact._window_pmf
-from .binomial import (_binomial_window, _geometric_tail, _outward, _pairwise_sum,
-                       _window_pmf)
+from .binomial import (_MAX_WINDOW, _binomial_window, _geometric_tail, _outward,
+                       _pairwise_sum, _window_pmf)
 from .core import Distribution, _atom_items, _whole
 from .estimators import CoordinatewiseEstimator, ThresholdRule
 
@@ -138,7 +138,8 @@ def poisson_tv_exact(lam_lo: float, lam_hi: float) -> float:
 
     Half the absolute pmf difference over one window from w = 20 deviations
     below lam_lo to w above lam_hi, widened until the combined mass of both
-    distributions outside it is below 1e-15.
+    distributions outside it is below 1e-15.  A window past
+    `binomial._MAX_WINDOW` points raises ValueError naming the rates.
     """
     if not (0.0 <= lam_lo <= lam_hi):
         raise ValueError("rates must satisfy 0 <= lambda_lo <= lambda_hi")
@@ -150,6 +151,9 @@ def poisson_tv_exact(lam_lo: float, lam_hi: float) -> float:
     hi = int(max(lam_hi + width * math.sqrt(lam_hi + 1.0), 50.0))
     while True:
         lo = max(0, math.floor(lam_lo - width * math.sqrt(lam_lo + 1.0)))
+        if hi - lo >= _MAX_WINDOW:
+            raise ValueError(f"rates {lam_lo!r} and {lam_hi!r} are too large for an exact "
+                             f"sum: their pmf window exceeds {_MAX_WINDOW:,} points")
         pmfs = [_poisson_window(lam, lo, hi) for lam in (lam_lo, lam_hi)]
         # outward pmf ratios shrink: lam / (k + 1) past hi, k / lam below lo
         tail = sum(_geometric_tail(pmf[-1], lam / (hi + 1.0))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .bounds import (BoundValue, _check_high_dim, _check_sizes,
@@ -38,8 +37,7 @@ _MAX_LOG_SUPPORT = 700.0
 _MAX_SAMPLED_ACTIVE = 10_000_000
 
 
-@dataclass(frozen=True)
-class EntropyBallFamily:
+class EntropyBallFamily(NamedTuple):
     """S' tiny atoms of mass delta/S' plus one heavy atom of mass 1 - delta."""
 
     delta: float
@@ -112,25 +110,22 @@ def _occupied_fraction(q: float, n: int) -> float:
     return -math.expm1(n * math.log1p(-q)) if q < 1.0 else 1.0
 
 
-@dataclass(frozen=True)
-class CompositePrior:
+class CompositePrior(NamedTuple("CompositePrior",
+                                 [("delta", float), ("S_prime", int), ("k", int)])):
     """Uniform prior over vectors with S' active slots among k S' candidates.
 
     Each member puts delta/S' on its active slots and 1 - delta on a fixed
     final coordinate; all members share the same entropy.
     """
 
-    delta: float
-    S_prime: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", _whole(self.k, "k must be an integer of at least 2",
-                                             least=2))
-        object.__setattr__(self, "S_prime", _whole(self.S_prime,
-                                                   "S_prime must be a positive integer"))
-        if not (0.0 < self.delta < 1.0):
+    def __new__(cls, delta, S_prime, k):
+        k = _whole(k, "k must be an integer of at least 2", least=2)
+        S_prime = _whole(S_prime, "S_prime must be a positive integer")
+        if not (0.0 < delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
+        return super().__new__(cls, delta, S_prime, k)
 
     @classmethod
     def from_family(cls, fam: EntropyBallFamily, k: int) -> "CompositePrior":

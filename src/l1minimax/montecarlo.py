@@ -24,8 +24,7 @@ import os
 import pickle
 import signal
 from collections import Counter
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,21 +65,19 @@ _MIN_SPLIT_DRAWS = 500_000
 _DEGENERATE_DELTA = 0.0027
 
 
-@dataclass(frozen=True)
-class McConfig:
+class McConfig(NamedTuple("McConfig", [("replicates", int), ("master_seed", int)])):
     """Replication and seeding parameters; `mc_risk` rejects a seed outside [0, 2^64)."""
 
-    replicates: int
-    master_seed: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "replicates", _whole(
-            self.replicates, "replicates must be an integer of at least 100 for CI "
-            f"reporting, got {self.replicates}", least=100))
+    def __new__(cls, replicates, master_seed):
+        replicates = _whole(
+            replicates, "replicates must be an integer of at least 100 for CI "
+            f"reporting, got {replicates}", least=100)
+        return super().__new__(cls, replicates, master_seed)
 
 
-@dataclass(frozen=True)
-class McRiskEstimate:
+class McRiskEstimate(NamedTuple):
     """Sample mean of per-replicate l1 losses with a z-score interval (see
     `mc_risk` for the interval of equal losses)."""
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .bounds import REPORTED_BOUNDS, BoundValue
@@ -30,22 +29,34 @@ META_COLUMNS = ["error", "seed", "runtime_ms"]
 COLUMNS = PARAM_COLUMNS + RESULT_COLUMNS + BOUND_COLUMNS + VACUOUS_COLUMNS + META_COLUMNS
 
 
-@dataclass
 class ReportRow:
     """One experiment cell: its parameters, results, bounds and metadata.
 
     `bounds` holds each bound as its function returns it; a `BoundValue`
-    fills both its value column and its vacuous column."""
+    fills both its value column and its vacuous column.  The one mutable
+    record: a command fills its results in after construction."""
 
-    params: dict = field(default_factory=dict)
-    exact_risk: Optional[float] = None
-    mc_mean: Optional[float] = None
-    mc_ci_lo: Optional[float] = None
-    mc_ci_hi: Optional[float] = None
-    mc_within_ci: Optional[bool] = None
-    bounds: dict = field(default_factory=dict)
-    error: Optional[str] = None
-    seed: Optional[int] = None
+    def __init__(self, params: Optional[dict] = None, exact_risk: Optional[float] = None,
+                 mc_mean: Optional[float] = None, mc_ci_lo: Optional[float] = None,
+                 mc_ci_hi: Optional[float] = None, mc_within_ci: Optional[bool] = None,
+                 bounds: Optional[dict] = None, error: Optional[str] = None,
+                 seed: Optional[int] = None):
+        self.params = {} if params is None else params
+        self.exact_risk = exact_risk
+        self.mc_mean = mc_mean
+        self.mc_ci_lo = mc_ci_lo
+        self.mc_ci_hi = mc_ci_hi
+        self.mc_within_ci = mc_within_ci
+        self.bounds = {} if bounds is None else bounds
+        self.error = error
+        self.seed = seed
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
 
     def record(self) -> dict:
         rec = {name: self.params.get(name) for name in PARAM_COLUMNS}

@@ -186,6 +186,40 @@ class TestParamTypes:
         assert len(messages) == 1
 
 
+    @pytest.mark.parametrize("bound, args, expected", [
+        # n w^2 underflowed: ZeroDivisionError
+        (hoeffding_bound, (1, 1e-200, 1e-200), 2.0 * math.exp(-2.0)),
+        # t / w overflows: the exponent is -inf
+        (hoeffding_bound, (1, 5e-324, 1.0), 0.0),
+        # t^2 / (n w^2) was inf / inf
+        (hoeffding_bound, (1, 1e200, 1e200), 2.0 * math.exp(-2.0)),
+        # 2(S - 1) overflowed: inf, or inf / inf = NaN
+        (classical_constant, (1e308,), 7.978845608028653603e153),
+        (mle_upper_tight, (1e308, 1), 2.000000000000000016e231),
+        (mle_upper_tight, (1e308, 1e308), 2.797884560802865356),
+        # pi n overflowed: the first term read 0
+        (mle_upper_tight, (2, 1e308), 7.978845608028653515e-155),
+        # e S overflowed: inf, and a non-vacuous BoundValue(inf)
+        (bayes_risk_two_point_piecewise, (1e308, 1e308), 0.2060901588375160184),
+        (minimax_lower_hd, (1e308, 1e308, 0.5), (0.1682719100536838101, False)),
+    ], ids=lambda v: getattr(v, "__name__", None) or (
+        "-".join(map(str, v)) if isinstance(v, tuple) else None))
+    def test_intermediate_past_the_float_range(self, bound, args, expected):
+        # the finite values from mpmath at 40 digits
+        assert bound(*args) == pytest.approx(expected, rel=4e-16, abs=0)
+
+    @pytest.mark.parametrize("S, n", [(2, 10**4), (9, 1), (1e300, 1e300), (8.9e307, 1),
+                                      (2, 5.6e307), (6.6e307, 5.6e307)])
+    def test_split_forms_keep_in_range_bits(self, S, n):
+        # 2(S - 1), pi n and e S stay finite: each bound takes its direct form
+        direct = math.sqrt(2.0 * (S - 1) / (math.pi * n))
+        assert 0.0 < direct < math.inf
+        assert mle_upper_tight(S, n) == direct + 2.0 * math.sqrt(S) * (S - 1) ** 0.25 / n ** 0.75
+        assert classical_constant(S) == math.sqrt(2.0 * (S - 1) / math.pi)
+        assert bayes_risk_two_point_piecewise(S, n) == (
+            math.exp(-2.0 * n / S) if n / S <= E / 16.0 else 0.125 * math.sqrt(E * S / n))
+
+
 class TestReportedBounds:
     POINT = {"S": 10, "n": 1000, "H": 1.0, "c": 0.5, "eta": 1.1, "zeta": 0.5}
 
@@ -398,14 +432,6 @@ class TestHoeffding:
         b2 = hoeffding_bound(n, w, 2 * t)
         assert b1 < 1.0
         assert b2 == pytest.approx(b1**4 / 8.0, rel=1e-10)
-
-    @pytest.mark.parametrize("n, w, t, expected", [
-        (1, 1e-200, 1e-200, 2.0 * math.exp(-2.0)),  # n w^2 underflowed: ZeroDivisionError
-        (1, 5e-324, 1.0, 0.0),  # t / w overflows: the exponent is -inf
-        (1, 1e200, 1e200, 2.0 * math.exp(-2.0)),  # t^2 / (n w^2) was inf / inf
-    ])
-    def test_exponent_past_the_float_range(self, n, w, t, expected):
-        assert hoeffding_bound(n, w, t) == expected
 
     def test_finite_exponents_keep_their_bits(self):
         for n, w, t in [(10, 1.0, 1e-15), (50, 0.3, 1.5), (10**4, 2e-4, 0.0271), (1, 1e200, 1.0)]:

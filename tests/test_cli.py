@@ -714,7 +714,9 @@ class TestImportFootprint:
     """`import l1minimax` loads none of its modules, and a CLI process only
     those its command calls: `bounds`, `-h` and usage errors load no numpy,
     nor do `exact-risk`, `reproduce cor2`, `cor3-4` and `cor9` on their
-    documented grids, whose pmf windows are lists.  Commands whose draws
+    documented grids, whose pmf windows are lists.  None of these loads
+    `dataclasses` or the `inspect` it imports: every record is a
+    namedtuple (numpy itself imports `inspect`).  Commands whose draws
     all come from Binomial tables load no scipy; it arrives with the first
     draw that needs boost, and no command loads a process pool."""
 
@@ -755,6 +757,7 @@ class TestImportFootprint:
         assert returncode == code
         assert "l1minimax.cli" in modules
         assert not [m for m in modules if m.split(".")[0] == "numpy"]
+        assert not {"dataclasses", "inspect"} & modules
 
     @pytest.mark.parametrize("argv", [
         ["reproduce", "cor2"],
@@ -770,6 +773,7 @@ class TestImportFootprint:
         assert returncode == 0
         assert "l1minimax.exact" in modules or "l1minimax.families" in modules
         assert not [m for m in modules if m.split(".")[0] == "numpy"]
+        assert not {"dataclasses", "inspect"} & modules
 
     @pytest.mark.parametrize("argv, absent", [
         (["reproduce", "cor2", "--grid-n", "100", "1000"],

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from scipy.stats import poisson as sp_poisson
 
 from l1minimax import (CoordinatewiseEstimator, CompressedFamily, McConfig,
-                       ProbabilityVector, binomial_expectation,
-                       binomial_mad_exact, empirical_estimator, entropy_ball_family,
+                       ProbabilityVector, assembled_minimax_lower_hd, bayes_risk_two_point,
+                       binomial_expectation, binomial_mad_exact, empirical_estimator,
+                       entropy_ball_family,
                        estimator_risk_exact, mc_risk, poisson_tv_exact, threshold_estimator,
                        ThresholdConfig, ThresholdRule)
 from l1minimax import binomial, exact
@@ -270,6 +271,24 @@ class TestWindowDoubling:
         assert poisson_tv_exact(lo, hi) == pytest.approx(
             mpmath_poisson_tv(lo, hi), rel=1e-14, abs=0)
         assert max(built) > built[0]
+
+    @pytest.mark.parametrize("call, names", [
+        (lambda: binomial_mad_exact(2**53, 0.5), "n=9007199254740992 "),
+        (lambda: poisson_tv_exact(0, 1e15), "rates 0 and 1000000000000000.0 "),
+        (lambda: bayes_risk_two_point(2, 1e15), "rates "),
+        (lambda: assembled_minimax_lower_hd(3, 1e15, 1), "rates "),
+    ], ids=["binomial_mad_exact", "poisson_tv_exact", "bayes_risk_two_point",
+            "assembled_minimax_lower_hd"])
+    def test_window_past_the_ceiling_is_a_value_error(self, monkeypatch, call, names):
+        # numpy was asked for 6.8 GiB to 7.11 PiB: a MemoryError, or without
+        # an address-space limit the machine's memory; now nothing is built
+        def unbuilt(lo, hi, *args):
+            raise AssertionError(f"window {lo}..{hi} was built")
+
+        monkeypatch.setattr(binomial, "_outward", unbuilt)
+        monkeypatch.setattr(exact, "_outward", unbuilt)
+        with pytest.raises(ValueError, match=f"^{names}.* exceeds 10,000,000 points$"):
+            call()
 
 
 class TestTruncationBudget:

@@ -52,3 +52,42 @@ def test_unknown_name_raises_the_standard_attribute_error():
         l1minimax.no_such_name
     assert info.value.name == "no_such_name"
     assert getattr(l1minimax, "no_such_name", None) is None
+
+
+# One value of each record type, by its repr.
+VALUES = {
+    "ProbabilityVector(probs=array([0.5, 0.5]))": lambda: l1minimax.ProbabilityVector([0.5, 0.5]),
+    "CompressedFamily(atoms=((0.25, 4),))": lambda: l1minimax.CompressedFamily([(0.25, 4.0)]),
+    "ThresholdConfig(n=10, eta=1.5)": lambda: l1minimax.ThresholdConfig(10.0),
+    "ThresholdRule(cut=0.0, n=None)": lambda: l1minimax.ThresholdRule(0.0),
+    "CoordinatewiseEstimator(name='empirical')": l1minimax.empirical_estimator,
+    "McConfig(replicates=100, master_seed=7)": lambda: l1minimax.McConfig(100.0, 7),
+    "McRiskEstimate(mean=0.5, std_error=0.0, ci_lo=0.5, ci_hi=0.5, replicates=100)":
+        lambda: l1minimax.montecarlo.McRiskEstimate(0.5, 0.0, 0.5, 0.5, 100),
+    "BoundValue(value=inf, vacuous=True)": lambda: l1minimax.BoundValue(float("inf"), True),
+    "EntropyBallFamily(delta=0.3, S_prime=4, family=CompressedFamily(atoms=((0.075, 4), "
+    "(0.7, 1))))": lambda: l1minimax.entropy_ball_family(1.0, 0.3),
+    "CompositePrior(delta=0.3, S_prime=4, k=2)": lambda: l1minimax.CompositePrior(0.3, 4.0, 2),
+}
+
+
+@pytest.mark.parametrize("text", VALUES)
+def test_value_types_are_immutable_namedtuples(text):
+    value = VALUES[text]()
+    assert repr(value) == text  # an estimator's repr leaves out its fn
+    assert isinstance(value, tuple) and type(value)(*value) == value
+    with pytest.raises(AttributeError):
+        setattr(value, value._fields[0], None)
+    with pytest.raises(AttributeError):
+        value.extra = None
+
+
+def test_report_row_is_the_one_mutable_record():
+    from l1minimax.report import ReportRow
+
+    row, other = ReportRow(), ReportRow()
+    assert row == other and row.params is not other.params and row.bounds is not other.bounds
+    row.error = "failed"
+    assert row != other
+    assert repr(row) == ("ReportRow(params={}, exact_risk=None, mc_mean=None, mc_ci_lo=None, "
+                         "mc_ci_hi=None, mc_within_ci=None, bounds={}, error='failed', seed=None)")
