@@ -344,6 +344,7 @@ def mc_risk(
     as a sample that never saw a rare loss has no spread to measure.
     """
     n = _whole(n, "n must be a positive integer")
+    cfg = McConfig(*cfg)  # `_replace` and `_make` skip the replicate floor
     keys = derive_key(cfg.master_seed, np.arange(cfg.replicates, dtype=np.uint64))
     tally = Counter()
     losses = _split_losses(keys, p, estimator, n, tally)

@@ -185,14 +185,7 @@ class TestParamTypes:
             messages.add(str(info.value))
         assert len(messages) == 1
 
-
     @pytest.mark.parametrize("bound, args, expected", [
-        # n w^2 underflowed: ZeroDivisionError
-        (hoeffding_bound, (1, 1e-200, 1e-200), 2.0 * math.exp(-2.0)),
-        # t / w overflows: the exponent is -inf
-        (hoeffding_bound, (1, 5e-324, 1.0), 0.0),
-        # t^2 / (n w^2) was inf / inf
-        (hoeffding_bound, (1, 1e200, 1e200), 2.0 * math.exp(-2.0)),
         # 2(S - 1) overflowed: inf, or inf / inf = NaN
         (classical_constant, (1e308,), 7.978845608028653603e153),
         (mle_upper_tight, (1e308, 1), 2.000000000000000016e231),
@@ -432,6 +425,14 @@ class TestHoeffding:
         b2 = hoeffding_bound(n, w, 2 * t)
         assert b1 < 1.0
         assert b2 == pytest.approx(b1**4 / 8.0, rel=1e-10)
+
+    @pytest.mark.parametrize("n, w, t, expected", [
+        (1, 1e-200, 1e-200, 2.0 * math.exp(-2.0)),  # n w^2 underflowed: ZeroDivisionError
+        (1, 5e-324, 1.0, 0.0),  # t / w overflows: the exponent is -inf
+        (1, 1e200, 1e200, 2.0 * math.exp(-2.0)),  # t^2 / (n w^2) was inf / inf
+    ])
+    def test_exponent_past_the_float_range(self, n, w, t, expected):
+        assert hoeffding_bound(n, w, t) == expected
 
     def test_finite_exponents_keep_their_bits(self):
         for n, w, t in [(10, 1.0, 1e-15), (50, 0.3, 1.5), (10**4, 2e-4, 0.0271), (1, 1e200, 1.0)]:

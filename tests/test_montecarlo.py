@@ -319,6 +319,12 @@ class TestMcRisk:
         with pytest.raises(ValueError, match="100"):
             McConfig(99, 0)
 
+    def test_replicate_floor_holds_past_replace(self):
+        # `_replace` does not run `McConfig.__new__`; mc_risk checks again
+        cfg = McConfig(100, 7)._replace(replicates=1)
+        with pytest.raises(ValueError, match="at least 100"):
+            mc_risk(ProbabilityVector([0.5, 0.5]), empirical_estimator(), 10, cfg)
+
     @pytest.mark.parametrize("name, size", [
         pytest.param(name, 150.5 if name == "McConfig" and size == 10.5 else size,
                      id=name + suffix)
