@@ -4,12 +4,14 @@ Pure real-valued functions of their parameters.  Bounds that have a
 meaningful regime carry an explicit vacuous flag instead of being clamped:
 a vacuous lower bound keeps its (nonpositive) value, a vacuous upper bound
 reports +inf, so downstream comparisons stay honest either way.  Each
-parameter's domain is checked in one place, which rejects NaN and +-inf.
+parameter's domain is checked in one place, which rejects NaN, +-inf and
+a Python int past the float range.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 __all__ = [
@@ -31,6 +33,11 @@ __all__ = [
 ]
 
 
+# Domain checks compare with the largest float, not inf: every int is below
+# inf, and one past the float range overflows once arithmetic meets it.
+_FLOAT_MAX = sys.float_info.max
+
+
 class BoundValue(NamedTuple):
     """A bound evaluation together with its validity flag."""
 
@@ -40,9 +47,9 @@ class BoundValue(NamedTuple):
 
 def _check_sizes(S, n=1, least_S: int = 2) -> None:
     """Raises unless S >= `least_S` and n >= 1 are finite (n = 1 where a bound has none)."""
-    if not least_S <= S < math.inf:
+    if not least_S <= S <= _FLOAT_MAX:
         raise ValueError(f"S must be at least {least_S} and finite, got S={S}")
-    if not 1 <= n < math.inf:
+    if not 1 <= n <= _FLOAT_MAX:
         raise ValueError(f"n must be at least 1 and finite, got n={n}")
 
 
@@ -52,6 +59,8 @@ def _check_high_dim(S: int, n: int, zeta: float) -> None:
     _check_sizes(S, n)
     if not (0.0 < zeta <= 1.0):
         raise ValueError("zeta must lie in (0, 1]")
+    if (1.0 + zeta) * n > _FLOAT_MAX:  # the two-point floor's sample size
+        raise ValueError(f"(1 + zeta) n must be finite, got n={n}, zeta={zeta}")
 
 
 def mle_upper_simple(S: int, n: int) -> float:
@@ -107,7 +116,7 @@ def minimax_lower_hd(S: int, n: int, zeta: float) -> BoundValue:
 
 
 def _ln_ln(n: int) -> float:
-    if not 2 <= n < math.inf:
+    if not 2 <= n <= _FLOAT_MAX:
         raise ValueError(f"n must be finite and at least 2, got n={n}")
     return math.log(math.log(n))
 
@@ -116,7 +125,7 @@ def _check_n_exceeds(n, log_bound: float, condition: str, inclusive: bool = Fals
     """Raises unless n > e^log_bound (n >= e^log_bound if `inclusive`), naming
     `condition`.  Compared in logs, so a bound past the float range rejects n
     instead of overflowing; only there does the message print it as e^x."""
-    if not n < math.inf:
+    if not n <= _FLOAT_MAX:
         raise ValueError(f"n must be finite, got n={n}")
     log_n = math.log(n) if n > 0 else -math.inf
     if log_n > log_bound or inclusive and log_n == log_bound:
@@ -129,14 +138,14 @@ def _check_n_exceeds(n, log_bound: float, condition: str, inclusive: bool = Fals
 
 
 def _check_eta(eta) -> None:
-    if not 1.0 < eta < math.inf:
+    if not 1.0 < eta <= _FLOAT_MAX:
         raise ValueError(f"eta must exceed 1 and be finite, got eta={eta}")
 
 
 def _entropy_ball_upper(H, n, eta, scale: float, shift: float) -> BoundValue:
     """scale H / (ln n - shift - 2 eta ln ln n) + (ln n)^(-eta), or vacuous
     +inf, also where the sum is past the float range."""
-    if not 0.0 <= H < math.inf:
+    if not 0.0 <= H <= _FLOAT_MAX:
         raise ValueError(f"H must be nonnegative and finite, got H={H}")
     _check_eta(eta)
     ln_ln_n = _ln_ln(n)  # before ln n, so that n <= 0 is named
@@ -161,7 +170,7 @@ def mle_entropy_upper(H: float, n: int, eta: float) -> BoundValue:
 def _check_lower(H: float, c: float) -> None:
     if not (0.0 < c < 1.0):
         raise ValueError(f"c must lie in (0, 1), got c={c}")
-    if not 0.0 < H < math.inf:
+    if not 0.0 < H <= _FLOAT_MAX:
         raise ValueError(f"H must be positive and finite, got H={H}")
 
 
@@ -211,8 +220,8 @@ def simplex_lower(H: float, n: int, c: float) -> BoundValue:
 
 def adell_jodra_tv_bound(t: float, x: float) -> float:
     """min{1 - e^(-x), sqrt(2/e) (sqrt(t+x) - sqrt(t))} for Poisson rates t, t+x."""
-    if not (t >= 0 and x >= 0):
-        raise ValueError("t and x must be nonnegative")
+    if not (0 <= t <= _FLOAT_MAX and x >= 0):
+        raise ValueError("t must be finite, and t and x nonnegative")
     first = -math.expm1(-x)
     if x == 0.0:
         return 0.0
@@ -232,7 +241,7 @@ def chernoff_tails(lam: float, delta: float) -> ChernoffTails:
     upper_tail bounds P(X >= (1+delta) lam); lower_tail bounds
     P(X <= (1-delta) lam) by exp(-delta^2 lam / 2).
     """
-    if not 0 <= lam < math.inf:
+    if not 0 <= lam <= _FLOAT_MAX:
         raise ValueError("lam must be nonnegative and finite")
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
@@ -243,8 +252,8 @@ def chernoff_tails(lam: float, delta: float) -> ChernoffTails:
 
 def hoeffding_bound(n: int, range_width: float, t: float) -> float:
     """2 exp(-2 t^2 / (n w^2)) for a sum of n iid terms of range w, capped at 1."""
-    if not (n >= 1 and range_width > 0 and t > 0):
-        raise ValueError("n, range_width and t must be positive")
+    if not (1 <= n <= _FLOAT_MAX and range_width > 0 and t > 0):
+        raise ValueError("n must be at least 1 and finite, range_width and t positive")
     spread = n * range_width * range_width
     exponent = -2.0 * t * t / spread if spread > 0.0 else math.nan
     if math.isnan(exponent):  # n w^2 underflows to 0, or it and t^2 overflow

@@ -34,7 +34,7 @@ import time
 from typing import TYPE_CHECKING, Optional
 
 from . import bounds as bnd
-from .report import ReportRow, write_report
+from .report import PARAM_COLUMNS, write_report
 
 if TYPE_CHECKING:
     from .core import CompressedFamily
@@ -138,7 +138,7 @@ def _cell_bounds(**grid) -> dict:
             continue
         try:
             values[name] = getattr(bnd, name)(*args)
-        except (ValueError, OverflowError):
+        except ValueError:
             continue
     return values
 
@@ -155,19 +155,19 @@ def _load(*modules: str) -> None:
 
 
 def _cells(cells):
-    """Yields the report row of each (params, fill) cell in order; a cell whose
-    fill raises keeps what it recorded so far plus the error text."""
-    for params, fill in cells:
-        row = ReportRow(params=params)
+    """Yields the report row of each (params, fill) cell in order: its params
+    dict, filled in by `fill`; a cell whose fill raises keeps what it recorded
+    so far plus the error text."""
+    for row, fill in cells:
         try:
             fill(row)
         except Exception as exc:  # keep the sweep going, record the cell
-            row.error = str(exc)
+            row["error"] = str(exc)
         yield row
 
 
 def _fill_bounds(row) -> None:
-    row.bounds = _cell_bounds(**row.params)
+    row.update(_cell_bounds(**row))
 
 
 def cmd_bounds(args):
@@ -215,18 +215,17 @@ def cmd_risk(args):
             raise UsageError(str(exc)) from exc
 
     def fill(row, build_family, index) -> None:
-        params = row.params
-        n, eta = params["n"], params["eta"]
+        n, eta = row["n"], row["eta"]
         fam = build_family()
-        estimator = _build_estimator(params["estimator"], n, eta)
+        estimator = _build_estimator(row["estimator"], n, eta)
         if with_mc:
             cfg = McConfig(args.replicates, derive_seed(args.seed, index))
             est = mc_risk(fam, estimator, n, cfg)
-            row.mc_mean, row.mc_ci_lo, row.mc_ci_hi = est.mean, est.ci_lo, est.ci_hi
-        row.exact_risk = estimator_risk_exact(fam, estimator, n)
+            row.update(mc_mean=est.mean, mc_ci_lo=est.ci_lo, mc_ci_hi=est.ci_hi)
+        row["exact_risk"] = risk = estimator_risk_exact(fam, estimator, n)
         if with_mc:
-            row.mc_within_ci = bool(est.ci_lo <= row.exact_risk <= est.ci_hi)
-        row.bounds = _cell_bounds(**params)
+            row["mc_within_ci"] = bool(est.ci_lo <= risk <= est.ci_hi)
+        row.update(_cell_bounds(**row))
 
     estimators = args.estimator or ["empirical"]
     repeated = sorted({name for name in estimators if estimators.count(name) > 1})
@@ -277,9 +276,8 @@ def _verdicts_cor2(args):
         for n in ns:
             risk = _exact_uniform_mle_risk(S, n)
             gaps.append(abs(math.sqrt(n) * risk - target))
-            yield ReportRow(
-                params={"S": S, "n": n, "family": "uniform", "estimator": "empirical"},
-                exact_risk=risk, bounds=_cell_bounds(S=S, n=n))
+            yield {"S": S, "n": n, "family": "uniform", "estimator": "empirical",
+                   "exact_risk": risk, **_cell_bounds(S=S, n=n)}
         verdicts.append((gaps[-1] <= 0.01,
                          f"S={S}: final |sqrt(n) risk - constant| = {gaps[-1]:.3e} <= 0.01"))
         decreasing = all(a > b for a, b in zip(gaps, gaps[1:]))
@@ -299,9 +297,8 @@ def _verdicts_cor34(args):
         oracle = bayes_risk_two_point(S, n)
         upper_ok &= math.sqrt(c) * risk <= 1.0 + 1e-12
         lower_ok &= math.sqrt(c) * oracle >= floor_constant - 0.02
-        yield ReportRow(
-            params={"S": S, "c": c, "n": n, "family": "uniform", "estimator": "empirical"},
-            exact_risk=risk, bounds={"mle_upper_simple": bnd.mle_upper_simple(S, n)})
+        yield {"S": S, "c": c, "n": n, "family": "uniform", "estimator": "empirical",
+               "exact_risk": risk, "mle_upper_simple": bnd.mle_upper_simple(S, n)}
     return [
         (upper_ok, "sqrt(c) * exact uniform risk <= 1 at every linear-scaling cell"),
         (lower_ok, f"sqrt(c) * two-point Bayes oracle >= sqrt(e)/8 - 0.02 "
@@ -343,9 +340,8 @@ def _rising_trend(H: float, trend, quantity: str, ratio: str):
     for n, best, n_ratio in trend:
         ns.append(n)
         ratios.append(n_ratio)
-        yield ReportRow(
-            params={"H": H, "n": n, "family": "entropy-ball", "estimator": "empirical"},
-            exact_risk=best)
+        yield {"H": H, "n": n, "family": "entropy-ball", "estimator": "empirical",
+               "exact_risk": best}
     increasing = all(a < b for a, b in zip(ratios, ratios[1:]))
     return [(increasing, f"H={H}: ln(n) * {quantity} / H increases over n={ns}"),
             (ratios[-1] > 1.0, f"H={H}: final {ratio} {ratios[-1]:.4f} exceeds 1.0")]
@@ -373,10 +369,8 @@ def _verdicts_cor7(args):
             if not upper.vacuous and not bnd.mle_entropy_upper(H, n, eta).vacuous:
                 compared.append(n)
                 below &= thr_r < mle_r
-            yield ReportRow(
-                params={"H": H, "eta": eta, "n": n, "family": "entropy-ball",
-                        "estimator": "threshold"},
-                exact_risk=thr_best, bounds={"threshold_upper": upper})
+            yield {"H": H, "eta": eta, "n": n, "family": "entropy-ball",
+                   "estimator": "threshold", "exact_risk": thr_best, "threshold_upper": upper}
         verdicts.append((below and bool(compared),
                          f"H={H}: threshold ratio < MLE ratio at every valid n "
                          f"(compared at n={compared})"))
@@ -453,12 +447,13 @@ def _sweep(sweep, args) -> int:
             started = time.perf_counter()
             rows.append(next(sweep))
             seconds.append(time.perf_counter() - started)
-            rows[-1].seed = args.seed
+            rows[-1]["seed"] = args.seed
     except StopIteration as stop:
         verdicts = stop.value
     for index, (row, spent) in enumerate(zip(rows, seconds), start=1):
+        params = {name: value for name, value in row.items() if name in PARAM_COLUMNS}
         logger.debug("%s cell %d of %d %s: %.3f ms", args.command, index, len(rows),
-                     row.params, spent * 1e3)
+                     params, spent * 1e3)
     if verdicts is None or args.out is not None:
         try:
             write_report(rows, args.format, args.out)

@@ -7,6 +7,7 @@ everything here is safe to share across threads.
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Union
 
 if TYPE_CHECKING:
@@ -42,9 +43,10 @@ def _as_float_array(values: Iterable[float], what: str) -> np.ndarray:
 
 def _whole(value, message: str, least: int = 1) -> int:
     """int(value) for a whole number of at least `least`, integral floats and
-    numpy integers included; anything else, inf and NaN too, raises
-    ValueError(message).  Every size the package takes passes through here."""
-    if not least <= value < math.inf or value != int(value):
+    numpy integers included; anything else, inf, NaN and an int past the float
+    range too, raises ValueError(message).  Every size the package takes
+    passes through here."""
+    if not least <= value <= sys.float_info.max or value != int(value):
         raise ValueError(message)
     return int(value)
 

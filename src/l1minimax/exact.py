@@ -21,6 +21,7 @@ window is an array.
 from __future__ import annotations
 
 import math
+import sys
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -143,7 +144,7 @@ def poisson_tv_exact(lam_lo: float, lam_hi: float) -> float:
     """
     if not (0.0 <= lam_lo <= lam_hi):
         raise ValueError("rates must satisfy 0 <= lambda_lo <= lambda_hi")
-    if not math.isfinite(lam_hi):
+    if not lam_hi <= sys.float_info.max:
         raise ValueError("rates must be finite")
     if lam_lo == lam_hi:
         return 0.0

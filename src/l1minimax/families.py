@@ -12,7 +12,7 @@ import logging
 import math
 from typing import NamedTuple
 
-from .bounds import (BoundValue, _check_high_dim, _check_sizes,
+from .bounds import (_FLOAT_MAX, BoundValue, _check_high_dim, _check_sizes,
                      bayes_risk_two_point_piecewise, hoeffding_bound)
 from .core import CompressedFamily, _whole
 from .exact import poisson_tv_exact
@@ -53,6 +53,8 @@ def entropy_ball_family(H: float, delta: float) -> EntropyBallFamily:
     """
     if not H > 0:
         raise ValueError("H must be positive")
+    if not H <= _FLOAT_MAX:
+        raise ValueError(f"H must be finite, got H={H}")
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
     log_sp = math.log(delta) + H / delta + (1.0 - delta) / delta * math.log1p(-delta)
@@ -145,7 +147,7 @@ class EntropyBallBayesRisk(NamedTuple):
 
 def bayes_risk_entropy_ball(cp: CompositePrior, n: int) -> EntropyBallBayesRisk:
     """Exact Bayes risk of the composite prior under Multinomial sampling."""
-    if not 0 <= n < math.inf:
+    if not 0 <= n <= _FLOAT_MAX:
         raise ValueError(f"n must be nonnegative and finite, got n={n}")
     exact = (1.0 - _occupied_fraction(cp.delta / cp.S_prime, n)) * cp.delta
     linearized = (1.0 - n * cp.delta / cp.S_prime) * cp.delta

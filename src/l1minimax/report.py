@@ -1,9 +1,10 @@
 """Machine-readable experiment reports.
 
-One row per grid cell with a fixed column order: parameters alphabetically,
-then exact and Monte-Carlo results, then bound values alphabetically, then
-vacuous flags, then error / seed / runtime_ms (always empty).  CSV uses 12
-significant digits, UTF-8 and LF line endings; JSON mirrors the field names.
+One row per grid cell, a dict from column names to values, written in a
+fixed column order: parameters alphabetically, then exact and Monte-Carlo
+results, then bound values alphabetically, then vacuous flags, then
+error / seed / runtime_ms (always empty).  CSV uses 12 significant digits,
+UTF-8 and LF line endings; JSON mirrors the field names.
 """
 
 from __future__ import annotations
@@ -29,45 +30,20 @@ META_COLUMNS = ["error", "seed", "runtime_ms"]
 COLUMNS = PARAM_COLUMNS + RESULT_COLUMNS + BOUND_COLUMNS + VACUOUS_COLUMNS + META_COLUMNS
 
 
-class ReportRow:
-    """One experiment cell: its parameters, results, bounds and metadata.
-
-    `bounds` holds each bound as its function returns it; a `BoundValue`
-    fills both its value column and its vacuous column.  The one mutable
-    record: a command fills its results in after construction."""
-
-    def __init__(self, params: Optional[dict] = None, exact_risk: Optional[float] = None,
-                 mc_mean: Optional[float] = None, mc_ci_lo: Optional[float] = None,
-                 mc_ci_hi: Optional[float] = None, mc_within_ci: Optional[bool] = None,
-                 bounds: Optional[dict] = None, error: Optional[str] = None,
-                 seed: Optional[int] = None):
-        self.params = {} if params is None else params
-        self.exact_risk = exact_risk
-        self.mc_mean = mc_mean
-        self.mc_ci_lo = mc_ci_lo
-        self.mc_ci_hi = mc_ci_hi
-        self.mc_within_ci = mc_within_ci
-        self.bounds = {} if bounds is None else bounds
-        self.error = error
-        self.seed = seed
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
-        return f"{type(self).__name__}({fields})"
-
-    def __eq__(self, other):
-        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
-
-    def record(self) -> dict:
-        rec = {name: self.params.get(name) for name in PARAM_COLUMNS}
-        rec.update((name, getattr(self, name)) for name in RESULT_COLUMNS)
-        for name in BOUND_COLUMNS:
-            bound = self.bounds.get(name)
-            rec[name] = bound.value if isinstance(bound, BoundValue) else bound
-        for name, column in zip(FLAGGED_BOUNDS, VACUOUS_COLUMNS):
-            rec[column] = getattr(self.bounds.get(name), "vacuous", None)
-        rec.update(error=self.error, seed=self.seed, runtime_ms=None)
-        return rec
+def record(row: dict) -> dict:
+    """Every column of `row`, a dict from column names to values, in column
+    order: None where the row has no value, and a `BoundValue` split into its
+    value column and its vacuous column.  A key that is not a column raises."""
+    unknown = row.keys() - COLUMNS
+    if unknown:
+        raise KeyError(f"not report columns: {sorted(unknown)}")
+    rec = dict.fromkeys(COLUMNS)
+    rec.update(row)
+    for name, column in zip(FLAGGED_BOUNDS, VACUOUS_COLUMNS):
+        bound = rec[name]
+        if isinstance(bound, BoundValue):
+            rec[name], rec[column] = bound.value, bound.vacuous
+    return rec
 
 
 def _format_cell(value) -> str:
@@ -88,14 +64,14 @@ def render_csv(rows) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(COLUMNS)
     for row in rows:
-        rec = row.record()
+        rec = record(row)
         writer.writerow([_format_cell(rec[name]) for name in COLUMNS])
     return buffer.getvalue()
 
 
 def render_json(rows) -> str:
     import json
-    return json.dumps([row.record() for row in rows], indent=2) + "\n"
+    return json.dumps([record(row) for row in rows], indent=2) + "\n"
 
 
 def write_report(rows, fmt: str, out_path: Optional[str]) -> None:

@@ -9,13 +9,14 @@ from l1minimax import (BoundValue, CompositePrior, ProbabilityVector, ThresholdC
                        adell_jodra_tv_bound, assembled_minimax_lower_hd,
                        bayes_risk_entropy_ball, bayes_risk_two_point,
                        bayes_risk_two_point_piecewise, chernoff_tails, classical_constant,
-                       empirical_estimator, estimator_risk_exact, hoeffding_bound,
-                       minimax_entropy_lower, minimax_lower_hd, mle_entropy_lower,
-                       mle_entropy_upper, mle_upper_simple, mle_upper_tight,
-                       simplex_lower, threshold_upper)
+                       empirical_estimator, entropy_ball_family, estimator_risk_exact,
+                       hoeffding_bound, minimax_entropy_lower, minimax_lower_hd,
+                       mle_entropy_lower, mle_entropy_upper, mle_upper_simple,
+                       mle_upper_tight, poisson_tv_exact, simplex_lower, threshold_upper)
 from conftest import exact_poisson_tail_lower, exact_poisson_tail_upper
 
 E = math.e
+HUGE = 10**400  # a Python int past the float range
 
 # Each closed-form bound and Bayes-risk oracle, called with `value` for the
 # parameter its key ends in and an in-domain value for the others.
@@ -107,6 +108,10 @@ class TestParamTypes:
             minimax_lower_hd(10, 10, 0.0)
         with pytest.raises(ValueError, match="zeta"):
             minimax_lower_hd(10, 10, 1.5)
+        for bound in (minimax_lower_hd, assembled_minimax_lower_hd):
+            # (1 + zeta) n overflows; the message names what the caller passed
+            with pytest.raises(ValueError, match=r"got n=1e\+308, zeta=1.0$"):
+                bound(1e308, 1e308, 1.0)
 
     def test_entropy_ball_params_validation(self):
         # the entropy-ball bounds check H > 0, c in (0, 1) and eta > 1 themselves
@@ -148,19 +153,30 @@ class TestParamTypes:
         (hoeffding_bound, (10, math.nan, 1.0)),
         (hoeffding_bound, (10, 1.0, math.nan)),
         (bayes_risk_entropy_ball, (CompositePrior(0.3, 10, 2), math.nan)),
+        (chernoff_tails, (HUGE, 0.5)),
+        (adell_jodra_tv_bound, (HUGE, 1.0)),
+        (hoeffding_bound, (HUGE, 1.0, 1.0)),
+        (poisson_tv_exact, (1.0, HUGE)),
+        (entropy_ball_family, (HUGE, 0.5)),
     ], ids=["chernoff-lam", "adell_jodra-x", "adell_jodra-t", "hoeffding-n",
-            "hoeffding-range_width", "hoeffding-t", "bayes_risk_entropy_ball-n"])
+            "hoeffding-range_width", "hoeffding-t", "bayes_risk_entropy_ball-n",
+            "chernoff-lam-10**400", "adell_jodra-t-10**400", "hoeffding-n-10**400",
+            "poisson_tv_exact-lam_hi-10**400", "entropy_ball_family-H-10**400"])
     def test_nan_lemma_argument_is_a_value_error(self, lemma, args):
-        # every comparison with NaN is False, so `x < 0` let NaN through
+        # every comparison with NaN is False, so `x < 0` let NaN through; every
+        # int is below inf, and 10**400 overflowed once converted to a float
         with pytest.raises(ValueError, match="must be"):
             lemma(*args)
 
     @pytest.mark.parametrize("name, value", [
         pytest.param(name, value, id=f"{name}-{value}")
-        for value in (math.nan, math.inf, -math.inf) for name in DOMAIN_ENTRIES])
+        for value in (math.nan, math.inf, -math.inf) for name in DOMAIN_ENTRIES] + [
+        pytest.param(name, HUGE, id=f"{name}-10**400")
+        for name in DOMAIN_ENTRIES if not name.endswith("-c")])  # c < 1 rejects it anyway
     def test_non_finite_parameter_is_a_value_error_naming_it(self, name, value):
         # `not x >= 1` lets +inf through, where mle_upper_simple(10, inf) reads 0.0,
-        # mle_entropy_upper(inf, 1000, 1.1) a non-vacuous inf, minimax_lower_hd(inf, ...) NaN
+        # mle_entropy_upper(inf, 1000, 1.1) a non-vacuous inf, minimax_lower_hd(inf, ...) NaN;
+        # `x < inf` lets 10**400 through, which overflows or reads as a value
         param = name.rsplit("-", 1)[1]
         with pytest.raises(ValueError, match=f"{param} must|got {param}="):
             DOMAIN_ENTRIES[name](value)

@@ -868,17 +868,26 @@ class TestColumnOrder:
 
     def test_bound_value_fills_value_and_vacuous_columns(self):
         from l1minimax.bounds import BoundValue
-        from l1minimax.report import ReportRow
-        rec = ReportRow(bounds={"threshold_upper": BoundValue(math.inf, vacuous=True),
-                                "mle_upper_simple": 0.5}).record()
+        from l1minimax.report import record
+        rec = record({"threshold_upper": BoundValue(math.inf, vacuous=True),
+                      "mle_upper_simple": 0.5})
+        assert list(rec) == COLUMNS
         assert rec["threshold_upper"] == math.inf and rec["threshold_upper_vacuous"] is True
         assert rec["mle_upper_simple"] == 0.5
         assert rec["simplex_lower"] is None and rec["simplex_lower_vacuous"] is None
 
+    def test_key_that_is_not_a_column_raises(self):
+        # a misspelt key would otherwise leave its column empty without a word
+        from l1minimax.report import record, render_csv, render_json
+        row = {"S": 2, "exact_risk": 0.5, "mc_men": 0.5}
+        for render in (record, lambda r: render_csv([r]), lambda r: render_json([r])):
+            with pytest.raises(KeyError, match="mc_men"):
+                render(row)
+
     def test_error_text_with_commas_stays_in_one_cell(self, tmp_path):
         import io
-        from l1minimax.report import ReportRow, render_csv
-        text = render_csv([ReportRow(error="sums to 0.8, too far from 1")])
+        from l1minimax.report import render_csv
+        text = render_csv([{"error": "sums to 0.8, too far from 1"}])
         cols, rows = (lambda r: (r[0], r[1:]))(list(csv.reader(io.StringIO(text))))
         assert cols == COLUMNS
         assert dict(zip(cols, rows[0]))["error"] == "sums to 0.8, too far from 1"

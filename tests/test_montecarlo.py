@@ -328,11 +328,13 @@ class TestMcRisk:
     @pytest.mark.parametrize("name, size", [
         pytest.param(name, 150.5 if name == "McConfig" and size == 10.5 else size,
                      id=name + suffix)
-        for suffix, size in (("", 10.5), ("-inf", math.inf), ("-nan", math.nan), ("-0", 0))
+        for suffix, size in (("", 10.5), ("-inf", math.inf), ("-nan", math.nan), ("-0", 0),
+                             ("-10**400", 10**400))
         for name in SIZED_ENTRIES])
     def test_non_integer_sizes_are_rejected(self, name, size):
         # 10.5 would draw 10 and divide by 10.5; 150.5 would average 151 losses;
-        # int() of inf or NaN would raise OverflowError or a conversion message
+        # int() of inf or NaN would raise OverflowError or a conversion message,
+        # and an int past the float range OverflowError once used as a float
         with pytest.raises(ValueError, match="integer"):
             SIZED_ENTRIES[name](size)
 

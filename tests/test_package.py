@@ -80,14 +80,3 @@ def test_value_types_are_immutable_namedtuples(text):
         setattr(value, value._fields[0], None)
     with pytest.raises(AttributeError):
         value.extra = None
-
-
-def test_report_row_is_the_one_mutable_record():
-    from l1minimax.report import ReportRow
-
-    row, other = ReportRow(), ReportRow()
-    assert row == other and row.params is not other.params and row.bounds is not other.bounds
-    row.error = "failed"
-    assert row != other
-    assert repr(row) == ("ReportRow(params={}, exact_risk=None, mc_mean=None, mc_ci_lo=None, "
-                         "mc_ci_hi=None, mc_within_ci=None, bounds={}, error='failed', seed=None)")
