@@ -45,27 +45,29 @@ class BoundValue(NamedTuple):
     vacuous: bool = False
 
 
-def _check_sizes(S, n=1, least_S: int = 2) -> None:
-    """Raises unless S >= `least_S` and n >= 1 are finite (n = 1 where a bound has none)."""
+def _check_sizes(S, n=1, least_S: int = 2) -> tuple:
+    """(S, n) as floats, for finite S >= `least_S` and n >= 1 (n = 1 where a bound has none)."""
     if not least_S <= S <= _FLOAT_MAX:
         raise ValueError(f"S must be at least {least_S} and finite, got S={S}")
     if not 1 <= n <= _FLOAT_MAX:
         raise ValueError(f"n must be at least 1 and finite, got n={n}")
+    return float(S), float(n)
 
 
-def _check_high_dim(S: int, n: int, zeta: float) -> None:
-    """Raises unless (S, n, zeta) is in the high-dimensional bounds' domain;
-    called before any arithmetic, since ln S is 0 at S = 1."""
-    _check_sizes(S, n)
+def _check_high_dim(S: int, n: int, zeta: float) -> tuple:
+    """S, n and zeta as floats; raises unless they are in the high-dimensional
+    bounds' domain.  Called before any arithmetic, since ln S is 0 at S = 1."""
+    S, n = _check_sizes(S, n)
     if not (0.0 < zeta <= 1.0):
         raise ValueError("zeta must lie in (0, 1]")
-    if (1.0 + zeta) * n > _FLOAT_MAX:  # the two-point floor's sample size
+    if (1.0 + float(zeta)) * n > _FLOAT_MAX:  # the two-point floor's sample size
         raise ValueError(f"(1 + zeta) n must be finite, got n={n}, zeta={zeta}")
+    return S, n, float(zeta)
 
 
 def mle_upper_simple(S: int, n: int) -> float:
     """sqrt((S - 1) / n), the baseline worst-case risk of the empirical rule."""
-    _check_sizes(S, n, least_S=1)
+    S, n = _check_sizes(S, n, least_S=1)
     return math.sqrt((S - 1) / n)
 
 
@@ -80,19 +82,18 @@ def _gaussian_mad(S, n) -> float:
 
 def mle_upper_tight(S: int, n: int) -> float:
     """sqrt(2(S-1)/(pi n)) + 2 sqrt(S) (S-1)^(1/4) / n^(3/4)."""
-    _check_sizes(S, n, least_S=1)
+    S, n = _check_sizes(S, n, least_S=1)
     return _gaussian_mad(S, n) + 2.0 * math.sqrt(S) * (S - 1) ** 0.25 / n ** 0.75
 
 
 def classical_constant(S: int) -> float:
     """sqrt(2(S-1)/pi): the fixed-support limit of sqrt(n) times the risk."""
-    _check_sizes(S)
-    return _gaussian_mad(S, 1)
+    return _gaussian_mad(_check_sizes(S)[0], 1)
 
 
 def bayes_risk_two_point_piecewise(S: int, n: float) -> float:
     """Closed-form floor for the two-point Bayes risk at the tuned eta."""
-    _check_sizes(S, n)
+    S, n = _check_sizes(S, n)
     if n / S <= math.e / 16.0:
         return math.exp(-2.0 * n / S)
     value = 0.125 * math.sqrt(math.e * S / n)
@@ -108,7 +109,7 @@ def minimax_lower_hd(S: int, n: int, zeta: float) -> BoundValue:
     Poissonization and concentration losses.  May be negative (vacuous) at
     small S; returned as-is with the flag.
     """
-    _check_high_dim(S, n, zeta)
+    S, n, zeta = _check_high_dim(S, n, zeta)
     value = (bayes_risk_two_point_piecewise(S, (1.0 + zeta) * n)
              - math.exp(-zeta * zeta * n / 24.0)
              - 12.0 * math.exp(-zeta * zeta * S / (32.0 * math.log(S) ** 2)))
@@ -137,9 +138,10 @@ def _check_n_exceeds(n, log_bound: float, condition: str, inclusive: bool = Fals
     raise ValueError(f"requires {condition} = {bound}, got n={n}")
 
 
-def _check_eta(eta) -> None:
+def _check_eta(eta) -> float:
     if not 1.0 < eta <= _FLOAT_MAX:
         raise ValueError(f"eta must exceed 1 and be finite, got eta={eta}")
+    return float(eta)
 
 
 def _entropy_ball_upper(H, n, eta, scale: float, shift: float) -> BoundValue:
@@ -147,7 +149,7 @@ def _entropy_ball_upper(H, n, eta, scale: float, shift: float) -> BoundValue:
     +inf, also where the sum is past the float range."""
     if not 0.0 <= H <= _FLOAT_MAX:
         raise ValueError(f"H must be nonnegative and finite, got H={H}")
-    _check_eta(eta)
+    H, eta = float(H), _check_eta(eta)
     ln_ln_n = _ln_ln(n)  # before ln n, so that n <= 0 is named
     denom = math.log(n) - shift - 2.0 * eta * ln_ln_n
     if denom <= 0.0:
@@ -167,11 +169,12 @@ def mle_entropy_upper(H: float, n: int, eta: float) -> BoundValue:
     return _entropy_ball_upper(H, n, eta, 2.0, 0.0)
 
 
-def _check_lower(H: float, c: float) -> None:
+def _check_lower(H: float, c: float) -> tuple:
     if not (0.0 < c < 1.0):
         raise ValueError(f"c must lie in (0, 1), got c={c}")
     if not 0.0 < H <= _FLOAT_MAX:
         raise ValueError(f"H must be positive and finite, got H={H}")
+    return float(H), float(c)
 
 
 def mle_entropy_lower(H: float, n: int, c: float) -> float:
@@ -180,7 +183,7 @@ def mle_entropy_lower(H: float, n: int, c: float) -> float:
     Requires n > max{(1-c)^(-1/(1-c)), e^H}; violations raise naming the
     failed condition.
     """
-    _check_lower(H, c)
+    H, c = _check_lower(H, c)
     _check_n_exceeds(n, -math.log1p(-c) / (1.0 - c), "n > (1-c)^(-1/(1-c))")
     _check_n_exceeds(n, H, "n > e^H")
     inner = math.exp(-math.log((1.0 - c) * n) / c)
@@ -199,7 +202,7 @@ def threshold_upper(H: float, n: int, eta: float) -> BoundValue:
 
 
 def _entropy_ball_lower_core(H: float, n: int, c: float) -> float:
-    _check_lower(H, c)
+    H, c = _check_lower(H, c)
     _check_n_exceeds(n, H, "n >= e^H", inclusive=True)
     # n^(1 - 1/c) (1-c)^(-1/c), assembled in logs to dodge overflow
     inner = math.exp((1.0 - 1.0 / c) * math.log(n) - math.log1p(-c) / c)
@@ -222,6 +225,7 @@ def adell_jodra_tv_bound(t: float, x: float) -> float:
     """min{1 - e^(-x), sqrt(2/e) (sqrt(t+x) - sqrt(t))} for Poisson rates t, t+x."""
     if not (0 <= t <= _FLOAT_MAX and x >= 0):
         raise ValueError("t must be finite, and t and x nonnegative")
+    t, x = float(t), math.inf if x > _FLOAT_MAX else float(x)  # an int past floats: inf
     first = -math.expm1(-x)
     if x == 0.0:
         return 0.0
@@ -252,8 +256,9 @@ def chernoff_tails(lam: float, delta: float) -> ChernoffTails:
 
 def hoeffding_bound(n: int, range_width: float, t: float) -> float:
     """2 exp(-2 t^2 / (n w^2)) for a sum of n iid terms of range w, capped at 1."""
-    if not (1 <= n <= _FLOAT_MAX and range_width > 0 and t > 0):
-        raise ValueError("n must be at least 1 and finite, range_width and t positive")
+    if not (1 <= n <= _FLOAT_MAX and range_width > 0 and t >= 0):
+        raise ValueError("n must be at least 1 and finite, range_width positive, t nonnegative")
+    n, range_width, t = (math.inf if v > _FLOAT_MAX else float(v) for v in (n, range_width, t))
     spread = n * range_width * range_width
     exponent = -2.0 * t * t / spread if spread > 0.0 else math.nan
     if math.isnan(exponent):  # n w^2 underflows to 0, or it and t^2 overflow

@@ -99,7 +99,7 @@ def _entropy_ball(H: float, c: float, n: int):
     """The entropy-ball family of the sweeps, at delta = c H / ln n."""
     from .families import entropy_ball_family
     if n < 2:
-        raise ValueError("entropy-ball needs n >= 2")
+        raise ValueError(f"entropy-ball needs n >= 2, got n={n}")
     return entropy_ball_family(H, c * H / math.log(n))
 
 
@@ -252,14 +252,6 @@ def cmd_risk(args):
 # ---------------------------------------------------------------------------
 # scripted trend sweeps
 
-def _grid(args, flag: str, ok, domain: str) -> list:
-    """A sweep's --grid-<flag> values; one outside `domain` is a usage error."""
-    values = getattr(args, "grid_" + flag)
-    if not all(map(ok, values)):
-        raise UsageError(f"{args.target}: --grid-{flag} values must satisfy {domain}")
-    return values
-
-
 def _exact_uniform_mle_risk(S: int, n: int) -> float:
     from .estimators import empirical_estimator
     from .exact import estimator_risk_exact
@@ -267,10 +259,9 @@ def _exact_uniform_mle_risk(S: int, n: int) -> float:
 
 
 def _verdicts_cor2(args):
-    S_values = _grid(args, "S", lambda S: S >= 2, "S >= 2")
-    ns = sorted(_grid(args, "n", lambda n: n >= 1, "n >= 1"))
+    ns = sorted(args.grid_n)
     verdicts = []
-    for S in S_values:
+    for S in args.grid_S:
         target = bnd.classical_constant(S)
         gaps = []
         for n in ns:
@@ -287,8 +278,9 @@ def _verdicts_cor2(args):
 
 def _verdicts_cor34(args):
     from .families import bayes_risk_two_point
-    cs = _grid(args, "c", lambda c: 0 < c < math.inf, "0 < c < inf")
-    ns = sorted(_grid(args, "n", lambda n: n >= 1, "n >= 1"))
+    cs, ns = args.grid_c, sorted(args.grid_n)
+    if not all(0 < c < math.inf for c in cs):  # c is this sweep's own ratio n / S
+        raise ValueError("--grid-c values must satisfy 0 < c < inf")
     floor_constant = math.sqrt(math.e) / 8.0
     upper_ok, lower_ok = True, True
     for c, n in itertools.product(cs, ns):
@@ -310,14 +302,8 @@ def _trend(args, H: float, cs: list, risk):
     """(n, max, ln(n) * max / H) per n of the sorted n grid, max being the max
     over c in `cs` of risk(ball, c, n) (ball: the entropy ball at
     delta = cH / ln n); cor6/7/9 check these ratios."""
-    def ball(c, n):
-        try:
-            return _entropy_ball(H, c, n)
-        except ValueError as exc:  # no entropy ball at this grid point
-            raise UsageError(f"{args.target}: H={H:g}, c={c:g}, n={n}: {exc}") from exc
-
     for n in sorted(args.grid_n):
-        best = max(risk(ball(c, n), c, n) for c in cs)
+        best = max(risk(_entropy_ball(H, c, n), c, n) for c in cs)
         yield n, best, math.log(n) * best / H
 
 
@@ -356,9 +342,9 @@ def _verdicts_cor6(args):
 
 
 def _verdicts_cor7(args):
-    eta, *more = _grid(args, "eta", lambda eta: 1 < eta < math.inf, "1 < eta < inf")
+    eta, *more = args.grid_eta
     if more:
-        raise UsageError(f"{args.target}: --grid-eta takes one value")
+        raise ValueError("--grid-eta takes one value")
     verdicts = []
     for H in args.grid_H:
         below, compared = True, []
@@ -379,22 +365,18 @@ def _verdicts_cor7(args):
 
 def _verdicts_cor9(args):
     from .families import CompositePrior, bayes_risk_entropy_ball_constrained
-    cs = _grid(args, "c", lambda c: 0 < c < 1, "0 < c < 1")
     k = 10**6
     verdicts = []
     for H in args.grid_H:
         dominated = []
 
         def oracle(ball, c, n, H=H, dominated=dominated):
-            try:
-                floor = bnd.simplex_lower(H, n, c)
-            except ValueError as exc:  # no simplex floor at this grid point
-                raise UsageError(f"{args.target}: H={H:g}, n={n}: {exc}") from exc
+            floor = bnd.simplex_lower(H, n, c)
             value = bayes_risk_entropy_ball_constrained(CompositePrior.from_family(ball, k), n)
             dominated.append(floor.vacuous or value >= floor.value * (1.0 - 1.0 / k))
             return value
 
-        verdicts += yield from _rising_trend(H, _trend(args, H, cs, oracle),
+        verdicts += yield from _rising_trend(H, _trend(args, H, args.grid_c, oracle),
                                              "simplex-constrained oracle", "constrained ratio")
         verdicts.append((all(dominated),
                          f"H={H}: constrained oracle dominates simplex floor * (1 - 1/k)"))
@@ -440,7 +422,9 @@ def _sweep(sweep, args) -> int:
     row is timed over the work since the row before it and stamped with --seed.
     The time lines, the report and the verdicts follow the sweep, so a usage
     error inside it writes nothing; the report goes to --out, or to stdout
-    when no verdicts are printed there."""
+    when no verdicts are printed there.  A ValueError out of a sweep, which
+    only reproduce targets let out (the others keep it in the cell's row),
+    is a grid value outside a library domain: a usage error naming the target."""
     rows, seconds = [], []
     try:
         while True:
@@ -450,6 +434,8 @@ def _sweep(sweep, args) -> int:
             rows[-1]["seed"] = args.seed
     except StopIteration as stop:
         verdicts = stop.value
+    except ValueError as exc:
+        raise UsageError(f"{args.target}: {exc}") from exc
     for index, (row, spent) in enumerate(zip(rows, seconds), start=1):
         params = {name: value for name, value in row.items() if name in PARAM_COLUMNS}
         logger.debug("%s cell %d of %d %s: %.3f ms", args.command, index, len(rows),

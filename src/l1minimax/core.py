@@ -24,14 +24,19 @@ __all__ = [
 NORMALIZE_TOL = 1e-9
 SUM_TOL = 1e-12
 
-# Largest support `sample_multinomial` returns per-symbol counts for.
+# Largest dense support: of `sample_multinomial`'s counts and `ProbabilityVector.uniform`.
 MAX_DENSE_SUPPORT = 10_000_000
+# Largest n: boost's Binomial quantile, which defines every draw, is NaN at means n q >= 3 2^50.
+MAX_SAMPLE_SIZE = 1 << 50
 
 
 def _as_float_array(values: Iterable[float], what: str) -> np.ndarray:
     import numpy as np
 
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"{what} must be finite") from None
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{what} must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(arr)):
@@ -41,14 +46,19 @@ def _as_float_array(values: Iterable[float], what: str) -> np.ndarray:
     return arr
 
 
-def _whole(value, message: str, least: int = 1) -> int:
-    """int(value) for a whole number of at least `least`, integral floats and
+def _whole(value, message: str, least: int = 1, most=sys.float_info.max) -> int:
+    """int(value) for a whole number in [least, most], integral floats and
     numpy integers included; anything else, inf, NaN and an int past the float
-    range too, raises ValueError(message).  Every size the package takes
-    passes through here."""
-    if not least <= value <= sys.float_info.max or value != int(value):
+    range too, raises ValueError(message).  The int is compared as well, as a
+    numpy float rounds `most`.  Every size and seed passes through here."""
+    if not (least <= value <= most and value == int(value) <= most):
         raise ValueError(message)
     return int(value)
+
+
+def _sample_size(n) -> int:
+    """int(n) for a whole n in [1, MAX_SAMPLE_SIZE], the n of every risk and draw."""
+    return _whole(n, f"n must be a positive integer up to 2^50, got n={n}", 1, MAX_SAMPLE_SIZE)
 
 
 def _mass(values: list, what: str) -> float:
@@ -79,7 +89,8 @@ class ProbabilityVector(NamedTuple("ProbabilityVector", [("probs", "np.ndarray")
     def uniform(support_size: int) -> "ProbabilityVector":
         import numpy as np
 
-        support_size = _whole(support_size, "support_size must be a positive integer")
+        support_size = _whole(support_size, "support_size must be an integer in [1, 10^7]",
+                              most=MAX_DENSE_SUPPORT)
         return ProbabilityVector(np.full(support_size, 1.0 / support_size))
 
 
@@ -101,15 +112,15 @@ class CompressedFamily(NamedTuple("CompressedFamily", [("atoms", tuple)])):
                 value, mult = atom
             except (TypeError, ValueError):
                 raise ValueError(f"atom {i} must be a (value, multiplicity) pair")
-            value = float(value)
-            if not math.isfinite(value) or value < 0:
+            if not 0 <= value <= sys.float_info.max:
                 raise ValueError(f"atom {i}: value must be finite and nonnegative")
+            value = float(value)
             mult = _whole(mult, f"atom {i}: multiplicity must be a positive integer")
             cleaned.append((value, mult))
             total.append(value * mult)
         if not cleaned:
             raise ValueError("atoms must be non-empty")
-        mass = _mass(total, "atom mass sums")
+        mass = _mass(total, "atom masses (value x multiplicity) sum")
         if abs(mass - 1.0) > SUM_TOL:
             cleaned = [(v / mass, m) for v, m in cleaned]
         return super().__new__(cls, tuple(cleaned))

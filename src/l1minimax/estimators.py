@@ -14,7 +14,7 @@ import math
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .bounds import _check_eta
-from .core import _whole
+from .core import _sample_size
 
 if TYPE_CHECKING:
     import numpy as np
@@ -42,9 +42,7 @@ class ThresholdConfig(NamedTuple("ThresholdConfig", [("n", int), ("eta", float)]
     __slots__ = ()
 
     def __new__(cls, n, eta=DEFAULT_ETA):
-        n = _whole(n, "n must be a positive integer")
-        _check_eta(eta)
-        return super().__new__(cls, n, eta)
+        return super().__new__(cls, _sample_size(n), _check_eta(eta))
 
 
 class ThresholdRule(NamedTuple):

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 # _window_pmf is bound here because perfbench/spans.py hooks exact._window_pmf
 from .binomial import (_MAX_WINDOW, _binomial_window, _geometric_tail, _outward,
                        _pairwise_sum, _window_pmf)
-from .core import Distribution, _atom_items, _whole
+from .core import Distribution, _atom_items, _sample_size
 from .estimators import CoordinatewiseEstimator, ThresholdRule
 
 if TYPE_CHECKING:
@@ -77,7 +77,7 @@ def binomial_expectation(
 
 def binomial_mad_exact(n: int, p: float) -> float:
     """E|X/n - p| for X ~ Binomial(n, p), exact to summation precision."""
-    n = _whole(n, "n must be a positive integer")
+    n = _sample_size(n)
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
     rule = ThresholdRule(0.0)  # the empirical rule, k -> k / n
@@ -107,7 +107,7 @@ def estimator_risk_exact(
     Computed per unique atom value then scaled by multiplicity, so families
     with one repeated tiny value cost constant work per distinct value.
     """
-    n = _whole(n, "n must be a positive integer")
+    n = _sample_size(n)
     rule = estimator.fn if isinstance(estimator.fn, ThresholdRule) else None
     atoms = _grouped_atoms(p)
     total = 0.0
@@ -142,10 +142,10 @@ def poisson_tv_exact(lam_lo: float, lam_hi: float) -> float:
     distributions outside it is below 1e-15.  A window past
     `binomial._MAX_WINDOW` points raises ValueError naming the rates.
     """
+    if not (lam_lo <= sys.float_info.max and lam_hi <= sys.float_info.max):  # NaN too
+        raise ValueError(f"lam_lo and lam_hi must be finite, got {lam_lo}, {lam_hi}")
     if not (0.0 <= lam_lo <= lam_hi):
-        raise ValueError("rates must satisfy 0 <= lambda_lo <= lambda_hi")
-    if not lam_hi <= sys.float_info.max:
-        raise ValueError("rates must be finite")
+        raise ValueError(f"rates must satisfy 0 <= lam_lo <= lam_hi, got {lam_lo}, {lam_hi}")
     if lam_lo == lam_hi:
         return 0.0
     width = 20.0
@@ -153,8 +153,8 @@ def poisson_tv_exact(lam_lo: float, lam_hi: float) -> float:
     while True:
         lo = max(0, math.floor(lam_lo - width * math.sqrt(lam_lo + 1.0)))
         if hi - lo >= _MAX_WINDOW:
-            raise ValueError(f"rates {lam_lo!r} and {lam_hi!r} are too large for an exact "
-                             f"sum: their pmf window exceeds {_MAX_WINDOW:,} points")
+            raise ValueError(f"rates lam_lo={lam_lo!r}, lam_hi={lam_hi!r} are too large for an "
+                             f"exact sum: their pmf window exceeds {_MAX_WINDOW:,} points")
         pmfs = [_poisson_window(lam, lo, hi) for lam in (lam_lo, lam_hi)]
         # outward pmf ratios shrink: lam / (k + 1) past hi, k / lam below lo
         tail = sum(_geometric_tail(pmf[-1], lam / (hi + 1.0))

@@ -51,19 +51,18 @@ def entropy_ball_family(H: float, delta: float) -> EntropyBallFamily:
     S' is rounded up to an integer; rounding can only increase the entropy,
     and the excess is logged.
     """
-    if not H > 0:
-        raise ValueError("H must be positive")
-    if not H <= _FLOAT_MAX:
-        raise ValueError(f"H must be finite, got H={H}")
+    if not 0 < H <= _FLOAT_MAX:
+        raise ValueError(f"H must be positive and finite, got H={H}")
     if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
+        raise ValueError(f"delta must lie in (0, 1), got delta={delta}")
+    H, delta = float(H), float(delta)
     log_sp = math.log(delta) + H / delta + (1.0 - delta) / delta * math.log1p(-delta)
     if log_sp < 0.0:
         raise ValueError(
             f"infeasible: delta={delta:g} too large for H={H:g} (S' would be below 1)")
-    if log_sp > _MAX_LOG_SUPPORT:
-        raise ValueError(
-            f"family support exp({log_sp:.1f}) exceeds double-precision range")
+    if not log_sp <= _MAX_LOG_SUPPORT:  # NaN too: inf - inf at a subnormal delta
+        raise ValueError(f"family support exp({log_sp:.1f}) at H={H:g}, delta={delta:g} "
+                         "exceeds double-precision range")
     sp_real = math.exp(log_sp)
     sp = math.ceil(sp_real)
     achieved = (delta * math.log(sp) - delta * math.log(delta)
@@ -83,10 +82,14 @@ def bayes_risk_two_point(S: int, n: float) -> float:
     n(1 +- eta)/S.  Dominates the piecewise closed form, which replaces the
     exact TV by its analytic upper bound.
     """
-    _check_sizes(S, n)
+    S, n = _check_sizes(S, n)
+    if max(S, n) > 2.0 ** 1000:  # keeps e S and n (1 + eta) in the float range;
+        S, n = S * 2.0 ** -100, n * 2.0 ** -100  # a power of 2 keeps each ratio's bits
     eta = min(1.0, 0.25 * math.sqrt(math.e * S / n))
-    tv = poisson_tv_exact(n * (1.0 - eta) / S, n * (1.0 + eta) / S)
-    return eta * (1.0 - tv)
+    try:
+        return eta * (1.0 - poisson_tv_exact(n * (1.0 - eta) / S, n * (1.0 + eta) / S))
+    except ValueError as exc:  # a window past its ceiling
+        raise ValueError(f"n / S = {n / S:g} is too large: {exc}") from None
 
 
 def assembled_minimax_lower_hd(S: int, n: int, zeta: float) -> BoundValue:
@@ -98,7 +101,7 @@ def assembled_minimax_lower_hd(S: int, n: int, zeta: float) -> BoundValue:
     exact quantities where the closed-form statement uses bounds, so it
     dominates `bounds.minimax_lower_hd` whenever both are meaningful.
     """
-    _check_high_dim(S, n, zeta)
+    S, n, zeta = _check_high_dim(S, n, zeta)
     if S < 3:
         raise ValueError("S must be at least 3 (needs ln S > 1)")
     bayes = bayes_risk_two_point(S, (1.0 + zeta) * n)
@@ -172,7 +175,7 @@ def sample_from_composite_prior(cp: CompositePrior, seed: int) -> tuple:
 
     population = cp.k * cp.S_prime
     if population > MAX_INDEX_RANGE:
-        raise ValueError("slot population too large to index exactly")
+        raise ValueError(f"slot population too large to index exactly: k S_prime = {population}")
     if cp.S_prime > _MAX_SAMPLED_ACTIVE:
         raise ValueError("S_prime too large to sample at desk scale")
     first = population - cp.S_prime

@@ -29,9 +29,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .binomial import _binomial_inverse
-from .core import MAX_DENSE_SUPPORT, Distribution, _atom_items, _whole
+from .core import MAX_DENSE_SUPPORT, Distribution, _atom_items, _sample_size, _whole
 from .estimators import CoordinatewiseEstimator
-from .rng import MAX_INDEX_RANGE, derive_key, derive_seed, stream_key, to_index, uniforms
+from .rng import (MAX_INDEX_RANGE, _seed, derive_key, derive_seed, stream_key, to_index,
+                  uniforms)
 
 __all__ = [
     "McConfig",
@@ -63,18 +64,19 @@ _MIN_SPLIT_DRAWS = 500_000
 # when all R losses equal l0, a loss other than l0 has chance at most
 # ln(1/delta) / R with probability 1 - delta, and losses lie in [0, 2].
 _DEGENERATE_DELTA = 0.0027
+# Most replicates a call takes, at a peak of ~1.3 GB (README, "Domains").
+MAX_REPLICATES = 10_000_000
 
 
 class McConfig(NamedTuple("McConfig", [("replicates", int), ("master_seed", int)])):
-    """Replication and seeding parameters; `mc_risk` rejects a seed outside [0, 2^64)."""
+    """Replication and seeding parameters: 100 to 10^7 replicates, a seed in [0, 2^64)."""
 
     __slots__ = ()
 
     def __new__(cls, replicates, master_seed):
-        replicates = _whole(
-            replicates, "replicates must be an integer of at least 100 for CI "
-            f"reporting, got {replicates}", least=100)
-        return super().__new__(cls, replicates, master_seed)
+        replicates = _whole(replicates, "replicates must be an integer of at least 100 for CI "
+                            f"reporting and at most 10^7, got {replicates}", 100, MAX_REPLICATES)
+        return super().__new__(cls, replicates, _seed(master_seed, "master_seed"))
 
 
 class McRiskEstimate(NamedTuple):
@@ -90,7 +92,7 @@ class McRiskEstimate(NamedTuple):
 
 def derive_replicate_seed(master_seed: int, replicate: int) -> int:
     """Seed reproducing one replicate of `mc_risk` via `sample_multinomial`."""
-    return derive_seed(master_seed, replicate)
+    return derive_seed(master_seed, _seed(replicate, "replicate"))
 
 
 def _conditional_chain(
@@ -165,7 +167,7 @@ def _stream_layout(keys: np.ndarray, atoms, n: int, tally=None) -> tuple:
 def sample_multinomial(p: Distribution, n: int, seed: int) -> np.ndarray:
     """One Multinomial(n, p) draw, deterministic in the seed: the read-only
     int64 count of each symbol, in support order."""
-    n = _whole(n, "n must be a positive integer")
+    n = _sample_size(n)
     atoms = _atom_items(p)
     support = sum(m for _, m in atoms)
     # A vector with that many atoms already holds one float per symbol.
@@ -343,7 +345,7 @@ def mc_risk(
     one value l0: then it is l0 +- 2 ln(1/delta) / R at delta = 0.0027,
     as a sample that never saw a rare loss has no spread to measure.
     """
-    n = _whole(n, "n must be a positive integer")
+    n = _sample_size(n)
     cfg = McConfig(*cfg)  # `_replace` and `_make` skip the replicate floor
     keys = derive_key(cfg.master_seed, np.arange(cfg.replicates, dtype=np.uint64))
     tally = Counter()

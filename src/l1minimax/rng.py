@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import _whole
+
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
@@ -38,19 +40,21 @@ def mix64(x: np.uint64 | np.ndarray) -> np.uint64 | np.ndarray:
         return z
 
 
+def _seed(value, name: str = "seed") -> int:
+    """int(value) for a whole number in [0, 2^64), the one rule for every seed
+    and replicate index; anything else raises ValueError naming `name`."""
+    return _whole(value, f"{name} must be an integer in [0, 2^64), got {value}", 0, 2**64 - 1)
+
+
 def stream_key(seed: int) -> np.uint64:
     """Map a user-facing integer seed in [0, 2^64) to an internal stream key."""
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
-    return mix64(np.uint64(seed))
+    return mix64(np.uint64(_seed(seed)))
 
 
 def _seed_hash(master_seed: int, index) -> np.uint64 | np.ndarray:
     """splitmix64 output `index` of the generator seeded with `master_seed` in [0, 2^64)."""
-    if not 0 <= master_seed < 1 << 64:
-        raise ValueError(f"master_seed must be in [0, 2^64), got {master_seed}")
     with np.errstate(over="ignore"):
-        base = np.uint64(master_seed)
+        base = np.uint64(_seed(master_seed, "master_seed"))
         idx = np.asarray(index, dtype=np.uint64)
         return mix64(base + (idx + np.uint64(1)) * _GAMMA)
 

@@ -12,8 +12,13 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from l1minimax import ProbabilityVector, montecarlo
+
+# Every property test draws the same examples on every run (and keeps no database).
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 def compositions(n, parts):

@@ -5,51 +5,16 @@ import numpy as np
 import pytest
 
 from l1minimax import bounds
-from l1minimax import (BoundValue, CompositePrior, ProbabilityVector, ThresholdConfig,
-                       adell_jodra_tv_bound, assembled_minimax_lower_hd,
-                       bayes_risk_entropy_ball, bayes_risk_two_point,
-                       bayes_risk_two_point_piecewise, chernoff_tails, classical_constant,
-                       empirical_estimator, entropy_ball_family, estimator_risk_exact,
-                       hoeffding_bound, minimax_entropy_lower, minimax_lower_hd,
-                       mle_entropy_lower, mle_entropy_upper, mle_upper_simple,
-                       mle_upper_tight, poisson_tv_exact, simplex_lower, threshold_upper)
+from l1minimax import (BoundValue, ProbabilityVector, ThresholdConfig, adell_jodra_tv_bound,
+                       assembled_minimax_lower_hd, bayes_risk_two_point_piecewise,
+                       chernoff_tails, classical_constant, empirical_estimator,
+                       estimator_risk_exact, hoeffding_bound, minimax_entropy_lower,
+                       minimax_lower_hd, mle_entropy_lower, mle_entropy_upper,
+                       mle_upper_simple, mle_upper_tight, simplex_lower, threshold_upper)
 from conftest import exact_poisson_tail_lower, exact_poisson_tail_upper
 
 E = math.e
 HUGE = 10**400  # a Python int past the float range
-
-# Each closed-form bound and Bayes-risk oracle, called with `value` for the
-# parameter its key ends in and an in-domain value for the others.
-DOMAIN_ENTRIES = {
-    "mle_upper_simple-S": lambda value: mle_upper_simple(value, 10),
-    "mle_upper_simple-n": lambda value: mle_upper_simple(10, value),
-    "mle_upper_tight-S": lambda value: mle_upper_tight(value, 10),
-    "mle_upper_tight-n": lambda value: mle_upper_tight(10, value),
-    "classical_constant-S": lambda value: classical_constant(value),
-    "bayes_risk_two_point_piecewise-S": lambda value: bayes_risk_two_point_piecewise(value, 100),
-    "bayes_risk_two_point_piecewise-n": lambda value: bayes_risk_two_point_piecewise(10, value),
-    "bayes_risk_two_point-S": lambda value: bayes_risk_two_point(value, 100),
-    "bayes_risk_two_point-n": lambda value: bayes_risk_two_point(10, value),
-    "minimax_lower_hd-S": lambda value: minimax_lower_hd(value, 100, 0.5),
-    "minimax_lower_hd-n": lambda value: minimax_lower_hd(10, value, 0.5),
-    "assembled_minimax_lower_hd-S": lambda value: assembled_minimax_lower_hd(value, 100, 0.5),
-    "assembled_minimax_lower_hd-n": lambda value: assembled_minimax_lower_hd(10, value, 0.5),
-    "mle_entropy_upper-H": lambda value: mle_entropy_upper(value, 1000, 1.1),
-    "mle_entropy_upper-n": lambda value: mle_entropy_upper(1.0, value, 1.1),
-    "mle_entropy_upper-eta": lambda value: mle_entropy_upper(1.0, 1000, value),
-    "threshold_upper-H": lambda value: threshold_upper(value, 1000, 1.1),
-    "threshold_upper-n": lambda value: threshold_upper(1.0, value, 1.1),
-    "threshold_upper-eta": lambda value: threshold_upper(1.0, 1000, value),
-    "ThresholdConfig-eta": lambda value: ThresholdConfig(100, value),
-    "mle_entropy_lower-H": lambda value: mle_entropy_lower(value, 1000, 0.5),
-    "mle_entropy_lower-c": lambda value: mle_entropy_lower(1.0, 1000, value),
-    "minimax_entropy_lower-H": lambda value: minimax_entropy_lower(value, 1000, 0.5),
-    "minimax_entropy_lower-c": lambda value: minimax_entropy_lower(1.0, 1000, value),
-    "simplex_lower-H": lambda value: simplex_lower(value, 1000, 0.5),
-    "simplex_lower-c": lambda value: simplex_lower(1.0, 1000, value),
-    "bayes_risk_entropy_ball-n": lambda value: bayes_risk_entropy_ball(
-        CompositePrior(0.5, 10, 2), value),
-}
 
 
 class TestMleUpperBounds:
@@ -89,10 +54,6 @@ class TestClassicalConstant:
         assert classical_constant(2) == pytest.approx(0.797884560802865356, rel=1e-15)
         assert classical_constant(9) == pytest.approx(2.25675833419102515, rel=1e-15)
 
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            classical_constant(1)
-
     def test_matches_scaled_uniform_risk(self):
         n = 10**4
         risk = estimator_risk_exact(ProbabilityVector([0.5, 0.5]),
@@ -102,84 +63,10 @@ class TestClassicalConstant:
 
 class TestParamTypes:
     def test_high_dim_params_validation(self):
-        with pytest.raises(ValueError, match="S must be at least 2"):
-            minimax_lower_hd(1, 10, 0.5)
-        with pytest.raises(ValueError, match="zeta"):
-            minimax_lower_hd(10, 10, 0.0)
-        with pytest.raises(ValueError, match="zeta"):
-            minimax_lower_hd(10, 10, 1.5)
         for bound in (minimax_lower_hd, assembled_minimax_lower_hd):
             # (1 + zeta) n overflows; the message names what the caller passed
             with pytest.raises(ValueError, match=r"got n=1e\+308, zeta=1.0$"):
                 bound(1e308, 1e308, 1.0)
-
-    def test_entropy_ball_params_validation(self):
-        # the entropy-ball bounds check H > 0, c in (0, 1) and eta > 1 themselves
-        mle_entropy_lower(1.0, 100, 0.5)
-        mle_entropy_upper(1.0, 100, 1.1)
-        with pytest.raises(ValueError, match="H"):
-            mle_entropy_lower(0.0, 100, 0.5)
-        with pytest.raises(ValueError, match="c must"):
-            minimax_entropy_lower(1.0, 100, 1.0)
-        with pytest.raises(ValueError, match="eta"):
-            mle_entropy_upper(1.0, 100, 1.0)
-        for bound in (mle_entropy_upper, threshold_upper):  # H < 0 is False at NaN
-            with pytest.raises(ValueError, match="H must be nonnegative"):
-                bound(math.nan, 10**6, 1.1)
-
-
-    @pytest.mark.parametrize("bound, args", [
-        (mle_upper_simple, (10, math.nan)),
-        (mle_upper_tight, (10, math.nan)),
-        (minimax_lower_hd, (10, math.nan, 0.5)),
-        (mle_entropy_upper, (1.0, math.inf, 1.1)),
-        (mle_entropy_upper, (1.0, math.nan, 1.1)),
-        (threshold_upper, (1.0, math.inf, 1.1)),
-        (threshold_upper, (1.0, math.nan, 1.1)),
-        (mle_entropy_lower, (1.0, math.inf, 0.5)),
-        (minimax_entropy_lower, (1.0, math.inf, 0.5)),
-        (simplex_lower, (1.0, math.inf, 0.5)),
-    ], ids=lambda v: getattr(v, "__name__", None) or "-".join(map(str, v)))
-    def test_non_finite_n_is_a_value_error(self, bound, args):
-        # ln ln inf and ln inf - ln ln inf are inf or nan; none is a bound
-        with pytest.raises(ValueError, match="n must"):
-            bound(*args)
-
-    @pytest.mark.parametrize("lemma, args", [
-        (chernoff_tails, (math.nan, 0.5)),
-        (adell_jodra_tv_bound, (1.0, math.nan)),
-        (adell_jodra_tv_bound, (math.nan, 1.0)),
-        (hoeffding_bound, (math.nan, 1.0, 1.0)),
-        (hoeffding_bound, (10, math.nan, 1.0)),
-        (hoeffding_bound, (10, 1.0, math.nan)),
-        (bayes_risk_entropy_ball, (CompositePrior(0.3, 10, 2), math.nan)),
-        (chernoff_tails, (HUGE, 0.5)),
-        (adell_jodra_tv_bound, (HUGE, 1.0)),
-        (hoeffding_bound, (HUGE, 1.0, 1.0)),
-        (poisson_tv_exact, (1.0, HUGE)),
-        (entropy_ball_family, (HUGE, 0.5)),
-    ], ids=["chernoff-lam", "adell_jodra-x", "adell_jodra-t", "hoeffding-n",
-            "hoeffding-range_width", "hoeffding-t", "bayes_risk_entropy_ball-n",
-            "chernoff-lam-10**400", "adell_jodra-t-10**400", "hoeffding-n-10**400",
-            "poisson_tv_exact-lam_hi-10**400", "entropy_ball_family-H-10**400"])
-    def test_nan_lemma_argument_is_a_value_error(self, lemma, args):
-        # every comparison with NaN is False, so `x < 0` let NaN through; every
-        # int is below inf, and 10**400 overflowed once converted to a float
-        with pytest.raises(ValueError, match="must be"):
-            lemma(*args)
-
-    @pytest.mark.parametrize("name, value", [
-        pytest.param(name, value, id=f"{name}-{value}")
-        for value in (math.nan, math.inf, -math.inf) for name in DOMAIN_ENTRIES] + [
-        pytest.param(name, HUGE, id=f"{name}-10**400")
-        for name in DOMAIN_ENTRIES if not name.endswith("-c")])  # c < 1 rejects it anyway
-    def test_non_finite_parameter_is_a_value_error_naming_it(self, name, value):
-        # `not x >= 1` lets +inf through, where mle_upper_simple(10, inf) reads 0.0,
-        # mle_entropy_upper(inf, 1000, 1.1) a non-vacuous inf, minimax_lower_hd(inf, ...) NaN;
-        # `x < inf` lets 10**400 through, which overflows or reads as a value
-        param = name.rsplit("-", 1)[1]
-        with pytest.raises(ValueError, match=f"{param} must|got {param}="):
-            DOMAIN_ENTRIES[name](value)
 
     @pytest.mark.parametrize("eta", [1.0, 0.5, math.inf, math.nan, -math.inf])
     def test_eta_rule_has_one_home(self, eta):
@@ -190,16 +77,6 @@ class TestParamTypes:
                 check()
             messages.add(str(info.value))
         assert messages == {f"eta must exceed 1 and be finite, got eta={eta}"}
-
-    @pytest.mark.parametrize("S, n", [(1, 100), (math.nan, 100), (math.inf, 100),
-                                      (10, 0.5), (10, math.nan), (10, math.inf)])
-    def test_two_point_sizes_rule_has_one_home(self, S, n):
-        messages = set()
-        for oracle in (bayes_risk_two_point, bayes_risk_two_point_piecewise):
-            with pytest.raises(ValueError) as info:
-                oracle(S, n)
-            messages.add(str(info.value))
-        assert len(messages) == 1
 
     @pytest.mark.parametrize("bound, args, expected", [
         # 2(S - 1) overflowed: inf, or inf / inf = NaN
@@ -388,6 +265,10 @@ class TestAdellJodra:
     def test_zero_gap(self):
         assert adell_jodra_tv_bound(3.0, 0.0) == 0.0
 
+    def test_int_past_the_float_range_is_inf(self):
+        # float(10**400) raised OverflowError; inf has the limit 1
+        assert adell_jodra_tv_bound(1, HUGE) == adell_jodra_tv_bound(1, math.inf) == 1.0
+
     def test_exponential_branch_wins_at_t_zero(self):
         for x in (0.01, 5.0, 10.0, 40.0):
             assert adell_jodra_tv_bound(0.0, x) == -math.expm1(-x)
@@ -413,12 +294,6 @@ class TestChernoffTails:
         assert exact <= chernoff_tails(lam, delta).lower_tail
         exact_up = exact_poisson_tail_upper(lam, (1 + delta) * lam)
         assert exact_up <= chernoff_tails(lam, delta).upper_tail
-
-    @pytest.mark.parametrize("lam", [math.inf, -math.inf])
-    def test_non_finite_lam_is_a_value_error(self, lam):
-        # lam = inf passed `lam >= 0` and gave NaN tails at tiny delta
-        with pytest.raises(ValueError, match="lam must be nonnegative and finite"):
-            chernoff_tails(lam, 5e-324)
 
 
 class TestHoeffding:
@@ -446,6 +321,8 @@ class TestHoeffding:
         (1, 1e-200, 1e-200, 2.0 * math.exp(-2.0)),  # n w^2 underflowed: ZeroDivisionError
         (1, 5e-324, 1.0, 0.0),  # t / w overflows: the exponent is -inf
         (1, 1e200, 1e200, 2.0 * math.exp(-2.0)),  # t^2 / (n w^2) was inf / inf
+        (10, HUGE, 1, 1.0), (10, 1, HUGE, 0.0),  # read as inf, not OverflowError
+        (10, 1.0, 0.0, 1.0),  # t = 0: the trivial bound, as zeta underflows in the floor
     ])
     def test_exponent_past_the_float_range(self, n, w, t, expected):
         assert hoeffding_bound(n, w, t) == expected

@@ -189,7 +189,7 @@ class TestExactRiskCommand:
                         "--grid-c", "0.5", "--grid-n", "1", "1000", *replicates)
         assert code == 0
         _, rows = parse_csv(out)
-        assert rows[0]["error"] == "entropy-ball needs n >= 2"
+        assert rows[0]["error"] == "entropy-ball needs n >= 2, got n=1"
         assert rows[0]["exact_risk"] == ""
         assert rows[1]["error"] == ""
         assert float(rows[1]["exact_risk"]) > 0
@@ -269,7 +269,8 @@ class TestFamilyFiles:
         ("0.5 1\n0.5 two\n", ":2: invalid literal for int() with base 10: 'two'"),
         ("half 2\n", ":1: could not convert string to float: 'half'"),
         ("# comments only\n\n   # and a blank line\n", ": no atoms found"),
-        ("1e308 1\n1e308 1\n", ": atom mass sums to inf, too far from 1 to normalize"),
+        ("1e308 1\n1e308 1\n",
+         ": atom masses (value x multiplicity) sum to inf, too far from 1 to normalize"),
     ], ids=["missing", "bad-multiplicity", "bad-value", "comments-only", "mass-past-floats"])
     def test_unreadable_file_is_a_usage_error(self, tmp_path, capsys, text, message):
         path = tmp_path / "fam.txt"
@@ -367,27 +368,27 @@ class TestReproduceCommand:
             main(["reproduce", "cor99"])
 
     @pytest.mark.parametrize("argv, message", [
-        (["reproduce", "cor2", "--grid-S", "1"], "cor2: --grid-S values must satisfy S >= 2"),
-        (["reproduce", "cor6", "--grid-n", "1"],
-         "cor6: H=1, c=0.3, n=1: entropy-ball needs n >= 2"),
+        (["reproduce", "cor2", "--grid-S", "1"], "cor2: S must be at least 2 and finite, got S=1"),
+        (["reproduce", "cor6", "--grid-n", "1"], "cor6: entropy-ball needs n >= 2, got n=1"),
         (["reproduce", "cor3-4", "--grid-c", "0"],
          "cor3-4: --grid-c values must satisfy 0 < c < inf"),
         (["reproduce", "cor7", "--grid-eta", "0.5"],
-         "cor7: --grid-eta values must satisfy 1 < eta < inf"),
-        (["reproduce", "cor9", "--grid-H", "-1"], "cor9: H=-1, c=0.3, n=1000: H must be positive"),
+         "cor7: eta must exceed 1 and be finite, got eta=0.5"),
+        (["reproduce", "cor9", "--grid-H", "-1"],
+         "cor9: H must be positive and finite, got H=-1.0"),
         # c and n each in range, but delta = cH / ln n = 1.45 is not
         (["reproduce", "cor6", "--grid-c", "10", "--grid-n", "1000"],
-         "cor6: H=1, c=10, n=1000: delta must lie in (0, 1)"),
+         "cor6: delta must lie in (0, 1), got delta=1.4476482730108395"),
         # the simplex floor cor9 checks against is defined for c in (0, 1) only
         (["reproduce", "cor9", "--grid-c", "1.5", "--grid-n", "1000"],
-         "cor9: --grid-c values must satisfy 0 < c < 1"),
+         "cor9: c must lie in (0, 1), got c=1.5"),
         # cor7 compares both estimators at one threshold exponent
         (["reproduce", "cor7", "--grid-eta", "1.1", "1.5"], "cor7: --grid-eta takes one value"),
         # the simplex floor is defined for n >= e^H only
         (["reproduce", "cor9", "--grid-n", "2", "1000"],
-         "cor9: H=1, n=2: requires n >= e^H = 2.71828, got n=2"),
+         "cor9: requires n >= e^H = 2.71828, got n=2"),
         (["reproduce", "cor9", "--grid-H", "3", "--grid-n", "10"],
-         "cor9: H=3, n=10: requires n >= e^H = 20.0855, got n=10"),
+         "cor9: requires n >= e^H = 20.0855, got n=10"),
         # master seeds are 64-bit unsigned: -3 would run as 2^64 - 3, 2^64 as 0
         (["mc", "--grid-S", "2", "--grid-n", "10", "20", "--replicates", "200",
           "--seed", "-3"], "--seed must be in [0, 2^64), got -3"),
@@ -397,12 +398,13 @@ class TestReproduceCommand:
          "--seed must be in [0, 2^64), got -1"),
         # too few replicates for every cell, not one error row per cell
         (["mc", "--grid-S", "2", "--grid-n", "4", "--replicates", "50"],
-         "replicates must be an integer of at least 100 for CI reporting, got 50"),
+         "replicates must be an integer of at least 100 for CI reporting and at most 10^7, "
+         "got 50"),
         # inf is no ratio n/S and no threshold exponent; its rows would end in a FAIL
         (["reproduce", "cor3-4", "--grid-c", "inf"],
          "cor3-4: --grid-c values must satisfy 0 < c < inf"),
         (["reproduce", "cor7", "--grid-eta", "inf"],
-         "cor7: --grid-eta values must satisfy 1 < eta < inf"),
+         "cor7: eta must exceed 1 and be finite, got eta=inf"),
     ], ids=["cor2", "cor6", "cor3-4", "cor7", "cor9", "cor6-infeasible", "cor9-c",
             "cor7-eta", "cor9-floor", "cor9-floor-H", "mc-seed-negative", "mc-seed-2^64",
             "cor2-seed-negative", "mc-replicates", "cor3-4-inf", "cor7-eta-inf"])
@@ -440,17 +442,19 @@ class TestReproduceCommand:
 
     @pytest.mark.parametrize("target, error", [
         ("cor2", ZeroDivisionError), ("cor6", ValueError)])
-    def test_internal_error_is_not_a_usage_error(self, monkeypatch, target, error):
-        # only grid values outside their domain are bad invocations; a
-        # failure inside a computation keeps its traceback
+    def test_only_a_value_error_is_a_usage_error(self, monkeypatch, capsys, target, error):
         from l1minimax import exact
 
         def broken(*args):
             raise error("inside the computation")
 
         monkeypatch.setattr(exact, "estimator_risk_exact", broken)
-        with pytest.raises(error, match="inside the computation"):
-            main(["reproduce", target, "--grid-n", "1000"])
+        if error is ValueError:  # a value outside a library domain: a bad invocation
+            assert main(["reproduce", target, "--grid-n", "1000"]) == 2
+            assert capsys.readouterr().err == f"error: {target}: inside the computation\n"
+        else:  # any other failure inside a computation keeps its traceback
+            with pytest.raises(error, match="inside the computation"):
+                main(["reproduce", target, "--grid-n", "1000"])
 
     def test_cor2_writes_rows(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
