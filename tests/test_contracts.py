@@ -32,16 +32,19 @@ EXTREMES = (math.nan, math.inf, -math.inf, 0, 0.0, -0.0, 1, -1, 5e-324, 10.5, 2*
 SECONDS, HEADROOM = 5.0, 1 << 29  # per call: wall time, bytes of address space
 
 
-def _pool(in_domain) -> list:
-    """The values a parameter is tried at: the extremes, its in-domain value,
-    for an int that int as a float and a half above, and their numpy scalars."""
+def _pool(in_domain) -> dict:
+    """The values a parameter is tried at, by label: the extremes and its in-domain
+    value (for an int also as a float and a half above), each with its numpy scalars."""
     plain = [*EXTREMES, in_domain]
     if isinstance(in_domain, int):
         plain += [float(in_domain), in_domain + 0.5]
-    numpy = [np.float64(v) for v in plain if isinstance(v, float) or abs(v) <= sys.float_info.max]
-    ints = [v for v in plain if type(v) is int]
-    return (plain + numpy + [np.int64(v) for v in ints if abs(v) < 2**63]
-            + [np.uint64(v) for v in ints if 0 <= v < 2**64])
+    pool = {}
+    for v in plain:
+        whole = type(v) is int
+        kinds = ((np.float64, not whole or abs(v) <= sys.float_info.max),
+                 (np.int64, whole and abs(v) < 2**63), (np.uint64, whole and 0 <= v < 2**64))
+        pool[f"{type(v).__name__}({str(v)[:24]})"] = [v, *(kind(v) for kind, fit in kinds if fit)]
+    return pool
 
 
 def _within(lo: float, hi: float) -> Callable:
@@ -200,13 +203,17 @@ def _reason(name: str, args: dict):
     return None
 
 
-@pytest.mark.parametrize("name", ENTRIES)
-def test_each_parameter_at_each_value(name):
-    # every parameter at every value of its pool, the others in domain; then
-    # all parameters at each extreme at once
-    params = ENTRIES[name].params
-    calls = [{**params, param: value} for param in params for value in _pool(params[param])]
-    calls += [dict.fromkeys(params, value) for value in EXTREMES]
+# each parameter at each value of its pool, the others in domain; all at each extreme
+CASES = [pytest.param(name, [{**entry.params, param: v} for v in values],
+                      id=f"{name}-{param}-{label}")
+         for name, entry in ENTRIES.items() for param in entry.params
+         for label, values in _pool(entry.params[param]).items()]
+CASES += [pytest.param(name, [dict.fromkeys(entry.params, v) for v in EXTREMES], id=f"{name}-all")
+          for name, entry in ENTRIES.items()]
+
+
+@pytest.mark.parametrize("name, calls", CASES)
+def test_each_parameter_at_each_value(name, calls):
     breaches = [breach for args in calls if (breach := _breach(name, args)) is not None]
     assert not breaches, "\n".join(breaches)
 
@@ -215,7 +222,7 @@ def test_each_parameter_at_each_value(name):
 @given(data=st.data())
 @settings(max_examples=50, deadline=None)
 def test_drawn_arguments_keep_the_contract(name, data):
-    args = {param: data.draw(st.sampled_from(_pool(in_domain)), label=param)
+    args = {param: data.draw(st.sampled_from(sum(_pool(in_domain).values(), [])), label=param)
             for param, in_domain in ENTRIES[name].params.items()}
     assert (breach := _breach(name, args)) is None, breach
 
