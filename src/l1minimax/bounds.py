@@ -46,12 +46,13 @@ class BoundValue(NamedTuple):
 
 
 def _check_sizes(S, n=1, least_S: int = 2) -> tuple:
-    """(S, n) as floats, for finite S >= `least_S` and n >= 1 (n = 1 where a bound has none)."""
+    """(S, n) for finite S >= `least_S` and n >= 1 (n = 1 where a bound has none): a
+    Python int kept exact, anything else (numpy scalars too) as a float."""
     if not least_S <= S <= _FLOAT_MAX:
         raise ValueError(f"S must be at least {least_S} and finite, got S={S}")
     if not 1 <= n <= _FLOAT_MAX:
         raise ValueError(f"n must be at least 1 and finite, got n={n}")
-    return float(S), float(n)
+    return tuple(v if isinstance(v, int) else float(v) for v in (S, n))
 
 
 def _check_high_dim(S: int, n: int, zeta: float) -> tuple:

@@ -26,8 +26,6 @@ SUM_TOL = 1e-12
 
 # Largest dense support: of `sample_multinomial`'s counts and `ProbabilityVector.uniform`.
 MAX_DENSE_SUPPORT = 10_000_000
-# Largest n: boost's Binomial quantile, which defines every draw, is NaN at means n q >= 3 2^50.
-MAX_SAMPLE_SIZE = 1 << 50
 
 
 def _as_float_array(values: Iterable[float], what: str) -> np.ndarray:
@@ -56,9 +54,11 @@ def _whole(value, message: str, least: int = 1, most=sys.float_info.max) -> int:
     return int(value)
 
 
-def _sample_size(n) -> int:
-    """int(n) for a whole n in [1, MAX_SAMPLE_SIZE], the n of every risk and draw."""
-    return _whole(n, f"n must be a positive integer up to 2^50, got n={n}", 1, MAX_SAMPLE_SIZE)
+def _sample_size(n, bits: int = 50) -> int:
+    """int(n) for a whole n in [1, 2^bits): 50 for a draw, as boost's Binomial
+    quantile, which defines every draw, is NaN at means n q >= 3 2^50; 63 for
+    an exact sum and its `ThresholdConfig`, whose counts are int64."""
+    return _whole(n, f"n must be a positive integer below 2^{bits}, got n={n}", 1, 2**bits - 1)
 
 
 def _mass(values: list, what: str) -> float:

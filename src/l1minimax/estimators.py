@@ -42,7 +42,7 @@ class ThresholdConfig(NamedTuple("ThresholdConfig", [("n", int), ("eta", float)]
     __slots__ = ()
 
     def __new__(cls, n, eta=DEFAULT_ETA):
-        return super().__new__(cls, _sample_size(n), _check_eta(eta))
+        return super().__new__(cls, _sample_size(n, 63), _check_eta(eta))
 
 
 class ThresholdRule(NamedTuple):

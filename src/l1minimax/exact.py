@@ -77,7 +77,7 @@ def binomial_expectation(
 
 def binomial_mad_exact(n: int, p: float) -> float:
     """E|X/n - p| for X ~ Binomial(n, p), exact to summation precision."""
-    n = _sample_size(n)
+    n = _sample_size(n, 63)
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
     rule = ThresholdRule(0.0)  # the empirical rule, k -> k / n
@@ -107,7 +107,7 @@ def estimator_risk_exact(
     Computed per unique atom value then scaled by multiplicity, so families
     with one repeated tiny value cost constant work per distinct value.
     """
-    n = _sample_size(n)
+    n = _sample_size(n, 63)
     rule = estimator.fn if isinstance(estimator.fn, ThresholdRule) else None
     atoms = _grouped_atoms(p)
     total = 0.0

@@ -22,6 +22,7 @@ class TestMleUpperBounds:
         assert mle_upper_simple(5, 100) == 0.2
         assert mle_upper_simple(1, 7) == 0.0
         assert mle_upper_simple(2, 4) == 0.5
+        assert mle_upper_simple(2**53 + 1, 1) == math.sqrt(2**53)  # an int S is kept exact
 
     def test_simple_dominates_exact_uniform(self):
         risk = estimator_risk_exact(ProbabilityVector([0.5, 0.5]),
@@ -95,9 +96,9 @@ class TestParamTypes:
         assert bound(*args) == pytest.approx(expected, rel=4e-16, abs=0)
 
     @pytest.mark.parametrize("S, n", [(2, 10**4), (9, 1), (1e300, 1e300), (8.9e307, 1),
-                                      (2, 5.6e307), (6.6e307, 5.6e307)])
+                                      (2, 5.6e307), (6.6e307, 5.6e307), (2**53 + 3, 3)])
     def test_split_forms_keep_in_range_bits(self, S, n):
-        # 2(S - 1), pi n and e S stay finite: each bound takes its direct form
+        # 2(S - 1), pi n and e S stay finite: each bound takes its direct form; an int, exact
         direct = math.sqrt(2.0 * (S - 1) / (math.pi * n))
         assert 0.0 < direct < math.inf
         assert mle_upper_tight(S, n) == direct + 2.0 * math.sqrt(S) * (S - 1) ** 0.25 / n ** 0.75

@@ -259,7 +259,7 @@ class TestWindowDoubling:
         assert max(built) > built[0]
 
     @pytest.mark.parametrize("call, names", [
-        (lambda: binomial_mad_exact(2**50, 0.5), "n=1125899906842624 "),
+        (lambda: binomial_mad_exact(2**53, 0.5), "n=9007199254740992 "),
         (lambda: poisson_tv_exact(0, 1e15), "rates lam_lo=0, lam_hi=1000000000000000.0 "),
         (lambda: bayes_risk_two_point(2, 1e15), r"n / S = 5e\+14 is too large: rates "),
         (lambda: assembled_minimax_lower_hd(3, 1e15, 1), r"n / S = 6.66667e\+14 is too large: "),
