@@ -47,6 +47,11 @@ class TestConstruction:
         pv = ProbabilityVector([0.5, 0.5 + 5e-10])
         assert abs(math.fsum(pv.probs.tolist()) - 1.0) <= 1e-12
 
+    def test_rejects_large_drift(self):
+        # the contract table keeps each vector's mass at 1; this one's is 1.01
+        with pytest.raises(ValueError, match="far from 1"):
+            ProbabilityVector([0.5, 0.51])
+
     def test_mass_past_the_float_range_is_far_from_1(self):
         # fsum raised OverflowError ("intermediate overflow in fsum") here
         with pytest.raises(ValueError, match="probs sum to inf, too far from 1"):
