@@ -147,7 +147,7 @@ ENTRIES = {
     "estimator_risk_exact": Entry(
         {"probs": 1.0, "n": 10}, lambda probs, n: 0 <= probs <= 1 and whole(n, 1, EXACT),
         risk, lambda probs, n: lm.estimator_risk_exact(pair(probs), lm.empirical_estimator(), n),
-        WINDOW),
+        ceiling=WINDOW),
     # S' >= 1: H is at least delta's binary entropy; S' past e^700 is its ceiling
     "entropy_ball_family": Entry({"H": 1.0, "delta": 0.5}, lambda H, delta: 0 < delta < 1 and (
         H <= M and -delta * math.log(delta) - (1 - delta) * math.log1p(-delta) <= H),
@@ -173,7 +173,7 @@ ENTRIES = {
         lambda S_prime, k, seed: whole(S_prime) and whole(k, 2) and whole(seed, 0, SEED),
         lambda slots: sorted(set(slots)) == list(slots), lambda S_prime, k, seed: (
             lm.sample_from_composite_prior(lm.CompositePrior(0.5, S_prime, k), seed)),
-        "too large to"),
+        ceiling="too large to"),  # k S' slots past 2^53, or S' past 10^7
     "ProbabilityVector": Entry({"probs": 0.5}, lambda probs: 0 <= probs <= 1, distribution, pair),
     "ProbabilityVector.uniform": Entry(
         {"support_size": 3}, lambda support_size: whole(support_size, 1, 10**7), distribution,
