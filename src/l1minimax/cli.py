@@ -281,6 +281,8 @@ def _verdicts_cor34(args):
     cs, ns = args.grid_c, sorted(args.grid_n)
     if not all(0 < c < math.inf for c in cs):  # c is this sweep's own ratio n / S
         raise ValueError("--grid-c values must satisfy 0 < c < inf")
+    if not all(n <= sys.float_info.max and n / c < math.inf for c in cs for n in ns):
+        raise ValueError("S = round(n / c) must be finite at every --grid-n and --grid-c value")
     floor_constant = math.sqrt(math.e) / 8.0
     upper_ok, lower_ok = True, True
     for c, n in itertools.product(cs, ns):

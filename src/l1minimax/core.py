@@ -72,7 +72,13 @@ def _mass(values: list, what: str) -> float:
     return mass
 
 
-class ProbabilityVector(NamedTuple("ProbabilityVector", [("probs", "np.ndarray")])):
+class _Checked:
+    """Base of a checked record: `_make`, and so `_replace`, run its `__new__`."""
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+
+class ProbabilityVector(_Checked, NamedTuple("ProbabilityVector", [("probs", "np.ndarray")])):
     """Finite nonnegative vector summing to 1; zeros are allowed entries."""
 
     __slots__ = ()
@@ -94,7 +100,7 @@ class ProbabilityVector(NamedTuple("ProbabilityVector", [("probs", "np.ndarray")
         return ProbabilityVector(np.full(support_size, 1.0 / support_size))
 
 
-class CompressedFamily(NamedTuple("CompressedFamily", [("atoms", tuple)])):
+class CompressedFamily(_Checked, NamedTuple("CompressedFamily", [("atoms", tuple)])):
     """Distribution stored as (probability value, multiplicity) atoms.
 
     Canonical representation for families whose support shares a handful of

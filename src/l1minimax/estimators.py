@@ -14,7 +14,7 @@ import math
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .bounds import _check_eta
-from .core import _sample_size
+from .core import _Checked, _sample_size
 
 if TYPE_CHECKING:
     import numpy as np
@@ -36,7 +36,7 @@ logger = logging.getLogger(__name__)
 DEFAULT_ETA = 1.5
 
 
-class ThresholdConfig(NamedTuple("ThresholdConfig", [("n", int), ("eta", float)])):
+class ThresholdConfig(_Checked, NamedTuple("ThresholdConfig", [("n", int), ("eta", float)])):
     """Cutoff parameters for the hard-thresholding rule."""
 
     __slots__ = ()

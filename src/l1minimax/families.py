@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .bounds import (_FLOAT_MAX, BoundValue, _check_high_dim, _check_sizes,
                      bayes_risk_two_point_piecewise, hoeffding_bound)
-from .core import CompressedFamily, _whole
+from .core import CompressedFamily, _Checked, _whole
 from .exact import poisson_tv_exact
 
 __all__ = [
@@ -115,8 +115,8 @@ def _occupied_fraction(q: float, n: int) -> float:
     return -math.expm1(n * math.log1p(-q)) if q < 1.0 else 1.0
 
 
-class CompositePrior(NamedTuple("CompositePrior",
-                                 [("delta", float), ("S_prime", int), ("k", int)])):
+class CompositePrior(_Checked, NamedTuple("CompositePrior",
+                                           [("delta", float), ("S_prime", int), ("k", int)])):
     """Uniform prior over vectors with S' active slots among k S' candidates.
 
     Each member puts delta/S' on its active slots and 1 - delta on a fixed

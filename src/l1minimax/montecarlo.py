@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .binomial import _binomial_inverse
-from .core import MAX_DENSE_SUPPORT, Distribution, _atom_items, _sample_size, _whole
+from .core import MAX_DENSE_SUPPORT, Distribution, _atom_items, _Checked, _sample_size, _whole
 from .estimators import CoordinatewiseEstimator
 from .rng import (MAX_INDEX_RANGE, _seed, derive_key, derive_seed, stream_key, to_index,
                   uniforms)
@@ -66,9 +66,10 @@ _MIN_SPLIT_DRAWS = 500_000
 _DEGENERATE_DELTA = 0.0027
 # Most replicates a call takes, at a peak of ~1.3 GB (README, "Domains").
 MAX_REPLICATES = 10_000_000
+MAX_BLOCK_DRAWS = 10_000_000  # of a row, n times its block atoms' mass (README, "Domains")
 
 
-class McConfig(NamedTuple("McConfig", [("replicates", int), ("master_seed", int)])):
+class McConfig(_Checked, NamedTuple("McConfig", [("replicates", int), ("master_seed", int)])):
     """Replication and seeding parameters: 100 to 10^7 replicates, a seed in [0, 2^64)."""
 
     __slots__ = ()
@@ -93,6 +94,12 @@ class McRiskEstimate(NamedTuple):
 def derive_replicate_seed(master_seed: int, replicate: int) -> int:
     """Seed reproducing one replicate of `mc_risk` via `sample_multinomial`."""
     return derive_seed(master_seed, _seed(replicate, "replicate"))
+
+
+def _block_draws(p: Distribution, n: int) -> float:
+    if (draws := n * sum(v * m for v, m in _atom_items(p) if m > 1)) > MAX_BLOCK_DRAWS:
+        raise ValueError(f"n times the block atoms' mass must be at most 10^7, got n={n}")
+    return draws
 
 
 def _conditional_chain(
@@ -167,8 +174,8 @@ def _stream_layout(keys: np.ndarray, atoms, n: int, tally=None) -> tuple:
 def sample_multinomial(p: Distribution, n: int, seed: int) -> np.ndarray:
     """One Multinomial(n, p) draw, deterministic in the seed: the read-only
     int64 count of each symbol, in support order."""
-    n = _sample_size(n)
-    atoms = _atom_items(p)
+    n, atoms = _sample_size(n), _atom_items(p)
+    _block_draws(p, n)
     support = sum(m for _, m in atoms)
     # A vector with that many atoms already holds one float per symbol.
     if support > MAX_DENSE_SUPPORT and support > len(atoms):
@@ -279,7 +286,7 @@ def _split_losses(keys: np.ndarray, p: Distribution, estimator: CoordinatewiseEs
     reaped before this returns or raises.  A range whose child got no pipe or
     no process (EMFILE, EAGAIN), or failed, is computed here."""
     reps, count = keys.shape[0], 1
-    draws = reps * n * sum(value * mult for value, mult in _atom_items(p) if mult > 1)
+    draws = reps * _block_draws(p, n)
     if draws >= 2 * _MIN_SPLIT_DRAWS and hasattr(os, "sched_getaffinity"):
         count = min(int(draws // _MIN_SPLIT_DRAWS), len(os.sched_getaffinity(0)), reps)
     cuts = [reps * i // count for i in range(count + 1)]
@@ -346,7 +353,7 @@ def mc_risk(
     as a sample that never saw a rare loss has no spread to measure.
     """
     n = _sample_size(n)
-    cfg = McConfig(*cfg)  # `_replace` and `_make` skip the replicate floor
+    _block_draws(p, n)
     keys = derive_key(cfg.master_seed, np.arange(cfg.replicates, dtype=np.uint64))
     tally = Counter()
     losses = _split_losses(keys, p, estimator, n, tally)

@@ -1,5 +1,5 @@
 import csv
-import errno
+import functools
 import gc
 import json
 import logging
@@ -109,11 +109,6 @@ class TestBoundsCommand:
         assert all(row[name] == "" for name in (
             "mle_entropy_upper", "mle_entropy_upper_vacuous", "threshold_upper",
             "threshold_upper_vacuous"))
-
-    def test_no_grids_is_an_error(self, tmp_path, capsys):
-        code = main(["bounds", "--out", str(tmp_path / "x.csv")])
-        assert code == 2
-        assert "grid" in capsys.readouterr().err
 
     def test_rerun_is_byte_identical(self, tmp_path):
         args = ("bounds", "--grid-H", "1", "--grid-n", "100", "1000",
@@ -225,12 +220,6 @@ class TestExactRiskCommand:
         assert row["error"] == "" and float(row["exact_risk"]) == pytest.approx(1.0, rel=1e-12)
         assert row["mle_entropy_upper"] == "inf" and row["mle_entropy_upper_vacuous"] == "true"
 
-    def test_unknown_family(self, tmp_path, capsys):
-        code = main(["exact-risk", "--family", "prawns", "--grid-n", "4",
-                     "--out", str(tmp_path / "x.csv")])
-        assert code == 2
-        assert "family" in capsys.readouterr().err
-
 
 class TestFamilyFiles:
     # utf-8-sig: the file starts with a byte-order mark
@@ -246,44 +235,6 @@ class TestFamilyFiles:
                         "--grid-n", "50")
         _, rows = parse_csv(out)
         assert float(rows[0]["exact_risk"]) > 0
-
-    def test_parse_error_reports_line(self, tmp_path, capsys):
-        path = tmp_path / "bad.txt"
-        path.write_text("0.5 1\noops\n", encoding="utf-8")
-        code = main(["exact-risk", "--family", f"file:{path}", "--grid-n", "10",
-                     "--out", str(tmp_path / "x.csv")])
-        assert code == 2
-        assert ":2:" in capsys.readouterr().err
-
-    def test_mass_validation(self, tmp_path, capsys):
-        path = tmp_path / "off.txt"
-        path.write_text("0.4 1\n0.4 1\n", encoding="utf-8")
-        code = main(["exact-risk", "--family", f"file:{path}", "--grid-n", "10",
-                     "--out", str(tmp_path / "x.csv")])
-        assert code == 2
-        assert "far from 1" in capsys.readouterr().err
-
-
-    @pytest.mark.parametrize("text, message", [
-        (None, "No such file or directory"),
-        ("0.5 1\n0.5 two\n", ":2: invalid literal for int() with base 10: 'two'"),
-        ("half 2\n", ":1: could not convert string to float: 'half'"),
-        ("# comments only\n\n   # and a blank line\n", ": no atoms found"),
-        ("1e308 1\n1e308 1\n",
-         ": atom masses (value x multiplicity) sum to inf, too far from 1 to normalize"),
-    ], ids=["missing", "bad-multiplicity", "bad-value", "comments-only", "mass-past-floats"])
-    def test_unreadable_file_is_a_usage_error(self, tmp_path, capsys, text, message):
-        path = tmp_path / "fam.txt"
-        if text is not None:
-            path.write_text(text, encoding="utf-8")
-        out = tmp_path / "x.csv"
-        code = main(["exact-risk", "--family", f"file:{path}", "--grid-n", "10",
-                     "--out", str(out)])
-        assert code == 2
-        captured = capsys.readouterr()
-        sep = ": " if text is None else ""
-        assert captured.err == f"error: {path}{sep}{message}\n"
-        assert captured.out == "" and not out.exists()
 
 
 class TestMcCommand:
@@ -363,73 +314,23 @@ class TestReproduceCommand:
         assert warned == ["WARNING l1minimax.estimators: threshold level 2.12681 >= 1 "
                           "at n=100, eta=1.1: estimator returns 0 everywhere"]
 
-    def test_unknown_target_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["reproduce", "cor99"])
-
-    @pytest.mark.parametrize("argv, message", [
-        (["reproduce", "cor2", "--grid-S", "1"], "cor2: S must be at least 2 and finite, got S=1"),
-        (["reproduce", "cor6", "--grid-n", "1"], "cor6: entropy-ball needs n >= 2, got n=1"),
-        (["reproduce", "cor3-4", "--grid-c", "0"],
-         "cor3-4: --grid-c values must satisfy 0 < c < inf"),
-        (["reproduce", "cor7", "--grid-eta", "0.5"],
-         "cor7: eta must exceed 1 and be finite, got eta=0.5"),
-        (["reproduce", "cor9", "--grid-H", "-1"],
-         "cor9: H must be positive and finite, got H=-1.0"),
-        # c and n each in range, but delta = cH / ln n = 1.45 is not
-        (["reproduce", "cor6", "--grid-c", "10", "--grid-n", "1000"],
-         "cor6: delta must lie in (0, 1), got delta=1.4476482730108395"),
-        # the simplex floor cor9 checks against is defined for c in (0, 1) only
-        (["reproduce", "cor9", "--grid-c", "1.5", "--grid-n", "1000"],
-         "cor9: c must lie in (0, 1), got c=1.5"),
-        # cor7 compares both estimators at one threshold exponent
-        (["reproduce", "cor7", "--grid-eta", "1.1", "1.5"], "cor7: --grid-eta takes one value"),
-        # the simplex floor is defined for n >= e^H only
-        (["reproduce", "cor9", "--grid-n", "2", "1000"],
-         "cor9: requires n >= e^H = 2.71828, got n=2"),
-        (["reproduce", "cor9", "--grid-H", "3", "--grid-n", "10"],
-         "cor9: requires n >= e^H = 20.0855, got n=10"),
-        # master seeds are 64-bit unsigned: -3 would run as 2^64 - 3, 2^64 as 0
-        (["mc", "--grid-S", "2", "--grid-n", "10", "20", "--replicates", "200",
-          "--seed", "-3"], "--seed must be in [0, 2^64), got -3"),
-        (["mc", "--grid-S", "2", "--grid-n", "10", "20", "--replicates", "200",
-          "--seed", str(1 << 64)], f"--seed must be in [0, 2^64), got {1 << 64}"),
-        (["reproduce", "cor2", "--grid-n", "100", "--seed", "-1"],
-         "--seed must be in [0, 2^64), got -1"),
-        # too few replicates for every cell, not one error row per cell
-        (["mc", "--grid-S", "2", "--grid-n", "4", "--replicates", "50"],
-         "replicates must be an integer of at least 100 for CI reporting and at most 10^7, "
-         "got 50"),
-        # inf is no ratio n/S and no threshold exponent; its rows would end in a FAIL
-        (["reproduce", "cor3-4", "--grid-c", "inf"],
-         "cor3-4: --grid-c values must satisfy 0 < c < inf"),
-        (["reproduce", "cor7", "--grid-eta", "inf"],
-         "cor7: eta must exceed 1 and be finite, got eta=inf"),
-    ], ids=["cor2", "cor6", "cor3-4", "cor7", "cor9", "cor6-infeasible", "cor9-c",
-            "cor7-eta", "cor9-floor", "cor9-floor-H", "mc-seed-negative", "mc-seed-2^64",
-            "cor2-seed-negative", "mc-replicates", "cor3-4-inf", "cor7-eta-inf"])
-    def test_out_of_domain_grid_is_a_usage_error(self, argv, message):
-        # exit code 1 is a FAIL verdict; a bad grid value is a bad invocation
-        src = pathlib.Path(l1minimax.__file__).resolve().parents[1]
-        proc = subprocess.run(
-            [sys.executable, "-m", "l1minimax", *argv],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
-        assert proc.returncode == 2
-        assert proc.stderr == f"error: {message}\n"
-        assert proc.stdout == ""
-
-    def test_process_entry_writes_what_main_writes(self, tmp_path):
+    def test_process_entry_writes_what_main_writes(self, tmp_path, capsys):
         # `python -m l1minimax` freezes the collector after main() returns;
         # main() itself must not, or long-lived callers would keep cyclic garbage
+        src = pathlib.Path(l1minimax.__file__).resolve().parents[1]
+        process = functools.partial(subprocess.run, capture_output=True, text=True,
+                                    env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        # a usage error exits 2 with main()'s one error line, as the contract
+        # table's rows do in-process; `=` lets argparse read -inf as a value
+        usage = ["reproduce", "cor3-4", "--grid-c=-inf"]
+        assert main(usage) == 2
+        proc = process([sys.executable, "-m", "l1minimax", *usage])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", capsys.readouterr().err)
+        assert proc.stderr == "error: cor3-4: --grid-c values must satisfy 0 < c < inf\n"
         argv = ["reproduce", "cor2", "--grid-n", "100", "1000", "-v", "--out"]
         assert main(argv + [str(tmp_path / "main.csv")]) == 0
         assert gc.get_freeze_count() == 0
-        src = pathlib.Path(l1minimax.__file__).resolve().parents[1]
-        proc = subprocess.run(
-            [sys.executable, "-m", "l1minimax", *argv, str(tmp_path / "process.csv")],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        proc = process([sys.executable, "-m", "l1minimax", *argv, str(tmp_path / "process.csv")])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
             "PASS [cor2] S=2: final |sqrt(n) risk - constant| = 1.994e-04 <= 0.01",
@@ -466,88 +367,10 @@ class TestReproduceCommand:
         assert len(rows) == 2
 
 
-class TestUnreadFlags:
-    """Each command accepts only the flags it reads, and each grid once."""
-
-    @pytest.mark.parametrize("argv, unread", [
-        (["bounds", "--grid-S", "10", "--grid-n", "100"], ["--replicates", "5"]),
-        (["exact-risk", "--grid-S", "2", "--grid-n", "10"], ["--grid-zeta", "0.5"]),
-        (["mc", "--grid-S", "2", "--grid-n", "10", "--replicates", "200"],
-         ["--grid-zeta", "0.5"]),
-        (["reproduce", "cor2", "--grid-n", "100"], ["--grid-H", "1"]),
-        (["reproduce", "cor6", "--grid-n", "1000"], ["--timing"]),
-        (["bounds", "--grid-S", "10", "--grid-n", "100"], ["--timing"]),
-        (["exact-risk", "--grid-S", "2", "--grid-n", "10"], ["--timing"]),
-        (["mc", "--grid-S", "2", "--grid-n", "10", "--replicates", "200"], ["--timing"]),
-    ], ids=["bounds-replicates", "exact-risk-zeta", "mc-zeta", "cor2-H", "cor6-timing",
-            "bounds-timing", "exact-risk-timing", "mc-timing"])
-    def test_unread_flag_is_a_usage_error(self, capsys, argv, unread):
-        with pytest.raises(SystemExit) as exc:
-            main(argv + unread)
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "unrecognized arguments: " + " ".join(unread) in captured.err
-
-    @pytest.mark.parametrize("argv, flag", [
-        (["bounds", "--grid-S", "2", "--grid-n", "10", "--grid-S", "3"], "--grid-S"),
-        (["exact-risk", "--grid-S", "2", "--grid-n", "10", "--grid-n", "20"], "--grid-n"),
-        (["mc", "--grid-S", "2", "--grid-n", "10", "--replicates", "200", "--grid-n", "20"],
-         "--grid-n"),
-        (["reproduce", "cor2", "--grid-n", "100", "--grid-n", "1000"], "--grid-n"),
-    ], ids=["bounds", "exact-risk", "mc", "cor2"])
-    def test_repeated_grid_is_a_usage_error(self, tmp_path, capsys, argv, flag):
-        # argparse alone would keep the last list and drop the earlier values
-        out = tmp_path / "x.csv"
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--out", str(out)])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and not out.exists()
-        assert captured.err.endswith(f"error: argument {flag}: given more than once\n")
-
-
 class TestFamilyGrids:
-    """--family reads only its own grids, --grid-eta only where a cell reads
-    it, and each --estimator is given once."""
-
-    @pytest.mark.parametrize("argv, message", [
-        (["--family", "entropy-ball", "--grid-S", "5", "7", "--grid-H", "1",
-          "--grid-c", "0.5", "--grid-n", "1000"],
-         "--family entropy-ball does not read --grid-S"),
-        (["--family", "uniform", "--grid-S", "2", "--grid-H", "1", "--grid-n", "10"],
-         "--family uniform does not read --grid-H"),
-        (["--grid-S", "2", "--grid-c", "0.5", "--grid-n", "10"],
-         "--family uniform does not read --grid-c"),
-        (["--family", "file:{path}", "--grid-S", "2", "--grid-n", "10"],
-         "--family file:{path} does not read --grid-S"),
-        (["--family", "uniform", "--grid-S", "2", "--grid-n", "10",
-          "--estimator", "empirical", "--grid-eta", "1.1", "1.5"],
-         "--family uniform does not read --grid-eta without --estimator threshold"),
-        (["--family", "entropy-ball", "--grid-H", "1", "--grid-n", "1000"],
-         "--family entropy-ball requires --grid-c"),
-    ], ids=["entropy-ball-S", "uniform-H", "uniform-c", "file-S", "uniform-empirical-eta",
-            "entropy-ball-no-c"])
-    def test_unread_family_grid_is_a_usage_error(self, tmp_path, capsys, argv, message):
-        path = tmp_path / "fam.txt"
-        path.write_text("0.5 2\n", encoding="utf-8")
-        out = tmp_path / "x.csv"
-        code = main(["exact-risk", *(a.format(path=path) for a in argv), "--out", str(out)])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.err == "error: " + message.format(path=path) + "\n"
-        assert captured.out == "" and not out.exists()
-
-    @pytest.mark.parametrize("command", ["exact-risk", "mc"])
-    def test_repeated_estimator_is_a_usage_error(self, tmp_path, capsys, command):
-        out = tmp_path / "x.csv"
-        code = main([command, "--grid-S", "2", "--grid-n", "10", "--estimator", "empirical",
-                     "--estimator", "threshold", "--estimator", "empirical",
-                     "--out", str(out)])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.err == "error: --estimator empirical given more than once\n"
-        assert captured.out == "" and not out.exists()
+    """--grid-eta crosses only the cells that read it; the usage errors of a
+    grid or an --estimator a command does not read are rows of
+    tests/test_contracts.py."""
 
     def test_eta_crosses_only_the_cells_that_read_it(self, tmp_path):
         # on a uniform family only the threshold estimator reads eta
@@ -559,20 +382,6 @@ class TestFamilyGrids:
         assert [(r["estimator"], r["eta"]) for r in rows] == [
             ("empirical", ""), ("threshold", "1.1"), ("threshold", "1.5")]
         assert rows[0]["exact_risk"] == "0.24609375"
-
-
-class TestUnwritableOut:
-    @pytest.mark.parametrize("argv", [
-        ["bounds", "--grid-S", "2", "--grid-n", "10"],
-        ["reproduce", "cor2", "--grid-n", "100", "1000"],
-    ], ids=["bounds", "cor2"])
-    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, argv):
-        out = tmp_path / "missing" / "x.csv"
-        code = main(argv + ["--out", str(out)])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"error: {out}: {os.strerror(errno.ENOENT)}\n"
-        assert captured.out == ""
 
 
 class TestVerbose:

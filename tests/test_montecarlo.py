@@ -282,12 +282,6 @@ class TestMcRisk:
         mean = float(np.asarray(losses).sum() / reps)
         assert mean == out.mean
 
-    def test_replicate_floor_holds_past_replace(self):
-        # `_replace` does not run `McConfig.__new__`; mc_risk checks again
-        cfg = McConfig(100, 7)._replace(replicates=1)
-        with pytest.raises(ValueError, match="at least 100"):
-            mc_risk(ProbabilityVector([0.5, 0.5]), empirical_estimator(), 10, cfg)
-
     def test_coverage_over_seeds(self):
         # |mc mean - exact| within z standard errors for nearly all seeds
         pv = ProbabilityVector([0.5, 0.5])
